@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonio, streams, verify
-from .engine import CouplingSampler, EnumerationCapError, NotConvergentError
+from .engine import CouplingSampler, EnumerationCapError
 from .skorohod import build_skorohod_coupling
 from .version import __version__
 
@@ -67,8 +67,6 @@ def _cmd_build(config: RunConfig) -> int:
         from .engine import build_plan
 
         plan = build_plan(seq)
-    except NotConvergentError as exc:
-        raise InputError(str(exc)) from exc
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.spec}: {exc}") from exc
     _write_text(config.out, jsonio.canonical_dumps(jsonio.plan_to_doc(plan)))
@@ -179,6 +177,21 @@ def _cmd_report(config: RunConfig) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """An argparse type accepting integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windowcoupling",
@@ -194,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="audit a plan and run Monte Carlo guards")
     ver.add_argument("--plan", type=Path, required=True, help="plan JSON")
     ver.add_argument("--out", type=Path, help="write the report JSON here")
-    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    ver.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     smp = sub.add_parser("sample", help="stream coupled samples as JSON lines")
     smp.add_argument("--plan", type=Path, required=True, help="plan JSON")
-    smp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    smp.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     smp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     smp.add_argument("--out", type=Path, help="output JSONL (default stdout)")
 
@@ -209,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     sko.add_argument("--spec", type=Path, required=True, help="metric law sequence JSON")
     sko.add_argument("--out", type=Path, required=True, help="output directory")
     sko.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    sko.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    sko.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     sko.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sko.add_argument("--backend", choices=("table", "linf"), default=None)
-    sko.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    sko.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP)
 
     rep = sub.add_parser("report", help="render an existing report to text")
     rep.add_argument("report", type=Path, help="report JSON")

@@ -16,6 +16,19 @@ this module materializes the coupling in four stages:
 4. an exact sampler and, for small instances, brute-force enumeration
    of the whole joint law as an independent oracle.
 
+Every window marginal and window infimum the construction and its
+checks read comes from one ``WindowTable`` per sequence: ``build_plan``
+builds it once and hands it to the schedule, the ladder and the
+validation, and ``plan_exact_checks`` builds its own when it is given a
+loaded plan.  The tail rule makes density convergence automatic (from
+index M + 1 on only the limit law remains), so no convergence scan
+runs.  Kernel rows, and the check that compares them with the member
+conditionals, group each law's mass by window prefix in one pass.
+
+``window_infimum``, ``window_deficit`` and ``extended_floor`` compute
+the same quantities directly from the sequence; they are the reference
+the table is tested against.
+
 Every quantity is an exact rational; plan construction verifies all
 structural invariants and refuses to return an inconsistent plan.
 """
@@ -38,16 +51,13 @@ from .measures import (
     Point,
     ProcessSequenceSpec,
     ProductSpace,
-    conditional_given_prefix,
-    density_convergence,
+    WindowTable,
+    density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
+    prefix_conditionals,
     uniform_on_cylinder,
     window_infimum,
     window_marginal,
 )
-
-
-class NotConvergentError(ValueError):
-    """The sequence fails density convergence at some window length."""
 
 
 class EnumerationCapError(ValueError):
@@ -185,24 +195,31 @@ def window_deficit(seq: ProcessSequenceSpec, n: int, k: int) -> Fraction:
     return ONE - window_infimum(seq, n, k).total_mass
 
 
-def largest_feasible_windows(seq: ProcessSequenceSpec) -> list[int]:
+def largest_feasible_windows(
+    seq: ProcessSequenceSpec, table: WindowTable | None = None
+) -> list[int]:
     """Per index n, the largest window whose deficit is at most 2**-n.
 
     The deficit is non-decreasing in the window length, so scanning from
     the full width down finds the maximum; window 0 always has deficit 0.
+    ``table`` is the sequence's window table when the caller has one.
     """
+    if table is None:
+        table = WindowTable(seq)
     full = seq.space.width
     caps: list[int] = []
     for n in range(1, seq.horizon + 2):
         bound = Fraction(1, 2**n)
         for k in range(full, -1, -1):
-            if window_deficit(seq, n, k) <= bound:
+            if table.deficit(n, k) <= bound:
                 caps.append(k)
                 break
     return caps
 
 
-def build_schedule(seq: ProcessSequenceSpec) -> WindowSchedule:
+def build_schedule(
+    seq: ProcessSequenceSpec, table: WindowTable | None = None
+) -> WindowSchedule:
     """The pointwise-largest non-decreasing schedule meeting all deficit bounds.
 
     Taking the running minimum of the per-index largest feasible windows
@@ -210,14 +227,10 @@ def build_schedule(seq: ProcessSequenceSpec) -> WindowSchedule:
     non-decreasing choice is bounded at index n by each later index's
     feasible maximum.  Greedily maximizing index by index instead can
     dead-end when a later bound tightens faster than its deficit shrinks.
+    From index M + 1 on only the limit law remains, so its deficit is 0
+    in every window and the schedule always reaches the full width.
     """
-    for k in range(seq.space.width + 1):
-        verdict = density_convergence(seq, k)
-        if not verdict.converges:
-            raise NotConvergentError(
-                f"no density convergence at window length {k}"
-            )
-    caps = largest_feasible_windows(seq)
+    caps = largest_feasible_windows(seq, table)
     windows: list[int] = []
     running = caps[-1]
     for cap in reversed(caps):
@@ -263,9 +276,16 @@ def extended_floor(
     )
 
 
-def build_ladder(seq: ProcessSequenceSpec, schedule: WindowSchedule) -> MeasureLadder:
+def build_ladder(
+    seq: ProcessSequenceSpec,
+    schedule: WindowSchedule,
+    table: WindowTable | None = None,
+) -> MeasureLadder:
+    if table is None:
+        table = WindowTable(seq)
     floors = tuple(
-        extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)
+        extend_window_law(table.infimum(n, schedule.window(n)), seq.limit)
+        for n in range(1, seq.horizon + 2)
     )
     limit = seq.limit
     ratios = tuple(
@@ -289,8 +309,9 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
     re-checked by exact arithmetic and a failure raises
     InternalInvariantError rather than returning a bad plan.
     """
-    schedule = build_schedule(seq)
-    ladder = build_ladder(seq, schedule)
+    table = WindowTable(seq)
+    schedule = build_schedule(seq, table)
+    ladder = build_ladder(seq, schedule, table)
     count = seq.horizon + 1
     limit = seq.limit
 
@@ -325,7 +346,7 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
 
         k = schedule.window(n)
         member = seq.member(n)
-        member_window = window_marginal(member, k)
+        member_window = table.marginal(n, k)
         tail_prob = ONE - cumulative[n - 1]
         env_window = window_marginal(env, k)
         if tail_prob > 0:
@@ -341,17 +362,14 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
         else:
             residuals.append(member_window)
 
-        limit_window = window_marginal(limit, k)
+        member_rows = prefix_conditionals(member, k)
+        limit_rows = prefix_conditionals(limit, k)
         rows: dict[Point, KernelRow] = {}
         for prefix in member_window.space.points():
-            if member_window[prefix] > 0:
-                rows[prefix] = KernelRow(
-                    conditional_given_prefix(member, prefix), "member"
-                )
-            elif limit_window[prefix] > 0:
-                rows[prefix] = KernelRow(
-                    conditional_given_prefix(limit, prefix), "limit"
-                )
+            if prefix in member_rows:
+                rows[prefix] = KernelRow(member_rows[prefix], "member")
+            elif prefix in limit_rows:
+                rows[prefix] = KernelRow(limit_rows[prefix], "limit")
             else:
                 rows[prefix] = KernelRow(
                     uniform_on_cylinder(seq.space, prefix), "uniform"
@@ -368,7 +386,7 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
         kernels=tuple(kernels),
     )
     if validate:
-        failures = [c for c in plan_exact_checks(plan) if not c.passed]
+        failures = [c for c in plan_exact_checks(plan, table) if not c.passed]
         if failures:
             raise InternalInvariantError(
                 "plan invariants violated: "
@@ -377,13 +395,16 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
     return plan
 
 
-def deficit_entries(plan: CouplingPlan) -> list[DeficitEntry]:
-    seq = plan.sequence
+def deficit_entries(
+    plan: CouplingPlan, table: WindowTable | None = None
+) -> list[DeficitEntry]:
+    if table is None:
+        table = WindowTable(plan.sequence)
     return [
         DeficitEntry(
             n,
             plan.schedule.window(n),
-            window_deficit(seq, n, plan.schedule.window(n)),
+            table.deficit(n, plan.schedule.window(n)),
             Fraction(1, 2**n),
         )
         for n in range(1, plan.count + 1)
@@ -397,15 +418,20 @@ def _leq_witness(p: MassFunction, q: MassFunction) -> Point | None:
     return None
 
 
-def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
+def plan_exact_checks(
+    plan: CouplingPlan, table: WindowTable | None = None
+) -> list[ExactCheck]:
     """Every structural invariant of a plan, as exact pass/fail results.
 
     Used both by plan construction (which refuses to return a failing
     plan) and by the audit report.  Each check runs in isolation: an
     exception raised while checking a corrupted plan is reported as a
-    failure of that check rather than aborting the audit.
+    failure of that check rather than aborting the audit.  ``table`` is
+    the window table of ``plan.sequence``; without one, it is built here.
     """
     seq = plan.sequence
+    if table is None:
+        table = WindowTable(seq)
     schedule = plan.schedule
     ladder = plan.ladder
     count = plan.count
@@ -437,7 +463,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
         return None
 
     def deficit_certificates() -> str | None:
-        for entry in deficit_entries(plan):
+        for entry in deficit_entries(plan, table):
             if entry.deficit > entry.bound:
                 return f"n={entry.index}: deficit {entry.deficit} > {entry.bound}"
         return None
@@ -473,8 +499,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
         for n in range(1, count + 1):
             k = schedule.window(n)
             bad = _leq_witness(
-                window_marginal(ladder.envelope(n), k),
-                window_marginal(seq.member(n), k),
+                window_marginal(ladder.envelope(n), k), table.marginal(n, k)
             )
             if bad is not None:
                 return f"n={n}: envelope window exceeds member law at {bad}"
@@ -511,7 +536,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
             if tail == 0:
                 continue
             k = schedule.window(n)
-            member_window = window_marginal(seq.member(n), k)
+            member_window = table.marginal(n, k)
             env_window = window_marginal(ladder.envelope(n), k)
             support = set(member_window.mass) | set(plan.residual_laws[n - 1].mass)
             for z in support:
@@ -523,7 +548,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
     def floor_window_consistency() -> str | None:
         for n in range(1, count + 1):
             k = schedule.window(n)
-            if window_marginal(ladder.floors[n - 1], k) != window_infimum(seq, n, k):
+            if window_marginal(ladder.floors[n - 1], k) != table.infimum(n, k):
                 return f"n={n}: floor window marginal != window infimum"
         return None
 
@@ -540,15 +565,13 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
 
     def kernel_rows_member_conditional() -> str | None:
         for n, rows in enumerate(plan.kernels, start=1):
-            k = schedule.window(n)
-            member = seq.member(n)
-            member_window = window_marginal(member, k)
+            conditionals = prefix_conditionals(seq.member(n), schedule.window(n))
             for prefix, row in rows.items():
-                if member_window[prefix] > 0:
-                    if row.source != "member" or row.law != conditional_given_prefix(
-                        member, prefix
-                    ):
-                        return f"n={n}: row at {prefix} is not the member conditional"
+                expected = conditionals.get(prefix)
+                if expected is not None and (
+                    row.source != "member" or row.law != expected
+                ):
+                    return f"n={n}: row at {prefix} is not the member conditional"
         return None
 
     def mixture_reconstructs_limit() -> str | None:
@@ -579,7 +602,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
                 for z, v in plan.residual_laws[n - 1].mass.items():
                     acc[z] = acc.get(z, ZERO) + tail * v
             acc = {z: v for z, v in acc.items() if v != 0}
-            bad = mismatch(acc, window_marginal(seq.member(n), k))
+            bad = mismatch(acc, table.marginal(n, k))
             if bad is not None:
                 return f"n={n}: window mixture misses the member law at {bad}"
         return None

@@ -272,13 +272,70 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
     return MassFunction(seq.space.window(k), out)
 
 
+class WindowTable:
+    """Every window marginal and window infimum of one sequence, each computed once.
+
+    Index n = 1..M names the members and n = M + 1 the limit law; by the
+    tail rule every later index is the limit too.  Each law's k-window
+    marginal is its (k+1)-window marginal truncated by one coordinate.
+    The infima of window k come from one backward sweep: the infimum
+    from M + 1 is the limit marginal, and the infimum from n is the
+    pointwise minimum of P_n|k and the infimum from n + 1, taken over
+    the support of the latter.  ``marginal`` and ``infimum`` return what
+    ``window_marginal`` and ``window_infimum`` would, at the cost of a
+    lookup.
+    """
+
+    def __init__(self, seq: ProcessSequenceSpec) -> None:
+        self.sequence = seq
+        width = seq.space.width
+        self._marginals: list[list[MassFunction]] = []
+        for law in (*seq.members, seq.limit):
+            levels = [law]
+            for k in range(width - 1, -1, -1):
+                levels.append(window_marginal(levels[-1], k))
+            levels.reverse()
+            self._marginals.append(levels)
+        self._infima = [[law] for law in self._marginals[-1]]
+        for k, column in enumerate(self._infima):
+            for levels in reversed(self._marginals[:-1]):
+                later = column[-1]
+                member = levels[k].mass
+                out: dict[Point, Fraction] = {}
+                for point, value in later.mass.items():
+                    m = min(member.get(point, ZERO), value)
+                    if m > 0:
+                        out[point] = m
+                column.append(MassFunction(later.space, out))
+            column.reverse()
+
+    def _locate(self, n: int, k: int) -> int:
+        if n < 1:
+            raise ValueError(f"start index {n} must be at least 1")
+        self.sequence.space.check_window(k)
+        return min(n, self.sequence.horizon + 1) - 1
+
+    def marginal(self, n: int, k: int) -> MassFunction:
+        """The k-window marginal of the n-th law of the sequence."""
+        return self._marginals[self._locate(n, k)][k]
+
+    def infimum(self, n: int, k: int) -> MassFunction:
+        """The k-window infimum over indices >= n."""
+        row = self._locate(n, k)
+        return self._infima[k][row]
+
+    def deficit(self, n: int, k: int) -> Fraction:
+        """Mass missing from the k-window infimum starting at index n."""
+        return ONE - self.infimum(n, k).total_mass
+
+
 def density_convergence(seq: ProcessSequenceSpec, k: int) -> DensityConvergence:
     """Decide whether the k-window infima reach the limit marginal exactly.
 
     Under an eventually-equal tail the infimum is monotone in the start
     index and equals the limit marginal from the tail index on, so this
-    scan decides the liminf condition; the witness is the first index
-    where equality holds.
+    scan always succeeds; the witness is the first index where equality
+    holds.  Plan construction relies on this and runs no such scan.
     """
     target = window_marginal(seq.limit, k)
     for n in range(1, seq.horizon + 2):
@@ -308,6 +365,23 @@ def conditional_given_prefix(law: MassFunction, prefix: Point) -> MassFunction:
         law.space,
         {z: v / denom for z, v in law.mass.items() if z[:k] == prefix},
     )
+
+
+def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
+    """``conditional_given_prefix`` for every k-prefix of positive mass.
+
+    One pass groups the law's mass by prefix, instead of one scan of the
+    whole support per prefix.
+    """
+    law.space.check_window(k)
+    groups: dict[Point, dict[Point, Fraction]] = {}
+    for z, v in law.mass.items():
+        groups.setdefault(z[:k], {})[z] = v
+    out: dict[Point, MassFunction] = {}
+    for prefix, group in groups.items():
+        denom = sum(group.values(), ZERO)
+        out[prefix] = MassFunction(law.space, {z: v / denom for z, v in group.items()})
+    return out
 
 
 def uniform_on_cylinder(space: ProductSpace, prefix: Point) -> MassFunction:

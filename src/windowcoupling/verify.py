@@ -34,6 +34,7 @@ from .measures import (
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
+    WindowTable,
 )
 from .skorohod import (
     AtomicLaw,
@@ -122,21 +123,23 @@ def _coupling_provenance(coupling: SkorohodCoupling, seed: int | None) -> dict:
 
 def audit_plan(plan: CouplingPlan) -> VerificationReport:
     """Run every exact invariant of the coupling construction."""
+    table = WindowTable(plan.sequence)
     return VerificationReport(
-        exact_checks=tuple(plan_exact_checks(plan)),
+        exact_checks=tuple(plan_exact_checks(plan, table)),
         mc_checks=(),
-        deficit_trace=tuple(deficit_entries(plan)),
+        deficit_trace=tuple(deficit_entries(plan, table)),
         provenance=_plan_provenance(plan, None),
     )
 
 
 def audit_skorohod(coupling: SkorohodCoupling) -> VerificationReport:
     """Exact plan invariants plus partition-tree invariants."""
+    table = WindowTable(coupling.plan.sequence)
     return VerificationReport(
-        exact_checks=tuple(plan_exact_checks(coupling.plan))
+        exact_checks=tuple(plan_exact_checks(coupling.plan, table))
         + tuple(tree_exact_checks(coupling.tree)),
         mc_checks=(),
-        deficit_trace=tuple(deficit_entries(coupling.plan)),
+        deficit_trace=tuple(deficit_entries(coupling.plan, table)),
         provenance=_coupling_provenance(coupling, None),
     )
 

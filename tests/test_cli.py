@@ -215,6 +215,36 @@ class TestSkorohod:
         assert tree["backend"] == "table"
 
 
+class TestBadCounts:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--plan", "{plan}", "--samples", "0"],
+            ["sample", "--plan", "{plan}", "--samples", "-3", "--out", "{out}"],
+            ["sample", "--plan", "{plan}", "--samples", "three"],
+            ["skorohod", "--spec", "{line}", "--out", "{out}", "--samples", "0"],
+            ["skorohod", "--spec", "{line}", "--out", "{out}", "--cap", "-1"],
+        ],
+    )
+    def test_exit_2_with_one_error_line(
+        self, tmp_path, skewed_file, skorohod_file, capsys, command
+    ):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [
+            arg.format(plan=plan_path, line=skorohod_file, out=out) for arg in command
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not out.exists()
+
+
 class TestReportCommand:
     def test_renders_text(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"

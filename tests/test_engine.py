@@ -16,6 +16,8 @@ from windowcoupling import (
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
+    WindowTable,
+    audit_plan,
     build_ladder,
     build_plan,
     build_schedule,
@@ -25,9 +27,11 @@ from windowcoupling import (
     extended_floor,
     joint_support_size,
     sample,
+    conditional_given_prefix,
     window_deficit,
     window_marginal,
 )
+from windowcoupling import engine, measures
 from windowcoupling.engine import largest_feasible_windows, plan_exact_checks
 from windowcoupling.verify import random_process_spec
 
@@ -89,6 +93,29 @@ class TestSchedule:
         assert schedule.windows[-1] == seq.space.width
         for n, k in enumerate(schedule.windows, start=1):
             assert window_deficit(seq, n, k) <= F(1, 2**n)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_table_matches_direct_deficits(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        full = seq.space.width
+        # reference: the per-index scan on window_deficit, then the
+        # running minimum over later indices
+        caps = [
+            max(
+                k
+                for k in range(full + 1)
+                if window_deficit(seq, n, k) <= F(1, 2**n)
+            )
+            for n in range(1, seq.horizon + 2)
+        ]
+        windows = [min(caps[i:]) for i in range(len(caps))]
+        table = WindowTable(seq)
+        assert largest_feasible_windows(seq) == caps
+        assert largest_feasible_windows(seq, table) == caps
+        assert list(build_schedule(seq).windows) == windows
+        assert list(build_schedule(seq, table).windows) == windows
 
 
 def deficit_entries_for(seq):
@@ -176,6 +203,40 @@ class TestPlan:
     def test_build_validates(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         assert all(c.passed for c in plan_exact_checks(plan))
+
+    def test_build_and_audit_read_only_the_table(self, monkeypatch, two_member_sequence):
+        def refuse(*args):
+            raise AssertionError("direct infimum computation on the build path")
+
+        for module in (engine, measures):
+            monkeypatch.setattr(module, "window_infimum", refuse)
+            monkeypatch.setattr(module, "density_convergence", refuse)
+        plan = build_plan(two_member_sequence)
+        assert audit_plan(plan).all_exact_passed
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_member_rows_are_member_conditionals(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        plan = build_plan(seq)
+        for n, rows in enumerate(plan.kernels, start=1):
+            member = seq.member(n)
+            member_window = window_marginal(member, plan.schedule.window(n))
+            for prefix, row in rows.items():
+                if member_window[prefix] > 0:
+                    assert row.source == "member"
+                    assert row.law == conditional_given_prefix(member, prefix)
+                else:
+                    assert row.source != "member"
+
+    def test_wrong_member_row_detected(self, skewed_sequence):
+        plan = build_plan(skewed_sequence)
+        rows = dict(plan.kernels[0])
+        prefix = next(p for p, row in rows.items() if row.source == "member")
+        rows[prefix] = replace(rows[prefix], source="limit")
+        bad_plan = replace(plan, kernels=(rows,) + plan.kernels[1:])
+        failed = {c.name for c in plan_exact_checks(bad_plan) if not c.passed}
+        assert failed == {"kernel-rows-member-conditional"}
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
         plan = build_plan(two_member_sequence)

@@ -13,13 +13,16 @@ from windowcoupling import (
     SpaceMismatchError,
     TailRule,
     WindowRangeError,
+    WindowTable,
     conditional_given_prefix,
     density_convergence,
     total_variation,
     uniform_on_cylinder,
+    window_deficit,
     window_infimum,
     window_marginal,
 )
+from windowcoupling.measures import prefix_conditionals
 
 
 @st.composite
@@ -198,6 +201,27 @@ class TestWindowInfimum:
             previous = current
 
 
+class TestWindowTable:
+    @settings(max_examples=60, deadline=None)
+    @given(sequences())
+    def test_matches_direct_functions(self, seq):
+        table = WindowTable(seq)
+        for n in range(1, seq.horizon + 3):
+            for k in range(seq.space.width + 1):
+                assert table.marginal(n, k) == window_marginal(seq.member(n), k)
+                assert table.infimum(n, k) == window_infimum(seq, n, k)
+                assert table.deficit(n, k) == window_deficit(seq, n, k)
+
+    def test_rejects_bad_indices(self, two_member_sequence):
+        table = WindowTable(two_member_sequence)
+        with pytest.raises(ValueError):
+            table.infimum(0, 1)
+        with pytest.raises(WindowRangeError):
+            table.infimum(1, 2)
+        with pytest.raises(WindowRangeError):
+            table.marginal(1, -1)
+
+
 class TestDensityConvergence:
     def test_constant_sequence(self, constant_sequence):
         assert density_convergence(constant_sequence, 1) == (True, 1)
@@ -270,6 +294,16 @@ class TestConditioning:
         law = MassFunction(pair_space, {(0, 0): F(1)})
         with pytest.raises(ValueError, match="zero-mass"):
             conditional_given_prefix(law, (1,))
+
+    @given(st.data())
+    def test_prefix_conditionals_match_one_by_one(self, data):
+        space = data.draw(spaces())
+        law = data.draw(probability_laws(space))
+        k = data.draw(st.integers(0, space.width))
+        grouped = prefix_conditionals(law, k)
+        assert set(grouped) == set(window_marginal(law, k).mass)
+        for prefix, conditional in grouped.items():
+            assert conditional == conditional_given_prefix(law, prefix)
 
     def test_uniform_on_cylinder(self, pair_space):
         got = uniform_on_cylinder(pair_space, (1,))
