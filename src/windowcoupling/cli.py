@@ -2,7 +2,8 @@
 
 All randomness flows from the explicit ``--seed`` (default 0) through
 labeled substreams, so identical inputs and seed produce byte-identical
-artifacts.  Exit codes: 0 success, 1 verification failure, 2 bad input.
+artifacts.  Exit codes: 0 success, 1 verification failure (including a
+plan the sampler cannot draw from), 2 bad input.
 """
 from __future__ import annotations
 
@@ -102,12 +103,20 @@ def _cmd_sample(config: RunConfig) -> int:
         plan = jsonio.plan_from_doc(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.plan}: {exc}") from exc
-    sampler = CouplingSampler(plan)
     lines = []
-    for i in range(config.samples):
-        derived = streams.derive_seed(config.seed, "sample", i)
-        draw = sampler.sample(streams.stream(config.seed, "sample", i))
-        lines.append(jsonio.compact_dumps(jsonio.sample_record(plan, draw, derived)))
+    try:
+        sampler = CouplingSampler(plan)
+        for i in range(config.samples):
+            derived = streams.derive_seed(config.seed, "sample", i)
+            draw = sampler.sample(streams.stream(config.seed, "sample", i))
+            lines.append(jsonio.compact_dumps(jsonio.sample_record(plan, draw, derived)))
+    except Exception as exc:  # a corrupted plan can break sampling anywhere
+        print(
+            f"error: {config.plan}: sampling failed after {len(lines)} draws:"
+            f" {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     text = "\n".join(lines) + "\n"
     if config.out is not None:
         _write_text(config.out, text)

@@ -6,9 +6,10 @@ this module materializes the coupling in four stages:
 1. a non-decreasing window schedule whose per-index mass deficit is
    certified below ``2**-n``;
 2. a ladder of sub-probability measures: window infima extended to the
-   full space along the limit law's conditional kernel (``floors``),
-   their density ratios against the limit law, and the running lower
-   envelopes whose masses telescope to one (``envelopes``);
+   full space along the limit law's conditional kernel (``floors``) and
+   the running lower envelopes, whose density against the limit law is
+   the minimum of the floor densities from index n on and whose masses
+   telescope to one (``envelopes``);
 3. the mixture decomposition: the law of the agreement index N, the
    envelope increment laws (full-space components), the residual window
    laws used while N has not been reached, and per-prefix extension
@@ -22,8 +23,19 @@ builds it once and hands it to the schedule, the ladder and the
 validation, and ``plan_exact_checks`` builds its own when it is given a
 loaded plan.  The tail rule makes density convergence automatic (from
 index M + 1 on only the limit law remains), so no convergence scan
-runs.  Kernel rows, and the check that compares them with the member
-conditionals, group each law's mass by window prefix in one pass.
+runs.
+
+A plan holds only what the sampler can reach and what cannot be
+derived cheaply from the rest.  Component n is drawn from member n's
+conditional law given its window prefix, and that prefix always has
+positive member mass (while N > n it comes from the residual law, which
+sits below the member's window marginal, and from N on it is the limit
+point's prefix, drawn from the N-th envelope, which every later member
+dominates on its window), so ``kernels[n-1]`` has one row per
+positive-mass prefix and no other.  The floor densities are recomputed
+by whoever needs them.  Kernel rows, and the check that compares them
+with the member conditionals, group each law's mass by window prefix
+in one pass.
 
 ``window_infimum``, ``window_deficit`` and ``extended_floor`` compute
 the same quantities directly from the sequence; they are the reference
@@ -37,8 +49,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Mapping, NamedTuple
@@ -54,7 +66,6 @@ from .measures import (
     WindowTable,
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
     prefix_conditionals,
-    uniform_on_cylinder,
     window_infimum,
     window_marginal,
 )
@@ -105,15 +116,15 @@ class MeasureLadder:
     """The measure ladder underlying the mixture decomposition.
 
     ``floors[n-1]`` is the window infimum at the scheduled window,
-    extended to the full space; ``floor_ratios[n-1]`` its density with
-    respect to the limit law on the limit's support; ``envelopes[n-1]``
-    the measure with density equal to the minimum of all ratios from
-    index n on.  Envelopes are pointwise non-decreasing and the last
-    one equals the limit law exactly.
+    extended to the full space; ``envelopes[n-1]`` the measure whose
+    density with respect to the limit law is the minimum, over indices
+    i >= n, of the floor densities ``floors[i-1][z] / limit[z]`` on the
+    limit's support.  Envelopes are pointwise non-decreasing and the
+    last one equals the limit law exactly.  The floor densities are not
+    stored: they follow from the floors and the limit law.
     """
 
     floors: tuple[MassFunction, ...]
-    floor_ratios: tuple[dict[Point, Fraction], ...]
     envelopes: tuple[MassFunction, ...]
 
     def envelope(self, n: int) -> MassFunction:
@@ -125,19 +136,15 @@ class MeasureLadder:
 
 @dataclass(frozen=True)
 class KernelRow:
-    """One extension-kernel row: a full-space law concentrated on a prefix.
+    """One extension-kernel row of component n at a k_n-prefix.
 
-    Rows whose prefix has zero mass under the member law are fallbacks
-    kept only for totality of the data structure; the sampler can never
-    reach them.
+    ``law`` is member n's conditional law given the prefix, a full-space
+    probability law concentrated on the prefix's cylinder.  Rows exist
+    only at prefixes where the member has positive mass, which are the
+    only prefixes the sampler can land on.
     """
 
     law: MassFunction
-    source: str  # "member" | "limit" | "uniform"
-
-    @property
-    def unused(self) -> bool:
-        return self.source != "member"
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,10 @@ class CouplingPlan:
     ``index_law`` is the law of the agreement index N on {1..M+1};
     ``increment_laws[n-1]`` the full-space component drawn when N = n;
     ``residual_laws[n-1]`` the window law used for component n while
-    N > n; ``kernels[n-1]`` maps every k_n-prefix to its extension row.
+    N > n; ``kernels[n-1]`` maps each k_n-prefix of positive mass under
+    member n to its extension row, and has no other keys.  ``sampler``
+    is the plan's exact sampler, built on first use and kept with the
+    plan.
     """
 
     sequence: ProcessSequenceSpec
@@ -171,6 +181,10 @@ class CouplingPlan:
         return ONE - sum(
             (self.index_probability(m) for m in range(1, n + 1)), ZERO
         )
+
+    @cached_property
+    def sampler(self) -> "CouplingSampler":
+        return CouplingSampler(self)
 
 
 @dataclass(frozen=True)
@@ -288,18 +302,17 @@ def build_ladder(
         for n in range(1, seq.horizon + 2)
     )
     limit = seq.limit
-    ratios = tuple(
-        {z: law[z] / q for z, q in limit.mass.items()} for law in floors
-    )
-    count = seq.horizon + 1
+    ratios = [{z: law[z] / q for z, q in limit.mass.items()} for law in floors]
+    # running minimum of the floor densities, from the last index down
+    running = ratios[-1]
     envelopes = []
-    for n in range(1, count + 1):
-        env = {
-            z: q * min(ratios[i][z] for i in range(n - 1, count))
-            for z, q in limit.mass.items()
-        }
-        envelopes.append(MassFunction(seq.space, env))
-    return MeasureLadder(floors, ratios, tuple(envelopes))
+    for ratio in reversed(ratios):
+        running = {z: min(r, running[z]) for z, r in ratio.items()}
+        envelopes.append(
+            MassFunction(seq.space, {z: q * running[z] for z, q in limit.mass.items()})
+        )
+    envelopes.reverse()
+    return MeasureLadder(floors, tuple(envelopes))
 
 
 def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
@@ -362,19 +375,12 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
         else:
             residuals.append(member_window)
 
-        member_rows = prefix_conditionals(member, k)
-        limit_rows = prefix_conditionals(limit, k)
-        rows: dict[Point, KernelRow] = {}
-        for prefix in member_window.space.points():
-            if prefix in member_rows:
-                rows[prefix] = KernelRow(member_rows[prefix], "member")
-            elif prefix in limit_rows:
-                rows[prefix] = KernelRow(limit_rows[prefix], "limit")
-            else:
-                rows[prefix] = KernelRow(
-                    uniform_on_cylinder(seq.space, prefix), "uniform"
-                )
-        kernels.append(rows)
+        kernels.append(
+            {
+                prefix: KernelRow(law)
+                for prefix, law in prefix_conditionals(member, k).items()
+            }
+        )
 
     plan = CouplingPlan(
         sequence=seq,
@@ -564,13 +570,18 @@ def plan_exact_checks(
         return None
 
     def kernel_rows_member_conditional() -> str | None:
+        if len(plan.kernels) != count:
+            return f"{len(plan.kernels)} kernel maps for {count} components"
         for n, rows in enumerate(plan.kernels, start=1):
             conditionals = prefix_conditionals(seq.member(n), schedule.window(n))
+            missing = sorted(conditionals.keys() - rows.keys())
+            if missing:
+                return f"n={n}: no row at positive-mass prefix {missing[0]}"
+            extra = sorted(rows.keys() - conditionals.keys())
+            if extra:
+                return f"n={n}: row at zero-mass prefix {extra[0]}"
             for prefix, row in rows.items():
-                expected = conditionals.get(prefix)
-                if expected is not None and (
-                    row.source != "member" or row.law != expected
-                ):
+                if row.law != conditionals[prefix]:
                     return f"n={n}: row at {prefix} is not the member conditional"
         return None
 
@@ -702,22 +713,9 @@ class CouplingSampler:
         return CouplingSample(index, limit_point, tuple(members))
 
 
-# keeps strong references, hence bounded; keys stay valid while entries live
-_SAMPLER_CACHE: "OrderedDict[int, CouplingSampler]" = OrderedDict()
-_SAMPLER_CACHE_LIMIT = 8
-
-
 def sample(plan: CouplingPlan, rng: Random) -> CouplingSample:
     """Draw one coupled realization; see CouplingSampler for draw order."""
-    cached = _SAMPLER_CACHE.get(id(plan))
-    if cached is None or cached.plan is not plan:
-        cached = CouplingSampler(plan)
-        _SAMPLER_CACHE[id(plan)] = cached
-        while len(_SAMPLER_CACHE) > _SAMPLER_CACHE_LIMIT:
-            _SAMPLER_CACHE.popitem(last=False)
-    else:
-        _SAMPLER_CACHE.move_to_end(id(plan))
-    return cached.sample(rng)
+    return plan.sampler.sample(rng)
 
 
 def _tail_mixture_laws(plan: CouplingPlan) -> dict[int, MassFunction]:

@@ -108,11 +108,16 @@ def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
 
 # -- coupling plans -----------------------------------------------------------
 
+# Format 2 keeps kernel rows only at prefixes of positive member mass, as
+# plain prefix -> law maps, and no floor ratios.
+PLAN_FORMAT = 2
+
 
 def plan_to_doc(plan: CouplingPlan) -> dict:
     seq = plan.sequence
     windows = plan.schedule.windows
     return {
+        "format": PLAN_FORMAT,
         "sequence": sequence_to_doc(seq),
         "schedule": {
             "windows": list(windows),
@@ -120,13 +125,6 @@ def plan_to_doc(plan: CouplingPlan) -> dict:
         },
         "ladder": {
             "floors": [law_to_doc(f) for f in plan.ladder.floors],
-            "floor_ratios": [
-                {
-                    seq.space.format_point(z): fraction_to_str(v)
-                    for z, v in ratios.items()
-                }
-                for ratios in plan.ladder.floor_ratios
-            ],
             "envelopes": [law_to_doc(e) for e in plan.ladder.envelopes],
         },
         "index_law": law_to_doc(plan.index_law),
@@ -134,10 +132,7 @@ def plan_to_doc(plan: CouplingPlan) -> dict:
         "residual_laws": [law_to_doc(w) for w in plan.residual_laws],
         "kernels": [
             {
-                seq.space.window(windows[n]).format_point(prefix): {
-                    "source": row.source,
-                    "mass": law_to_doc(row.law),
-                }
+                seq.space.window(windows[n]).format_point(prefix): law_to_doc(row.law)
                 for prefix, row in rows.items()
             }
             for n, rows in enumerate(plan.kernels)
@@ -149,8 +144,15 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     """Rebuild a plan without re-validating invariants.
 
     Loading is intentionally permissive so that a corrupted artifact can
-    be reconstructed and then failed by the audit with a witness.
+    be reconstructed and then failed by the audit with a witness.  Only
+    plan format 2 is read; any other document raises ValueError.
     """
+    found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
+    if found != PLAN_FORMAT:
+        raise ValueError(
+            f"unsupported plan format {found}; this version reads format"
+            f" {PLAN_FORMAT}; rebuild the plan from its spec"
+        )
     seq = sequence_from_doc(doc["sequence"])
     space = seq.space
     schedule = WindowSchedule(
@@ -159,13 +161,6 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     )
     ladder = MeasureLadder(
         floors=tuple(law_from_doc(space, f) for f in doc["ladder"]["floors"]),
-        floor_ratios=tuple(
-            {
-                space.parse_point(key): parse_fraction(value)
-                for key, value in ratios.items()
-            }
-            for ratios in doc["ladder"]["floor_ratios"]
-        ),
         envelopes=tuple(law_from_doc(space, e) for e in doc["ladder"]["envelopes"]),
     )
     count = schedule.horizon + 1
@@ -177,9 +172,7 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         window_space = space.window(schedule.windows[n])
         kernels.append(
             {
-                window_space.parse_point(key): KernelRow(
-                    law_from_doc(space, row["mass"]), row["source"]
-                )
+                window_space.parse_point(key): KernelRow(law_from_doc(space, row))
                 for key, row in rows.items()
             }
         )

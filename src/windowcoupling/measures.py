@@ -383,11 +383,3 @@ def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
         out[prefix] = MassFunction(law.space, {z: v / denom for z, v in group.items()})
     return out
 
-
-def uniform_on_cylinder(space: ProductSpace, prefix: Point) -> MassFunction:
-    """Uniform probability law on all points extending a window prefix."""
-    k = len(prefix)
-    space.check_window(k)
-    suffixes = list(_cartesian(*(range(len(a)) for a in space.coordinates[k:])))
-    weight = Fraction(1, len(suffixes))
-    return MassFunction(space, {prefix + s: weight for s in suffixes})

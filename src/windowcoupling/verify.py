@@ -162,6 +162,16 @@ def _tv_check(name: str, counts: dict, law: MassFunction, samples: int) -> McChe
     return McCheck(name, samples, 0 if tv <= threshold else 1, note)
 
 
+def _sampler_failure(samples: int, drawn: int, exc: Exception) -> McCheck:
+    """The one failing check reported when a plan cannot be sampled."""
+    return McCheck(
+        "sampler-runs",
+        samples,
+        1,
+        f"sampling failed after {drawn} draws: {type(exc).__name__}: {exc}",
+    )
+
+
 def mc_agreement(
     target: CouplingPlan | SkorohodCoupling, samples: int, seed: int
 ) -> VerificationReport:
@@ -170,7 +180,9 @@ def mc_agreement(
     Counts violations of the window-agreement guarantee (and, for a
     metric coupling, the distance guarantee), which must be zero, and
     compares the empirical law of the agreement index against its exact
-    law in total variation.
+    law in total variation.  If the sampler cannot be built or fails to
+    draw, as for a corrupted plan, the report holds the single failing
+    check ``sampler-runs`` whose note names the exception.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -183,22 +195,31 @@ def mc_agreement(
         coupling = None
         provenance = _plan_provenance(target, seed)
 
-    sampler = CouplingSampler(plan)
     agreement_failures = 0
     distance_failures = 0
     index_counts: dict[tuple[int, ...], int] = {}
     point_counts: dict[tuple[int, ...], int] = {}
-    for i in range(samples):
-        rng = streams.stream(seed, "sample", i)
-        draw = sampler.sample(rng)
-        if not draw.agreement_holds(plan.schedule):
-            agreement_failures += 1
-        index_counts[(draw.index - 1,)] = index_counts.get((draw.index - 1,), 0) + 1
-        point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1
-        if coupling is not None:
-            decoded = decode_sample(coupling, draw)
-            if distance_violations(coupling, decoded):
-                distance_failures += 1
+    i = 0
+    try:
+        sampler = CouplingSampler(plan)
+        for i in range(samples):
+            rng = streams.stream(seed, "sample", i)
+            draw = sampler.sample(rng)
+            if not draw.agreement_holds(plan.schedule):
+                agreement_failures += 1
+            index_counts[(draw.index - 1,)] = index_counts.get((draw.index - 1,), 0) + 1
+            point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1
+            if coupling is not None:
+                decoded = decode_sample(coupling, draw)
+                if distance_violations(coupling, decoded):
+                    distance_failures += 1
+    except Exception as exc:  # a corrupted plan can break sampling anywhere
+        return VerificationReport(
+            exact_checks=(),
+            mc_checks=(_sampler_failure(samples, i, exc),),
+            deficit_trace=(),
+            provenance=provenance,
+        )
 
     checks = [
         McCheck(
@@ -243,16 +264,22 @@ def marginal_3sigma_checks(
 
     Fallback route for instances whose joint law exceeds the enumeration
     cap; the +1 slack absorbs integer-count discreteness at tiny masses.
+    A sampler that cannot be built or fails to draw gives the single
+    failing check ``sampler-runs``, as in ``mc_agreement``.
     """
     counts: list[dict[int, int]] = [dict() for _ in range(coupling.plan.count + 1)]
-    sampler = CouplingSampler(coupling.plan)
-    for i in range(samples):
-        rng = streams.stream(seed, "sample", i)
-        draw = decode_sample(coupling, sampler.sample(rng))
-        for n in range(1, coupling.plan.count + 1):
-            pt = draw.member_points[n - 1]
-            counts[n - 1][pt] = counts[n - 1].get(pt, 0) + 1
-        counts[-1][draw.point] = counts[-1].get(draw.point, 0) + 1
+    i = 0
+    try:
+        sampler = CouplingSampler(coupling.plan)
+        for i in range(samples):
+            rng = streams.stream(seed, "sample", i)
+            draw = decode_sample(coupling, sampler.sample(rng))
+            for n in range(1, coupling.plan.count + 1):
+                pt = draw.member_points[n - 1]
+                counts[n - 1][pt] = counts[n - 1].get(pt, 0) + 1
+            counts[-1][draw.point] = counts[-1].get(draw.point, 0) + 1
+    except Exception as exc:  # a corrupted plan can break sampling anywhere
+        return [_sampler_failure(samples, i, exc)]
     checks: list[McCheck] = []
     targets = [
         coupling.laws.member(n) for n in range(1, coupling.plan.count + 1)

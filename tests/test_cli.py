@@ -103,6 +103,83 @@ class TestVerify:
         assert "FAIL ladder-monotone" in out or "FAIL ladder-final-equals-limit" in out
 
 
+def corrupt_index_law(doc):
+    doc["index_law"]["2"] = "1/7"
+
+
+def empty_first_kernel(doc):
+    doc["kernels"][0] = {}
+
+
+class TestUnsampleablePlans:
+    """Plans that load but cannot be sampled fail cleanly with exit 1."""
+
+    @pytest.fixture(params=[corrupt_index_law, empty_first_kernel])
+    def bad_plan(self, request, tmp_path, skewed_file, capsys):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        request.param(doc)
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        return plan_path
+
+    def test_verify_reports_the_sampler_failure(self, tmp_path, bad_plan, capsys):
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["verify", "--plan", str(bad_plan), "--samples", "50", "--out", str(report_path)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL sampler-runs" in out
+        assert "overall: FAIL" in out
+        mc = json.loads(report_path.read_text())["mc_checks"]
+        assert [c["name"] for c in mc] == ["sampler-runs"]
+        assert "sampling failed after 0 draws" in mc[0]["note"]
+
+    def test_sample_exits_1_with_one_error_line(self, tmp_path, bad_plan, capsys):
+        out = tmp_path / "samples.jsonl"
+        code = main(["sample", "--plan", str(bad_plan), "--samples", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "sampling failed" in err
+        assert not out.exists()
+
+
+def as_format_1(doc):
+    del doc["format"]
+    doc["kernels"] = [
+        {prefix: {"source": "member", "mass": law} for prefix, law in rows.items()}
+        for rows in doc["kernels"]
+    ]
+    doc["format"] = 1
+
+
+def without_format(doc):
+    del doc["format"]
+
+
+class TestPlanFormat:
+    @pytest.mark.parametrize("edit", [as_format_1, without_format])
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_other_formats_are_exit_2(self, tmp_path, skewed_file, capsys, edit, command):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        assert doc["format"] == 2
+        edit(doc)
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "unsupported plan format" in err
+        assert "rebuild the plan from its spec" in err
+        assert not out.exists()
+
+
 class TestSample:
     def test_schema_and_determinism(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"

@@ -12,6 +12,7 @@ from windowcoupling import (
     Alphabet,
     CouplingSampler,
     EnumerationCapError,
+    KernelRow,
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
@@ -155,23 +156,49 @@ class TestExtension:
             )
 
 
+def floor_ratios(seq, ladder):
+    """Each floor's density against the limit law, on the limit's support."""
+    return [
+        {z: floor[z] / q for z, q in seq.limit.mass.items()} for floor in ladder.floors
+    ]
+
+
+def assert_envelopes_are_minimal_ratios(seq, ladder):
+    """envelope(n)[z] == limit[z] * min over i >= n of floor_i[z] / limit[z]."""
+    ratios = floor_ratios(seq, ladder)
+    for n, env in enumerate(ladder.envelopes, start=1):
+        expected = {
+            z: q * min(r[z] for r in ratios[n - 1 :]) for z, q in seq.limit.mass.items()
+        }
+        assert env == MassFunction(seq.space, expected)
+
+
 class TestLadder:
     def test_constant_sequence_ladder_is_limit(self, constant_sequence):
         schedule = build_schedule(constant_sequence)
         ladder = build_ladder(constant_sequence, schedule)
-        for ratios in ladder.floor_ratios:
+        for ratios in floor_ratios(constant_sequence, ladder):
             assert set(ratios.values()) == {F(1)}
+        assert_envelopes_are_minimal_ratios(constant_sequence, ladder)
         for env in ladder.envelopes:
             assert env == constant_sequence.limit
 
     def test_worked_example(self, skewed_sequence):
         schedule = build_schedule(skewed_sequence)
         ladder = build_ladder(skewed_sequence, schedule)
-        assert ladder.floor_ratios[0] == {(0,): F(1, 2), (1,): F(1)}
+        assert floor_ratios(skewed_sequence, ladder)[0] == {(0,): F(1, 2), (1,): F(1)}
+        assert_envelopes_are_minimal_ratios(skewed_sequence, ladder)
         assert ladder.envelopes[0].mass == {(0,): F(1, 4), (1,): F(1, 2)}
         assert ladder.envelopes[1] == skewed_sequence.limit
         gap = 1 - ladder.envelopes[0].total_mass
         assert gap == F(1, 4) <= F(1, 2 ** 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_random_envelopes_are_minimal_ratios(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        ladder = build_ladder(seq, build_schedule(seq))
+        assert_envelopes_are_minimal_ratios(seq, ladder)
 
 
 class TestPlan:
@@ -222,21 +249,37 @@ class TestPlan:
         for n, rows in enumerate(plan.kernels, start=1):
             member = seq.member(n)
             member_window = window_marginal(member, plan.schedule.window(n))
+            assert set(rows) == set(member_window.mass)
             for prefix, row in rows.items():
-                if member_window[prefix] > 0:
-                    assert row.source == "member"
-                    assert row.law == conditional_given_prefix(member, prefix)
-                else:
-                    assert row.source != "member"
+                assert row.law == conditional_given_prefix(member, prefix)
 
-    def test_wrong_member_row_detected(self, skewed_sequence):
+    def test_dropped_reachable_row_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
         rows = dict(plan.kernels[0])
-        prefix = next(p for p, row in rows.items() if row.source == "member")
-        rows[prefix] = replace(rows[prefix], source="limit")
+        del rows[(1,)]
         bad_plan = replace(plan, kernels=(rows,) + plan.kernels[1:])
-        failed = {c.name for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {"kernel-rows-member-conditional"}
+        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
+        assert failed == {
+            "kernel-rows-member-conditional": "n=1: no row at positive-mass prefix (1,)"
+        }
+
+    def test_missing_kernel_map_detected(self, skewed_sequence):
+        plan = build_plan(skewed_sequence)
+        bad_plan = replace(plan, kernels=plan.kernels[:-1])
+        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
+        assert failed == {"kernel-rows-member-conditional": "1 kernel maps for 2 components"}
+
+    def test_row_at_zero_mass_prefix_detected(self):
+        # the member is a point mass on b, so prefix a is never reached
+        seq = binary_sequence([(0, 1)], (F(1, 2), F(1, 2)))
+        plan = build_plan(seq)
+        assert set(plan.kernels[0]) == {(1,)}
+        rows = {**plan.kernels[0], (0,): KernelRow(MassFunction.point_mass(seq.space, (0,)))}
+        bad_plan = replace(plan, kernels=(rows,) + plan.kernels[1:])
+        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
+        assert failed == {
+            "kernel-rows-member-conditional": "n=1: row at zero-mass prefix (0,)"
+        }
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -286,6 +329,13 @@ class TestSampling:
         first = [sample(plan, random.Random(9)) for _ in range(50)]
         second = [sample(plan, random.Random(9)) for _ in range(50)]
         assert first == second
+
+    def test_sampler_is_kept_with_its_plan(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        assert plan.sampler is plan.sampler
+        assert plan.sampler.plan is plan
+        copy = replace(plan)
+        assert copy.sampler is not plan.sampler and copy.sampler.plan is copy
 
 
 class TestJointLaw:

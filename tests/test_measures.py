@@ -17,7 +17,6 @@ from windowcoupling import (
     conditional_given_prefix,
     density_convergence,
     total_variation,
-    uniform_on_cylinder,
     window_deficit,
     window_infimum,
     window_marginal,
@@ -304,10 +303,6 @@ class TestConditioning:
         assert set(grouped) == set(window_marginal(law, k).mass)
         for prefix, conditional in grouped.items():
             assert conditional == conditional_given_prefix(law, prefix)
-
-    def test_uniform_on_cylinder(self, pair_space):
-        got = uniform_on_cylinder(pair_space, (1,))
-        assert got.mass == {(1, 0): F(1, 2), (1, 1): F(1, 2)}
 
 
 class TestProcessSequenceSpec:

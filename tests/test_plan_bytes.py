@@ -1,8 +1,11 @@
-"""Pinned plan and report bytes for fixed-seed instances.
+"""Pinned plan, report and sample bytes for fixed-seed instances.
 
-The hashes were computed from the plain reference construction, before
-the build path became table-driven; any change to them is a change of
-the wire format and must be deliberate.
+Any change to these hashes is a change of a wire format and must be
+deliberate.  The format-1 plan hashes were computed from the plain
+reference construction, before the build path became table-driven.
+Format 2 drops only data that format 1 derived or that the sampler
+never reads; ``v1_doc`` adds that data back to a format-2 plan and must
+reproduce the format-1 bytes exactly.
 """
 import hashlib
 import random
@@ -12,13 +15,19 @@ import pytest
 
 from windowcoupling import (
     AtomicLaw,
+    CouplingSampler,
     LawSequence,
+    MassFunction,
     MetricSpaceModel,
     TailRule,
     audit_plan,
     audit_skorohod,
     build_skorohod_coupling,
+    conditional_given_prefix,
     jsonio,
+    mc_agreement,
+    streams,
+    window_marginal,
 )
 from windowcoupling.verify import random_enumerable_plan
 
@@ -27,46 +36,122 @@ def sha256(doc) -> str:
     return hashlib.sha256(jsonio.canonical_dumps(doc).encode("utf-8")).hexdigest()
 
 
-# seed -> (schedule, plan sha256, audit report sha256)
+def samples_sha256(plan, seed: int = 0, count: int = 200) -> str:
+    """Hash of the first ``count`` sample records, as ``sample`` writes them."""
+    sampler = CouplingSampler(plan)
+    lines = []
+    for i in range(count):
+        draw = sampler.sample(streams.stream(seed, "sample", i))
+        record = jsonio.sample_record(plan, draw, streams.derive_seed(seed, "sample", i))
+        lines.append(jsonio.compact_dumps(record) + "\n")
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+
+def uniform_on_cylinder(space, prefix) -> MassFunction:
+    extensions = [z for z in space.points() if z[: len(prefix)] == prefix]
+    return MassFunction(space, {z: F(1, len(extensions)) for z in extensions})
+
+
+def v1_doc(plan) -> dict:
+    """The format-1 document of a plan.
+
+    Format 1 also stored the floor ratios (each floor over the limit law
+    on the limit's support), tagged every row with its source, and gave
+    every prefix of each window a row: the member conditional where the
+    member has mass, else the limit conditional where the limit has
+    mass, else the uniform law on the prefix's cylinder.
+    """
+    doc = jsonio.plan_to_doc(plan)
+    del doc["format"]
+    space = plan.sequence.space
+    limit = plan.sequence.limit
+    doc["ladder"]["floor_ratios"] = [
+        {
+            space.format_point(z): jsonio.fraction_to_str(floor[z] / q)
+            for z, q in limit.mass.items()
+        }
+        for floor in plan.ladder.floors
+    ]
+    kernels = []
+    for n, rows in enumerate(plan.kernels, start=1):
+        k = plan.schedule.window(n)
+        window = space.window(k)
+        limit_window = window_marginal(limit, k)
+        entries = {}
+        for prefix in window.points():
+            if prefix in rows:
+                source, law = "member", rows[prefix].law
+            elif limit_window[prefix] > 0:
+                source, law = "limit", conditional_given_prefix(limit, prefix)
+            else:
+                source, law = "uniform", uniform_on_cylinder(space, prefix)
+            entries[window.format_point(prefix)] = {
+                "source": source,
+                "mass": jsonio.law_to_doc(law),
+            }
+        kernels.append(entries)
+    doc["kernels"] = kernels
+    return doc
+
+
+# seed -> (schedule, format-1 plan sha256, format-2 plan sha256, audit report sha256)
 ENUMERABLE = {
     0: (
         (0, 0, 0, 2),
         "243bd61a07bb4209a2844dbefacde3366ed22a4f99db9136547bb4af2a3e536c",
+        "974ac6696e64fa40badb4b013d1b9c7a9c9fe5f122e97381c11fab2c8030b7c8",
         "9bc55182b414861764057b4ae23f4937d78d66befd852833002e00fddc2d780a",
     ),
     3: (
         (0, 0, 1),
         "e490890fa4a19f6f23411820281ecd198cc432c6d9090b34209da39c4f52a69d",
+        "17b2eccd52396aa755a6b5768706e775d882f14dbdd840be58b7b5a85bc03a8d",
         "901a12b8a8481062a6c126b60da99fe92e5990cc4b678fcec0393617b41d3d01",
     ),
     12: (
         (1, 1, 1, 2),
         "dbed64a051141d2c6644b0c1dea5a03dbef9a81ac5a88492c18c5e97dc23cd2d",
+        "64a77f6d5702ced8c305b6af98a74cc02d3b2aad6c7f2751a78ba7f2d0cd33c1",
         "0fd64af93b35fb68f3c02366b6a0058bc26512a7f850e91610af5cf7b9de4658",
     ),
     26: (
         (1, 1, 1, 1, 3),
         "96e9d082e2ff58d5f89f50ecc5610c4510a8493ae237a9a72ef498f89719d29d",
+        "b73e911fb8fcf3c98316b4360024a4c0259686a20bd1f40c6bd2e2d9845470aa",
         "5928d48686c13ac3a1d34ee15b84ec3f9c8f29ab83e6789492757bfbffe5a225",
     ),
     35: (
         (2, 2, 2, 3),
         "7ba01a77f6fac83630c2f8c1b578897f25570b0e47ef9a25257bc97aac2eaef8",
+        "5b8467234ac09d541b096b2cea0944c41412555e89accc328aa659574a24da29",
         "a9cdd61b8b3665b3d6808413ba70f906ab2a0a0c966a2c13653aa7dc02608f99",
     ),
 }
 
+# first 200 sample records at seed 0, unchanged by the format-2 plan
+ENUMERABLE_SEED_0_SAMPLES = "9548c8b6abc8529bef1ca7a4aafaf29d61e72c0be805bb5a184c57e237e28c5c"
+ENUMERABLE_SEED_0_MC_REPORT = "6a491ca5a8504b87c047b6cb82765f5f4853a384bb79f991efcc7bc504dc75c3"
+SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d8940"
+
 
 @pytest.mark.parametrize("seed", sorted(ENUMERABLE))
 def test_enumerable_plan_bytes(seed):
-    windows, plan_sha, report_sha = ENUMERABLE[seed]
+    windows, v1_sha, v2_sha, report_sha = ENUMERABLE[seed]
     _, plan = random_enumerable_plan(random.Random(seed))
     assert plan.schedule.windows == windows
-    assert sha256(jsonio.plan_to_doc(plan)) == plan_sha
+    assert sha256(jsonio.plan_to_doc(plan)) == v2_sha
+    assert sha256(v1_doc(plan)) == v1_sha
     assert sha256(jsonio.report_to_doc(audit_plan(plan))) == report_sha
 
 
-def test_skorohod_plan_bytes():
+def test_enumerable_sample_bytes():
+    _, plan = random_enumerable_plan(random.Random(0))
+    assert samples_sha256(plan) == ENUMERABLE_SEED_0_SAMPLES
+    report = mc_agreement(plan, 200, seed=0)
+    assert sha256(jsonio.report_to_doc(report)) == ENUMERABLE_SEED_0_MC_REPORT
+
+
+def skorohod_instance():
     model = MetricSpaceModel.from_coords(
         ("x0", "x1", "x2"), ((F(0),), (F(1, 2),), (F(1),))
     )
@@ -76,13 +161,25 @@ def test_skorohod_plan_bytes():
         AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
         TailRule(2),
     )
-    coupling = build_skorohod_coupling(model, laws, 2)
+    return build_skorohod_coupling(model, laws, 2)
+
+
+def test_skorohod_plan_bytes():
+    coupling = skorohod_instance()
     assert coupling.plan.schedule.windows == (0, 0, 3)
     assert (
         sha256(jsonio.plan_to_doc(coupling.plan))
+        == "968904489ca2d62d4624ea309c7bb87a721e266ebe5432b38bbbf710f6fcd0dc"
+    )
+    assert (
+        sha256(v1_doc(coupling.plan))
         == "3727ad317d24055a4e1ba6103f5b358db1f9d4328730892a33d7410c31de9817"
     )
     assert (
         sha256(jsonio.report_to_doc(audit_skorohod(coupling)))
         == "6c5a46738a17d21cff3bbb689fca2b47ed56f365d8869a103afc95559931398e"
     )
+
+
+def test_skorohod_sample_bytes():
+    assert samples_sha256(skorohod_instance().plan) == SKOROHOD_SAMPLES

@@ -114,6 +114,18 @@ class TestMcAgreement:
         checks = marginal_3sigma_checks(coupling, 2000, seed=8)
         assert checks and all(c.passed for c in checks)
 
+    def test_unsampleable_plan_gives_one_failing_check(self, line_model, line_laws):
+        coupling = build_skorohod_coupling(line_model, line_laws, 2)
+        plan = coupling.plan
+        broken = replace(coupling, plan=replace(plan, kernels=({},) + plan.kernels[1:]))
+        for checks in (
+            mc_agreement(broken, 30, seed=1).mc_checks,
+            mc_agreement(broken.plan, 30, seed=1).mc_checks,
+            marginal_3sigma_checks(broken, 30, seed=1),
+        ):
+            assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
+            assert "InternalInvariantError: no kernel row" in checks[0].note
+
 
 class TestAuditSkorohod:
     def test_merges_tree_and_plan_checks(self, line_model, line_laws):
