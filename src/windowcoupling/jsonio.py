@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .engine import (
     CouplingPlan,
@@ -36,6 +37,7 @@ from .skorohod import (
     LawSequence,
     MetricSpaceModel,
     PartitionTree,
+    max_metric_table,
 )
 
 
@@ -140,12 +142,22 @@ def plan_to_doc(plan: CouplingPlan) -> dict:
     }
 
 
+@contextmanager
+def _plan_field(name: str) -> Iterator[None]:
+    """Report a wrongly shaped plan field as a ValueError naming it."""
+    try:
+        yield
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed plan field {name!r}: {exc}") from exc
+
+
 def plan_from_doc(doc: dict) -> CouplingPlan:
     """Rebuild a plan without re-validating invariants.
 
     Loading is intentionally permissive so that a corrupted artifact can
     be reconstructed and then failed by the audit with a witness.  Only
-    plan format 2 is read; any other document raises ValueError.
+    plan format 2 is read; any other document, and a field of the wrong
+    shape, raises ValueError.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -153,41 +165,49 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
             f"unsupported plan format {found}; this version reads format"
             f" {PLAN_FORMAT}; rebuild the plan from its spec"
         )
-    seq = sequence_from_doc(doc["sequence"])
+    with _plan_field("sequence"):
+        seq = sequence_from_doc(doc["sequence"])
     space = seq.space
-    schedule = WindowSchedule(
-        tuple(int(k) for k in doc["schedule"]["windows"]),
-        int(doc["schedule"]["horizon"]),
-    )
-    ladder = MeasureLadder(
-        floors=tuple(law_from_doc(space, f) for f in doc["ladder"]["floors"]),
-        envelopes=tuple(law_from_doc(space, e) for e in doc["ladder"]["envelopes"]),
-    )
+    with _plan_field("schedule"):
+        schedule = WindowSchedule(
+            tuple(int(k) for k in doc["schedule"]["windows"]),
+            int(doc["schedule"]["horizon"]),
+        )
+    with _plan_field("ladder"):
+        ladder = MeasureLadder(
+            floors=tuple(law_from_doc(space, f) for f in doc["ladder"]["floors"]),
+            envelopes=tuple(law_from_doc(space, e) for e in doc["ladder"]["envelopes"]),
+        )
     count = schedule.horizon + 1
     index_space = ProductSpace(
         (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
     )
-    kernels = []
-    for n, rows in enumerate(doc["kernels"]):
-        window_space = space.window(schedule.windows[n])
-        kernels.append(
-            {
-                window_space.parse_point(key): KernelRow(law_from_doc(space, row))
-                for key, row in rows.items()
-            }
+    with _plan_field("index_law"):
+        index_law = law_from_doc(index_space, doc["index_law"])
+    with _plan_field("increment_laws"):
+        increment_laws = tuple(law_from_doc(space, v) for v in doc["increment_laws"])
+    with _plan_field("residual_laws"):
+        residual_laws = tuple(
+            law_from_doc(space.window(schedule.windows[n]), w)
+            for n, w in enumerate(doc["residual_laws"])
         )
+    with _plan_field("kernels"):
+        kernels = []
+        for n, rows in enumerate(doc["kernels"]):
+            window_space = space.window(schedule.windows[n])
+            kernels.append(
+                {
+                    window_space.parse_point(key): KernelRow(law_from_doc(space, row))
+                    for key, row in rows.items()
+                }
+            )
     return CouplingPlan(
         sequence=seq,
         schedule=schedule,
         ladder=ladder,
-        index_law=law_from_doc(index_space, doc["index_law"]),
-        increment_laws=tuple(
-            law_from_doc(space, v) for v in doc["increment_laws"]
-        ),
-        residual_laws=tuple(
-            law_from_doc(space.window(schedule.windows[n]), w)
-            for n, w in enumerate(doc["residual_laws"])
-        ),
+        index_law=index_law,
+        increment_laws=increment_laws,
+        residual_laws=residual_laws,
         kernels=tuple(kernels),
     )
 
@@ -236,8 +256,7 @@ def model_from_doc(doc: dict, backend: str | None = None) -> MetricSpaceModel:
     if backend == LINF_BACKEND:
         return MetricSpaceModel.from_coords(labels, coords, support)
     if has_coords:
-        base = MetricSpaceModel.from_coords(labels, coords, support)
-        return MetricSpaceModel.from_table(labels, base.dist, support)
+        return MetricSpaceModel.from_table(labels, max_metric_table(coords), support)
     dist = [[parse_fraction(d) for d in row] for row in doc["dist"]]
     return MetricSpaceModel.from_table(labels, dist, support)
 

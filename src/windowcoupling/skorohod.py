@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from random import Random
 from typing import Iterable, Mapping
 
@@ -60,7 +62,9 @@ class MetricSpaceModel:
     ``separable_support`` flags the points forming the set the limit law
     must live on.  The ``linf`` backend additionally carries rational
     coordinates; its distance table is the max-metric, which keeps every
-    realized distance rational.
+    realized distance rational.  Construction checks that the table is a
+    metric, exactly: the checks run on the table scaled to integers by
+    the lcm of its denominators.
     """
 
     labels: tuple[str, ...]
@@ -84,26 +88,29 @@ class MetricSpaceModel:
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
             raise MetricModelError("support flags shape mismatch")
+        rows, _ = _integer_rows(self.dist)
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if rows[i][i] != 0:
                 raise MetricModelError(f"nonzero self-distance at {self.labels[i]}")
             for j in range(n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise MetricModelError(
                         f"asymmetric distance {self.labels[i]}..{self.labels[j]}"
                     )
-                if i != j and self.dist[i][j] <= 0:
+                if i != j and rows[i][j] <= 0:
                     raise MetricModelError(
                         f"non-positive distance {self.labels[i]}..{self.labels[j]}"
                     )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.dist[i][k] > self.dist[i][j] + self.dist[j][k]:
-                        raise MetricModelError(
-                            "triangle inequality fails at "
-                            f"({self.labels[i]},{self.labels[j]},{self.labels[k]})"
-                        )
+        for i, row_i in enumerate(rows):
+            for j, row_j in enumerate(rows):
+                # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
+                d_ij = row_i[j]
+                if max(map(sub, row_i, row_j)) > d_ij:
+                    k = next(k for k in range(n) if row_i[k] - row_j[k] > d_ij)
+                    raise MetricModelError(
+                        "triangle inequality fails at "
+                        f"({self.labels[i]},{self.labels[j]},{self.labels[k]})"
+                    )
         if self.backend not in (TABLE_BACKEND, LINF_BACKEND):
             raise MetricModelError(f"unknown backend {self.backend!r}")
         if self.backend == LINF_BACKEND and self.coords is None:
@@ -146,15 +153,34 @@ class MetricSpaceModel:
     ) -> "MetricSpaceModel":
         labels = tuple(labels)
         pts = tuple(tuple(Fraction(c) for c in row) for row in coords)
-        table = tuple(
-            tuple(
-                max((abs(a - b) for a, b in zip(p, q)), default=Fraction(0))
-                for q in pts
-            )
-            for p in pts
-        )
+        table = max_metric_table(pts)
         flags = tuple(support) if support is not None else (True,) * len(labels)
         return cls(labels, table, flags, LINF_BACKEND, pts)
+
+
+def _integer_rows(
+    table: Iterable[Iterable[Fraction | int]],
+) -> tuple[list[list[int]], int]:
+    """The table scaled by the lcm of its denominators, and that lcm.
+
+    Scaling by one positive integer keeps every equality, sign and sum
+    comparison, so exact checks and max-metric distances can run on
+    integers.
+    """
+    rows = [[Fraction(v) for v in row] for row in table]
+    scale = lcm(*{v.denominator for row in rows for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
+def max_metric_table(
+    points: Iterable[Iterable[Fraction | int]],
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact max-metric distance table of rational points."""
+    scaled, scale = _integer_rows(points)
+    return tuple(
+        tuple(Fraction(max(map(abs, map(sub, p, q)), default=0), scale) for q in scaled)
+        for p in scaled
+    )
 
 
 @dataclass(frozen=True)
@@ -454,10 +480,16 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
             break
     add("residual-cells-mass-zero", witness)
 
+    # every cell repeats its ancestors' spheres: check each distinct one at
+    # its first occurrence, which is where a failing sphere is reported
     witness = None
+    checked: set[tuple[int, Fraction]] = set()
     for level in tree.levels:
         for cell in level:
             for center, radius in cell.certificate:
+                if (center, radius) in checked:
+                    continue
+                checked.add((center, radius))
                 sphere = [
                     j for j in law.masses if model.distance(center, j) == radius
                 ]

@@ -180,6 +180,32 @@ class TestPlanFormat:
         assert not out.exists()
 
 
+def kernels_not_a_list(doc):
+    doc["kernels"] = 5
+
+
+def more_kernel_maps_than_windows(doc):
+    doc["kernels"] = doc["kernels"] * (len(doc["schedule"]["windows"]) + 1)
+
+
+class TestMalformedPlan:
+    @pytest.mark.parametrize("edit", [kernels_not_a_list, more_kernel_maps_than_windows])
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_exit_2_naming_the_field(self, tmp_path, skewed_file, capsys, edit, command):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        edit(doc)
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "malformed plan field 'kernels'" in err
+        assert not out.exists()
+
+
 class TestSample:
     def test_schema_and_determinism(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"

@@ -103,6 +103,27 @@ class TestModelDocs:
         assert model.distance(0, 1) == F(1, 2)
         assert model.labels == ("p0", "p1")
 
+    def test_table_backend_builds_the_linf_table_once(self, monkeypatch):
+        coords = [["0/1", "1/3"], ["1/2", "-1/4"], ["5/6", "2/7"], ["3/1", "1/3"]]
+        doc = {"coords": coords, "metric": "linf", "separable_support": [True, True, False, True]}
+        linf = jsonio.model_from_doc(doc)
+        validated = []
+        check = MetricSpaceModel.__post_init__
+
+        def counting(model):
+            validated.append(model.backend)
+            check(model)
+
+        monkeypatch.setattr(MetricSpaceModel, "__post_init__", counting)
+        table = jsonio.model_from_doc(doc, backend="table")
+        assert validated == ["table"]
+        assert table.dist == linf.dist
+        points = [[F(c) for c in row] for row in coords]
+        assert table.dist == tuple(
+            tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points) for p in points
+        )
+        assert table.separable_support == (True, True, False, True)
+
     def test_table_doc_cannot_load_as_linf(self):
         doc = {"points": ["a"], "dist": [["0/1"]]}
         with pytest.raises(ValueError):

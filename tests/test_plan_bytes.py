@@ -1,4 +1,4 @@
-"""Pinned plan, report and sample bytes for fixed-seed instances.
+"""Pinned plan, tree, report and sample bytes for fixed-seed instances.
 
 Any change to these hashes is a change of a wire format and must be
 deliberate.  The format-1 plan hashes were computed from the plain
@@ -183,3 +183,50 @@ def test_skorohod_plan_bytes():
 
 def test_skorohod_sample_bytes():
     assert samples_sha256(skorohod_instance().plan) == SKOROHOD_SAMPLES
+
+
+def jittered_lattice(seed: int) -> dict:
+    """80-point metric law sequence on a jittered 10x8 lattice, as a spec document.
+
+    Lattice spacing 3/10 with jitter below 1/100 keeps every distance
+    away from the depth-3 ball radii; laws are random with some zero masses.
+    """
+    rng = random.Random(seed)
+    coords = [
+        (i * 300 + rng.randint(-9, 9), j * 300 + rng.randint(-9, 9))
+        for i in range(10)
+        for j in range(8)
+    ]
+    labels = [f"p{i}" for i in range(len(coords))]
+
+    def law() -> dict:
+        while True:
+            raw = [rng.randint(0, 8) for _ in labels]
+            if sum(raw):
+                return {
+                    label: jsonio.fraction_to_str(F(w, sum(raw)))
+                    for label, w in zip(labels, raw)
+                    if w
+                }
+
+    return {
+        "model": {
+            "points": labels,
+            "coords": [[jsonio.fraction_to_str(F(c, 1000)) for c in xy] for xy in coords],
+            "metric": "linf",
+        },
+        "members": [law() for _ in range(3)],
+        "limit": law(),
+        "tail": {"eventually_equal": 3},
+    }
+
+
+def test_jittered_lattice_tree_and_report_bytes():
+    laws = jsonio.law_sequence_from_doc(jittered_lattice(1))
+    coupling = build_skorohod_coupling(laws.model, laws, 3)
+    assert sha256(jsonio.tree_to_doc(coupling.tree)) == (
+        "89164df424e1f13a0779aba61cd1038bac22c1bbf7029773b0f1b46cdaf4b17a"
+    )
+    assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
+        "5ab9d35806abf4e4de5488250ac7e905803e290ea69da09ede607db461503c00"
+    )

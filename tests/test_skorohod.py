@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windowcoupling import (
     AtomicLaw,
@@ -61,6 +64,105 @@ class TestMetricSpaceModel:
     def test_rejects_comma_label(self):
         with pytest.raises(MetricModelError, match="label"):
             MetricSpaceModel.from_table(("a,b",), ((F(0),),))
+
+
+def reference_metric_error(labels, dist):
+    """The metric checks run directly on the entries, as Fraction loops.
+
+    The reference for the integer validation in MetricSpaceModel: same
+    loop order, so the same first failure and message, or None.
+    """
+    n = len(labels)
+    for i in range(n):
+        if dist[i][i] != 0:
+            return f"nonzero self-distance at {labels[i]}"
+        for j in range(n):
+            if dist[i][j] != dist[j][i]:
+                return f"asymmetric distance {labels[i]}..{labels[j]}"
+            if i != j and dist[i][j] <= 0:
+                return f"non-positive distance {labels[i]}..{labels[j]}"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    return f"triangle inequality fails at ({labels[i]},{labels[j]},{labels[k]})"
+    return None
+
+
+rationals = st.builds(F, st.integers(-4, 30), st.sampled_from((1, 2, 3, 4, 6, 7, 10)))
+
+
+@st.composite
+def distance_tables(draw):
+    """Max-metric tables of random rational points, some entries perturbed.
+
+    Denominators are mixed, integral entries are sometimes plain ints,
+    and each perturbation can break the diagonal, symmetry, positivity
+    or the triangle inequality (coincident points break positivity too).
+    """
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 2))
+    coordinate = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 5)))
+    points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    dist = [[max(abs(a - b) for a, b in zip(p, q)) for q in points] for p in points]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("diagonal", "asymmetric", "non-positive", "triangle", "pair")))
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        value = draw(rationals)
+        if kind == "diagonal":
+            dist[i][i] = value
+        elif kind == "asymmetric":
+            dist[i][j] = value
+        elif kind == "non-positive":
+            dist[i][j] = dist[j][i] = -abs(value)
+        elif kind == "triangle":
+            dist[i][k] = dist[k][i] = dist[i][j] + dist[j][k] + abs(value)
+        else:
+            dist[i][j] = dist[j][i] = value
+    as_int = draw(st.booleans())
+    return tuple(
+        tuple(int(d) if as_int and d.denominator == 1 else d for d in row) for row in dist
+    )
+
+
+class TestMetricValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(distance_tables())
+    def test_integer_checks_match_the_fraction_reference(self, dist):
+        labels = tuple(f"p{i}" for i in range(len(dist)))
+        expected = reference_metric_error(labels, dist)
+        try:
+            model = MetricSpaceModel(labels, dist, (True,) * len(labels), "table")
+        except MetricModelError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert model.dist is dist
+
+    def test_first_triangle_failure_is_reported(self):
+        dist = (
+            (0, F(1, 2), F(7, 3), 1),
+            (F(1, 2), 0, 1, F(5, 6)),
+            (F(7, 3), 1, 0, F(3, 2)),
+            (1, F(5, 6), F(3, 2), 0),
+        )
+        labels = ("a", "b", "c", "d")
+        with pytest.raises(MetricModelError) as info:
+            MetricSpaceModel(labels, dist, (True,) * 4, "table")
+        assert str(info.value) == "triangle inequality fails at (a,b,c)"
+        assert str(info.value) == reference_metric_error(labels, dist)
+
+    def test_from_coords_table_is_the_fraction_max_metric(self):
+        rng = random.Random(3)
+        points = [
+            [F(rng.randint(-20, 20), rng.choice((1, 3, 8, 9))) for _ in range(3)]
+            for _ in range(12)
+        ]
+        labels = tuple(f"p{i}" for i in range(12))
+        model = MetricSpaceModel.from_coords(labels, points)
+        assert model.dist == tuple(
+            tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points) for p in points
+        )
 
 
 class TestContinuityRadius:
@@ -145,6 +247,57 @@ class TestPartitionTree:
             tree = build_partition_tree(model, laws.limit, rng.choice((2, 3)))
             bad = [c for c in tree_exact_checks(tree) if not c.passed]
             assert not bad, (trial, bad)
+
+
+def reference_sphere_witness(tree):
+    """The certificate check visiting every (cell, sphere) pair in order."""
+    model, law = tree.model, tree.law
+    for level in tree.levels:
+        for cell in level:
+            for center, radius in cell.certificate:
+                sphere = [j for j in law.masses if model.distance(center, j) == radius]
+                if law.mass_of(sphere) != 0:
+                    return (
+                        f"cell {cell.path}: sphere around {model.labels[center]}"
+                        f" radius {radius} has positive mass"
+                    )
+    return None
+
+
+def with_sphere_radius(tree, old, new):
+    """The tree with sphere ``old`` replaced by ``new`` in every certificate."""
+    levels = tuple(
+        tuple(
+            dataclasses.replace(
+                cell, certificate=tuple(new if s == old else s for s in cell.certificate)
+            )
+            for cell in level
+        )
+        for level in tree.levels
+    )
+    return dataclasses.replace(tree, levels=levels)
+
+
+class TestCertificateSpheres:
+    def test_positive_mass_sphere_witness_matches_reference(self):
+        rng = random.Random(13)
+        seen = 0
+        for trial in range(30):
+            model = random_metric_model(rng)
+            laws = random_law_sequence(rng, model)
+            tree = build_partition_tree(model, laws.limit, 3)
+            level = rng.randrange(tree.depth)
+            spheres = sorted({s for c in tree.levels[level] for s in c.certificate[-2:]})
+            if not spheres:
+                continue
+            center, radius = rng.choice(spheres)
+            hit = rng.choice(sorted(laws.limit.masses))
+            bad = with_sphere_radius(tree, (center, radius), (center, model.distance(center, hit)))
+            check = {c.name: c for c in tree_exact_checks(bad)}["certificate-spheres-mass-zero"]
+            assert not check.passed, trial
+            assert check.witness == reference_sphere_witness(bad), trial
+            seen += 1
+        assert seen >= 20
 
 
 class TestDigitize:
