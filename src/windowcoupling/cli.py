@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +109,7 @@ def _cmd_sample(config: RunConfig) -> int:
         sampler = CouplingSampler(plan)
         for i in range(config.samples):
             derived = streams.derive_seed(config.seed, "sample", i)
-            draw = sampler.sample(streams.stream(config.seed, "sample", i))
+            draw = sampler.sample(random.Random(derived))
             lines.append(jsonio.compact_dumps(jsonio.sample_record(plan, draw, derived)))
     except Exception as exc:  # a corrupted plan can break sampling anywhere
         print(

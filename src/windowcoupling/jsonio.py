@@ -98,14 +98,26 @@ def sequence_to_doc(seq: ProcessSequenceSpec) -> dict:
     }
 
 
+@contextmanager
+def _doc_field(kind: str, name: str) -> Iterator[None]:
+    """Report a wrongly shaped document field as a ValueError naming it."""
+    try:
+        yield
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} field {name!r}: {exc}") from exc
+
+
 def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
-    space = space_from_doc(doc["space"])
-    return ProcessSequenceSpec(
-        space=space,
-        members=tuple(law_from_doc(space, m) for m in doc["members"]),
-        limit=law_from_doc(space, doc["limit"]),
-        tail=TailRule(int(doc["tail"]["eventually_equal"])),
-    )
+    """Parse a sequence document; a field of the wrong shape raises ValueError."""
+    with _doc_field("spec", "space"):
+        space = space_from_doc(doc["space"])
+    with _doc_field("spec", "members"):
+        members = tuple(law_from_doc(space, m) for m in doc["members"])
+    with _doc_field("spec", "limit"):
+        limit = law_from_doc(space, doc["limit"])
+    with _doc_field("spec", "tail"):
+        tail = TailRule(int(doc["tail"]["eventually_equal"]))
+    return ProcessSequenceSpec(space=space, members=members, limit=limit, tail=tail)
 
 
 # -- coupling plans -----------------------------------------------------------
@@ -142,15 +154,6 @@ def plan_to_doc(plan: CouplingPlan) -> dict:
     }
 
 
-@contextmanager
-def _plan_field(name: str) -> Iterator[None]:
-    """Report a wrongly shaped plan field as a ValueError naming it."""
-    try:
-        yield
-    except (AttributeError, IndexError, TypeError) as exc:
-        raise ValueError(f"malformed plan field {name!r}: {exc}") from exc
-
-
 def plan_from_doc(doc: dict) -> CouplingPlan:
     """Rebuild a plan without re-validating invariants.
 
@@ -165,15 +168,15 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
             f"unsupported plan format {found}; this version reads format"
             f" {PLAN_FORMAT}; rebuild the plan from its spec"
         )
-    with _plan_field("sequence"):
+    with _doc_field("plan", "sequence"):
         seq = sequence_from_doc(doc["sequence"])
     space = seq.space
-    with _plan_field("schedule"):
+    with _doc_field("plan", "schedule"):
         schedule = WindowSchedule(
             tuple(int(k) for k in doc["schedule"]["windows"]),
             int(doc["schedule"]["horizon"]),
         )
-    with _plan_field("ladder"):
+    with _doc_field("plan", "ladder"):
         ladder = MeasureLadder(
             floors=tuple(law_from_doc(space, f) for f in doc["ladder"]["floors"]),
             envelopes=tuple(law_from_doc(space, e) for e in doc["ladder"]["envelopes"]),
@@ -182,16 +185,16 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     index_space = ProductSpace(
         (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
     )
-    with _plan_field("index_law"):
+    with _doc_field("plan", "index_law"):
         index_law = law_from_doc(index_space, doc["index_law"])
-    with _plan_field("increment_laws"):
+    with _doc_field("plan", "increment_laws"):
         increment_laws = tuple(law_from_doc(space, v) for v in doc["increment_laws"])
-    with _plan_field("residual_laws"):
+    with _doc_field("plan", "residual_laws"):
         residual_laws = tuple(
             law_from_doc(space.window(schedule.windows[n]), w)
             for n, w in enumerate(doc["residual_laws"])
         )
-    with _plan_field("kernels"):
+    with _doc_field("plan", "kernels"):
         kernels = []
         for n, rows in enumerate(doc["kernels"]):
             window_space = space.window(schedule.windows[n])
@@ -283,13 +286,16 @@ def law_sequence_to_doc(seq: LawSequence) -> dict:
 
 
 def law_sequence_from_doc(doc: dict, backend: str | None = None) -> LawSequence:
-    model = model_from_doc(doc["model"], backend)
-    return LawSequence(
-        model=model,
-        members=tuple(atomic_law_from_doc(model, m) for m in doc["members"]),
-        limit=atomic_law_from_doc(model, doc["limit"]),
-        tail=TailRule(int(doc["tail"]["eventually_equal"])),
-    )
+    """Parse a metric law sequence; a field of the wrong shape raises ValueError."""
+    with _doc_field("spec", "model"):
+        model = model_from_doc(doc["model"], backend)
+    with _doc_field("spec", "members"):
+        members = tuple(atomic_law_from_doc(model, m) for m in doc["members"])
+    with _doc_field("spec", "limit"):
+        limit = atomic_law_from_doc(model, doc["limit"])
+    with _doc_field("spec", "tail"):
+        tail = TailRule(int(doc["tail"]["eventually_equal"]))
+    return LawSequence(model=model, members=members, limit=limit, tail=tail)
 
 
 def tree_to_doc(tree: PartitionTree) -> dict:

@@ -15,10 +15,11 @@ over the whole space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Point = tuple[int, ...]
 
@@ -28,6 +29,17 @@ ONE = Fraction(1)
 
 class WindowRangeError(ValueError):
     """Requested window length lies outside 0..width of the space."""
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of rationals, as ``sum(values, ZERO)`` gives it.
+
+    The numerators are summed over the lcm of the denominators and
+    normalized once, instead of one reduced addition per term.
+    """
+    terms = values if isinstance(values, (list, tuple)) else list(values)
+    common = math.lcm(*(v.denominator for v in terms))
+    return Fraction(sum(v.numerator * (common // v.denominator) for v in terms), common)
 
 
 class SpaceMismatchError(ValueError):
@@ -43,8 +55,8 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not self.symbols:
             raise ValueError("alphabet must be non-empty")
-        seen: set[str] = set()
-        for sym in self.symbols:
+        seen: dict[str, int] = {}
+        for i, sym in enumerate(self.symbols):
             if not isinstance(sym, str) or not sym:
                 raise ValueError(f"alphabet symbol {sym!r} must be a non-empty string")
             if "," in sym:
@@ -52,15 +64,16 @@ class Alphabet:
                 raise ValueError(f"alphabet symbol {sym!r} may not contain a comma")
             if sym in seen:
                 raise ValueError(f"duplicate alphabet symbol {sym!r}")
-            seen.add(sym)
+            seen[sym] = i
+        object.__setattr__(self, "_index", seen)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._index[symbol]  # type: ignore[attr-defined]
+        except (KeyError, TypeError):
             raise KeyError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
 
 
@@ -73,6 +86,9 @@ class ProductSpace:
     """
 
     coordinates: tuple[Alphabet, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_sizes", tuple(len(a) for a in self.coordinates))
 
     @property
     def width(self) -> int:
@@ -98,17 +114,18 @@ class ProductSpace:
         return _cartesian(*(range(len(a)) for a in self.coordinates))
 
     def __contains__(self, point: object) -> bool:
-        if not isinstance(point, tuple) or len(point) != self.width:
+        sizes = self._sizes  # type: ignore[attr-defined]
+        if not isinstance(point, tuple) or len(point) != len(sizes):
             return False
-        return all(
-            isinstance(i, int) and 0 <= i < len(a)
-            for i, a in zip(point, self.coordinates)
-        )
+        for i, size in zip(point, sizes):
+            if not (isinstance(i, int) and 0 <= i < size):
+                return False
+        return True
 
     def format_point(self, point: Point) -> str:
         if point not in self:
             raise ValueError(f"point {point!r} outside the space")
-        return ",".join(a.symbols[i] for i, a in zip(point, self.coordinates))
+        return ",".join([a.symbols[i] for i, a in zip(point, self.coordinates)])
 
     def parse_point(self, text: str) -> Point:
         if text == "":
@@ -119,14 +136,19 @@ class ProductSpace:
             raise ValueError(
                 f"point {text!r} has {len(labels)} coordinates, expected {self.width}"
             )
-        return tuple(a.index(s) for s, a in zip(labels, self.coordinates))
+        return tuple([a.index(s) for s, a in zip(labels, self.coordinates)])
 
 
 @dataclass(frozen=True)
 class MassFunction:
     """Exact non-negative mass function with total mass at most one.
 
-    Zero entries are dropped on construction, so two mass functions are
+    Every construction validates in one pass: each point must lie in the
+    space and each mass, converted to a ``Fraction``, must be
+    non-negative; the total, summed over the lcm of the denominators by
+    ``exact_sum``, must not exceed one.  Keys that are already tuples and
+    masses that are already fractions are kept as they are.  Zero
+    entries are dropped on construction, so two mass functions are
     equal exactly when they have the same space and the same support
     with the same masses.
     """
@@ -135,18 +157,21 @@ class MassFunction:
     mass: Mapping[Point, Fraction]
 
     def __post_init__(self) -> None:
+        space = self.space
         clean: dict[Point, Fraction] = {}
-        total = ZERO
+        positive: list[Fraction] = []
         for point, value in self.mass.items():
-            pt = tuple(point)
-            if pt not in self.space:
+            pt = point if type(point) is tuple else tuple(point)
+            if pt not in space:
                 raise ValueError(f"point {pt!r} outside the space")
-            val = Fraction(value)
-            if val < 0:
+            val = value if type(value) is Fraction else Fraction(value)
+            sign = val.numerator
+            if sign < 0:
                 raise ValueError(f"negative mass {val} at {pt!r}")
-            if val > 0:
+            if sign:
                 clean[pt] = val
-                total += val
+                positive.append(val)
+        total = exact_sum(positive)
         if total > 1:
             raise ValueError(f"total mass {total} exceeds 1")
         object.__setattr__(self, "mass", clean)
@@ -161,7 +186,7 @@ class MassFunction:
         return self.total_mass == ONE
 
     def __getitem__(self, point: Point) -> Fraction:
-        return self.mass.get(tuple(point), ZERO)
+        return self.mass.get(point if type(point) is tuple else tuple(point), ZERO)
 
     def support(self) -> list[Point]:
         return sorted(self.mass)
@@ -238,11 +263,12 @@ def window_marginal(law: MassFunction, k: int) -> MassFunction:
     empty tuple.
     """
     law.space.check_window(k)
-    out: dict[Point, Fraction] = {}
+    groups: dict[Point, list[Fraction]] = {}
     for point, value in law.mass.items():
-        key = point[:k]
-        out[key] = out.get(key, ZERO) + value
-    return MassFunction(law.space.window(k), out)
+        groups.setdefault(point[:k], []).append(value)
+    return MassFunction(
+        law.space.window(k), {key: exact_sum(values) for key, values in groups.items()}
+    )
 
 
 def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction:
@@ -358,7 +384,7 @@ def conditional_given_prefix(law: MassFunction, prefix: Point) -> MassFunction:
     """The conditional of ``law`` on the cylinder fixing a window prefix."""
     k = len(prefix)
     law.space.check_window(k)
-    denom = sum((v for z, v in law.mass.items() if z[:k] == prefix), ZERO)
+    denom = exact_sum([v for z, v in law.mass.items() if z[:k] == prefix])
     if denom == 0:
         raise ValueError(f"conditioning on zero-mass prefix {prefix!r}")
     return MassFunction(
@@ -379,7 +405,7 @@ def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
         groups.setdefault(z[:k], {})[z] = v
     out: dict[Point, MassFunction] = {}
     for prefix, group in groups.items():
-        denom = sum(group.values(), ZERO)
+        denom = exact_sum(group.values())
         out[prefix] = MassFunction(law.space, {z: v / denom for z, v in group.items()})
     return out
 

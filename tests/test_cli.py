@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from windowcoupling import jsonio
+from windowcoupling import jsonio, streams
 from windowcoupling.cli import main
+from windowcoupling.engine import CouplingSampler
 
 
 @pytest.fixture
@@ -206,6 +207,48 @@ class TestMalformedPlan:
         assert not out.exists()
 
 
+def spec_members_not_a_list(doc):
+    doc["members"] = 5
+
+
+def spec_space_not_a_list(doc):
+    doc["space"] = 3
+
+
+def spec_member_not_a_map(doc):
+    doc["members"] = [5]
+
+
+def spec_coords_not_a_list(doc):
+    doc["model"]["coords"] = 7
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize(
+        "command, edit, field",
+        [
+            ("build", spec_members_not_a_list, "members"),
+            ("build", spec_space_not_a_list, "space"),
+            ("build", spec_member_not_a_map, "members"),
+            ("skorohod", spec_coords_not_a_list, "model"),
+        ],
+    )
+    def test_exit_2_naming_the_field(
+        self, tmp_path, skewed_file, skorohod_file, capsys, command, edit, field
+    ):
+        spec = skewed_file if command == "build" else skorohod_file
+        doc = json.loads(spec.read_text())
+        edit(doc)
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert f"malformed spec field {field!r}" in err
+        assert not out.exists()
+
+
 class TestSample:
     def test_schema_and_determinism(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"
@@ -235,6 +278,19 @@ class TestSample:
         for record in records:
             assert set(record) == {"seed", "N", "Z_hat", "Z_hat_n"}
             assert len(record["Z_hat_n"]) == 2
+
+    def test_records_replay_from_the_labelled_stream(self, tmp_path, skewed_file, capsys):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        capsys.readouterr()
+        assert main(["sample", "--plan", str(plan_path), "--samples", "20", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        plan = jsonio.plan_from_doc(json.loads(plan_path.read_text()))
+        sampler = CouplingSampler(plan)
+        for i, line in enumerate(lines):
+            draw = sampler.sample(streams.stream(3, "sample", i))
+            record = jsonio.sample_record(plan, draw, streams.derive_seed(3, "sample", i))
+            assert line == jsonio.compact_dumps(record)
 
     def test_stdout_stream(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"

@@ -21,7 +21,7 @@ from windowcoupling import (
     window_infimum,
     window_marginal,
 )
-from windowcoupling.measures import prefix_conditionals
+from windowcoupling.measures import ZERO, exact_sum, prefix_conditionals
 
 
 @st.composite
@@ -73,6 +73,8 @@ class TestAlphabet:
         assert Alphabet(("a", "b")).index("b") == 1
         with pytest.raises(KeyError):
             Alphabet(("a",)).index("z")
+        with pytest.raises(KeyError):
+            Alphabet(("a",)).index(["a"])
 
 
 class TestProductSpace:
@@ -98,8 +100,116 @@ class TestProductSpace:
         assert unit.format_point(()) == ""
         assert unit.parse_point("") == ()
 
+    @pytest.mark.parametrize("point", [(2, 0), (0, -1), (0,), (0, 1, 0), ("a", 0), [0, 1]])
+    def test_format_point_outside_the_space(self, pair_space, point):
+        with pytest.raises(ValueError, match="outside the space"):
+            pair_space.format_point(point)
+
+    def test_parse_point_unknown_symbol(self, pair_space):
+        with pytest.raises(KeyError) as info:
+            pair_space.parse_point("a,z")
+        assert info.value.args == ("symbol 'z' not in alphabet ('x', 'y')",)
+
+    @pytest.mark.parametrize("text", ["a", "a,x,y", ""])
+    def test_parse_point_wrong_coordinate_count(self, pair_space, text):
+        with pytest.raises(ValueError, match="coordinates, expected 2"):
+            pair_space.parse_point(text)
+
+    def test_membership(self, pair_space):
+        assert (1, 1) in pair_space
+        assert (True, 0) in pair_space  # bool is an int subclass
+        assert (2, 0) not in pair_space
+        assert (0, 1.0) not in pair_space
+        assert [0, 1] not in pair_space
+        assert (0,) not in pair_space
+
+
+def reference_mass_function(space, mass):
+    """The one-Fraction-at-a-time validation loop, kept as the reference."""
+    clean = {}
+    total = ZERO
+    for point, value in mass.items():
+        pt = tuple(point)
+        if pt not in space:
+            raise ValueError(f"point {pt!r} outside the space")
+        val = F(value)
+        if val < 0:
+            raise ValueError(f"negative mass {val} at {pt!r}")
+        if val > 0:
+            clean[pt] = val
+            total += val
+    if total > 1:
+        raise ValueError(f"total mass {total} exceeds 1")
+    return clean, total
+
+
+class Pairs(list):
+    """A list of (point, mass) pairs read through ``items()``, so keys may be lists."""
+
+    def items(self):
+        return iter(self)
+
+
+def outcome(construct):
+    try:
+        clean, total = construct()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    # key and value types and insertion order all reach the wire format
+    return [(k, type(k), v, type(v)) for k, v in clean.items()], total, type(total)
+
+
+bad_coordinates = st.one_of(st.integers(-2, 4), st.just(1.0), st.just("a"), st.none())
+masses = st.one_of(
+    st.integers(0, 1),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=12),
+    st.fractions(min_value=0, max_value=F(1, 2), max_denominator=12).map(str),
+)
+bad_masses = st.one_of(
+    st.integers(-1, 2), st.fractions(min_value=-1, max_value=2, max_denominator=12)
+)
+
+
+@st.composite
+def raw_mass_maps(draw):
+    """Spaces with mass maps that are mostly valid and sometimes break one rule."""
+    space = draw(spaces())
+    sizes = [len(a) for a in space.coordinates]
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        coords = [
+            draw(st.integers(0, n - 1) | st.booleans().filter(lambda b, n=n: b < n))
+            for n in sizes
+        ]
+        flaw = draw(st.integers(0, 11))
+        if flaw == 0:
+            coords[draw(st.integers(0, len(coords) - 1))] = draw(bad_coordinates)
+        elif flaw == 1:
+            coords = coords[:-1] if draw(st.booleans()) else coords + [0]
+        key = coords if draw(st.booleans()) else tuple(coords)
+        entries.append((key, draw(bad_masses if flaw == 2 else masses)))
+    if all(isinstance(key, tuple) for key, _ in entries) and draw(st.booleans()):
+        return space, dict(entries)
+    return space, Pairs(entries)
+
 
 class TestMassFunction:
+    @settings(max_examples=400)
+    @given(raw_mass_maps())
+    def test_matches_reference_validation(self, case):
+        space, mass = case
+
+        def construct():
+            law = MassFunction(space, mass)
+            return law.mass, law.total_mass
+
+        assert outcome(construct) == outcome(lambda: reference_mass_function(space, mass))
+
+    def test_getitem_accepts_any_sequence(self, pair_space):
+        law = MassFunction(pair_space, {(0, 1): F(1, 3)})
+        assert law[(0, 1)] == law[[0, 1]] == F(1, 3)
+        assert law[(1, 1)] == 0
+
     def test_drops_zero_entries(self, binary_space):
         law = MassFunction(binary_space, {(0,): F(1), (1,): F(0)})
         assert law.mass == {(0,): F(1)}
@@ -151,6 +261,18 @@ class TestWindowMarginal:
             window_marginal(MassFunction.uniform(pair_space), 3)
 
     @given(st.data())
+    def test_matches_fraction_summing_reference(self, data):
+        space = data.draw(spaces())
+        law = data.draw(probability_laws(space))
+        k = data.draw(st.integers(0, space.width))
+        expected = {}
+        for z, v in law.mass.items():
+            expected[z[:k]] = expected.get(z[:k], ZERO) + v
+        got = window_marginal(law, k)
+        assert list(got.mass.items()) == list(expected.items())
+        assert got.total_mass == law.total_mass
+
+    @given(st.data())
     def test_preserves_total_mass(self, data):
         space = data.draw(spaces())
         law = data.draw(probability_laws(space))
@@ -164,6 +286,27 @@ class TestWindowMarginal:
         k2 = data.draw(st.integers(0, space.width))
         k1 = data.draw(st.integers(0, k2))
         assert window_marginal(window_marginal(law, k2), k1) == window_marginal(law, k1)
+
+
+class TestExactSum:
+    def test_empty(self):
+        assert exact_sum([]) == 0
+        assert type(exact_sum([])) is F
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.fractions(max_denominator=10**6),
+                st.integers(-50, 50),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([list, tuple, iter]),
+    )
+    def test_matches_fraction_sum(self, values, container):
+        got = exact_sum(container(values))
+        assert got == sum(values, ZERO)
+        assert type(got) is F
 
 
 class TestWindowInfimum:
