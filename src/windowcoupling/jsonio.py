@@ -18,8 +18,6 @@ from .engine import (
     CouplingSample,
     DeficitEntry,
     ExactCheck,
-    KernelRow,
-    MeasureLadder,
     WindowSchedule,
 )
 from .measures import (
@@ -49,7 +47,10 @@ def parse_fraction(text: Any) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {text!r} has a zero denominator") from None
     raise ValueError(f"expected a rational string, got {text!r}")
 
 
@@ -122,35 +123,23 @@ def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
 
 # -- coupling plans -----------------------------------------------------------
 
-# Format 2 keeps kernel rows only at prefixes of positive member mass, as
-# plain prefix -> law maps, and no floor ratios.
-PLAN_FORMAT = 2
+# Format 3 stores only what the sampler draws from: the index law, the
+# increment laws and the residual laws.  The ladder and the kernel rows
+# are derived from them and from the sequence (see ``CouplingPlan``).
+PLAN_FORMAT = 3
 
 
 def plan_to_doc(plan: CouplingPlan) -> dict:
-    seq = plan.sequence
-    windows = plan.schedule.windows
     return {
         "format": PLAN_FORMAT,
-        "sequence": sequence_to_doc(seq),
+        "sequence": sequence_to_doc(plan.sequence),
         "schedule": {
-            "windows": list(windows),
+            "windows": list(plan.schedule.windows),
             "horizon": plan.schedule.horizon,
-        },
-        "ladder": {
-            "floors": [law_to_doc(f) for f in plan.ladder.floors],
-            "envelopes": [law_to_doc(e) for e in plan.ladder.envelopes],
         },
         "index_law": law_to_doc(plan.index_law),
         "increment_laws": [law_to_doc(v) for v in plan.increment_laws],
         "residual_laws": [law_to_doc(w) for w in plan.residual_laws],
-        "kernels": [
-            {
-                seq.space.window(windows[n]).format_point(prefix): law_to_doc(row.law)
-                for prefix, row in rows.items()
-            }
-            for n, rows in enumerate(plan.kernels)
-        ],
     }
 
 
@@ -159,8 +148,9 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
 
     Loading is intentionally permissive so that a corrupted artifact can
     be reconstructed and then failed by the audit with a witness.  Only
-    plan format 2 is read; any other document, and a field of the wrong
-    shape, raises ValueError.
+    plan format 3 is read; any other document, a field of the wrong
+    shape and a law list whose length is not the number of components
+    raise ValueError.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -171,17 +161,16 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     with _doc_field("plan", "sequence"):
         seq = sequence_from_doc(doc["sequence"])
     space = seq.space
+    count = seq.horizon + 1
     with _doc_field("plan", "schedule"):
         schedule = WindowSchedule(
             tuple(int(k) for k in doc["schedule"]["windows"]),
             int(doc["schedule"]["horizon"]),
         )
-    with _doc_field("plan", "ladder"):
-        ladder = MeasureLadder(
-            floors=tuple(law_from_doc(space, f) for f in doc["ladder"]["floors"]),
-            envelopes=tuple(law_from_doc(space, e) for e in doc["ladder"]["envelopes"]),
+    if schedule.horizon != seq.horizon:
+        raise ValueError(
+            f"plan schedule horizon {schedule.horizon} != sequence horizon {seq.horizon}"
         )
-    count = schedule.horizon + 1
     index_space = ProductSpace(
         (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
     )
@@ -194,24 +183,18 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
             law_from_doc(space.window(schedule.windows[n]), w)
             for n, w in enumerate(doc["residual_laws"])
         )
-    with _doc_field("plan", "kernels"):
-        kernels = []
-        for n, rows in enumerate(doc["kernels"]):
-            window_space = space.window(schedule.windows[n])
-            kernels.append(
-                {
-                    window_space.parse_point(key): KernelRow(law_from_doc(space, row))
-                    for key, row in rows.items()
-                }
+    for name, laws in (("increment_laws", increment_laws), ("residual_laws", residual_laws)):
+        if len(laws) != count:
+            raise ValueError(
+                f"plan field {name!r} must hold one law per component ({count}),"
+                f" found {len(laws)}"
             )
     return CouplingPlan(
         sequence=seq,
         schedule=schedule,
-        ladder=ladder,
         index_law=index_law,
         increment_laws=increment_laws,
         residual_laws=residual_laws,
-        kernels=tuple(kernels),
     )
 
 
@@ -358,18 +341,21 @@ def report_to_doc(report) -> dict:
 
 
 def report_from_doc(doc: dict):
+    """Parse a report document; a field of the wrong shape raises ValueError."""
     from .verify import McCheck, VerificationReport
 
-    return VerificationReport(
-        exact_checks=tuple(
+    with _doc_field("report", "exact_checks"):
+        exact_checks = tuple(
             ExactCheck(c["name"], bool(c["passed"]), c["witness"])
             for c in doc["exact_checks"]
-        ),
-        mc_checks=tuple(
+        )
+    with _doc_field("report", "mc_checks"):
+        mc_checks = tuple(
             McCheck(c["name"], int(c["samples"]), int(c["failures"]), c["note"])
             for c in doc["mc_checks"]
-        ),
-        deficit_trace=tuple(
+        )
+    with _doc_field("report", "deficit_trace"):
+        deficit_trace = tuple(
             DeficitEntry(
                 int(e["index"]),
                 int(e["window"]),
@@ -377,6 +363,12 @@ def report_from_doc(doc: dict):
                 parse_fraction(e["bound"]),
             )
             for e in doc["deficit_trace"]
-        ),
-        provenance=dict(doc["provenance"]),
+        )
+    with _doc_field("report", "provenance"):
+        provenance = dict(doc["provenance"])
+    return VerificationReport(
+        exact_checks=exact_checks,
+        mc_checks=mc_checks,
+        deficit_trace=deficit_trace,
+        provenance=provenance,
     )

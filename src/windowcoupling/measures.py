@@ -2,8 +2,8 @@
 
 Every law in this package is an exact sub-probability mass function
 relative to counting measure, with `fractions.Fraction` masses.  All
-identities downstream (ladder monotonicity, deficit certificates,
-mixture reconstructions) are therefore exact equalities and
+identities downstream (deficit certificates, envelopes below their
+floors, mixture reconstructions) are therefore exact equalities and
 inequalities, never floating-point approximations.
 
 A point of a product space is a tuple of per-coordinate symbol indices;

@@ -35,7 +35,6 @@ from .measures import (
     ONE,
     ZERO,
     Alphabet,
-    DensityConvergence,
     MassFunction,
     Point,
     ProcessSequenceSpec,
@@ -517,30 +516,6 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
     add("point-paths-consistent", witness)
 
     return checks
-
-
-def cell_masses(tree: PartitionTree, law: AtomicLaw) -> dict[tuple[int, ...], Fraction]:
-    return {
-        cell.path: law.mass_of(cell.members)
-        for level in tree.levels
-        for cell in level
-    }
-
-
-def weak_convergence(seq: LawSequence, tree: PartitionTree) -> DensityConvergence:
-    """Portmanteau restricted to the tree's continuity cells.
-
-    With an eventually-equal tail the cell masses converge by
-    definition, so this always holds; the witness is the first index
-    from which every later member matches the limit on every cell.
-    """
-    target = cell_masses(tree, seq.limit)
-    witness = 1
-    for n in range(seq.horizon, 0, -1):
-        if cell_masses(tree, seq.member(n)) != target:
-            witness = n + 1
-            break
-    return DensityConvergence(True, witness)
 
 
 def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:

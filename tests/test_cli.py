@@ -95,27 +95,27 @@ class TestVerify:
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        point = next(iter(doc["ladder"]["envelopes"][1]))
-        doc["ladder"]["envelopes"][1][point] = "1/1000"
+        point = next(iter(doc["increment_laws"][0]))
+        doc["increment_laws"][0][point] = "1/1000"
         plan_path.write_text(json.dumps(doc))
         code = main(["verify", "--plan", str(plan_path), "--samples", "50"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL ladder-monotone" in out or "FAIL ladder-final-equals-limit" in out
+        assert "FAIL mixture-reconstructs-limit: weighted increment laws differ" in out
 
 
 def corrupt_index_law(doc):
-    doc["index_law"]["2"] = "1/7"
+    doc["index_law"]["2"] = "1/7"  # total 25/28
 
 
-def empty_first_kernel(doc):
-    doc["kernels"][0] = {}
+def empty_first_residual(doc):
+    doc["residual_laws"][0] = {}
 
 
 class TestUnsampleablePlans:
     """Plans that load but cannot be sampled fail cleanly with exit 1."""
 
-    @pytest.fixture(params=[corrupt_index_law, empty_first_kernel])
+    @pytest.fixture(params=[corrupt_index_law, empty_first_residual])
     def bad_plan(self, request, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
@@ -149,12 +149,11 @@ class TestUnsampleablePlans:
 
 
 def as_format_1(doc):
-    del doc["format"]
-    doc["kernels"] = [
-        {prefix: {"source": "member", "mass": law} for prefix, law in rows.items()}
-        for rows in doc["kernels"]
-    ]
     doc["format"] = 1
+
+
+def as_format_2(doc):
+    doc["format"] = 2
 
 
 def without_format(doc):
@@ -162,13 +161,13 @@ def without_format(doc):
 
 
 class TestPlanFormat:
-    @pytest.mark.parametrize("edit", [as_format_1, without_format])
+    @pytest.mark.parametrize("edit", [as_format_1, as_format_2, without_format])
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_other_formats_are_exit_2(self, tmp_path, skewed_file, capsys, edit, command):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        assert doc["format"] == 2
+        assert doc["format"] == 3
         edit(doc)
         plan_path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -181,16 +180,34 @@ class TestPlanFormat:
         assert not out.exists()
 
 
-def kernels_not_a_list(doc):
-    doc["kernels"] = 5
+def increment_laws_not_a_list(doc):
+    doc["increment_laws"] = 5
 
 
-def more_kernel_maps_than_windows(doc):
-    doc["kernels"] = doc["kernels"] * (len(doc["schedule"]["windows"]) + 1)
+def more_residual_laws_than_windows(doc):
+    doc["residual_laws"] = doc["residual_laws"] * (len(doc["schedule"]["windows"]) + 1)
+
+
+def one_increment_law_too_few(doc):
+    doc["increment_laws"].pop()
+
+
+def schedule_one_index_longer(doc):
+    doc["schedule"]["horizon"] += 1
+    doc["schedule"]["windows"].append(doc["schedule"]["windows"][-1])
+
+
+# plan edit -> what its one error line must say
+PLAN_EDITS = {
+    increment_laws_not_a_list: "malformed plan field 'increment_laws'",
+    more_residual_laws_than_windows: "malformed plan field 'residual_laws'",
+    one_increment_law_too_few: "'increment_laws' must hold one law per component",
+    schedule_one_index_longer: "plan schedule horizon 2 != sequence horizon 1",
+}
 
 
 class TestMalformedPlan:
-    @pytest.mark.parametrize("edit", [kernels_not_a_list, more_kernel_maps_than_windows])
+    @pytest.mark.parametrize("edit", list(PLAN_EDITS))
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_exit_2_naming_the_field(self, tmp_path, skewed_file, capsys, edit, command):
         plan_path = tmp_path / "plan.json"
@@ -203,7 +220,7 @@ class TestMalformedPlan:
         assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
-        assert "malformed plan field 'kernels'" in err
+        assert PLAN_EDITS[edit] in err
         assert not out.exists()
 
 
@@ -246,6 +263,84 @@ class TestMalformedSpec:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert f"malformed spec field {field!r}" in err
+        assert not out.exists()
+
+
+def one_error_line(err: str) -> bool:
+    return "Traceback" not in err and len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def zero_denominator_member(doc):
+    doc["members"][0]["a"] = "1/0"
+
+
+def zero_denominator_coordinate(doc):
+    doc["model"]["coords"][1][0] = "1/0"
+
+
+def zero_denominator_increment(doc):
+    law = doc["increment_laws"][0]
+    law[next(iter(law))] = "1/0"
+
+
+def zero_denominator_deficit(doc):
+    doc["deficit_trace"][0]["deficit"] = "1/0"
+
+
+class TestZeroDenominator:
+    """A "1/0" mass anywhere exits 2 with one error line, not a ZeroDivisionError."""
+
+    @pytest.fixture
+    def artifacts(self, tmp_path, skewed_file, skorohod_file, capsys):
+        plan = tmp_path / "plan.json"
+        report = tmp_path / "report.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan)])
+        main(["verify", "--plan", str(plan), "--samples", "20", "--out", str(report)])
+        capsys.readouterr()
+        return {"spec": skewed_file, "line": skorohod_file, "plan": plan, "report": report}
+
+    @pytest.mark.parametrize(
+        "argv, target, edit",
+        [
+            (["build", "--spec", "{spec}"], "spec", zero_denominator_member),
+            (["skorohod", "--spec", "{line}"], "line", zero_denominator_coordinate),
+            (["verify", "--plan", "{plan}"], "plan", zero_denominator_increment),
+            (["sample", "--plan", "{plan}"], "plan", zero_denominator_increment),
+            (["report", "{report}"], "report", zero_denominator_deficit),
+        ],
+        ids=["build", "skorohod", "verify", "sample", "report"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, artifacts, capsys, argv, target, edit):
+        doc = json.loads(artifacts[target].read_text())
+        edit(doc)
+        artifacts[target].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [arg.format(**artifacts) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert "zero denominator" in err
+        assert not out.exists()
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: {**doc, "exact_checks": 5}, lambda doc: [doc]],
+        ids=["exact-checks-not-a-list", "top-level-list"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, skewed_file, capsys, edit):
+        plan = tmp_path / "plan.json"
+        report = tmp_path / "report.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan)])
+        main(["verify", "--plan", str(plan), "--samples", "20", "--out", str(report)])
+        report.write_text(json.dumps(edit(json.loads(report.read_text()))))
+        capsys.readouterr()
+        out = tmp_path / "report.txt"
+        assert main(["report", str(report), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert "malformed report field 'exact_checks'" in err
         assert not out.exists()
 
 

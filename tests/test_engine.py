@@ -12,7 +12,6 @@ from windowcoupling import (
     Alphabet,
     CouplingSampler,
     EnumerationCapError,
-    KernelRow,
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
@@ -253,50 +252,87 @@ class TestPlan:
             for prefix, row in rows.items():
                 assert row.law == conditional_given_prefix(member, prefix)
 
-    def test_dropped_reachable_row_detected(self, skewed_sequence):
+    def test_audit_is_the_seven_identities(self, skewed_sequence):
+        names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
+        assert names == [
+            "schedule-monotone",
+            "schedule-reaches-full-window",
+            "window-deficit-certificates",
+            "ladder-below-floor",
+            "ladder-mass-bound",
+            "mixture-reconstructs-limit",
+            "window-mixture-reconstructs-members",
+        ]
+
+    def test_moved_increment_mass_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
-        rows = dict(plan.kernels[0])
-        del rows[(1,)]
-        bad_plan = replace(plan, kernels=(rows,) + plan.kernels[1:])
+        moved = MassFunction(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
+        bad_plan = replace(plan, increment_laws=(moved,) + plan.increment_laws[1:])
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
         assert failed == {
-            "kernel-rows-member-conditional": "n=1: no row at positive-mass prefix (1,)"
+            "ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)",
+            "mixture-reconstructs-limit": "weighted increment laws differ from the"
+            " limit law at (0,)",
+            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
+            " member law at (0,)",
         }
 
-    def test_missing_kernel_map_detected(self, skewed_sequence):
+    def test_index_mass_moved_between_values_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
-        bad_plan = replace(plan, kernels=plan.kernels[:-1])
+        index_law = MassFunction(plan.index_law.space, {(0,): F(1, 2), (1,): F(1, 2)})
+        bad_plan = replace(plan, index_law=index_law)
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {"kernel-rows-member-conditional": "1 kernel maps for 2 components"}
+        assert failed == {
+            "ladder-below-floor": "envelope 2 exceeds floor 2 at (0,)",
+            "mixture-reconstructs-limit": "weighted increment laws differ from the"
+            " limit law at (0,)",
+            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
+            " member law at (0,)",
+        }
 
-    def test_row_at_zero_mass_prefix_detected(self):
-        # the member is a point mass on b, so prefix a is never reached
+    def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        late = MassFunction(plan.index_law.space, {(0,): F(1, 4), (2,): F(3, 4)})
+        failed = {
+            c.name: c.witness
+            for c in plan_exact_checks(replace(plan, index_law=late))
+            if not c.passed
+        }
+        assert failed["ladder-mass-bound"] == "n=2: envelope mass gap 3/4 > 1/2"
+
+    def test_limit_point_on_zero_mass_prefix_detected(self):
+        # the member is a point mass on b; swapping the increments makes
+        # N = 1 draw the limit point a, a prefix of member mass zero
         seq = binary_sequence([(0, 1)], (F(1, 2), F(1, 2)))
         plan = build_plan(seq)
         assert set(plan.kernels[0]) == {(1,)}
-        rows = {**plan.kernels[0], (0,): KernelRow(MassFunction.point_mass(seq.space, (0,)))}
-        bad_plan = replace(plan, kernels=(rows,) + plan.kernels[1:])
+        first, second = plan.increment_laws
+        bad_plan = replace(plan, increment_laws=(second, first))
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
         assert failed == {
-            "kernel-rows-member-conditional": "n=1: row at zero-mass prefix (0,)"
+            "ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)",
+            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
+            " member law at (0,)",
         }
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
+        # the last envelope is the full partial sum; lower it through its
+        # last increment
         plan = build_plan(two_member_sequence)
-        env = plan.ladder.envelopes[-1]
-        z = next(iter(env.mass))
-        lowered = MassFunction(
-            env.space, {**env.mass, z: env.mass[z] / 2}
-        )
-        bad_ladder = replace(
-            plan.ladder, envelopes=plan.ladder.envelopes[:-1] + (lowered,)
-        )
-        bad_plan = replace(plan, ladder=bad_ladder)
+        last = plan.increment_laws[-1]
+        z = next(iter(last.mass))
+        lowered = MassFunction(last.space, {**last.mass, z: last.mass[z] / 2})
+        bad_plan = replace(plan, increment_laws=plan.increment_laws[:-1] + (lowered,))
         failed = [c for c in plan_exact_checks(bad_plan) if not c.passed]
-        assert any(c.name == "ladder-monotone" for c in failed) or any(
-            c.name == "ladder-final-equals-limit" for c in failed
-        )
+        assert "mixture-reconstructs-limit" in {c.name for c in failed}
         assert all(c.witness for c in failed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_derived_ladder_is_the_built_ladder(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        plan = build_plan(seq)
+        assert plan.ladder == build_ladder(seq, plan.schedule)
 
 
 class TestSampling:

@@ -28,6 +28,10 @@ class TestFractions:
         with pytest.raises(ValueError):
             jsonio.parse_fraction(0.5)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            jsonio.parse_fraction("1/0")
+
 
 class TestSequenceDocs:
     def test_matches_documented_shape(self, two_member_sequence):
@@ -44,6 +48,18 @@ class TestSequenceDocs:
 
 
 class TestPlanDocs:
+    def test_format_3_stores_only_the_mixture(self, two_member_sequence):
+        doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
+        assert doc["format"] == 3
+        assert set(doc) == {
+            "format",
+            "sequence",
+            "schedule",
+            "index_law",
+            "increment_laws",
+            "residual_laws",
+        }
+
     def test_round_trip_preserves_everything(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         doc = json.loads(jsonio.canonical_dumps(jsonio.plan_to_doc(plan)))
@@ -54,10 +70,16 @@ class TestPlanDocs:
     def test_loading_skips_validation(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         doc = jsonio.plan_to_doc(plan)
-        point = next(iter(doc["ladder"]["envelopes"][1]))
-        doc["ladder"]["envelopes"][1][point] = "1/1000"
+        point = next(iter(doc["increment_laws"][0]))
+        doc["increment_laws"][0][point] = "1/1000"
         loaded = jsonio.plan_from_doc(doc)  # must not raise
         assert not audit_plan(loaded).all_exact_passed
+
+    def test_law_count_must_match_the_components(self, two_member_sequence):
+        doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
+        doc["increment_laws"].pop()
+        with pytest.raises(ValueError, match="'increment_laws' must hold one law per"):
+            jsonio.plan_from_doc(doc)
 
     def test_sampling_a_loaded_plan_reproduces_draws(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -157,6 +179,22 @@ class TestReports:
         again = jsonio.report_from_doc(doc)
         assert again.mc_checks == report.mc_checks
         assert again.provenance == report.provenance
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(exact_checks=5), "exact_checks"),
+            (lambda doc: doc["mc_checks"].append(7), "mc_checks"),
+            (lambda doc: doc.update(deficit_trace=[[1]]), "deficit_trace"),
+            (lambda doc: doc.update(provenance=3), "provenance"),
+        ],
+        ids=["exact_checks", "mc_checks", "deficit_trace", "provenance"],
+    )
+    def test_malformed_field_is_a_value_error(self, constant_sequence, edit, field):
+        doc = jsonio.report_to_doc(mc_agreement(build_plan(constant_sequence), 10, seed=1))
+        edit(doc)
+        with pytest.raises(ValueError, match=f"malformed report field {field!r}"):
+            jsonio.report_from_doc(doc)
 
     def test_doc_carries_overall_verdict(self, constant_sequence):
         report = audit_plan(build_plan(constant_sequence))

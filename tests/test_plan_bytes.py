@@ -4,8 +4,11 @@ Any change to these hashes is a change of a wire format and must be
 deliberate.  The format-1 plan hashes were computed from the plain
 reference construction, before the build path became table-driven.
 Format 2 drops only data that format 1 derived or that the sampler
-never reads; ``v1_doc`` adds that data back to a format-2 plan and must
-reproduce the format-1 bytes exactly.
+never reads, and format 3 drops the ladder and the kernel rows, which
+format 2 stored but which follow from the rest.  ``v2_doc`` adds the
+derived ladder and kernel rows back to a format-3 plan and ``v1_doc``
+builds on it; they must reproduce the format-2 and format-1 bytes
+exactly.
 """
 import hashlib
 import random
@@ -52,6 +55,25 @@ def uniform_on_cylinder(space, prefix) -> MassFunction:
     return MassFunction(space, {z: F(1, len(extensions)) for z in extensions})
 
 
+def v2_doc(plan) -> dict:
+    """The format-2 document of a plan: format 3 plus the ladder and the kernel rows."""
+    doc = jsonio.plan_to_doc(plan)
+    doc["format"] = 2
+    doc["ladder"] = {
+        "floors": [jsonio.law_to_doc(f) for f in plan.ladder.floors],
+        "envelopes": [jsonio.law_to_doc(e) for e in plan.ladder.envelopes],
+    }
+    space = plan.sequence.space
+    doc["kernels"] = [
+        {
+            space.window(plan.schedule.window(n)).format_point(prefix): jsonio.law_to_doc(row.law)
+            for prefix, row in rows.items()
+        }
+        for n, rows in enumerate(plan.kernels, start=1)
+    ]
+    return doc
+
+
 def v1_doc(plan) -> dict:
     """The format-1 document of a plan.
 
@@ -61,7 +83,7 @@ def v1_doc(plan) -> dict:
     member has mass, else the limit conditional where the limit has
     mass, else the uniform law on the prefix's cylinder.
     """
-    doc = jsonio.plan_to_doc(plan)
+    doc = v2_doc(plan)
     del doc["format"]
     space = plan.sequence.space
     limit = plan.sequence.limit
@@ -94,37 +116,42 @@ def v1_doc(plan) -> dict:
     return doc
 
 
-# seed -> (schedule, format-1 plan sha256, format-2 plan sha256, audit report sha256)
+# seed -> (schedule, format-1, format-2 and format-3 plan sha256, audit report sha256)
 ENUMERABLE = {
     0: (
         (0, 0, 0, 2),
         "243bd61a07bb4209a2844dbefacde3366ed22a4f99db9136547bb4af2a3e536c",
         "974ac6696e64fa40badb4b013d1b9c7a9c9fe5f122e97381c11fab2c8030b7c8",
-        "9bc55182b414861764057b4ae23f4937d78d66befd852833002e00fddc2d780a",
+        "a2418eee23df1c8536e833271858fae579639e1002da5288fd9437043202cb5a",
+        "f9ea228cc690f4a82ebed20f6d02b9e7ded36ea32199ded7e12afbff176df654",
     ),
     3: (
         (0, 0, 1),
         "e490890fa4a19f6f23411820281ecd198cc432c6d9090b34209da39c4f52a69d",
         "17b2eccd52396aa755a6b5768706e775d882f14dbdd840be58b7b5a85bc03a8d",
-        "901a12b8a8481062a6c126b60da99fe92e5990cc4b678fcec0393617b41d3d01",
+        "af5841eb812a9f27e5c4a9e5a1955e8a1b2b6e7fdc362d1df7a47ae94fb013f4",
+        "4349ef69ac5b0f40182eeae790abc717583ae344c3f2237fb8403c9863df681c",
     ),
     12: (
         (1, 1, 1, 2),
         "dbed64a051141d2c6644b0c1dea5a03dbef9a81ac5a88492c18c5e97dc23cd2d",
         "64a77f6d5702ced8c305b6af98a74cc02d3b2aad6c7f2751a78ba7f2d0cd33c1",
-        "0fd64af93b35fb68f3c02366b6a0058bc26512a7f850e91610af5cf7b9de4658",
+        "aaa7dadf5c350e6336bf07fb8a8815b2c8e5b578b445e6a2c416b4f08e4a27d4",
+        "bfc0c0548f51a33bf8a0d66f1813a292d06fcccde41eab154c699fc8b7648b85",
     ),
     26: (
         (1, 1, 1, 1, 3),
         "96e9d082e2ff58d5f89f50ecc5610c4510a8493ae237a9a72ef498f89719d29d",
         "b73e911fb8fcf3c98316b4360024a4c0259686a20bd1f40c6bd2e2d9845470aa",
-        "5928d48686c13ac3a1d34ee15b84ec3f9c8f29ab83e6789492757bfbffe5a225",
+        "97161f9e9da129e5df06d3f3d13c1982a1759d36131de875655b1aad382898d7",
+        "7ebd8850ecc6d5bb32d2a9a2bd1633c37d137e955ff217797b5649a16820a68a",
     ),
     35: (
         (2, 2, 2, 3),
         "7ba01a77f6fac83630c2f8c1b578897f25570b0e47ef9a25257bc97aac2eaef8",
         "5b8467234ac09d541b096b2cea0944c41412555e89accc328aa659574a24da29",
-        "a9cdd61b8b3665b3d6808413ba70f906ab2a0a0c966a2c13653aa7dc02608f99",
+        "3404011b9e9dad1ab7d79fdf15391d8ebe5b1da07d3e9af44ee1cb0ed139c706",
+        "875aec2d037119c79084a07b5967630ae9ac143e04ecc5f717d9344fc2457b93",
     ),
 }
 
@@ -136,12 +163,19 @@ SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d
 
 @pytest.mark.parametrize("seed", sorted(ENUMERABLE))
 def test_enumerable_plan_bytes(seed):
-    windows, v1_sha, v2_sha, report_sha = ENUMERABLE[seed]
+    windows, v1_sha, v2_sha, v3_sha, report_sha = ENUMERABLE[seed]
     _, plan = random_enumerable_plan(random.Random(seed))
     assert plan.schedule.windows == windows
-    assert sha256(jsonio.plan_to_doc(plan)) == v2_sha
+    assert sha256(jsonio.plan_to_doc(plan)) == v3_sha
+    assert sha256(v2_doc(plan)) == v2_sha
     assert sha256(v1_doc(plan)) == v1_sha
     assert sha256(jsonio.report_to_doc(audit_plan(plan))) == report_sha
+
+
+def test_format_2_documents_are_refused():
+    _, plan = random_enumerable_plan(random.Random(0))
+    with pytest.raises(ValueError, match="unsupported plan format 2"):
+        jsonio.plan_from_doc(v2_doc(plan))
 
 
 def test_enumerable_sample_bytes():
@@ -169,6 +203,10 @@ def test_skorohod_plan_bytes():
     assert coupling.plan.schedule.windows == (0, 0, 3)
     assert (
         sha256(jsonio.plan_to_doc(coupling.plan))
+        == "e6872e0de6dd9496c8063af9ae97135c707592b9fa6b50daffd06830a76e7d1f"
+    )
+    assert (
+        sha256(v2_doc(coupling.plan))
         == "968904489ca2d62d4624ea309c7bb87a721e266ebe5432b38bbbf710f6fcd0dc"
     )
     assert (
@@ -177,7 +215,7 @@ def test_skorohod_plan_bytes():
     )
     assert (
         sha256(jsonio.report_to_doc(audit_skorohod(coupling)))
-        == "6c5a46738a17d21cff3bbb689fca2b47ed56f365d8869a103afc95559931398e"
+        == "930efeb2ef2ea89d5a8c756bd775cf114785140c81a79bd207b3e916652b7f95"
     )
 
 
@@ -228,5 +266,5 @@ def test_jittered_lattice_tree_and_report_bytes():
         "89164df424e1f13a0779aba61cd1038bac22c1bbf7029773b0f1b46cdaf4b17a"
     )
     assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
-        "5ab9d35806abf4e4de5488250ac7e905803e290ea69da09ede607db461503c00"
+        "142f4d9316c527cd2da9942385647d40e04cf78cc3e5718e492cdcbd08ce7574"
     )

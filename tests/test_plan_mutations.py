@@ -1,0 +1,151 @@
+"""One mutation of a valid format-3 plan document, run through the CLI.
+
+Each case changes one thing in a plan document: scales one mass (to
+zero, a half, double, a negative value or "2/1"), drops a law or a
+window from a list, lowers or raises one schedule window, swaps two
+increment laws, or writes a "1/0" mass.  Then it runs ``verify`` and
+``sample`` on the result:
+
+- ``verify`` exits 1 with a FAIL line that names a witness, or exits 2
+  with exactly one ``error:`` line.  It may exit 0 only when the mutated
+  plan still is a coupling of its sequence, which the brute-force joint
+  law then confirms.
+- ``sample`` does not audit: it exits 0, or exits 1 or 2 with exactly
+  one ``error:`` line.
+
+No case may end in an exception.
+"""
+import contextlib
+import io
+import json
+import random
+import re
+import tempfile
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from windowcoupling import exact_joint_law, jsonio
+from windowcoupling.cli import main
+from windowcoupling.verify import random_enumerable_plan
+
+# small plans, all but the first with two to four values of N, windows
+# that widen, and joint supports of at most 159 points
+BASE_DOCS = [
+    jsonio.plan_to_doc(random_enumerable_plan(random.Random(seed))[1])
+    for seed in (0, 12, 24, 35, 50, 107, 133, 193)
+]
+
+FACTORS = (F(0), F(1, 2), F(2), F(-1))
+FAIL_LINE = re.compile(r"^  FAIL [\w-]+: \S", re.MULTILINE)
+
+
+def mass_locations(doc: dict) -> list[tuple[dict, str]]:
+    """Every (law document, point key) pair of the plan, sequence included."""
+    seq = doc["sequence"]
+    laws = [
+        doc["index_law"],
+        *doc["increment_laws"],
+        *doc["residual_laws"],
+        *seq["members"],
+        seq["limit"],
+    ]
+    return [(law, key) for law in laws for key in law]
+
+
+def scale_mass(doc: dict, draw) -> None:
+    law, key = draw(st.sampled_from(mass_locations(doc)))
+    factor = draw(st.sampled_from(FACTORS + (None,)))
+    law[key] = "2/1" if factor is None else jsonio.fraction_to_str(F(law[key]) * factor)
+
+
+def zero_denominator(doc: dict, draw) -> None:
+    law, key = draw(st.sampled_from(mass_locations(doc)))
+    law[key] = "1/0"
+
+
+def drop_entry(doc: dict, draw) -> None:
+    lists = [
+        doc["increment_laws"],
+        doc["residual_laws"],
+        doc["sequence"]["members"],
+        doc["schedule"]["windows"],
+    ]
+    entries = draw(st.sampled_from(lists))
+    del entries[draw(st.integers(0, len(entries) - 1))]
+
+
+def shift_window(doc: dict, draw) -> None:
+    windows = doc["schedule"]["windows"]
+    n = draw(st.integers(0, len(windows) - 1))
+    windows[n] += draw(st.sampled_from((-1, 1)))
+
+
+def swap_increments(doc: dict, draw) -> None:
+    laws = doc["increment_laws"]
+    pairs = [
+        (i, j) for i in range(len(laws)) for j in range(i + 1, len(laws)) if laws[i] != laws[j]
+    ]
+    assume(pairs)
+    i, j = draw(st.sampled_from(pairs))
+    laws[i], laws[j] = laws[j], laws[i]
+
+
+MUTATIONS = (scale_mass, zero_denominator, drop_entry, shift_window, swap_increments)
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def error_lines(err: str) -> int:
+    return len([line for line in err.splitlines() if "error:" in line])
+
+
+def is_coupling(doc: dict) -> bool:
+    """Whether the plan's exact joint law has every input law as its marginal."""
+    plan = jsonio.plan_from_doc(doc)
+    joint = exact_joint_law(plan)
+    seq = plan.sequence
+    return (
+        joint.total_mass == 1
+        and joint.marginal_limit() == seq.limit
+        and all(joint.marginal_member(n) == seq.member(n) for n in range(1, plan.count + 1))
+        and joint.index_marginal() == plan.index_law
+        and joint.agreement_mass() == 1
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(BASE_DOCS),
+    mutation=st.sampled_from(MUTATIONS),
+    data=st.data(),
+)
+def test_mutated_plan_fails_cleanly(base, mutation, data):
+    doc = json.loads(json.dumps(base))
+    mutation(doc, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = Path(tmp) / "plan.json"
+        plan.write_text(json.dumps(doc))
+
+        code, out, err = run_cli(["verify", "--plan", str(plan), "--samples", "30"])
+        assert "Traceback" not in err
+        if code == 0:
+            assert is_coupling(doc), "verify passed a plan that is not a coupling"
+        elif code == 1:
+            assert FAIL_LINE.search(out), out
+            assert "overall: FAIL" in out
+        else:
+            assert code == 2 and error_lines(err) == 1, (code, err)
+
+        code, out, err = run_cli(["sample", "--plan", str(plan), "--samples", "5"])
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        if code:
+            assert error_lines(err) == 1, (code, err)

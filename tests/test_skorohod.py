@@ -21,7 +21,6 @@ from windowcoupling import (
     exact_joint_law,
     sample_coupled_points,
     tree_exact_checks,
-    weak_convergence,
     window_marginal,
 )
 from windowcoupling.verify import random_law_sequence, random_metric_model
@@ -321,17 +320,6 @@ class TestDigitize:
             for cell in tree.levels[k - 1]:
                 digit_point = tuple(d - 1 for d in cell.path)
                 assert marginal[digit_point] == line_laws.limit.mass_of(cell.members)
-
-    def test_weak_convergence_witness(self, line_model, line_laws):
-        tree = build_partition_tree(line_model, line_laws.limit, 2)
-        verdict = weak_convergence(line_laws, tree)
-        assert verdict == (True, 2)
-
-    def test_weak_convergence_constant(self, line_model):
-        uniform = AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-        seq = LawSequence(line_model, (uniform,), uniform, TailRule(1))
-        tree = build_partition_tree(line_model, uniform, 2)
-        assert weak_convergence(seq, tree) == (True, 1)
 
 
 class TestSkorohodCoupling:

@@ -39,39 +39,26 @@ class TestAuditPlan:
 
     def test_corrupted_plan_fails_with_witness(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        env = plan.ladder.envelopes[1]
-        z = next(iter(env.mass))
-        lowered = MassFunction(env.space, {**env.mass, z: env.mass[z] / 3})
-        bad = replace(
-            plan,
-            ladder=replace(
-                plan.ladder,
-                envelopes=(plan.ladder.envelopes[0], lowered)
-                + plan.ladder.envelopes[2:],
-            ),
+        # move the mass of N = 2 onto N = 1
+        first, second, third = (plan.index_probability(n) for n in (1, 2, 3))
+        moved = MassFunction(
+            plan.index_law.space, {(0,): first + second, (2,): third}
         )
-        report = audit_plan(bad)
+        report = audit_plan(replace(plan, index_law=moved))
         assert not report.all_exact_passed
         failed = [c for c in report.exact_checks if not c.passed]
-        assert any(c.name == "ladder-monotone" for c in failed)
+        assert any(c.name == "ladder-below-floor" for c in failed)
         assert all(c.witness for c in failed)
 
     def test_audit_never_raises_on_corrupt_plans(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        # shrink the final envelope: downstream checks would see negative
-        # increments, which must surface as failures, not exceptions
-        last = plan.ladder.envelopes[-1]
-        z = next(iter(last.mass))
-        bad_env = MassFunction(last.space, {**last.mass, z: last.mass[z] / 2})
-        bad = replace(
-            plan,
-            ladder=replace(
-                plan.ladder,
-                envelopes=plan.ladder.envelopes[:-1] + (bad_env,),
-            ),
-        )
+        # one increment law too few: the envelope sums index past the end,
+        # which must surface as failures, not exceptions
+        bad = replace(plan, increment_laws=plan.increment_laws[:-1])
         report = audit_plan(bad)
         assert not report.all_exact_passed
+        failed = [c for c in report.exact_checks if not c.passed]
+        assert all("IndexError" in c.witness for c in failed)
 
 
 class TestMcAgreement:
@@ -117,14 +104,15 @@ class TestMcAgreement:
     def test_unsampleable_plan_gives_one_failing_check(self, line_model, line_laws):
         coupling = build_skorohod_coupling(line_model, line_laws, 2)
         plan = coupling.plan
-        broken = replace(coupling, plan=replace(plan, kernels=({},) + plan.kernels[1:]))
+        short = plan.index_law.scaled(F(25, 28))
+        broken = replace(coupling, plan=replace(plan, index_law=short))
         for checks in (
             mc_agreement(broken, 30, seed=1).mc_checks,
             mc_agreement(broken.plan, 30, seed=1).mc_checks,
             marginal_3sigma_checks(broken, 30, seed=1),
         ):
             assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
-            assert "InternalInvariantError: no kernel row" in checks[0].note
+            assert "ValueError: can only sample probability laws" in checks[0].note
 
 
 class TestAuditSkorohod:
@@ -133,7 +121,7 @@ class TestAuditSkorohod:
         report = audit_skorohod(coupling)
         names = {c.name for c in report.exact_checks}
         assert "partition-disjoint-cover" in names
-        assert "ladder-monotone" in names
+        assert "ladder-below-floor" in names
         assert report.all_exact_passed
 
 
