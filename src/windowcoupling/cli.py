@@ -3,7 +3,8 @@
 All randomness flows from the explicit ``--seed`` (default 0) through
 labeled substreams, so identical inputs and seed produce byte-identical
 artifacts.  Exit codes: 0 success, 1 verification failure (including a
-plan the sampler cannot draw from), 2 bad input.
+plan that ``sample`` refuses because it fails the exact audit, and one
+the sampler cannot draw from), 2 bad input.
 """
 from __future__ import annotations
 
@@ -104,6 +105,18 @@ def _cmd_sample(config: RunConfig) -> int:
         plan = jsonio.plan_from_doc(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.plan}: {exc}") from exc
+    # the exact checks of ``verify``: samples of a plan that fails them do
+    # not have the coupling's law
+    failed = [c for c in verify.audit_plan(plan).exact_checks if not c.passed]
+    if failed:
+        first = failed[0]
+        more = f" (and {len(failed) - 1} more failing checks)" if len(failed) > 1 else ""
+        print(
+            f"error: {config.plan}: plan fails the exact audit, no samples drawn:"
+            f" {first.name}: {first.witness}{more}",
+            file=sys.stderr,
+        )
+        return 1
     lines = []
     try:
         sampler = CouplingSampler(plan)

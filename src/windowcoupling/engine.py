@@ -599,7 +599,8 @@ class CouplingSampler:
     index N, then the full limit point, then for each component index
     n = 1..M+1 the window prefix (only when n < N) followed by the
     kernel-row draw for that prefix.  The plan's kernel rows are derived
-    here, once, so no draw pays for them.
+    here, once; each row's table is built on the first draw that lands
+    on its prefix and kept per component.
     """
 
     def __init__(self, plan: CouplingPlan) -> None:
@@ -613,29 +614,26 @@ class CouplingSampler:
         ]
 
     def _row_table(self, n: int, prefix: Point) -> CategoricalTable:
-        cache = self._row_tables[n - 1]
-        table = cache.get(prefix)
-        if table is None:
-            rows = self._kernels[n - 1]
-            if prefix not in rows:
-                raise InternalInvariantError(
-                    f"no kernel row for prefix {prefix!r} at index {n}"
-                )
-            table = CategoricalTable(rows[prefix].law)
-            cache[prefix] = table
+        """Build and keep the table of component n's kernel row at ``prefix``."""
+        rows = self._kernels[n - 1]
+        if prefix not in rows:
+            raise InternalInvariantError(
+                f"no kernel row for prefix {prefix!r} at index {n}"
+            )
+        table = self._row_tables[n - 1][prefix] = CategoricalTable(rows[prefix].law)
         return table
 
     def sample(self, rng: Random) -> CouplingSample:
-        plan = self.plan
         index = self._index_table.draw(rng)[0] + 1
         limit_point = self._increment_tables[index - 1].draw(rng)
         members: list[Point] = []
-        for n in range(1, plan.count + 1):
-            if n < index:
-                prefix = self._residual_tables[n - 1].draw(rng)
-            else:
-                prefix = limit_point[: plan.schedule.window(n)]
-            members.append(self._row_table(n, prefix).draw(rng))
+        components = zip(self.plan.schedule.windows, self._residual_tables, self._row_tables)
+        for n, (k, residual, rows) in enumerate(components, start=1):
+            prefix = residual.draw(rng) if n < index else limit_point[:k]
+            table = rows.get(prefix)
+            if table is None:
+                table = self._row_table(n, prefix)
+            members.append(table.draw(rng))
         return CouplingSample(index, limit_point, tuple(members))
 
 

@@ -23,6 +23,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Point = tuple[int, ...]
 
+# the only coordinate type whose points ``ProductSpace.format_point`` serves
+# from its label map; a point equal to a stored key but holding floats or
+# bools is validated afresh
+_PLAIN_INT = frozenset((int,))
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -83,12 +88,15 @@ class ProductSpace:
 
     The empty product (width 0) is the unit space whose only point is
     the empty tuple; it is the codomain of length-0 window marginals.
+    ``format_point`` keeps the label of each distinct point it has
+    formatted, so a point is validated and joined once per space.
     """
 
     coordinates: tuple[Alphabet, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_sizes", tuple(len(a) for a in self.coordinates))
+        object.__setattr__(self, "_labels", {})
 
     @property
     def width(self) -> int:
@@ -123,6 +131,15 @@ class ProductSpace:
         return True
 
     def format_point(self, point: Point) -> str:
+        if type(point) is tuple and _PLAIN_INT.issuperset(map(type, point)):
+            labels = self._labels  # type: ignore[attr-defined]
+            label = labels.get(point)
+            if label is None:
+                label = labels[point] = self._join(point)
+            return label
+        return self._join(point)
+
+    def _join(self, point: Point) -> str:
         if point not in self:
             raise ValueError(f"point {point!r} outside the space")
         return ",".join([a.symbols[i] for i, a in zip(point, self.coordinates)])

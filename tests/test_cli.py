@@ -113,7 +113,11 @@ def empty_first_residual(doc):
 
 
 class TestUnsampleablePlans:
-    """Plans that load but cannot be sampled fail cleanly with exit 1."""
+    """Plans that load but cannot be sampled fail cleanly with exit 1.
+
+    ``verify`` reports the sampler's failure; ``sample`` refuses them
+    before drawing, because they fail the exact audit too.
+    """
 
     @pytest.fixture(params=[corrupt_index_law, empty_first_residual])
     def bad_plan(self, request, tmp_path, skewed_file, capsys):
@@ -144,8 +148,44 @@ class TestUnsampleablePlans:
         assert code == 1
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
-        assert "sampling failed" in err
+        assert "plan fails the exact audit, no samples drawn: " in err
         assert not out.exists()
+
+
+def test_sample_refuses_a_plan_that_fails_the_audit(tmp_path, skewed_file, capsys):
+    # with the two increment laws swapped every draw succeeds, but the
+    # samples no longer have the member's law
+    plan_path = tmp_path / "plan.json"
+    main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+    doc = json.loads(plan_path.read_text())
+    doc["increment_laws"].reverse()
+    plan_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
+    assert "FAIL ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in capsys.readouterr().out
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--plan", str(plan_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "no samples drawn: ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in err
+    assert not out.exists()
+
+
+def test_sample_reports_a_sampler_failure_after_the_audit(tmp_path, skewed_file, capsys):
+    # the audit never reads the last residual law, since P(N > 2) = 0, but
+    # the sampler builds a table for every law and refuses a sub-probability
+    plan_path = tmp_path / "plan.json"
+    main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+    doc = json.loads(plan_path.read_text())
+    doc["residual_laws"][-1] = {"a": "1/4"}
+    plan_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--plan", str(plan_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "sampling failed after 0 draws: ValueError: can only sample probability laws" in err
+    assert not out.exists()
 
 
 def as_format_1(doc):

@@ -32,7 +32,11 @@ from windowcoupling import (
     window_marginal,
 )
 from windowcoupling import engine, measures
-from windowcoupling.engine import largest_feasible_windows, plan_exact_checks
+from windowcoupling.engine import (
+    InternalInvariantError,
+    largest_feasible_windows,
+    plan_exact_checks,
+)
 from windowcoupling.verify import random_process_spec
 
 
@@ -365,6 +369,20 @@ class TestSampling:
         first = [sample(plan, random.Random(9)) for _ in range(50)]
         second = [sample(plan, random.Random(9)) for _ in range(50)]
         assert first == second
+
+    def test_residual_on_a_prefix_without_a_row_raises(self):
+        # the member is a point mass on a, so component 1 has a kernel row
+        # at prefix a only; a residual law moved to b lands where none is
+        seq = binary_sequence([(1, 0)], (F(1, 2), F(1, 2)))
+        plan = build_plan(seq)
+        assert plan.schedule.windows == (1, 1)
+        assert set(plan.kernels[0]) == {(0,)}
+        moved = MassFunction(plan.residual_laws[0].space, {(1,): F(1)})
+        sampler = CouplingSampler(replace(plan, residual_laws=(moved, plan.residual_laws[1])))
+        rng = random.Random(0)
+        with pytest.raises(InternalInvariantError, match=r"no kernel row for prefix \(1,\) at index 1"):
+            for _ in range(100):
+                sampler.sample(rng)
 
     def test_sampler_is_kept_with_its_plan(self, two_member_sequence):
         plan = build_plan(two_member_sequence)

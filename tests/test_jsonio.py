@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from windowcoupling import (
     MetricSpaceModel,
@@ -14,6 +16,31 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio, streams
 from windowcoupling.engine import plan_exact_checks
+
+
+# rational-looking strings that are not in the canonical "[-]digits/digits"
+# form: whitespace, signs, underscores, decimals, exponents, spaced or
+# doubled slashes, signed denominators and non-ASCII digits
+MESSY_RATIONALS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\u00a0"]),
+        st.sampled_from(["", "-", "+", "--"]),
+        st.sampled_from(["", "0", "007", "12", "1_000", "1__0", "_1", "1.5", ".5", "1e3",
+                         "2E-2", "\u0663", "\uff11\uff12", "\u00b2", "nan"]),
+        st.sampled_from(["", "/", " / ", "/ ", "//"]),
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["", "0", "00", "4", "1_0", "3.0", "\u0664", "x"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+)
+
+# the canonical shape, with digits that are not all ASCII or not all
+# decimal (superscripts pass str.isdigit but not int)
+DIGIT_LIKE = st.text("0123456789_\u00b2\u0663\uff11", max_size=4)
+NEAR_CANONICAL = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "-"]), DIGIT_LIKE, st.sampled_from(["", "/"]), DIGIT_LIKE
+)
 
 
 class TestFractions:
@@ -31,6 +58,40 @@ class TestFractions:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             jsonio.parse_fraction("1/0")
+
+    @given(
+        text=st.one_of(
+            st.integers().map(str),
+            st.builds("{}/{}".format, st.integers(), st.integers(0, 10**40)),
+            MESSY_RATIONALS,
+            NEAR_CANONICAL,
+            st.text(max_size=12),
+        )
+    )
+    @example("1/0")
+    @example("-0/05")
+    @example("1 / 2")
+    @example("3/-4")
+    @example("+1/2")
+    @example("\u00b2/4")
+    @example("\u0663/\u0664")
+    def test_agrees_with_fraction(self, text):
+        """The split fast path and Fraction(text) accept, reject and report alike."""
+        try:
+            expected = F(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError) as info:
+                jsonio.parse_fraction(text)
+            assert str(info.value) == f"rational {text!r} has a zero denominator"
+            return
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                jsonio.parse_fraction(text)
+            assert str(info.value) == str(exc)
+            return
+        got = jsonio.parse_fraction(text)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
 class TestSequenceDocs:

@@ -105,6 +105,16 @@ class TestProductSpace:
         with pytest.raises(ValueError, match="outside the space"):
             pair_space.format_point(point)
 
+    def test_label_map_keeps_every_check(self, pair_space):
+        labels = [pair_space.format_point(z) for z in pair_space.points()]
+        assert labels == ["a,x", "a,y", "b,x", "b,y"]
+        assert pair_space.format_point((1, 0)) is labels[2]  # joined once
+        for point in [(1.0, 0), [0, 1], (2, 0), (0, -1), (0,), (0, 1, 0)]:
+            with pytest.raises(ValueError, match="outside the space"):
+                pair_space.format_point(point)
+        assert pair_space.format_point((True, False)) == "b,x"
+        assert pair_space.format_point((True, 0)) == "b,x"
+
     def test_parse_point_unknown_symbol(self, pair_space):
         with pytest.raises(KeyError) as info:
             pair_space.parse_point("a,z")

@@ -158,6 +158,13 @@ ENUMERABLE = {
 # first 200 sample records at seed 0, unchanged by the format-2 plan
 ENUMERABLE_SEED_0_SAMPLES = "9548c8b6abc8529bef1ca7a4aafaf29d61e72c0be805bb5a184c57e237e28c5c"
 ENUMERABLE_SEED_0_MC_REPORT = "6a491ca5a8504b87c047b6cb82765f5f4853a384bb79f991efcc7bc504dc75c3"
+# first 200 sample records at seed 0 of two plans whose windows widen
+# through intermediate values and whose draws reach N > 1, so residual
+# draws and cached kernel-row tables are exercised
+WIDENING_SAMPLES = {
+    133: ((0, 1, 1, 2), "75c99e1b8b1c77e05cdce3712e70830e46be5962d20becb8e5948e0b00aae569"),
+    193: ((2, 3, 3, 3), "3ed21a56c22007c1ee934e52eca55ba17aa1a891f5dcfc981b0c11f5f4cd4840"),
+}
 SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d8940"
 
 
@@ -183,6 +190,16 @@ def test_enumerable_sample_bytes():
     assert samples_sha256(plan) == ENUMERABLE_SEED_0_SAMPLES
     report = mc_agreement(plan, 200, seed=0)
     assert sha256(jsonio.report_to_doc(report)) == ENUMERABLE_SEED_0_MC_REPORT
+
+
+@pytest.mark.parametrize("seed", sorted(WIDENING_SAMPLES))
+def test_widening_sample_bytes(seed):
+    windows, samples_sha = WIDENING_SAMPLES[seed]
+    _, plan = random_enumerable_plan(random.Random(seed))
+    assert plan.schedule.windows == windows
+    sampler = CouplingSampler(plan)
+    assert max(sampler.sample(streams.stream(0, "sample", i)).index for i in range(200)) > 1
+    assert samples_sha256(plan) == samples_sha
 
 
 def skorohod_instance():

@@ -10,8 +10,10 @@ increment laws, or writes a "1/0" mass.  Then it runs ``verify`` and
   with exactly one ``error:`` line.  It may exit 0 only when the mutated
   plan still is a coupling of its sequence, which the brute-force joint
   law then confirms.
-- ``sample`` does not audit: it exits 0, or exits 1 or 2 with exactly
-  one ``error:`` line.
+- ``sample`` runs the same exact checks first.  It may exit 0 only when
+  they all pass.  A plan that fails one gives exit 1 with exactly one
+  ``error:`` line, naming the first failing check and its witness; a
+  plan that does not load gives exit 2 with exactly one ``error:`` line.
 
 No case may end in an exception.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from windowcoupling import exact_joint_law, jsonio
+from windowcoupling import audit_plan, exact_joint_law, jsonio
 from windowcoupling.cli import main
 from windowcoupling.verify import random_enumerable_plan
 
@@ -121,6 +123,15 @@ def is_coupling(doc: dict) -> bool:
     )
 
 
+def exact_failures(doc: dict):
+    """The plan's failing exact checks, as ``verify`` runs them; None if it does not load."""
+    try:
+        plan = jsonio.plan_from_doc(doc)
+    except (KeyError, ValueError):
+        return None
+    return [c for c in audit_plan(plan).exact_checks if not c.passed]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     base=st.sampled_from(BASE_DOCS),
@@ -149,3 +160,9 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
         assert code in (0, 1, 2)
         if code:
             assert error_lines(err) == 1, (code, err)
+        failed = exact_failures(doc)
+        if failed is None:
+            assert code == 2, (code, err)
+        elif failed:
+            assert code == 1, "sample drew from a plan that fails the exact audit"
+            assert f"{failed[0].name}: {failed[0].witness}" in err, err
