@@ -4,7 +4,8 @@ All randomness flows from the explicit ``--seed`` (default 0) through
 labeled substreams, so identical inputs and seed produce byte-identical
 artifacts.  Exit codes: 0 success, 1 verification failure (including a
 plan that ``sample`` refuses because it fails the exact audit, and one
-the sampler cannot draw from), 2 bad input.
+the sampler cannot draw from), 2 bad input or an output that cannot be
+written.
 """
 from __future__ import annotations
 
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonio, streams, verify
-from .engine import CouplingSampler, EnumerationCapError
 from .skorohod import build_skorohod_coupling
 from .version import __version__
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 1000
 DEFAULT_DEPTH = 2
-DEFAULT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class RunConfig:
     samples: int = DEFAULT_SAMPLES
     depth: int = DEFAULT_DEPTH
     backend: str | None = None
-    cap: int = DEFAULT_CAP
 
 
 class InputError(Exception):
@@ -58,8 +56,11 @@ def _load_json(path: Path) -> dict:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_build(config: RunConfig) -> int:
@@ -84,14 +85,7 @@ def _cmd_verify(config: RunConfig) -> int:
         plan = jsonio.plan_from_doc(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.plan}: {exc}") from exc
-    audit = verify.audit_plan(plan)
-    mc = verify.mc_agreement(plan, config.samples, config.seed)
-    report = verify.VerificationReport(
-        exact_checks=audit.exact_checks,
-        mc_checks=mc.mc_checks,
-        deficit_trace=audit.deficit_trace,
-        provenance={**audit.provenance, "seed": config.seed},
-    )
+    report = verify.certify(plan, config.samples, config.seed)
     if config.out is not None:
         _write_text(config.out, jsonio.canonical_dumps(jsonio.report_to_doc(report)))
     sys.stdout.write(report.to_text())
@@ -105,8 +99,8 @@ def _cmd_sample(config: RunConfig) -> int:
         plan = jsonio.plan_from_doc(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.plan}: {exc}") from exc
-    # the exact checks of ``verify``: samples of a plan that fails them do
-    # not have the coupling's law
+    # the seven identities that ``verify`` audits, which imply its marginal
+    # check: samples of a plan that fails them do not have the coupling's law
     failed = [c for c in verify.audit_plan(plan).exact_checks if not c.passed]
     if failed:
         first = failed[0]
@@ -119,7 +113,7 @@ def _cmd_sample(config: RunConfig) -> int:
         return 1
     lines = []
     try:
-        sampler = CouplingSampler(plan)
+        sampler = plan.sampler
         for i in range(config.samples):
             derived = streams.derive_seed(config.seed, "sample", i)
             draw = sampler.sample(random.Random(derived))
@@ -149,38 +143,9 @@ def _cmd_skorohod(config: RunConfig) -> int:
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.spec}: {exc}") from exc
     out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "tree.json", jsonio.canonical_dumps(jsonio.tree_to_doc(coupling.tree)))
     _write_text(out / "plan.json", jsonio.canonical_dumps(jsonio.plan_to_doc(coupling.plan)))
-
-    audit = verify.audit_skorohod(coupling)
-    mc = verify.mc_agreement(coupling, config.samples, config.seed)
-    mc_checks = list(mc.mc_checks)
-    try:
-        from .engine import exact_joint_law
-
-        joint = exact_joint_law(coupling.plan, config.cap)
-        witness = None
-        for n in range(1, coupling.plan.count + 1):
-            if joint.marginal_member(n) != coupling.digit_sequence.member(n):
-                witness = f"component {n} marginal differs"
-                break
-        if witness is None and joint.marginal_limit() != coupling.digit_sequence.limit:
-            witness = "limit marginal differs"
-        exact_checks = audit.exact_checks + (
-            verify.ExactCheck("joint-law-marginals", witness is None, witness),
-        )
-    except EnumerationCapError:
-        mc_checks.extend(
-            verify.marginal_3sigma_checks(coupling, config.samples, config.seed)
-        )
-        exact_checks = audit.exact_checks
-    report = verify.VerificationReport(
-        exact_checks=exact_checks,
-        mc_checks=tuple(mc_checks),
-        deficit_trace=audit.deficit_trace,
-        provenance={**audit.provenance, "seed": config.seed},
-    )
+    report = verify.certify(coupling, config.samples, config.seed)
     _write_text(out / "report.json", jsonio.canonical_dumps(jsonio.report_to_doc(report)))
     sys.stdout.write(report.to_text())
     return 0 if report.all_passed else 1
@@ -244,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sko.add_argument("--spec", type=Path, required=True, help="metric law sequence JSON")
     sko.add_argument("--out", type=Path, required=True, help="output directory")
-    sko.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    sko.add_argument("--depth", type=_at_least(1), default=DEFAULT_DEPTH)
     sko.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     sko.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sko.add_argument("--backend", choices=("table", "linf"), default=None)
-    sko.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP)
 
     rep = sub.add_parser("report", help="render an existing report to text")
     rep.add_argument("report", type=Path, help="report JSON")
@@ -278,7 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         samples=getattr(args, "samples", DEFAULT_SAMPLES),
         depth=getattr(args, "depth", DEFAULT_DEPTH),
         backend=getattr(args, "backend", None),
-        cap=getattr(args, "cap", DEFAULT_CAP),
     )
     for path in (config.spec, config.plan, config.report):
         if path is not None and not path.exists():

@@ -14,9 +14,10 @@ this module materializes the coupling in four stages:
    envelope increment laws (full-space components) and the residual
    window laws used while N has not been reached;
 4. an exact sampler, which extends each window prefix to a full point
-   by the member's conditional law given that prefix, and, for small
-   instances, brute-force enumeration of the whole joint law as an
-   independent oracle.
+   by the member's conditional law given that prefix; the exact law of
+   every component, factored through the kernel rows at any size; and,
+   for small instances, brute-force enumeration of the whole joint law
+   as an independent oracle.
 
 A plan stores only the mixture: the index law, the increment laws and
 the residual laws, besides the sequence and the schedule.  The rest is
@@ -655,6 +656,34 @@ def _tail_mixture_laws(plan: CouplingPlan) -> dict[int, MassFunction]:
                 acc[z] = acc.get(z, ZERO) + weight * v
         mixes[n] = MassFunction(plan.sequence.space, acc)
     return mixes
+
+
+def coupling_marginals(
+    plan: CouplingPlan,
+) -> tuple[tuple[MassFunction, ...], MassFunction]:
+    """The exact law of every component and of the limit point, unenumerated.
+
+    Given N and the limit point the components are independent, so
+    component n's law is envelope n pushed through kernel row n, plus
+    P(N > n) times its tail mixture law; the limit point's law is the
+    last envelope.  These are the marginals of ``exact_joint_law``.
+    """
+    envelopes = mixture_envelopes(plan)
+    tails = _tail_mixture_laws(plan)
+    members = []
+    for n, (k, rows, env) in enumerate(
+        zip(plan.schedule.windows, plan.kernels, envelopes), start=1
+    ):
+        acc: dict[Point, Fraction] = {}
+        for prefix, weight in window_marginal(env, k).mass.items():
+            for z, v in rows[prefix].law.mass.items():
+                acc[z] = acc.get(z, ZERO) + weight * v
+        if n in tails:
+            tail = plan.index_tail_probability(n)
+            for z, v in tails[n].mass.items():
+                acc[z] = acc.get(z, ZERO) + tail * v
+        members.append(MassFunction(plan.sequence.space, acc))
+    return tuple(members), envelopes[-1]
 
 
 def joint_support_size(plan: CouplingPlan) -> int:

@@ -1,12 +1,14 @@
 """Certification and reporting for plans, trees and samplers.
 
 Exact invariants are audited by rational arithmetic and either pass or
-fail with a pointwise witness.  Monte Carlo suites guard the sampler
-implementation only: agreement and distance guarantees hold surely by
-construction, so any violation is a bug, while empirical-versus-exact
-law comparisons use explicit 3-sigma style thresholds recorded in the
-report rather than hidden constants.  Reports are deterministic
-functions of (input, seed, version).
+fail with a pointwise witness; among them, ``joint_law_marginals``
+compares the coupling's exact marginals, factored through the kernel
+rows at any size, with the input laws.  Monte Carlo suites guard the
+sampler implementation only: agreement and distance guarantees hold
+surely by construction, so any violation is a bug, while the
+empirical-versus-exact law comparisons record their total-variation
+thresholds in the report rather than hiding constants.  Reports are
+deterministic functions of (input, seed, version).
 """
 from __future__ import annotations
 
@@ -19,10 +21,10 @@ from typing import NamedTuple
 from . import jsonio, streams
 from .engine import (
     CouplingPlan,
-    CouplingSampler,
     DeficitEntry,
     ExactCheck,
     build_plan,
+    coupling_marginals,
     deficit_entries,
     joint_support_size,
     plan_exact_checks,
@@ -201,7 +203,7 @@ def mc_agreement(
     point_counts: dict[tuple[int, ...], int] = {}
     i = 0
     try:
-        sampler = CouplingSampler(plan)
+        sampler = plan.sampler
         for i in range(samples):
             rng = streams.stream(seed, "sample", i)
             draw = sampler.sample(rng)
@@ -257,54 +259,54 @@ def mc_agreement(
     )
 
 
-def marginal_3sigma_checks(
-    coupling: SkorohodCoupling, samples: int, seed: int
-) -> list[McCheck]:
-    """Per-point binomial checks of the decoded marginals against the inputs.
+def joint_law_marginals(plan: CouplingPlan) -> ExactCheck:
+    """Whether every exact marginal of the coupling is its input law.
 
-    Fallback route for instances whose joint law exceeds the enumeration
-    cap; the +1 slack absorbs integer-count discreteness at tiny masses.
-    A sampler that cannot be built or fails to draw gives the single
-    failing check ``sampler-runs``, as in ``mc_agreement``.
+    The marginals come from ``coupling_marginals``, so no joint law is
+    enumerated and the check runs at any size.  A plan that breaks the
+    computation, such as a limit point on a prefix without a kernel row,
+    fails the check with the exception as its witness.
     """
-    counts: list[dict[int, int]] = [dict() for _ in range(coupling.plan.count + 1)]
-    i = 0
+    seq = plan.sequence
     try:
-        sampler = CouplingSampler(coupling.plan)
-        for i in range(samples):
-            rng = streams.stream(seed, "sample", i)
-            draw = decode_sample(coupling, sampler.sample(rng))
-            for n in range(1, coupling.plan.count + 1):
-                pt = draw.member_points[n - 1]
-                counts[n - 1][pt] = counts[n - 1].get(pt, 0) + 1
-            counts[-1][draw.point] = counts[-1].get(draw.point, 0) + 1
-    except Exception as exc:  # a corrupted plan can break sampling anywhere
-        return [_sampler_failure(samples, i, exc)]
-    checks: list[McCheck] = []
-    targets = [
-        coupling.laws.member(n) for n in range(1, coupling.plan.count + 1)
-    ] + [coupling.laws.limit]
-    names = [f"decoded-marginal-3sigma-member-{n}" for n in range(1, coupling.plan.count + 1)]
-    names.append("decoded-marginal-3sigma-limit")
-    for name, target, got in zip(names, targets, counts):
-        failures = 0
-        worst = 0.0
-        for idx in set(target.masses) | set(got):
-            p = float(target[idx])
-            slack = 3 * math.sqrt(samples * p * (1 - p)) + 1
-            dev = abs(got.get(idx, 0) - samples * p)
-            worst = max(worst, dev - slack)
-            if dev > slack:
-                failures += 1
-        checks.append(
-            McCheck(
-                name,
-                samples,
-                failures,
-                f"per-point |count - S*p| <= 3*sqrt(S*p*(1-p)) + 1; worst slack excess {worst:.2f}",
-            )
+        members, limit = coupling_marginals(plan)
+        witness = next(
+            (
+                f"component {n} marginal differs"
+                for n, law in enumerate(members, start=1)
+                if law != seq.member(n)
+            ),
+            None,
         )
-    return checks
+        if witness is None and limit != seq.limit:
+            witness = "limit marginal differs"
+    except Exception as exc:  # corrupted data may break the arithmetic
+        witness = f"check raised {type(exc).__name__}: {exc}"
+    return ExactCheck("joint-law-marginals", witness is None, witness)
+
+
+def certify(
+    target: CouplingPlan | SkorohodCoupling, samples: int, seed: int
+) -> VerificationReport:
+    """The report of ``verify`` and ``skorohod``.
+
+    The exact audit, then the exact marginal check, then the Monte Carlo
+    guard of ``mc_agreement``.
+    """
+    if isinstance(target, SkorohodCoupling):
+        audit = audit_skorohod(target)
+        plan = target.plan
+    else:
+        audit = audit_plan(target)
+        plan = target
+    marginals = joint_law_marginals(plan)
+    mc = mc_agreement(target, samples, seed)
+    return VerificationReport(
+        exact_checks=audit.exact_checks + (marginals,),
+        mc_checks=mc.mc_checks,
+        deficit_trace=audit.deficit_trace,
+        provenance={**audit.provenance, "seed": seed},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ Criteria (all exact unless stated):
   4. ladder monotonicity, floor domination, member-window domination and
      the 2**-(n-1) mass gap bound on every generated instance;
   5. zero distance-guarantee violations in 10^4 samples on 50 random
-     metric models, with decoded marginals exact by enumeration (3-sigma
-     statistics only where the enumeration cap forbids);
+     metric models, with decoded marginals exact on every model by the
+     factored marginal check, which enumerates no joint law;
   6. partition-tree validity on every built tree;
   7. byte-identical artifacts for identical seeds.
 
@@ -26,7 +26,6 @@ from windowcoupling import (
     build_skorohod_coupling,
     distance_violations,
     exact_joint_law,
-    joint_support_size,
     sample_coupled_points,
     tree_exact_checks,
     window_deficit,
@@ -34,9 +33,10 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio, streams
 from windowcoupling.cli import main
+from windowcoupling.engine import coupling_marginals
 from windowcoupling.skorohod import decode_sample
 from windowcoupling.verify import (
-    marginal_3sigma_checks,
+    joint_law_marginals,
     random_enumerable_plan,
     random_law_sequence,
     random_metric_model,
@@ -137,10 +137,8 @@ def test_ladder_properties(generated_plans):
 
 
 def test_skorohod_distance_guarantee(generated_couplings):
-    """Criterion 5: distance bound in every sample; decoded marginals match."""
+    """Criterion 5: distance bound in every sample; decoded marginals exact."""
     total = 0
-    enumerated = 0
-    statistical = 0
     for i, coupling in enumerate(generated_couplings):
         sampler = CouplingSampler(coupling.plan)
         rng = streams.stream(ROOT_SEED, "skorohod", i)
@@ -148,26 +146,22 @@ def test_skorohod_distance_guarantee(generated_couplings):
             draw = decode_sample(coupling, sampler.sample(rng))
             assert not distance_violations(coupling, draw), f"model {i}"
             total += 1
-        if joint_support_size(coupling.plan) <= JOINT_CAP:
-            joint = exact_joint_law(coupling.plan, cap=JOINT_CAP)
-            for n in range(1, coupling.plan.count + 1):
-                digit_marginal = joint.marginal_member(n)
-                decoded = {}
-                for z, v in digit_marginal.mass.items():
-                    idx = coupling.decode(z)
-                    decoded[idx] = decoded.get(idx, F(0)) + v
-                assert decoded == dict(
-                    coupling.laws.member(n).masses
-                ), f"model {i}, n={n}: decoded marginal"
-            enumerated += 1
-        else:
-            checks = marginal_3sigma_checks(coupling, SAMPLES_PER_PLAN, ROOT_SEED + i)
-            assert all(c.passed for c in checks), f"model {i}: 3-sigma marginals"
-            statistical += 1
+        check = joint_law_marginals(coupling.plan)
+        assert check.passed, f"model {i}: {check.witness}"
+        members, limit = coupling_marginals(coupling.plan)
+        targets = [coupling.laws.member(n) for n in range(1, coupling.plan.count + 1)]
+        for n, (digit_marginal, target) in enumerate(
+            zip(members + (limit,), targets + [coupling.laws.limit]), start=1
+        ):
+            decoded = {}
+            for z, v in digit_marginal.mass.items():
+                idx = coupling.decode(z)
+                decoded[idx] = decoded.get(idx, F(0)) + v
+            assert decoded == dict(target.masses), f"model {i}, law {n}: decoded marginal"
     print(
         f"\nACCEPTANCE PASS: distance guarantee in all {total} samples on"
-        f" {len(generated_couplings)} models; marginals exact on {enumerated},"
-        f" 3-sigma on {statistical}"
+        f" {len(generated_couplings)} models; decoded marginals exact on all"
+        f" {len(generated_couplings)}"
     )
 
 

@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from windowcoupling import jsonio, streams
 from windowcoupling.cli import main
-from windowcoupling.engine import CouplingSampler
+from windowcoupling.engine import CouplingSampler, joint_support_size
 
 
 @pytest.fixture
@@ -87,9 +88,13 @@ class TestVerify:
         assert code == 0
         text = capsys.readouterr().out
         assert "overall: PASS" in text
+        assert "  PASS joint-law-marginals\ndeficit trace:" in text
         doc = json.loads(report_path.read_text())
         assert doc["all_passed"] is True
         assert doc["provenance"]["seed"] == 1
+        assert doc["exact_checks"][-1] == {
+            "name": "joint-law-marginals", "passed": True, "witness": None
+        }
 
     def test_corrupted_plan_fails_naming_the_check(self, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"
@@ -469,6 +474,33 @@ class TestSkorohod:
         assert "joint-law-marginals" in exact_names
         assert "partition-disjoint-cover" in exact_names
 
+    def test_exact_marginals_above_the_enumeration_size(self, tmp_path, capsys):
+        # 60 points on the line, three full-support members, depth 3: the
+        # joint law has 2,166,875 points, so only the factored check runs
+        rng = random.Random(0)
+        labels = [f"x{i}" for i in range(60)]
+
+        def law():
+            weights = [rng.randint(1, 8) for _ in labels]
+            return {x: f"{w}/{sum(weights)}" for x, w in zip(labels, weights)}
+
+        doc = {
+            "model": {"points": labels, "coords": [[f"{i}/60"] for i in range(60)]},
+            "members": [law(), law(), law()],
+            "limit": law(),
+            "tail": {"eventually_equal": 3},
+        }
+        spec = tmp_path / "line60.json"
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "run"
+        argv = ["skorohod", "--spec", str(spec), "--depth", "3", "--samples", "50"]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        text = capsys.readouterr().out
+        assert "  PASS joint-law-marginals\n" in text
+        assert "3sigma" not in text
+        plan = jsonio.plan_from_doc(json.loads((out_dir / "plan.json").read_text()))
+        assert joint_support_size(plan) == 2_166_875
+
     def test_byte_identical_reruns(self, tmp_path, skorohod_file):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -517,7 +549,7 @@ class TestBadCounts:
             ["sample", "--plan", "{plan}", "--samples", "-3", "--out", "{out}"],
             ["sample", "--plan", "{plan}", "--samples", "three"],
             ["skorohod", "--spec", "{line}", "--out", "{out}", "--samples", "0"],
-            ["skorohod", "--spec", "{line}", "--out", "{out}", "--cap", "-1"],
+            ["skorohod", "--spec", "{line}", "--out", "{out}", "--depth", "0"],
         ],
     )
     def test_exit_2_with_one_error_line(
@@ -537,6 +569,36 @@ class TestBadCounts:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert not out.exists()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["build", "--spec", "{skewed}", "--out", "{file}/plan.json"],
+            ["verify", "--plan", "{plan}", "--samples", "20", "--out", "{file}/report.json"],
+            ["sample", "--plan", "{plan}", "--samples", "5", "--out", "{file}/samples.jsonl"],
+            ["skorohod", "--spec", "{line}", "--samples", "20", "--out", "{file}"],
+        ],
+    )
+    def test_exit_2_with_one_error_line(
+        self, tmp_path, skewed_file, skorohod_file, capsys, command
+    ):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        regular = tmp_path / "afile"
+        regular.write_text("")
+        capsys.readouterr()
+        argv = [
+            arg.format(skewed=skewed_file, plan=plan_path, line=skorohod_file, file=regular)
+            for arg in command
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
+        assert err.startswith(f"error: cannot write {regular}")
+        assert regular.read_text() == ""
 
 
 class TestReportCommand:

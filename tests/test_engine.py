@@ -32,12 +32,19 @@ from windowcoupling import (
     window_marginal,
 )
 from windowcoupling import engine, measures
+from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
     InternalInvariantError,
+    coupling_marginals,
     largest_feasible_windows,
     plan_exact_checks,
 )
-from windowcoupling.verify import random_process_spec
+from windowcoupling.verify import (
+    random_enumerable_plan,
+    random_law_sequence,
+    random_metric_model,
+    random_process_spec,
+)
 
 
 def binary_sequence(member_masses, limit_masses, count=None):
@@ -433,3 +440,28 @@ class TestJointLaw:
         for n in range(1, plan.count + 1):
             assert joint.marginal_member(n) == seq.member(n)
         assert joint.agreement_mass() == 1
+
+
+class TestCouplingMarginals:
+    """The factored marginals against the brute-force joint law."""
+
+    @staticmethod
+    def assert_matches_joint_law(plan):
+        joint = exact_joint_law(plan)
+        members, limit = coupling_marginals(plan)
+        assert limit == joint.marginal_limit()
+        assert members == tuple(joint.marginal_member(n) for n in range(1, plan.count + 1))
+
+    def test_random_enumerable_plans(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            _, plan = random_enumerable_plan(rng, cap=20_000)
+            self.assert_matches_joint_law(plan)
+
+    def test_random_metric_couplings(self):
+        rng = random.Random(8)
+        for i in range(20):
+            model = random_metric_model(rng, partial_support=i % 4 == 0)
+            laws = random_law_sequence(rng, model)
+            coupling = build_skorohod_coupling(model, laws, rng.choice((2, 3)))
+            self.assert_matches_joint_law(coupling.plan)

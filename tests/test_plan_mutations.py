@@ -9,11 +9,14 @@ increment laws, or writes a "1/0" mass.  Then it runs ``verify`` and
 - ``verify`` exits 1 with a FAIL line that names a witness, or exits 2
   with exactly one ``error:`` line.  It may exit 0 only when the mutated
   plan still is a coupling of its sequence, which the brute-force joint
-  law then confirms.
-- ``sample`` runs the same exact checks first.  It may exit 0 only when
-  they all pass.  A plan that fails one gives exit 1 with exactly one
-  ``error:`` line, naming the first failing check and its witness; a
-  plan that does not load gives exit 2 with exactly one ``error:`` line.
+  law then confirms.  Whenever the plan loads, the report holds the
+  factored ``joint-law-marginals`` check, which may pass only when the
+  brute-force marginals are the input laws.
+- ``sample`` first audits the seven identities of ``verify``, which imply
+  the marginal check.  It may exit 0 only when they all pass.  A plan
+  that fails one gives exit 1 with exactly one ``error:`` line, naming
+  the first failing check and its witness; a plan that does not load
+  gives exit 2 with exactly one ``error:`` line.
 
 No case may end in an exception.
 """
@@ -42,6 +45,7 @@ BASE_DOCS = [
 
 FACTORS = (F(0), F(1, 2), F(2), F(-1))
 FAIL_LINE = re.compile(r"^  FAIL [\w-]+: \S", re.MULTILINE)
+MARGINALS_LINE = re.compile(r"^  (PASS|FAIL) joint-law-marginals", re.MULTILINE)
 
 
 def mass_locations(doc: dict) -> list[tuple[dict, str]]:
@@ -109,15 +113,23 @@ def error_lines(err: str) -> int:
     return len([line for line in err.splitlines() if "error:" in line])
 
 
-def is_coupling(doc: dict) -> bool:
+def has_input_marginals(doc: dict) -> bool:
     """Whether the plan's exact joint law has every input law as its marginal."""
     plan = jsonio.plan_from_doc(doc)
     joint = exact_joint_law(plan)
     seq = plan.sequence
+    return joint.marginal_limit() == seq.limit and all(
+        joint.marginal_member(n) == seq.member(n) for n in range(1, plan.count + 1)
+    )
+
+
+def is_coupling(doc: dict) -> bool:
+    """Whether the plan's exact joint law is a coupling of its sequence."""
+    plan = jsonio.plan_from_doc(doc)
+    joint = exact_joint_law(plan)
     return (
         joint.total_mass == 1
-        and joint.marginal_limit() == seq.limit
-        and all(joint.marginal_member(n) == seq.member(n) for n in range(1, plan.count + 1))
+        and has_input_marginals(doc)
         and joint.index_marginal() == plan.index_law
         and joint.agreement_mass() == 1
     )
@@ -154,6 +166,11 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
             assert "overall: FAIL" in out
         else:
             assert code == 2 and error_lines(err) == 1, (code, err)
+        if code in (0, 1):
+            verdict = MARGINALS_LINE.search(out)
+            assert verdict, out
+            if verdict.group(1) == "PASS":
+                assert has_input_marginals(doc), "factored marginals disagree with the joint law"
 
         code, out, err = run_cli(["sample", "--plan", str(plan), "--samples", "5"])
         assert "Traceback" not in err

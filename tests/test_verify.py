@@ -6,6 +6,8 @@ import pytest
 
 from windowcoupling import (
     MassFunction,
+    ProcessSequenceSpec,
+    TailRule,
     audit_plan,
     audit_skorohod,
     build_plan,
@@ -14,7 +16,8 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio
 from windowcoupling.verify import (
-    marginal_3sigma_checks,
+    certify,
+    joint_law_marginals,
     random_enumerable_plan,
     random_law_sequence,
     random_metric_model,
@@ -96,11 +99,6 @@ class TestMcAgreement:
             jsonio.canonical_dumps(jsonio.report_to_doc(second))
         )
 
-    def test_marginal_3sigma_checks_pass(self, line_model, line_laws):
-        coupling = build_skorohod_coupling(line_model, line_laws, 2)
-        checks = marginal_3sigma_checks(coupling, 2000, seed=8)
-        assert checks and all(c.passed for c in checks)
-
     def test_unsampleable_plan_gives_one_failing_check(self, line_model, line_laws):
         coupling = build_skorohod_coupling(line_model, line_laws, 2)
         plan = coupling.plan
@@ -109,10 +107,53 @@ class TestMcAgreement:
         for checks in (
             mc_agreement(broken, 30, seed=1).mc_checks,
             mc_agreement(broken.plan, 30, seed=1).mc_checks,
-            marginal_3sigma_checks(broken, 30, seed=1),
         ):
             assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
             assert "ValueError: can only sample probability laws" in checks[0].note
+
+
+class TestJointLawMarginals:
+    def test_line_coupling_passes(self, line_model, line_laws):
+        coupling = build_skorohod_coupling(line_model, line_laws, 2)
+        assert joint_law_marginals(coupling.plan) == ("joint-law-marginals", True, None)
+
+    def test_swapped_increments_fail_with_witness(self, skewed_sequence):
+        plan = build_plan(skewed_sequence)
+        swapped = replace(plan, increment_laws=plan.increment_laws[::-1])
+        check = joint_law_marginals(swapped)
+        assert not check.passed
+        assert check.witness == "component 1 marginal differs"
+
+    def test_prefix_without_kernel_row_fails_with_witness(self, binary_space):
+        # member 1 puts no mass on "b", so component 1 has no row at (1,)
+        member = MassFunction(binary_space, {(0,): F(1)})
+        limit = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+        plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
+        on_b = MassFunction.point_mass(binary_space, (1,))
+        bad = replace(plan, increment_laws=(on_b,) + plan.increment_laws[1:])
+        check = joint_law_marginals(bad)
+        assert not check.passed
+        assert check.witness == "check raised KeyError: (1,)"
+
+    def test_report_runs_the_check_after_the_audit(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        report = certify(plan, 50, seed=1)
+        audit = audit_plan(plan)
+        assert report.exact_checks == audit.exact_checks + (joint_law_marginals(plan),)
+        assert report.exact_checks[-1].name == "joint-law-marginals"
+        assert report.mc_checks == mc_agreement(plan, 50, seed=1).mc_checks
+        assert report.provenance["seed"] == 1
+        assert report.all_passed
+
+    def test_skorohod_report_ends_its_exact_checks_with_the_check(
+        self, line_model, line_laws
+    ):
+        coupling = build_skorohod_coupling(line_model, line_laws, 2)
+        report = certify(coupling, 50, seed=1)
+        assert report.exact_checks == audit_skorohod(coupling).exact_checks + (
+            joint_law_marginals(coupling.plan),
+        )
+        assert report.all_passed
 
 
 class TestAuditSkorohod:
