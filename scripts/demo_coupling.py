@@ -33,8 +33,8 @@ def main() -> None:
     args = parser.parse_args()
 
     space = ProductSpace((Alphabet(("a", "b")),))
-    member = MassFunction(space, {(0,): F(1, 4), (1,): F(3, 4)})
-    limit = MassFunction(space, {(0,): F(1, 2), (1,): F(1, 2)})
+    member = MassFunction.from_masses(space, {(0,): F(1, 4), (1,): F(3, 4)})
+    limit = MassFunction.from_masses(space, {(0,): F(1, 2), (1,): F(1, 2)})
     seq = ProcessSequenceSpec(space, (member,), limit, TailRule(1))
 
     plan = build_plan(seq)

@@ -42,11 +42,15 @@ index M + 1 on only the limit law remains), so no convergence scan
 runs.
 
 ``window_infimum``, ``window_deficit`` and ``extended_floor`` compute
-the same quantities directly from the sequence; they are the reference
-the table is tested against.
+the same quantities directly from the sequence, one ``Fraction`` at a
+time; they are the reference the table and the ladder are tested
+against.
 
-Every quantity is an exact rational; plan construction verifies the
-paper's identities and refuses to return an inconsistent plan.
+Every quantity is an exact rational.  Laws are integer weights over one
+denominator each (see ``measures``), so the ladder, the mixture and the
+checks add, scale and cross-multiply integers; plan construction
+verifies the paper's identities and refuses to return an inconsistent
+plan.
 """
 from __future__ import annotations
 
@@ -135,7 +139,7 @@ class MeasureLadder:
     def envelope(self, n: int) -> MassFunction:
         """The n-th envelope; n = 0 gives the zero measure."""
         if n == 0:
-            return MassFunction(self.envelopes[0].space, {})
+            return MassFunction(self.envelopes[0].space, 1, {})
         return self.envelopes[n - 1]
 
 
@@ -163,9 +167,11 @@ class CouplingPlan:
     N > n.  These are all a plan stores besides the sequence and the
     schedule.  The derived data is built on first use and kept with the
     plan: ``kernels[n-1]`` maps each k_n-prefix of positive mass under
-    member n to its extension row, and has no other keys; ``ladder``
-    holds the floors and the envelopes; ``sampler`` is the plan's exact
-    sampler.
+    member n to its extension row, and has no other keys; ``envelopes``
+    are the partial sums of the mixture; ``ladder`` holds the floors and
+    the envelopes; ``sampler`` is the plan's exact sampler;
+    ``spec_sha256`` is the hash of the sequence's document that reports
+    record.
     """
 
     sequence: ProcessSequenceSpec
@@ -188,10 +194,15 @@ class CouplingPlan:
         )
 
     @cached_property
+    def envelopes(self) -> tuple[MassFunction, ...]:
+        """Envelope n as the partial sum of P(N = m) * increment_m over m <= n."""
+        return mixture_envelopes(self)
+
+    @cached_property
     def ladder(self) -> MeasureLadder:
         """Floors from the sequence's window infima, envelopes from the mixture."""
         floors = extended_floors(self.sequence, self.schedule, WindowTable(self.sequence))
-        return MeasureLadder(floors, mixture_envelopes(self))
+        return MeasureLadder(floors, self.envelopes)
 
     @property
     def count(self) -> int:
@@ -203,13 +214,20 @@ class CouplingPlan:
 
     def index_tail_probability(self, n: int) -> Fraction:
         """P(N > n)."""
-        return ONE - sum(
-            (self.index_probability(m) for m in range(1, n + 1)), ZERO
-        )
+        law = self.index_law
+        reached = sum(w for (m,), w in law.weights.items() if m < n)
+        return Fraction(law.denominator - reached, law.denominator)
 
     @cached_property
     def sampler(self) -> "CouplingSampler":
         return CouplingSampler(self)
+
+    @cached_property
+    def spec_sha256(self) -> str:
+        """SHA-256 of the sequence's canonical document, computed once per plan."""
+        from . import jsonio  # jsonio imports this module
+
+        return jsonio.document_sha256(jsonio.sequence_to_doc(self.sequence))
 
 
 @dataclass(frozen=True)
@@ -288,16 +306,18 @@ def extend_window_law(window_law: MassFunction, full_law: MassFunction) -> MassF
     split proportionally to full_law's conditional suffix masses.  Its
     window marginal reproduces the input exactly, so total mass is
     preserved.  Requires the window law's support to be dominated by
-    full_law's window marginal.
+    full_law's window marginal.  It computes one ``Fraction`` at a time
+    and is the reference the ladder's floors are tested against.
     """
     k = window_law.space.width
-    full_prefix = window_marginal(full_law, k)
+    full_prefix = window_marginal(full_law, k).mass
+    window_mass = window_law.mass
     out: dict[Point, Fraction] = {}
     for z, value in full_law.mass.items():
-        prefix_mass = window_law.mass.get(z[:k], ZERO)
+        prefix_mass = window_mass.get(z[:k], ZERO)
         if prefix_mass > 0:
             out[z] = prefix_mass * value / full_prefix[z[:k]]
-    extended = MassFunction(full_law.space, out)
+    extended = MassFunction.from_masses(full_law.space, out)
     if extended.total_mass != window_law.total_mass:
         # only possible if some window mass sits on a zero-mass prefix
         raise InternalInvariantError(
@@ -315,13 +335,53 @@ def extended_floor(
     )
 
 
+# A ratio is a (numerator, denominator) pair of ints with a positive
+# denominator; ratios are compared by cross-multiplication.
+Ratio = tuple[int, int]
+
+
+def _floor_ratios(
+    seq: ProcessSequenceSpec, schedule: WindowSchedule, table: WindowTable
+) -> list[dict[Point, Ratio]]:
+    """Per index n, the ratio inf_n|k(p) / L|k(p) at each prefix p of the limit's window.
+
+    k is the scheduled window k_n and L the limit law.  Floor n is the
+    limit law times this ratio at each point's prefix; the infimum sits
+    below the limit's marginal, so every prefix it charges is a key.
+    """
+    ratios = []
+    limit_index = seq.horizon + 1
+    for n, k in enumerate(schedule.windows, start=1):
+        infimum = table.infimum(n, k)
+        marginal = table.marginal(limit_index, k)
+        low = infimum.weights
+        ratios.append(
+            {
+                prefix: (low.get(prefix, 0) * marginal.denominator, infimum.denominator * w)
+                for prefix, w in marginal.weights.items()
+            }
+        )
+    return ratios
+
+
+def _limit_times(limit: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
+    """The measure L(z) * ratios[z|k], over one common denominator."""
+    common = math.lcm(*{den for _, den in ratios.values()})
+    factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
+    return MassFunction(
+        limit.space,
+        limit.denominator * common,
+        {z: w * factors[z[:k]] for z, w in limit.weights.items()},
+    )
+
+
 def extended_floors(
     seq: ProcessSequenceSpec, schedule: WindowSchedule, table: WindowTable
 ) -> tuple[MassFunction, ...]:
-    """Every scheduled window infimum, extended to the full space."""
+    """Every scheduled window infimum, extended to the full space along the limit law."""
     return tuple(
-        extend_window_law(table.infimum(n, schedule.window(n)), seq.limit)
-        for n in range(1, seq.horizon + 2)
+        _limit_times(seq.limit, k, ratios)
+        for k, ratios in zip(schedule.windows, _floor_ratios(seq, schedule, table))
     )
 
 
@@ -330,34 +390,77 @@ def build_ladder(
     schedule: WindowSchedule,
     table: WindowTable | None = None,
 ) -> MeasureLadder:
+    """The floors and, from the running minima of their densities, the envelopes.
+
+    The density of floor n against the limit law is its prefix ratio,
+    so envelope n is the limit law times the minimum over i >= n of the
+    ratios at the point's k_i-prefix.
+    """
     if table is None:
         table = WindowTable(seq)
-    floors = extended_floors(seq, schedule, table)
+    ratios = _floor_ratios(seq, schedule, table)
     limit = seq.limit
-    ratios = [{z: law[z] / q for z, q in limit.mass.items()} for law in floors]
+    floors = tuple(_limit_times(limit, k, r) for k, r in zip(schedule.windows, ratios))
     # running minimum of the floor densities, from the last index down
-    running = ratios[-1]
+    full = seq.space.width
+    last = schedule.windows[-1]
+    running = {z: ratios[-1][z[:last]] for z in limit.weights}
     envelopes = []
-    for ratio in reversed(ratios):
-        running = {z: min(r, running[z]) for z, r in ratio.items()}
-        envelopes.append(
-            MassFunction(seq.space, {z: q * running[z] for z, q in limit.mass.items()})
-        )
+    for k, ratio in zip(reversed(schedule.windows), reversed(ratios)):
+        for z, (low, den) in running.items():
+            num, other = ratio[z[:k]]
+            if num * den < low * other:
+                running[z] = (num, other)
+        envelopes.append(_limit_times(limit, full, running))
     envelopes.reverse()
     return MeasureLadder(floors, tuple(envelopes))
 
 
+def _weighted_sum(terms: list[tuple[int, int, MassFunction]]) -> tuple[int, dict[Point, int]]:
+    """The sum of (a / b) * law over the terms, as a denominator and weights.
+
+    The weights are not validated or reduced: the checks compare them
+    with a law, and a law is built from them only where the sum must be
+    a sub-probability.
+    """
+    terms = [(a, b * law.denominator, law) for a, b, law in terms if a]
+    common = math.lcm(*(den for _, den, _ in terms))
+    acc: dict[Point, int] = {}
+    for a, den, law in terms:
+        factor = a * (common // den)
+        for z, w in law.weights.items():
+            acc[z] = acc.get(z, 0) + factor * w
+    return common, acc
+
+
 def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
     """Envelope n as the partial sum of P(N = m) * increment_m over m <= n."""
-    acc: dict[Point, Fraction] = {}
+    index = plan.index_law
+    steps = [
+        (index.weights.get((n - 1,), 0), plan.increment_laws[n - 1])
+        for n in range(1, plan.count + 1)
+    ]
+    scale = math.lcm(*(law.denominator for prob, law in steps if prob))
+    acc: dict[Point, int] = {}
     envelopes = []
-    for n in range(1, plan.count + 1):
-        prob = plan.index_probability(n)
-        if prob > 0:
-            for z, v in plan.increment_laws[n - 1].mass.items():
-                acc[z] = acc.get(z, ZERO) + prob * v
-        envelopes.append(MassFunction(plan.sequence.space, acc))
+    for prob, law in steps:
+        if prob:
+            factor = prob * (scale // law.denominator)
+            for z, w in law.weights.items():
+                acc[z] = acc.get(z, 0) + factor * w
+        envelopes.append(MassFunction(plan.sequence.space, index.denominator * scale, acc))
     return tuple(envelopes)
+
+
+def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction | None:
+    """(upper - lower) / its total mass, on upper's support; None when that mass is 0."""
+    common = math.lcm(upper.denominator, lower.denominator)
+    upper_scale = common // upper.denominator
+    lower_scale = common // lower.denominator
+    low = lower.weights
+    excess = {z: w * upper_scale - low.get(z, 0) * lower_scale for z, w in upper.weights.items()}
+    total = sum(excess.values())
+    return MassFunction(upper.space, total, excess) if total else None
 
 
 def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
@@ -376,47 +479,30 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
     index_space = ProductSpace(
         (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
     )
-    cumulative = [env.total_mass for env in ladder.envelopes]
-    index_mass: dict[Point, Fraction] = {}
-    previous = ZERO
-    for n in range(1, count + 1):
-        index_mass[(n - 1,)] = cumulative[n - 1] - previous
-        previous = cumulative[n - 1]
-    index_law = MassFunction(index_space, index_mass)
+    # P(N <= n) is the mass of envelope n; all over one common denominator
+    common = math.lcm(*(env.denominator for env in ladder.envelopes))
+    cumulative = [
+        sum(env.weights.values()) * (common // env.denominator) for env in ladder.envelopes
+    ]
+    index_law = MassFunction(
+        index_space,
+        common,
+        {(n,): c - prev for n, (prev, c) in enumerate(itertools.pairwise([0, *cumulative]))},
+    )
 
+    # increment n is envelope n minus envelope n - 1, normalized by P(N = n);
+    # residual n is member n's window law minus envelope n's, normalized by
+    # P(N > n): each difference has exactly that mass
     increments: list[MassFunction] = []
     residuals: list[MassFunction] = []
     for n in range(1, count + 1):
-        prob = index_law[(n - 1,)]
         env = ladder.envelope(n)
-        prev = ladder.envelope(n - 1)
-        if prob > 0:
-            increments.append(
-                MassFunction(
-                    seq.space,
-                    {z: (v - prev[z]) / prob for z, v in env.mass.items()},
-                )
-            )
-        else:
-            # never sampled; the limit law is the canonical filler
-            increments.append(limit)
-
+        # never sampled when P(N = n) = 0; the limit law is the canonical filler
+        increments.append(_normalized_excess(env, ladder.envelope(n - 1)) or limit)
         k = schedule.window(n)
         member_window = table.marginal(n, k)
-        tail_prob = ONE - cumulative[n - 1]
-        env_window = window_marginal(env, k)
-        if tail_prob > 0:
-            residuals.append(
-                MassFunction(
-                    member_window.space,
-                    {
-                        z: (v - env_window[z]) / tail_prob
-                        for z, v in member_window.mass.items()
-                    },
-                )
-            )
-        else:
-            residuals.append(member_window)
+        residual = _normalized_excess(member_window, window_marginal(env, k))
+        residuals.append(residual or member_window)
 
     plan = CouplingPlan(
         sequence=seq,
@@ -458,7 +544,7 @@ def plan_exact_checks(
 
     Used both by plan construction (which refuses to return a failing
     plan) and by the audit report.  The envelopes are the partial sums
-    of the stored mixture (``mixture_envelopes``), so the ladder's
+    of the stored mixture (``CouplingPlan.envelopes``), so the ladder's
     monotonicity, the index law's masses and the increment
     normalization hold by definition and are not checked; residual
     normalization and member-window domination follow from the window
@@ -466,7 +552,8 @@ def plan_exact_checks(
     isolation: an exception raised while checking a corrupted plan is
     reported as a failure of that check rather than aborting the audit.
     ``table`` is the window table of ``plan.sequence``; without one, it
-    is built here.
+    is built here.  Masses are compared by cross-multiplying integer
+    weights.
     """
     seq = plan.sequence
     if table is None:
@@ -475,12 +562,6 @@ def plan_exact_checks(
     full = seq.space.width
     limit = seq.limit
     checks: list[ExactCheck] = []
-    envelopes: list[MassFunction] = []
-
-    def envelope_laws() -> list[MassFunction]:
-        if not envelopes:
-            envelopes.extend(mixture_envelopes(plan))
-        return envelopes
 
     def run(name: str, fn) -> None:
         try:
@@ -489,9 +570,11 @@ def plan_exact_checks(
             witness = f"check raised {type(exc).__name__}: {exc}"
         checks.append(ExactCheck(name, witness is None, witness))
 
-    def mismatch(acc: Mapping[Point, Fraction], law: MassFunction) -> Point | None:
-        for z in set(acc) | set(law.mass):
-            if acc.get(z, ZERO) != law[z]:
+    def mismatch(denominator: int, acc: Mapping[Point, int], law: MassFunction) -> Point | None:
+        """A point where acc / denominator and law differ."""
+        weights = law.weights
+        for z in set(acc) | set(weights):
+            if acc.get(z, 0) * law.denominator != weights.get(z, 0) * denominator:
                 return z
         return None
 
@@ -514,18 +597,24 @@ def plan_exact_checks(
 
     def ladder_below_floor() -> str | None:
         # E_n(z) <= floor_n(z) = inf_n|k(z|k) * L(z) / L|k(z|k), cross-multiplied
-        for n, env in enumerate(envelope_laws(), start=1):
+        limit_weights = limit.weights
+        for n, env in enumerate(plan.envelopes, start=1):
             k = schedule.window(n)
             infimum = table.infimum(n, k)
             limit_window = table.marginal(plan.count, k)
-            for z, v in env.mass.items():
+            low, window = infimum.weights, limit_window.weights
+            left = infimum.denominator * limit.denominator
+            right = env.denominator * limit_window.denominator
+            for z, v in env.weights.items():
                 prefix = z[:k]
-                if v * limit_window[prefix] > infimum[prefix] * limit[z]:
+                if v * window.get(prefix, 0) * left > (
+                    low.get(prefix, 0) * limit_weights.get(z, 0) * right
+                ):
                     return f"envelope {n} exceeds floor {n} at {z}"
         return None
 
     def ladder_mass_bound() -> str | None:
-        for n, env in enumerate(envelope_laws(), start=1):
+        for n, env in enumerate(plan.envelopes, start=1):
             gap = ONE - env.total_mass
             bound = Fraction(1, 2 ** (n - 1))
             if gap > bound:
@@ -533,21 +622,22 @@ def plan_exact_checks(
         return None
 
     def mixture_reconstructs_limit() -> str | None:
-        bad = mismatch(envelope_laws()[-1].mass, limit)
+        last = plan.envelopes[-1]
+        bad = mismatch(last.denominator, last.weights, limit)
         if bad is not None:
             return f"weighted increment laws differ from the limit law at {bad}"
         return None
 
     def window_mixture_reconstructs_members() -> str | None:
-        tail = ONE
-        for n, env in enumerate(envelope_laws(), start=1):
+        index = plan.index_law
+        tail = index.denominator  # P(N > n) over the index law's denominator
+        for n, env in enumerate(plan.envelopes, start=1):
             k = schedule.window(n)
-            tail -= plan.index_probability(n)
-            acc = dict(window_marginal(env, k).mass)
+            tail -= index.weights.get((n - 1,), 0)
+            terms = [(1, 1, window_marginal(env, k))]
             if tail > 0:
-                for z, v in plan.residual_laws[n - 1].mass.items():
-                    acc[z] = acc.get(z, ZERO) + tail * v
-            bad = mismatch(acc, table.marginal(n, k))
+                terms.append((tail, index.denominator, plan.residual_laws[n - 1]))
+            bad = mismatch(*_weighted_sum(terms), table.marginal(n, k))
             if bad is not None:
                 return f"n={n}: window mixture misses the member law at {bad}"
         return None
@@ -565,9 +655,10 @@ def plan_exact_checks(
 class CategoricalTable:
     """Exact categorical sampler over a probability mass function.
 
-    Masses are rescaled to integer weights over their common denominator
-    so a single ``randrange`` draw is distributed exactly; points are
-    kept in sorted order to make the draw sequence reproducible.
+    The law's integer weights, which sum to its denominator, make a
+    single ``randrange`` draw over the denominator distributed exactly;
+    points are kept in sorted order to make the draw sequence
+    reproducible.
     """
 
     __slots__ = ("points", "cumulative", "total")
@@ -575,18 +666,10 @@ class CategoricalTable:
     def __init__(self, law: MassFunction) -> None:
         if not law.is_probability:
             raise ValueError("can only sample probability laws")
-        self.points = sorted(law.mass)
-        denom = math.lcm(*(law.mass[z].denominator for z in self.points))
-        running = 0
-        cumulative: list[int] = []
-        for z in self.points:
-            frac = law.mass[z]
-            running += frac.numerator * (denom // frac.denominator)
-            cumulative.append(running)
-        if running != denom:
-            raise ValueError("weights do not sum to the common denominator")
-        self.cumulative = cumulative
-        self.total = denom
+        weights = law.weights
+        self.points = sorted(weights)
+        self.cumulative = list(itertools.accumulate([weights[z] for z in self.points]))
+        self.total = law.denominator
 
     def draw(self, rng: Random) -> Point:
         r = rng.randrange(self.total)
@@ -649,13 +732,17 @@ def _tail_mixture_laws(plan: CouplingPlan) -> dict[int, MassFunction]:
     for n in range(1, plan.count + 1):
         if plan.index_tail_probability(n) == 0:
             continue
-        acc: dict[Point, Fraction] = {}
-        rows = plan.kernels[n - 1]
-        for prefix, weight in plan.residual_laws[n - 1].mass.items():
-            for z, v in rows[prefix].law.mass.items():
-                acc[z] = acc.get(z, ZERO) + weight * v
-        mixes[n] = MassFunction(plan.sequence.space, acc)
+        terms = _through_rows(plan.residual_laws[n - 1], plan.kernels[n - 1])
+        mixes[n] = MassFunction(plan.sequence.space, *_weighted_sum(terms))
     return mixes
+
+
+def _through_rows(
+    window_law: MassFunction, rows: Mapping[Point, KernelRow]
+) -> list[tuple[int, int, MassFunction]]:
+    """A window law pushed through kernel rows, as ``_weighted_sum`` terms."""
+    den = window_law.denominator
+    return [(w, den, rows[prefix].law) for prefix, w in window_law.weights.items()]
 
 
 def coupling_marginals(
@@ -668,21 +755,17 @@ def coupling_marginals(
     P(N > n) times its tail mixture law; the limit point's law is the
     last envelope.  These are the marginals of ``exact_joint_law``.
     """
-    envelopes = mixture_envelopes(plan)
+    envelopes = plan.envelopes
     tails = _tail_mixture_laws(plan)
     members = []
     for n, (k, rows, env) in enumerate(
         zip(plan.schedule.windows, plan.kernels, envelopes), start=1
     ):
-        acc: dict[Point, Fraction] = {}
-        for prefix, weight in window_marginal(env, k).mass.items():
-            for z, v in rows[prefix].law.mass.items():
-                acc[z] = acc.get(z, ZERO) + weight * v
+        terms = _through_rows(window_marginal(env, k), rows)
         if n in tails:
             tail = plan.index_tail_probability(n)
-            for z, v in tails[n].mass.items():
-                acc[z] = acc.get(z, ZERO) + tail * v
-        members.append(MassFunction(plan.sequence.space, acc))
+            terms.append((tail.numerator, tail.denominator, tails[n]))
+        members.append(MassFunction(plan.sequence.space, *_weighted_sum(terms)))
     return tuple(members), envelopes[-1]
 
 
@@ -694,13 +777,13 @@ def joint_support_size(plan: CouplingPlan) -> int:
     for m in range(1, plan.count + 1):
         if plan.index_probability(m) == 0:
             continue
-        for z in plan.increment_laws[m - 1].mass:
+        for z in plan.increment_laws[m - 1].weights:
             combos = 1
             for n in range(1, plan.count + 1):
                 if n >= m:
-                    combos *= len(plan.kernels[n - 1][z[: windows[n - 1]]].law.mass)
+                    combos *= len(plan.kernels[n - 1][z[: windows[n - 1]]].law.weights)
                 else:
-                    combos *= len(mixes[n].mass)
+                    combos *= len(mixes[n].weights)
             total += combos
     return total
 
@@ -725,19 +808,19 @@ class JointLaw:
         acc: dict[Point, Fraction] = {}
         for (m, _, _), v in self.mass.items():
             acc[(m - 1,)] = acc.get((m - 1,), ZERO) + v
-        return MassFunction(self.plan.index_law.space, acc)
+        return MassFunction.from_masses(self.plan.index_law.space, acc)
 
     def marginal_limit(self) -> MassFunction:
         acc: dict[Point, Fraction] = {}
         for (_, z, _), v in self.mass.items():
             acc[z] = acc.get(z, ZERO) + v
-        return MassFunction(self.plan.sequence.space, acc)
+        return MassFunction.from_masses(self.plan.sequence.space, acc)
 
     def marginal_member(self, n: int) -> MassFunction:
         acc: dict[Point, Fraction] = {}
         for (_, _, pts), v in self.mass.items():
             acc[pts[n - 1]] = acc.get(pts[n - 1], ZERO) + v
-        return MassFunction(self.plan.sequence.space, acc)
+        return MassFunction.from_masses(self.plan.sequence.space, acc)
 
     def agreement_mass(self) -> Fraction:
         windows = self.plan.schedule.windows
@@ -771,17 +854,21 @@ def exact_joint_law(plan: CouplingPlan, cap: int = 1_000_000) -> JointLaw:
         prob = plan.index_probability(m)
         if prob == 0:
             continue
-        for z, vz in plan.increment_laws[m - 1].mass.items():
-            base = prob * vz
+        increment = plan.increment_laws[m - 1]
+        for z, vz in increment.weights.items():
             component_laws = [
                 plan.kernels[n - 1][z[: windows[n - 1]]].law if n >= m else mixes[n]
                 for n in range(1, plan.count + 1)
             ]
+            base = prob.numerator * vz
+            denominator = prob.denominator * increment.denominator
+            for law in component_laws:
+                denominator *= law.denominator
             for combo in itertools.product(
-                *(law.mass.items() for law in component_laws)
+                *(law.weights.items() for law in component_laws)
             ):
                 weight = base
                 for _, w in combo:
                     weight *= w
-                entries[(m, z, tuple(pt for pt, _ in combo))] = weight
+                entries[(m, z, tuple(pt for pt, _ in combo))] = Fraction(weight, denominator)
     return JointLaw(plan, entries)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Iterator
@@ -43,27 +44,35 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(text: Any) -> Fraction:
+def parse_ratio(text: Any) -> tuple[int, int]:
     """A rational from an int or a string that ``Fraction`` accepts.
 
-    Canonical ASCII ``[-]digits/digits`` and ``[-]digits``, the forms the
-    package writes, are split into two ints; every other string goes
-    through ``Fraction``'s own parser, which is several times slower.
+    Returns the numerator and the positive denominator, not necessarily
+    reduced.  Canonical ASCII ``[-]digits/digits`` and ``[-]digits``,
+    the forms the package writes, are split into two ints; every other
+    string goes through ``Fraction``'s own parser, which is several times
+    slower.
     """
     if isinstance(text, int):
-        return Fraction(text)
+        return int(text), 1
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
             denominator = int(den) if slash else 1
             if denominator:
-                return Fraction(int(num), denominator)
+                return int(num), denominator
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"rational {text!r} has a zero denominator") from None
+        return value.numerator, value.denominator
     raise ValueError(f"expected a rational string, got {text!r}")
+
+
+def parse_fraction(text: Any) -> Fraction:
+    """``parse_ratio`` as a ``Fraction``."""
+    return Fraction(*parse_ratio(text))
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -87,16 +96,22 @@ def document_sha256(doc: Any) -> str:
 
 
 def law_to_doc(law: MassFunction) -> dict:
-    return {
-        law.space.format_point(z): fraction_to_str(v)
-        for z, v in law.mass.items()
-    }
+    """Each mass as ``"num/den"``, its weight and the denominator reduced by one gcd."""
+    label = law.space.format_point
+    denominator = law.denominator
+    doc = {}
+    for z, w in law.weights.items():
+        common = math.gcd(w, denominator)
+        doc[label(z)] = f"{w // common}/{denominator // common}"
+    return doc
 
 
 def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:
-    return MassFunction(
-        space, {space.parse_point(key): parse_fraction(value) for key, value in doc.items()}
-    )
+    """Parse each mass into two ints and scale them to the lcm of the denominators."""
+    parse = space.parse_point
+    entries = [(parse(key), *parse_ratio(value)) for key, value in doc.items()]
+    common = math.lcm(*(den for _, _, den in entries))
+    return MassFunction(space, common, {z: num * (common // den) for z, num, den in entries})
 
 
 def space_to_doc(space: ProductSpace) -> list[list[str]]:

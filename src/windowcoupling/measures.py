@@ -1,10 +1,18 @@
 """Exact rational mass functions on finite product spaces.
 
 Every law in this package is an exact sub-probability mass function
-relative to counting measure, with `fractions.Fraction` masses.  All
-identities downstream (deficit certificates, envelopes below their
-floors, mixture reconstructions) are therefore exact equalities and
-inequalities, never floating-point approximations.
+relative to counting measure.  A law is stored as one positive integer
+``denominator`` and a positive integer weight per support point, the
+mass at ``z`` being ``weights[z] / denominator``, in canonical form: the
+denominator is the lcm of the reduced denominators of the masses, which
+is the same as ``gcd(denominator, *weights) == 1``.  Marginals, infima,
+conditionals and mixtures are integer sums over one common denominator,
+and comparisons between laws are cross-multiplications, so every
+identity downstream (deficit certificates, envelopes below their
+floors, mixture reconstructions) is an exact equality or inequality
+that pays no gcd per operation and never a floating-point
+approximation.  ``MassFunction.mass`` and ``law[z]`` give the masses as
+``fractions.Fraction`` values, built on each access.
 
 A point of a product space is a tuple of per-coordinate symbol indices;
 a time window of length ``k`` is the prefix of the first ``k``
@@ -19,7 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 Point = tuple[int, ...]
 
@@ -34,17 +43,6 @@ ONE = Fraction(1)
 
 class WindowRangeError(ValueError):
     """Requested window length lies outside 0..width of the space."""
-
-
-def exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """The exact sum of rationals, as ``sum(values, ZERO)`` gives it.
-
-    The numerators are summed over the lcm of the denominators and
-    normalized once, instead of one reduced addition per term.
-    """
-    terms = values if isinstance(values, (list, tuple)) else list(values)
-    common = math.lcm(*(v.denominator for v in terms))
-    return Fraction(sum(v.numerator * (common // v.denominator) for v in terms), common)
 
 
 class SpaceMismatchError(ValueError):
@@ -89,7 +87,9 @@ class ProductSpace:
     The empty product (width 0) is the unit space whose only point is
     the empty tuple; it is the codomain of length-0 window marginals.
     ``format_point`` keeps the label of each distinct point it has
-    formatted, so a point is validated and joined once per space.
+    formatted, so a point is validated and joined once per space;
+    ``parse_point`` keeps the point of each distinct label it has parsed,
+    so a label is split and checked once per space.
     """
 
     coordinates: tuple[Alphabet, ...]
@@ -97,6 +97,7 @@ class ProductSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_sizes", tuple(len(a) for a in self.coordinates))
         object.__setattr__(self, "_labels", {})
+        object.__setattr__(self, "_points", {})
 
     @property
     def width(self) -> int:
@@ -145,6 +146,13 @@ class ProductSpace:
         return ",".join([a.symbols[i] for i, a in zip(point, self.coordinates)])
 
     def parse_point(self, text: str) -> Point:
+        points = self._points  # type: ignore[attr-defined]
+        point = points.get(text)
+        if point is None:
+            point = points[text] = self._split(text)
+        return point
+
+    def _split(self, text: str) -> Point:
         if text == "":
             labels: list[str] = []
         else:
@@ -160,66 +168,111 @@ class ProductSpace:
 class MassFunction:
     """Exact non-negative mass function with total mass at most one.
 
-    Every construction validates in one pass: each point must lie in the
-    space and each mass, converted to a ``Fraction``, must be
-    non-negative; the total, summed over the lcm of the denominators by
-    ``exact_sum``, must not exceed one.  Keys that are already tuples and
-    masses that are already fractions are kept as they are.  Zero
-    entries are dropped on construction, so two mass functions are
+    The mass at ``z`` is ``weights[z] / denominator``: one positive
+    integer denominator per law and a positive integer weight per
+    support point.  The constructor is the one validation path: each
+    point must lie in the space (a non-tuple key is converted to a
+    tuple), each weight must be a non-negative ``int`` and the weights
+    must sum to at most the denominator; zero weights are dropped and
+    then the denominator and weights are divided by their gcd.  The
+    stored form is therefore canonical (the denominator is the lcm of
+    the reduced denominators of the masses), so two mass functions are
     equal exactly when they have the same space and the same support
-    with the same masses.
+    with the same masses.  ``from_masses`` builds a law from rational
+    masses.  ``mass`` and ``law[z]`` are read-only ``Fraction`` views,
+    built on each access.
     """
 
     space: ProductSpace
-    mass: Mapping[Point, Fraction]
+    denominator: int
+    weights: Mapping[Point, int]
 
     def __post_init__(self) -> None:
         space = self.space
-        clean: dict[Point, Fraction] = {}
-        positive: list[Fraction] = []
-        for point, value in self.mass.items():
+        denominator = self.denominator
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"denominator {denominator!r} must be a positive integer")
+        clean: dict[Point, int] = {}
+        total = 0
+        for point, weight in self.weights.items():
             pt = point if type(point) is tuple else tuple(point)
             if pt not in space:
                 raise ValueError(f"point {pt!r} outside the space")
-            val = value if type(value) is Fraction else Fraction(value)
-            sign = val.numerator
-            if sign < 0:
-                raise ValueError(f"negative mass {val} at {pt!r}")
-            if sign:
-                clean[pt] = val
-                positive.append(val)
-        total = exact_sum(positive)
-        if total > 1:
-            raise ValueError(f"total mass {total} exceeds 1")
-        object.__setattr__(self, "mass", clean)
-        object.__setattr__(self, "_total", total)
+            if type(weight) is not int:
+                raise TypeError(f"weight {weight!r} at {pt!r} is not an int")
+            if weight < 0:
+                raise ValueError(f"negative mass {Fraction(weight, denominator)} at {pt!r}")
+            if weight:
+                clean[pt] = weight
+                total += weight
+        if total > denominator:
+            raise ValueError(f"total mass {Fraction(total, denominator)} exceeds 1")
+        common = math.gcd(denominator, *clean.values())
+        if common > 1:
+            denominator //= common
+            clean = {z: w // common for z, w in clean.items()}
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "weights", clean)
+
+    @classmethod
+    def from_masses(cls, space: ProductSpace, masses: Mapping[Point, object]) -> "MassFunction":
+        """The law with the given masses: Fractions, ints or strings that ``Fraction`` reads.
+
+        Entries are read through ``masses.items()``, and two keys that
+        convert to equal points are rejected.  The masses are scaled to
+        integer weights over the lcm of their denominators and validated
+        by the constructor.
+        """
+        points: dict[Point, object] = {}
+        for point, value in masses.items():
+            pt = point if type(point) is tuple else tuple(point)
+            if pt in points:
+                raise ValueError(f"point {pt!r} given twice")
+            points[pt] = value
+        values = [v if type(v) is Fraction else Fraction(v) for v in points.values()]
+        common = math.lcm(*(v.denominator for v in values))
+        return cls(
+            space,
+            common,
+            {z: v.numerator * (common // v.denominator) for z, v in zip(points, values)},
+        )
+
+    @property
+    def mass(self) -> Mapping[Point, Fraction]:
+        """Each support point's mass as a ``Fraction``, in a read-only map built on access."""
+        denominator = self.denominator
+        return MappingProxyType({z: Fraction(w, denominator) for z, w in self.weights.items()})
 
     @property
     def total_mass(self) -> Fraction:
-        return self._total  # type: ignore[attr-defined]
+        return Fraction(sum(self.weights.values()), self.denominator)
 
     @property
     def is_probability(self) -> bool:
-        return self.total_mass == ONE
+        return sum(self.weights.values()) == self.denominator
 
     def __getitem__(self, point: Point) -> Fraction:
-        return self.mass.get(point if type(point) is tuple else tuple(point), ZERO)
+        key = point if type(point) is tuple else tuple(point)
+        return Fraction(self.weights.get(key, 0), self.denominator)
 
     def support(self) -> list[Point]:
-        return sorted(self.mass)
+        return sorted(self.weights)
 
     def scaled(self, factor: Fraction) -> "MassFunction":
         f = Fraction(factor)
-        return MassFunction(self.space, {z: v * f for z, v in self.mass.items()})
+        return MassFunction(
+            self.space,
+            self.denominator * f.denominator,
+            {z: w * f.numerator for z, w in self.weights.items()},
+        )
 
     @classmethod
     def point_mass(cls, space: ProductSpace, point: Point) -> "MassFunction":
-        return cls(space, {tuple(point): ONE})
+        return cls(space, 1, {tuple(point): 1})
 
     @classmethod
     def uniform(cls, space: ProductSpace) -> "MassFunction":
-        weight = Fraction(1, space.size())
-        return cls(space, {z: weight for z in space.points()})
+        return cls(space, space.size(), dict.fromkeys(space.points(), 1))
 
 
 @dataclass(frozen=True)
@@ -280,12 +333,11 @@ def window_marginal(law: MassFunction, k: int) -> MassFunction:
     empty tuple.
     """
     law.space.check_window(k)
-    groups: dict[Point, list[Fraction]] = {}
-    for point, value in law.mass.items():
-        groups.setdefault(point[:k], []).append(value)
-    return MassFunction(
-        law.space.window(k), {key: exact_sum(values) for key, values in groups.items()}
-    )
+    sums: dict[Point, int] = {}
+    for point, weight in law.weights.items():
+        key = point[:k]
+        sums[key] = sums.get(key, 0) + weight
+    return MassFunction(law.space.window(k), law.denominator, sums)
 
 
 def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction:
@@ -294,25 +346,27 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
     The infimum runs over the members with index in start..horizon plus
     the limit law, which by the tail rule equals the infimum over the
     whole infinite tail.  The result is a sub-probability mass function,
-    pointwise non-decreasing in ``start``.
+    pointwise non-decreasing in ``start``.  It compares the masses one
+    ``Fraction`` at a time and is the reference ``WindowTable`` is tested
+    against.
     """
     if start < 1:
         raise ValueError(f"start index {start} must be at least 1")
     laws = [window_marginal(seq.member(n), k) for n in range(start, seq.horizon + 1)]
     laws.append(window_marginal(seq.limit, k))
-    first, *rest = laws
+    first, *rest = (law.mass for law in laws)
     out: dict[Point, Fraction] = {}
-    for point, value in first.mass.items():
+    for point, value in first.items():
         m = value
-        for law in rest:
-            other = law.mass.get(point, ZERO)
+        for mass in rest:
+            other = mass.get(point, ZERO)
             if other < m:
                 m = other
                 if m == 0:
                     break
         if m > 0:
             out[point] = m
-    return MassFunction(seq.space.window(k), out)
+    return MassFunction.from_masses(seq.space.window(k), out)
 
 
 class WindowTable:
@@ -324,7 +378,8 @@ class WindowTable:
     The infima of window k come from one backward sweep: the infimum
     from M + 1 is the limit marginal, and the infimum from n is the
     pointwise minimum of P_n|k and the infimum from n + 1, taken over
-    the support of the latter.  ``marginal`` and ``infimum`` return what
+    the support of the latter, with both weights scaled to the lcm of
+    the two denominators.  ``marginal`` and ``infimum`` return what
     ``window_marginal`` and ``window_infimum`` would, at the cost of a
     lookup.
     """
@@ -343,13 +398,17 @@ class WindowTable:
         for k, column in enumerate(self._infima):
             for levels in reversed(self._marginals[:-1]):
                 later = column[-1]
-                member = levels[k].mass
-                out: dict[Point, Fraction] = {}
-                for point, value in later.mass.items():
-                    m = min(member.get(point, ZERO), value)
-                    if m > 0:
+                member = levels[k]
+                common = math.lcm(later.denominator, member.denominator)
+                later_scale = common // later.denominator
+                member_scale = common // member.denominator
+                weights = member.weights
+                out: dict[Point, int] = {}
+                for point, weight in later.weights.items():
+                    m = min(weights.get(point, 0) * member_scale, weight * later_scale)
+                    if m:
                         out[point] = m
-                column.append(MassFunction(later.space, out))
+                column.append(MassFunction(later.space, common, out))
             column.reverse()
 
     def _locate(self, n: int, k: int) -> int:
@@ -393,36 +452,35 @@ def total_variation(p: MassFunction, q: MassFunction) -> Fraction:
         raise SpaceMismatchError("total variation requires a common space")
     if not (p.is_probability and q.is_probability):
         raise ValueError("total variation is defined for probability laws")
-    points = set(p.mass) | set(q.mass)
-    return sum((abs(p[z] - q[z]) for z in points), ZERO) / 2
+    pw, qw = p.weights, q.weights
+    pd, qd = p.denominator, q.denominator
+    gap = sum(abs(pw.get(z, 0) * qd - qw.get(z, 0) * pd) for z in set(pw) | set(qw))
+    return Fraction(gap, 2 * pd * qd)
 
 
 def conditional_given_prefix(law: MassFunction, prefix: Point) -> MassFunction:
     """The conditional of ``law`` on the cylinder fixing a window prefix."""
     k = len(prefix)
     law.space.check_window(k)
-    denom = exact_sum([v for z, v in law.mass.items() if z[:k] == prefix])
-    if denom == 0:
+    group = {z: w for z, w in law.weights.items() if z[:k] == prefix}
+    if not group:
         raise ValueError(f"conditioning on zero-mass prefix {prefix!r}")
-    return MassFunction(
-        law.space,
-        {z: v / denom for z, v in law.mass.items() if z[:k] == prefix},
-    )
+    return MassFunction(law.space, sum(group.values()), group)
 
 
 def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
     """``conditional_given_prefix`` for every k-prefix of positive mass.
 
-    One pass groups the law's mass by prefix, instead of one scan of the
-    whole support per prefix.
+    One pass groups the law's weights by prefix, instead of one scan of
+    the whole support per prefix; each group's weights over their sum
+    are its conditional.
     """
     law.space.check_window(k)
-    groups: dict[Point, dict[Point, Fraction]] = {}
-    for z, v in law.mass.items():
-        groups.setdefault(z[:k], {})[z] = v
-    out: dict[Point, MassFunction] = {}
-    for prefix, group in groups.items():
-        denom = exact_sum(group.values())
-        out[prefix] = MassFunction(law.space, {z: v / denom for z, v in group.items()})
-    return out
+    groups: dict[Point, dict[Point, int]] = {}
+    for z, w in law.weights.items():
+        groups.setdefault(z[:k], {})[z] = w
+    return {
+        prefix: MassFunction(law.space, sum(group.values()), group)
+        for prefix, group in groups.items()
+    }
 

@@ -18,6 +18,7 @@ distances to keep sphere masses at zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from operator import sub
@@ -537,7 +538,12 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
         return tuple(d - 1 for d in tree.paths[i]) + (i,)
 
     def push(law: AtomicLaw) -> MassFunction:
-        return MassFunction(space, {encode(i): v for i, v in law.masses.items()})
+        common = lcm(*(v.denominator for v in law.masses.values()))
+        return MassFunction(
+            space,
+            common,
+            {encode(i): v.numerator * (common // v.denominator) for i, v in law.masses.items()},
+        )
 
     return ProcessSequenceSpec(
         space=space,
@@ -556,6 +562,13 @@ class SkorohodCoupling:
     tree: PartitionTree
     digit_sequence: ProcessSequenceSpec
     plan: CouplingPlan
+
+    @cached_property
+    def spec_sha256(self) -> str:
+        """SHA-256 of the law sequence's canonical document, computed once per coupling."""
+        from . import jsonio  # jsonio imports this module
+
+        return jsonio.document_sha256(jsonio.law_sequence_to_doc(self.laws))
 
     def decode(self, z: Point) -> int:
         """Model point index carried by a digit-space point."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import jsonio, streams
+from . import streams
 from .engine import (
     CouplingPlan,
     DeficitEntry,
@@ -30,7 +30,6 @@ from .engine import (
     plan_exact_checks,
 )
 from .measures import (
-    ZERO,
     Alphabet,
     MassFunction,
     ProcessSequenceSpec,
@@ -106,21 +105,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _plan_provenance(plan: CouplingPlan, seed: int | None) -> dict:
-    return {
-        "spec_sha256": jsonio.document_sha256(jsonio.sequence_to_doc(plan.sequence)),
-        "seed": seed,
-        "version": __version__,
-    }
-
-
-def _coupling_provenance(coupling: SkorohodCoupling, seed: int | None) -> dict:
-    doc = jsonio.law_sequence_to_doc(coupling.laws)
-    return {
-        "spec_sha256": jsonio.document_sha256(doc),
-        "seed": seed,
-        "version": __version__,
-    }
+def _provenance(target: CouplingPlan | SkorohodCoupling, seed: int | None) -> dict:
+    return {"spec_sha256": target.spec_sha256, "seed": seed, "version": __version__}
 
 
 def audit_plan(plan: CouplingPlan) -> VerificationReport:
@@ -130,7 +116,7 @@ def audit_plan(plan: CouplingPlan) -> VerificationReport:
         exact_checks=tuple(plan_exact_checks(plan, table)),
         mc_checks=(),
         deficit_trace=tuple(deficit_entries(plan, table)),
-        provenance=_plan_provenance(plan, None),
+        provenance=_provenance(plan, None),
     )
 
 
@@ -142,25 +128,24 @@ def audit_skorohod(coupling: SkorohodCoupling) -> VerificationReport:
         + tuple(tree_exact_checks(coupling.tree)),
         mc_checks=(),
         deficit_trace=tuple(deficit_entries(coupling.plan, table)),
-        provenance=_coupling_provenance(coupling, None),
+        provenance=_provenance(coupling, None),
     )
 
 
 def _empirical_tv(counts: dict, law: MassFunction, samples: int) -> Fraction:
-    points = set(counts) | set(law.mass)
-    return (
-        sum(
-            (abs(Fraction(counts.get(z, 0), samples) - law[z]) for z in points),
-            ZERO,
-        )
-        / 2
+    weights, denominator = law.weights, law.denominator
+    gap = sum(
+        abs(counts.get(z, 0) * denominator - weights.get(z, 0) * samples)
+        for z in set(counts) | set(weights)
     )
+    return Fraction(gap, 2 * samples * denominator)
 
 
 def _tv_check(name: str, counts: dict, law: MassFunction, samples: int) -> McCheck:
     tv = _empirical_tv(counts, law, samples)
-    threshold = 3 * math.sqrt(len(law.mass) / samples)
-    note = f"TV {float(tv):.6f} vs threshold 3*sqrt({len(law.mass)}/{samples}) = {threshold:.6f}"
+    size = len(law.weights)
+    threshold = 3 * math.sqrt(size / samples)
+    note = f"TV {float(tv):.6f} vs threshold 3*sqrt({size}/{samples}) = {threshold:.6f}"
     return McCheck(name, samples, 0 if tv <= threshold else 1, note)
 
 
@@ -191,11 +176,11 @@ def mc_agreement(
     if isinstance(target, SkorohodCoupling):
         plan = target.plan
         coupling: SkorohodCoupling | None = target
-        provenance = _coupling_provenance(target, seed)
+        provenance = _provenance(target, seed)
     else:
         plan = target
         coupling = None
-        provenance = _plan_provenance(target, seed)
+        provenance = _provenance(target, seed)
 
     agreement_failures = 0
     distance_failures = 0
@@ -343,7 +328,7 @@ def random_process_spec(
 
     def pmf() -> MassFunction:
         values = random_rational_pmf(rng, len(points), max_weight)
-        return MassFunction(space, dict(zip(points, values)))
+        return MassFunction.from_masses(space, dict(zip(points, values)))
 
     count = rng.randint(1, max_members)
     return ProcessSequenceSpec(

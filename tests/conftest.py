@@ -22,24 +22,24 @@ def binary_space():
 @pytest.fixture
 def constant_sequence(binary_space):
     """All members equal the limit; every construction step is trivial."""
-    q = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+    q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
     return ProcessSequenceSpec(binary_space, (q,), q, TailRule(1))
 
 
 @pytest.fixture
 def skewed_sequence(binary_space):
     """One member (1/4, 3/4) against the uniform limit; the worked example."""
-    p1 = MassFunction(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
-    q = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+    p1 = MassFunction.from_masses(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
+    q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
     return ProcessSequenceSpec(binary_space, (p1,), q, TailRule(1))
 
 
 @pytest.fixture
 def two_member_sequence(binary_space):
     """P1=(1/4,3/4), P2=(1/3,2/3), limit uniform, tail index 2."""
-    p1 = MassFunction(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
-    p2 = MassFunction(binary_space, {(0,): F(1, 3), (1,): F(2, 3)})
-    q = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+    p1 = MassFunction.from_masses(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
+    p2 = MassFunction.from_masses(binary_space, {(0,): F(1, 3), (1,): F(2, 3)})
+    q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
     return ProcessSequenceSpec(binary_space, (p1, p2), q, TailRule(2))
 
 

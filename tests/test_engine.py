@@ -51,7 +51,7 @@ def binary_sequence(member_masses, limit_masses, count=None):
     space = ProductSpace((Alphabet(("a", "b")),))
 
     def law(masses):
-        return MassFunction(space, {(i,): F(m) for i, m in enumerate(masses) if m})
+        return MassFunction.from_masses(space, {(i,): F(m) for i, m in enumerate(masses) if m})
 
     members = tuple(law(m) for m in member_masses)
     return ProcessSequenceSpec(
@@ -140,7 +140,7 @@ class TestExtension:
 
     def test_ratio_formula_by_hand(self, pair_space):
         q = MassFunction.uniform(pair_space)
-        window = MassFunction(pair_space.window(1), {(0,): F(1, 4), (1,): F(1, 2)})
+        window = MassFunction.from_masses(pair_space.window(1), {(0,): F(1, 4), (1,): F(1, 2)})
         got = extend_window_law(window, q)
         assert got.mass == {
             (0, 0): F(1, 8),
@@ -151,7 +151,7 @@ class TestExtension:
 
     def test_window_zero_scales_the_full_law(self, pair_space):
         q = MassFunction.uniform(pair_space)
-        window = MassFunction(pair_space.window(0), {(): F(1, 3)})
+        window = MassFunction.from_masses(pair_space.window(0), {(): F(1, 3)})
         assert extend_window_law(window, q) == q.scaled(F(1, 3))
 
     def test_extension_preserves_window_marginal(self, two_member_sequence):
@@ -180,7 +180,7 @@ def assert_envelopes_are_minimal_ratios(seq, ladder):
         expected = {
             z: q * min(r[z] for r in ratios[n - 1 :]) for z, q in seq.limit.mass.items()
         }
-        assert env == MassFunction(seq.space, expected)
+        assert env == MassFunction.from_masses(seq.space, expected)
 
 
 class TestLadder:
@@ -235,7 +235,7 @@ class TestPlan:
             p = plan.index_probability(n)
             for z, v in plan.increment_laws[n - 1].mass.items():
                 acc[z] = acc.get(z, F(0)) + p * v
-        assert MassFunction(plan.sequence.space, acc) == two_member_sequence.limit
+        assert MassFunction.from_masses(plan.sequence.space, acc) == two_member_sequence.limit
 
     def test_build_validates(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -277,7 +277,7 @@ class TestPlan:
 
     def test_moved_increment_mass_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
-        moved = MassFunction(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
+        moved = MassFunction.from_masses(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
         bad_plan = replace(plan, increment_laws=(moved,) + plan.increment_laws[1:])
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
         assert failed == {
@@ -290,7 +290,7 @@ class TestPlan:
 
     def test_index_mass_moved_between_values_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
-        index_law = MassFunction(plan.index_law.space, {(0,): F(1, 2), (1,): F(1, 2)})
+        index_law = MassFunction.from_masses(plan.index_law.space, {(0,): F(1, 2), (1,): F(1, 2)})
         bad_plan = replace(plan, index_law=index_law)
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
         assert failed == {
@@ -303,7 +303,7 @@ class TestPlan:
 
     def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        late = MassFunction(plan.index_law.space, {(0,): F(1, 4), (2,): F(3, 4)})
+        late = MassFunction.from_masses(plan.index_law.space, {(0,): F(1, 4), (2,): F(3, 4)})
         failed = {
             c.name: c.witness
             for c in plan_exact_checks(replace(plan, index_law=late))
@@ -332,7 +332,7 @@ class TestPlan:
         plan = build_plan(two_member_sequence)
         last = plan.increment_laws[-1]
         z = next(iter(last.mass))
-        lowered = MassFunction(last.space, {**last.mass, z: last.mass[z] / 2})
+        lowered = MassFunction.from_masses(last.space, {**last.mass, z: last.mass[z] / 2})
         bad_plan = replace(plan, increment_laws=plan.increment_laws[:-1] + (lowered,))
         failed = [c for c in plan_exact_checks(bad_plan) if not c.passed]
         assert "mixture-reconstructs-limit" in {c.name for c in failed}
@@ -384,7 +384,7 @@ class TestSampling:
         plan = build_plan(seq)
         assert plan.schedule.windows == (1, 1)
         assert set(plan.kernels[0]) == {(0,)}
-        moved = MassFunction(plan.residual_laws[0].space, {(1,): F(1)})
+        moved = MassFunction.from_masses(plan.residual_laws[0].space, {(1,): F(1)})
         sampler = CouplingSampler(replace(plan, residual_laws=(moved, plan.residual_laws[1])))
         rng = random.Random(0)
         with pytest.raises(InternalInvariantError, match=r"no kernel row for prefix \(1,\) at index 1"):

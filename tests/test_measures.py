@@ -1,3 +1,4 @@
+import math
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -14,14 +15,18 @@ from windowcoupling import (
     TailRule,
     WindowRangeError,
     WindowTable,
+    build_ladder,
+    build_schedule,
     conditional_given_prefix,
     density_convergence,
+    extended_floor,
     total_variation,
     window_deficit,
     window_infimum,
     window_marginal,
 )
-from windowcoupling.measures import ZERO, exact_sum, prefix_conditionals
+from windowcoupling.engine import CategoricalTable
+from windowcoupling.measures import ZERO, prefix_conditionals
 
 
 @st.composite
@@ -44,7 +49,7 @@ def probability_laws(draw, space):
         )
     )
     total = sum(weights)
-    return MassFunction(space, {z: F(w, total) for z, w in zip(points, weights)})
+    return MassFunction.from_masses(space, {z: F(w, total) for z, w in zip(points, weights)})
 
 
 @st.composite
@@ -125,6 +130,20 @@ class TestProductSpace:
         with pytest.raises(ValueError, match="coordinates, expected 2"):
             pair_space.parse_point(text)
 
+    def test_parse_point_warm_map_keeps_every_check(self, pair_space):
+        for z in pair_space.points():
+            assert pair_space.parse_point(pair_space.format_point(z)) == z
+        first = pair_space.parse_point("b,x")
+        assert pair_space.parse_point("b,x") is first  # served from the label map
+        assert pair_space.window(1).parse_point("b") == (1,)  # one map per space
+        for _ in range(2):  # a failed parse is not kept
+            with pytest.raises(KeyError) as info:
+                pair_space.parse_point("a,z")
+            assert info.value.args == ("symbol 'z' not in alphabet ('x', 'y')",)
+            for text in ["a", "a,x,y", ""]:
+                with pytest.raises(ValueError, match="coordinates, expected 2"):
+                    pair_space.parse_point(text)
+
     def test_membership(self, pair_space):
         assert (1, 1) in pair_space
         assert (True, 0) in pair_space  # bool is an int subclass
@@ -135,7 +154,17 @@ class TestProductSpace:
 
 
 def reference_mass_function(space, mass):
-    """The one-Fraction-at-a-time validation loop, kept as the reference."""
+    """The one-Fraction-at-a-time validation loop, kept as the reference.
+
+    A law holds one mass per point, so keys that convert to equal points
+    are rejected before any entry is checked.
+    """
+    seen = set()
+    for point, _ in mass.items():
+        pt = tuple(point)
+        if pt in seen:
+            raise ValueError(f"point {pt!r} given twice")
+        seen.add(pt)
     clean = {}
     total = ZERO
     for point, value in mass.items():
@@ -210,35 +239,35 @@ class TestMassFunction:
         space, mass = case
 
         def construct():
-            law = MassFunction(space, mass)
+            law = MassFunction.from_masses(space, mass)
             return law.mass, law.total_mass
 
         assert outcome(construct) == outcome(lambda: reference_mass_function(space, mass))
 
     def test_getitem_accepts_any_sequence(self, pair_space):
-        law = MassFunction(pair_space, {(0, 1): F(1, 3)})
+        law = MassFunction.from_masses(pair_space, {(0, 1): F(1, 3)})
         assert law[(0, 1)] == law[[0, 1]] == F(1, 3)
         assert law[(1, 1)] == 0
 
     def test_drops_zero_entries(self, binary_space):
-        law = MassFunction(binary_space, {(0,): F(1), (1,): F(0)})
+        law = MassFunction.from_masses(binary_space, {(0,): F(1), (1,): F(0)})
         assert law.mass == {(0,): F(1)}
         assert law.is_probability
 
     def test_rejects_negative(self, binary_space):
         with pytest.raises(ValueError, match="negative"):
-            MassFunction(binary_space, {(0,): F(-1, 2)})
+            MassFunction.from_masses(binary_space, {(0,): F(-1, 2)})
 
     def test_rejects_excess_mass(self, binary_space):
         with pytest.raises(ValueError, match="exceeds"):
-            MassFunction(binary_space, {(0,): F(2, 3), (1,): F(2, 3)})
+            MassFunction.from_masses(binary_space, {(0,): F(2, 3), (1,): F(2, 3)})
 
     def test_rejects_foreign_point(self, binary_space):
         with pytest.raises(ValueError, match="outside"):
-            MassFunction(binary_space, {(5,): F(1)})
+            MassFunction.from_masses(binary_space, {(5,): F(1)})
 
     def test_sub_probability_flagged(self, binary_space):
-        law = MassFunction(binary_space, {(0,): F(1, 3)})
+        law = MassFunction.from_masses(binary_space, {(0,): F(1, 3)})
         assert not law.is_probability
         assert law.total_mass == F(1, 3)
 
@@ -255,7 +284,7 @@ class TestWindowMarginal:
         assert got.mass == {(): F(1)}
 
     def test_mixed_law_matches_direct_summation(self, pair_space):
-        law = MassFunction(
+        law = MassFunction.from_masses(
             pair_space, {(0, 0): F(1, 3), (0, 1): F(1, 6), (1, 0): F(1, 2)}
         )
         # independent oracle: group masses by prefix
@@ -298,25 +327,110 @@ class TestWindowMarginal:
         assert window_marginal(window_marginal(law, k2), k1) == window_marginal(law, k1)
 
 
-class TestExactSum:
-    def test_empty(self):
-        assert exact_sum([]) == 0
-        assert type(exact_sum([])) is F
+@st.composite
+def mixed_masses(draw, space, probability=True):
+    """Fraction masses with mixed denominators on some points of the space.
 
-    @given(
+    Each point draws its own fraction, so the reduced denominators
+    differ; a probability law is normalized by the sum, and otherwise
+    the law is scaled down by a drawn factor of at most one.
+    """
+    points = list(space.points())
+    values = draw(
         st.lists(
-            st.one_of(
-                st.fractions(max_denominator=10**6),
-                st.integers(-50, 50),
-            ),
-            max_size=12,
-        ),
-        st.sampled_from([list, tuple, iter]),
+            st.fractions(min_value=0, max_value=1, max_denominator=30),
+            min_size=len(points),
+            max_size=len(points),
+        ).filter(lambda v: sum(v) > 0)
     )
-    def test_matches_fraction_sum(self, values, container):
-        got = exact_sum(container(values))
-        assert got == sum(values, ZERO)
-        assert type(got) is F
+    scale = 1 if probability else draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+    total = sum(values)
+    return {z: v * scale / total for z, v in zip(points, values)}
+
+
+@st.composite
+def mixed_sequences(draw):
+    space = draw(spaces())
+    count = draw(st.integers(1, 3))
+    laws = [
+        MassFunction.from_masses(space, draw(mixed_masses(space))) for _ in range(count + 1)
+    ]
+    return ProcessSequenceSpec(space, tuple(laws[:-1]), laws[-1], TailRule(count))
+
+
+def fraction_marginal(mass, k):
+    """Window marginal of a Fraction mass map, one addition at a time."""
+    out = {}
+    for z, v in mass.items():
+        out[z[:k]] = out.get(z[:k], ZERO) + v
+    return out
+
+
+class TestIntegerForm:
+    """Integer-weight laws against the one-Fraction-at-a-time references."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_canonical_form_and_views(self, data):
+        space = data.draw(spaces())
+        probability = data.draw(st.booleans())
+        masses = data.draw(mixed_masses(space, probability))
+        law = MassFunction.from_masses(space, masses)
+        positive = [(z, v) for z, v in masses.items() if v]
+        assert law.denominator == math.lcm(*(v.denominator for _, v in positive))
+        assert math.gcd(law.denominator, *law.weights.values()) == 1
+        assert list(law.mass.items()) == positive
+        assert all(type(v) is F for v in law.mass.values())
+        with pytest.raises(TypeError):
+            law.mass[next(iter(space.points()))] = F(0)  # a read-only view
+        assert all(law[z] == masses[z] for z in space.points())
+        assert law.total_mass == sum(masses.values(), ZERO)
+        assert law.is_probability == (law.total_mass == 1)
+        # any common scale of denominator and weights gives the same law
+        scale = data.draw(st.integers(1, 12))
+        scaled = {z: w * scale for z, w in law.weights.items()}
+        assert MassFunction(space, law.denominator * scale, scaled) == law
+        if law.is_probability:
+            assert CategoricalTable(law).total == law.denominator
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_window_marginal_matches_fraction_reference(self, data):
+        space = data.draw(spaces())
+        masses = data.draw(mixed_masses(space, data.draw(st.booleans())))
+        law = MassFunction.from_masses(space, masses)
+        for k in range(space.width + 1):
+            expected = {p: v for p, v in fraction_marginal(masses, k).items() if v}
+            assert list(window_marginal(law, k).mass.items()) == list(expected.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sequences())
+    def test_table_conditionals_and_ladder_match_fraction_references(self, seq):
+        table = WindowTable(seq)
+        for n in range(1, seq.horizon + 3):
+            member = seq.member(n)
+            for k in range(seq.space.width + 1):
+                expected = fraction_marginal(member.mass, k)
+                assert table.marginal(n, k).mass == {p: v for p, v in expected.items() if v}
+                assert table.infimum(n, k) == window_infimum(seq, n, k)
+                grouped = prefix_conditionals(member, k)
+                assert set(grouped) == set(expected)
+                for prefix, conditional in grouped.items():
+                    assert conditional.mass == {
+                        z: v / expected[prefix]
+                        for z, v in member.mass.items()
+                        if z[:k] == prefix
+                    }
+        schedule = build_schedule(seq, table)
+        ladder = build_ladder(seq, schedule, table)
+        limit = seq.limit.mass
+        floors = [extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)]
+        assert ladder.floors == tuple(floors)
+        for n, env in enumerate(ladder.envelopes, start=1):
+            expected = {
+                z: q * min(floor[z] / q for floor in floors[n - 1 :]) for z, q in limit.items()
+            }
+            assert env.mass == {z: v for z, v in expected.items() if v}
 
 
 class TestWindowInfimum:
@@ -383,8 +497,8 @@ class TestDensityConvergence:
         assert density_convergence(two_member_sequence, 1) == (True, 3)
 
     def test_tail_rule_dominates_point_mass_members(self, binary_space):
-        point = MassFunction(binary_space, {(0,): F(1)})
-        uniform = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+        point = MassFunction.from_masses(binary_space, {(0,): F(1)})
+        uniform = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
         seq = ProcessSequenceSpec(binary_space, (point, point), uniform, TailRule(2))
         assert density_convergence(seq, 1) == (True, 3)
 
@@ -408,12 +522,12 @@ class TestTotalVariation:
         assert total_variation(law, law) == 0
 
     def test_disjoint_point_masses(self, binary_space):
-        a = MassFunction(binary_space, {(0,): F(1)})
-        b = MassFunction(binary_space, {(1,): F(1)})
+        a = MassFunction.from_masses(binary_space, {(0,): F(1)})
+        b = MassFunction.from_masses(binary_space, {(1,): F(1)})
         assert total_variation(a, b) == 1
 
     def test_quarter_example(self, binary_space):
-        p = MassFunction(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
+        p = MassFunction.from_masses(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
         q = MassFunction.uniform(binary_space)
         assert total_variation(p, q) == F(1, 4)
 
@@ -436,14 +550,14 @@ class TestTotalVariation:
 
 class TestConditioning:
     def test_conditional_given_prefix(self, pair_space):
-        law = MassFunction(
+        law = MassFunction.from_masses(
             pair_space, {(0, 0): F(1, 3), (0, 1): F(1, 6), (1, 0): F(1, 2)}
         )
         got = conditional_given_prefix(law, (0,))
         assert got.mass == {(0, 0): F(2, 3), (0, 1): F(1, 3)}
 
     def test_zero_mass_prefix_rejected(self, pair_space):
-        law = MassFunction(pair_space, {(0, 0): F(1)})
+        law = MassFunction.from_masses(pair_space, {(0, 0): F(1)})
         with pytest.raises(ValueError, match="zero-mass"):
             conditional_given_prefix(law, (1,))
 
@@ -466,7 +580,7 @@ class TestProcessSequenceSpec:
 
     def test_members_must_be_probability(self, binary_space):
         q = MassFunction.uniform(binary_space)
-        sub = MassFunction(binary_space, {(0,): F(1, 3)})
+        sub = MassFunction.from_masses(binary_space, {(0,): F(1, 3)})
         with pytest.raises(ValueError, match="total mass"):
             ProcessSequenceSpec(binary_space, (sub,), q, TailRule(1))
 

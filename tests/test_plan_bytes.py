@@ -52,7 +52,7 @@ def samples_sha256(plan, seed: int = 0, count: int = 200) -> str:
 
 def uniform_on_cylinder(space, prefix) -> MassFunction:
     extensions = [z for z in space.points() if z[: len(prefix)] == prefix]
-    return MassFunction(space, {z: F(1, len(extensions)) for z in extensions})
+    return MassFunction.from_masses(space, {z: F(1, len(extensions)) for z in extensions})
 
 
 def v2_doc(plan) -> dict:

@@ -14,7 +14,7 @@ from windowcoupling import (
     build_skorohod_coupling,
     mc_agreement,
 )
-from windowcoupling import jsonio
+from windowcoupling import engine, jsonio
 from windowcoupling.verify import (
     certify,
     joint_law_marginals,
@@ -44,7 +44,7 @@ class TestAuditPlan:
         plan = build_plan(two_member_sequence)
         # move the mass of N = 2 onto N = 1
         first, second, third = (plan.index_probability(n) for n in (1, 2, 3))
-        moved = MassFunction(
+        moved = MassFunction.from_masses(
             plan.index_law.space, {(0,): first + second, (2,): third}
         )
         report = audit_plan(replace(plan, index_law=moved))
@@ -126,8 +126,8 @@ class TestJointLawMarginals:
 
     def test_prefix_without_kernel_row_fails_with_witness(self, binary_space):
         # member 1 puts no mass on "b", so component 1 has no row at (1,)
-        member = MassFunction(binary_space, {(0,): F(1)})
-        limit = MassFunction(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
+        member = MassFunction.from_masses(binary_space, {(0,): F(1)})
+        limit = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
         plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
         on_b = MassFunction.point_mass(binary_space, (1,))
         bad = replace(plan, increment_laws=(on_b,) + plan.increment_laws[1:])
@@ -154,6 +154,60 @@ class TestJointLawMarginals:
             joint_law_marginals(coupling.plan),
         )
         assert report.all_passed
+
+
+def reloaded(plan):
+    """The plan as ``verify`` loads it, with no derived data computed yet."""
+    return jsonio.plan_from_doc(jsonio.plan_to_doc(plan))
+
+
+class TestOncePerPlan:
+    def test_certify_builds_the_envelopes_once(self, monkeypatch, two_member_sequence):
+        plan = reloaded(build_plan(two_member_sequence))
+        calls = []
+        original = engine.mixture_envelopes
+
+        def counting(target):
+            calls.append(target)
+            return original(target)
+
+        monkeypatch.setattr(engine, "mixture_envelopes", counting)
+        assert certify(plan, 50, seed=1).all_passed
+        assert calls == [plan]
+
+    def test_reports_of_one_plan_serialize_the_sequence_once(
+        self, monkeypatch, two_member_sequence
+    ):
+        plan = reloaded(build_plan(two_member_sequence))
+        expected = jsonio.document_sha256(jsonio.sequence_to_doc(two_member_sequence))
+        calls = []
+        original = jsonio.sequence_to_doc
+
+        def counting(seq):
+            calls.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(jsonio, "sequence_to_doc", counting)
+        reports = [audit_plan(plan), mc_agreement(plan, 20, seed=1), certify(plan, 20, seed=1)]
+        assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 3
+        assert len(calls) == 1
+
+    def test_reports_of_one_coupling_serialize_the_laws_once(
+        self, monkeypatch, line_model, line_laws
+    ):
+        coupling = build_skorohod_coupling(line_model, line_laws, 2)
+        expected = jsonio.document_sha256(jsonio.law_sequence_to_doc(line_laws))
+        calls = []
+        original = jsonio.law_sequence_to_doc
+
+        def counting(seq):
+            calls.append(seq)
+            return original(seq)
+
+        monkeypatch.setattr(jsonio, "law_sequence_to_doc", counting)
+        reports = [audit_skorohod(coupling), mc_agreement(coupling, 20, seed=1)]
+        assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 2
+        assert len(calls) == 1
 
 
 class TestAuditSkorohod:
