@@ -99,8 +99,8 @@ def _cmd_sample(config: RunConfig) -> int:
         plan = jsonio.plan_from_doc(doc)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{config.plan}: {exc}") from exc
-    # the seven identities that ``verify`` audits, which imply its marginal
-    # check: samples of a plan that fails them do not have the coupling's law
+    # the exact checks that ``verify`` audits, which imply its marginal check:
+    # samples of a plan that fails them do not have the coupling's law
     failed = [c for c in verify.audit_plan(plan).exact_checks if not c.passed]
     if failed:
         first = failed[0]

@@ -20,13 +20,18 @@ this module materializes the coupling in four stages:
    as an independent oracle.
 
 A plan stores only the mixture: the index law, the increment laws and
-the residual laws, besides the sequence and the schedule.  The rest is
+the residual laws, besides the sequence and the schedule.  Increment n
+is drawn only on {N = n} and residual n only on {N > n}; where that
+event has probability 0 the stored law is the empty law, which the
+sampler never tables and the audit requires to stay empty.  The rest is
 derived, once per plan and only when read.  The ladder is a
 construction step: envelope n is the partial sum
 ``sum_{m <= n} P(N = m) * increment_m`` and floor n the table's window
-infimum extended along the limit law.  Kernel row n at a prefix is, by
-definition, member n's conditional law given that prefix; it is needed
-only where member n has positive mass, because component n's prefix is
+infimum extended along the limit law; building a plan needs only the
+envelopes, so the floors are built only when ``CouplingPlan.ladder`` is
+read.  Kernel row n at a prefix is, by definition, member n's
+conditional law given that prefix; it is needed only where member n has
+positive mass, because component n's prefix is
 drawn from the residual law (which sits below the member's window
 marginal) while N > n, and from N on it is the limit point's prefix,
 drawn from the N-th envelope, which every later member dominates on its
@@ -128,9 +133,10 @@ class MeasureLadder:
     density with respect to the limit law is the minimum, over indices
     i >= n, of the floor densities ``floors[i-1][z] / limit[z]`` on the
     limit's support.  Envelopes are pointwise non-decreasing and the
-    last one equals the limit law exactly.  ``build_ladder`` computes
-    it from the sequence to build a plan; a plan does not store it and
-    derives it on demand (``CouplingPlan.ladder``).
+    last one equals the limit law exactly.  A plan does not store it
+    and derives it on demand (``CouplingPlan.ladder``); ``build_ladder``
+    computes only the envelopes from the sequence, which is all that
+    building a plan reads.
     """
 
     floors: tuple[MassFunction, ...]
@@ -164,14 +170,15 @@ class CouplingPlan:
     ``index_law`` is the law of the agreement index N on {1..M+1};
     ``increment_laws[n-1]`` the full-space component drawn when N = n;
     ``residual_laws[n-1]`` the window law used for component n while
-    N > n.  These are all a plan stores besides the sequence and the
-    schedule.  The derived data is built on first use and kept with the
-    plan: ``kernels[n-1]`` maps each k_n-prefix of positive mass under
-    member n to its extension row, and has no other keys; ``envelopes``
-    are the partial sums of the mixture; ``ladder`` holds the floors and
-    the envelopes; ``sampler`` is the plan's exact sampler;
-    ``spec_sha256`` is the hash of the sequence's document that reports
-    record.
+    N > n.  Where P(N = n) = 0, respectively P(N > n) = 0, the law is
+    never drawn and is the empty law on its space.  These are all a
+    plan stores besides the sequence and the schedule.  The derived
+    data is built on first use and kept with the plan: ``kernels[n-1]``
+    maps each k_n-prefix of positive mass under member n to its
+    extension row, and has no other keys; ``envelopes`` are the partial
+    sums of the mixture; ``ladder`` holds the floors and the envelopes;
+    ``sampler`` is the plan's exact sampler; ``spec_sha256`` is the hash
+    of the sequence's document that reports record.
     """
 
     sequence: ProcessSequenceSpec
@@ -389,18 +396,18 @@ def build_ladder(
     seq: ProcessSequenceSpec,
     schedule: WindowSchedule,
     table: WindowTable | None = None,
-) -> MeasureLadder:
-    """The floors and, from the running minima of their densities, the envelopes.
+) -> tuple[MassFunction, ...]:
+    """The envelopes, from the running minima of the floor densities.
 
     The density of floor n against the limit law is its prefix ratio,
     so envelope n is the limit law times the minimum over i >= n of the
-    ratios at the point's k_i-prefix.
+    ratios at the point's k_i-prefix.  The floors themselves are not
+    built (see ``extended_floors``).
     """
     if table is None:
         table = WindowTable(seq)
     ratios = _floor_ratios(seq, schedule, table)
     limit = seq.limit
-    floors = tuple(_limit_times(limit, k, r) for k, r in zip(schedule.windows, ratios))
     # running minimum of the floor densities, from the last index down
     full = seq.space.width
     last = schedule.windows[-1]
@@ -413,7 +420,7 @@ def build_ladder(
                 running[z] = (num, other)
         envelopes.append(_limit_times(limit, full, running))
     envelopes.reverse()
-    return MeasureLadder(floors, tuple(envelopes))
+    return tuple(envelopes)
 
 
 def _weighted_sum(terms: list[tuple[int, int, MassFunction]]) -> tuple[int, dict[Point, int]]:
@@ -452,15 +459,15 @@ def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
     return tuple(envelopes)
 
 
-def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction | None:
-    """(upper - lower) / its total mass, on upper's support; None when that mass is 0."""
+def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction:
+    """(upper - lower) / its total mass, on upper's support; the empty law when that mass is 0."""
     common = math.lcm(upper.denominator, lower.denominator)
     upper_scale = common // upper.denominator
     lower_scale = common // lower.denominator
     low = lower.weights
     excess = {z: w * upper_scale - low.get(z, 0) * lower_scale for z, w in upper.weights.items()}
     total = sum(excess.values())
-    return MassFunction(upper.space, total, excess) if total else None
+    return MassFunction(upper.space, total, excess) if total else MassFunction(upper.space, 1, {})
 
 
 def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
@@ -472,17 +479,16 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
     """
     table = WindowTable(seq)
     schedule = build_schedule(seq, table)
-    ladder = build_ladder(seq, schedule, table)
+    envelopes = build_ladder(seq, schedule, table)
     count = seq.horizon + 1
-    limit = seq.limit
 
     index_space = ProductSpace(
         (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
     )
     # P(N <= n) is the mass of envelope n; all over one common denominator
-    common = math.lcm(*(env.denominator for env in ladder.envelopes))
+    common = math.lcm(*(env.denominator for env in envelopes))
     cumulative = [
-        sum(env.weights.values()) * (common // env.denominator) for env in ladder.envelopes
+        sum(env.weights.values()) * (common // env.denominator) for env in envelopes
     ]
     index_law = MassFunction(
         index_space,
@@ -492,17 +498,15 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
 
     # increment n is envelope n minus envelope n - 1, normalized by P(N = n);
     # residual n is member n's window law minus envelope n's, normalized by
-    # P(N > n): each difference has exactly that mass
+    # P(N > n): each difference has exactly that mass, and is the empty law,
+    # never drawn, where that probability is 0
     increments: list[MassFunction] = []
     residuals: list[MassFunction] = []
-    for n in range(1, count + 1):
-        env = ladder.envelope(n)
-        # never sampled when P(N = n) = 0; the limit law is the canonical filler
-        increments.append(_normalized_excess(env, ladder.envelope(n - 1)) or limit)
-        k = schedule.window(n)
-        member_window = table.marginal(n, k)
-        residual = _normalized_excess(member_window, window_marginal(env, k))
-        residuals.append(residual or member_window)
+    previous = MassFunction(seq.space, 1, {})
+    for n, (k, env) in enumerate(zip(schedule.windows, envelopes), start=1):
+        increments.append(_normalized_excess(env, previous))
+        residuals.append(_normalized_excess(table.marginal(n, k), window_marginal(env, k)))
+        previous = env
 
     plan = CouplingPlan(
         sequence=seq,
@@ -548,9 +552,12 @@ def plan_exact_checks(
     monotonicity, the index law's masses and the increment
     normalization hold by definition and are not checked; residual
     normalization and member-window domination follow from the window
-    mixture, since residual masses are non-negative.  Each check runs in
-    isolation: an exception raised while checking a corrupted plan is
-    reported as a failure of that check rather than aborting the audit.
+    mixture, since residual masses are non-negative.  Those identities
+    read increment n only where P(N = n) > 0 and residual n only where
+    P(N > n) > 0, so the last check requires every other stored law,
+    never drawn, to be empty.  Each check runs in isolation: an
+    exception raised while checking a corrupted plan is reported as a
+    failure of that check rather than aborting the audit.
     ``table`` is the window table of ``plan.sequence``; without one, it
     is built here.  Masses are compared by cross-multiplying integer
     weights.
@@ -642,6 +649,20 @@ def plan_exact_checks(
                 return f"n={n}: window mixture misses the member law at {bad}"
         return None
 
+    def never_drawn_laws_empty() -> str | None:
+        index = plan.index_law
+        tail = index.denominator  # P(N > n) over the index law's denominator
+        for n, (increment, residual) in enumerate(
+            zip(plan.increment_laws, plan.residual_laws), start=1
+        ):
+            drawn = index.weights.get((n - 1,), 0)
+            tail -= drawn
+            if not drawn and increment.weights:
+                return f"increment law {n} has mass but P(N = {n}) = 0"
+            if not tail and residual.weights:
+                return f"residual law {n} has mass but P(N > {n}) = 0"
+        return None
+
     run("schedule-monotone", schedule_monotone)
     run("schedule-reaches-full-window", schedule_full)
     run("window-deficit-certificates", deficit_certificates)
@@ -649,6 +670,7 @@ def plan_exact_checks(
     run("ladder-mass-bound", ladder_mass_bound)
     run("mixture-reconstructs-limit", mixture_reconstructs_limit)
     run("window-mixture-reconstructs-members", window_mixture_reconstructs_members)
+    run("never-drawn-laws-empty", never_drawn_laws_empty)
     return checks
 
 
@@ -682,16 +704,25 @@ class CouplingSampler:
     Draw order per sample, fixed for reproducibility: the agreement
     index N, then the full limit point, then for each component index
     n = 1..M+1 the window prefix (only when n < N) followed by the
-    kernel-row draw for that prefix.  The plan's kernel rows are derived
-    here, once; each row's table is built on the first draw that lands
-    on its prefix and kept per component.
+    kernel-row draw for that prefix.  Tables are built here for the
+    index law, for increment n where P(N = n) > 0 and for residual n
+    where P(N > n) > 0, the laws a draw can reach; the other slots hold
+    None.  The plan's kernel rows are derived here, once; each row's
+    table is built on the first draw that lands on its prefix and kept
+    per component.
     """
 
     def __init__(self, plan: CouplingPlan) -> None:
         self.plan = plan
         self._index_table = CategoricalTable(plan.index_law)
-        self._increment_tables = [CategoricalTable(law) for law in plan.increment_laws]
-        self._residual_tables = [CategoricalTable(law) for law in plan.residual_laws]
+        self._increment_tables: list[CategoricalTable | None] = [
+            CategoricalTable(law) if plan.index_probability(n) else None
+            for n, law in enumerate(plan.increment_laws, start=1)
+        ]
+        self._residual_tables: list[CategoricalTable | None] = [
+            CategoricalTable(law) if plan.index_tail_probability(n) else None
+            for n, law in enumerate(plan.residual_laws, start=1)
+        ]
         self._kernels = plan.kernels
         self._row_tables: list[dict[Point, CategoricalTable]] = [
             {} for _ in range(plan.count)

@@ -155,10 +155,13 @@ def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
 
 # -- coupling plans -----------------------------------------------------------
 
-# Format 3 stores only what the sampler draws from: the index law, the
+# Format 4 stores only what the sampler draws from: the index law, the
 # increment laws and the residual laws.  The ladder and the kernel rows
-# are derived from them and from the sequence (see ``CouplingPlan``).
-PLAN_FORMAT = 3
+# are derived from them and from the sequence (see ``CouplingPlan``).  A
+# law the sampler never draws (increment n where P(N = n) = 0, residual
+# n where P(N > n) = 0) is the empty law ``{}``; format 3 stored the
+# limit law and the member's window law there instead.
+PLAN_FORMAT = 4
 
 
 def plan_to_doc(plan: CouplingPlan) -> dict:
@@ -180,7 +183,7 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
 
     Loading is intentionally permissive so that a corrupted artifact can
     be reconstructed and then failed by the audit with a witness.  Only
-    plan format 3 is read; any other document, a field of the wrong
+    plan format 4 is read; any other document, a field of the wrong
     shape and a law list whose length is not the number of components
     raise ValueError.
     """

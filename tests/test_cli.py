@@ -176,21 +176,30 @@ def test_sample_refuses_a_plan_that_fails_the_audit(tmp_path, skewed_file, capsy
     assert not out.exists()
 
 
-def test_sample_reports_a_sampler_failure_after_the_audit(tmp_path, skewed_file, capsys):
-    # the audit never reads the last residual law, since P(N > 2) = 0, but
-    # the sampler builds a table for every law and refuses a sub-probability
+def test_sample_refuses_a_filled_never_drawn_law(tmp_path, skewed_file, capsys):
+    # P(N > 2) = 0, so the last residual law is never drawn and stored
+    # empty; the audit requires it to stay empty, and the sampler never
+    # tables it
     plan_path = tmp_path / "plan.json"
     main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
     doc = json.loads(plan_path.read_text())
+    assert doc["residual_laws"][-1] == {}
     doc["residual_laws"][-1] = {"a": "1/4"}
     plan_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    out = tmp_path / "samples.jsonl"
-    assert main(["sample", "--plan", str(plan_path), "--out", str(out)]) == 1
+    assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL never-drawn-laws-empty: residual law 2 has mass but P(N > 2) = 0" in out
+    assert "FAIL sampler-runs" not in out
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--plan", str(plan_path), "--out", str(samples)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
-    assert "sampling failed after 0 draws: ValueError: can only sample probability laws" in err
-    assert not out.exists()
+    assert (
+        "no samples drawn: never-drawn-laws-empty: residual law 2 has mass but P(N > 2) = 0"
+        in err
+    )
+    assert not samples.exists()
 
 
 def as_format_1(doc):
@@ -201,18 +210,22 @@ def as_format_2(doc):
     doc["format"] = 2
 
 
+def as_format_3(doc):
+    doc["format"] = 3
+
+
 def without_format(doc):
     del doc["format"]
 
 
 class TestPlanFormat:
-    @pytest.mark.parametrize("edit", [as_format_1, as_format_2, without_format])
+    @pytest.mark.parametrize("edit", [as_format_1, as_format_2, as_format_3, without_format])
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_other_formats_are_exit_2(self, tmp_path, skewed_file, capsys, edit, command):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         edit(doc)
         plan_path.write_text(json.dumps(doc))
         capsys.readouterr()

@@ -36,6 +36,7 @@ from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
     InternalInvariantError,
     coupling_marginals,
+    extended_floors,
     largest_feasible_windows,
     plan_exact_checks,
 )
@@ -166,17 +167,19 @@ class TestExtension:
             )
 
 
-def floor_ratios(seq, ladder):
+def floors_of(seq, schedule):
+    return extended_floors(seq, schedule, WindowTable(seq))
+
+
+def floor_ratios(seq, floors):
     """Each floor's density against the limit law, on the limit's support."""
-    return [
-        {z: floor[z] / q for z, q in seq.limit.mass.items()} for floor in ladder.floors
-    ]
+    return [{z: floor[z] / q for z, q in seq.limit.mass.items()} for floor in floors]
 
 
-def assert_envelopes_are_minimal_ratios(seq, ladder):
+def assert_envelopes_are_minimal_ratios(seq, schedule, envelopes):
     """envelope(n)[z] == limit[z] * min over i >= n of floor_i[z] / limit[z]."""
-    ratios = floor_ratios(seq, ladder)
-    for n, env in enumerate(ladder.envelopes, start=1):
+    ratios = floor_ratios(seq, floors_of(seq, schedule))
+    for n, env in enumerate(envelopes, start=1):
         expected = {
             z: q * min(r[z] for r in ratios[n - 1 :]) for z, q in seq.limit.mass.items()
         }
@@ -186,29 +189,48 @@ def assert_envelopes_are_minimal_ratios(seq, ladder):
 class TestLadder:
     def test_constant_sequence_ladder_is_limit(self, constant_sequence):
         schedule = build_schedule(constant_sequence)
-        ladder = build_ladder(constant_sequence, schedule)
-        for ratios in floor_ratios(constant_sequence, ladder):
+        envelopes = build_ladder(constant_sequence, schedule)
+        for ratios in floor_ratios(constant_sequence, floors_of(constant_sequence, schedule)):
             assert set(ratios.values()) == {F(1)}
-        assert_envelopes_are_minimal_ratios(constant_sequence, ladder)
-        for env in ladder.envelopes:
+        assert_envelopes_are_minimal_ratios(constant_sequence, schedule, envelopes)
+        for env in envelopes:
             assert env == constant_sequence.limit
 
     def test_worked_example(self, skewed_sequence):
         schedule = build_schedule(skewed_sequence)
-        ladder = build_ladder(skewed_sequence, schedule)
-        assert floor_ratios(skewed_sequence, ladder)[0] == {(0,): F(1, 2), (1,): F(1)}
-        assert_envelopes_are_minimal_ratios(skewed_sequence, ladder)
-        assert ladder.envelopes[0].mass == {(0,): F(1, 4), (1,): F(1, 2)}
-        assert ladder.envelopes[1] == skewed_sequence.limit
-        gap = 1 - ladder.envelopes[0].total_mass
+        envelopes = build_ladder(skewed_sequence, schedule)
+        floors = floors_of(skewed_sequence, schedule)
+        assert floor_ratios(skewed_sequence, floors)[0] == {(0,): F(1, 2), (1,): F(1)}
+        assert_envelopes_are_minimal_ratios(skewed_sequence, schedule, envelopes)
+        assert envelopes[0].mass == {(0,): F(1, 4), (1,): F(1, 2)}
+        assert envelopes[1] == skewed_sequence.limit
+        gap = 1 - envelopes[0].total_mass
         assert gap == F(1, 4) <= F(1, 2 ** 0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_random_envelopes_are_minimal_ratios(self, seed):
         seq = random_process_spec(random.Random(seed))
-        ladder = build_ladder(seq, build_schedule(seq))
-        assert_envelopes_are_minimal_ratios(seq, ladder)
+        schedule = build_schedule(seq)
+        assert_envelopes_are_minimal_ratios(seq, schedule, build_ladder(seq, schedule))
+
+    def test_build_plan_builds_no_floor(self, monkeypatch, two_member_sequence):
+        # every floor and every envelope is one limit-times-ratio measure;
+        # a plan's build makes only the envelopes, its ladder the floors
+        built = []
+        limit_times = engine._limit_times
+
+        def counted(limit, k, ratios):
+            built.append(k)
+            return limit_times(limit, k, ratios)
+
+        monkeypatch.setattr(engine, "_limit_times", counted)
+        plan = build_plan(two_member_sequence)
+        full = two_member_sequence.space.width
+        assert built == [full] * plan.count
+        built.clear()
+        assert len(plan.ladder.floors) == plan.count
+        assert built == list(plan.schedule.windows)
 
 
 class TestPlan:
@@ -217,8 +239,8 @@ class TestPlan:
         assert plan.index_law.mass == {(0,): F(1)}
         assert plan.increment_laws[0] == constant_sequence.limit
         assert plan.index_tail_probability(1) == 0
-        # the never-sampled residual falls back to the member window law
-        assert plan.residual_laws[0] == window_marginal(constant_sequence.member(1), 1)
+        # the never-drawn residual is the empty law on the window space
+        assert plan.residual_laws[0] == MassFunction(constant_sequence.space.window(1), 1, {})
 
     def test_worked_example_mixture(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
@@ -263,7 +285,7 @@ class TestPlan:
             for prefix, row in rows.items():
                 assert row.law == conditional_given_prefix(member, prefix)
 
-    def test_audit_is_the_seven_identities(self, skewed_sequence):
+    def test_audit_is_the_seven_identities_then_never_drawn_laws(self, skewed_sequence):
         names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
         assert names == [
             "schedule-monotone",
@@ -273,6 +295,7 @@ class TestPlan:
             "ladder-mass-bound",
             "mixture-reconstructs-limit",
             "window-mixture-reconstructs-members",
+            "never-drawn-laws-empty",
         ]
 
     def test_moved_increment_mass_detected(self, skewed_sequence):
@@ -343,7 +366,8 @@ class TestPlan:
     def test_derived_ladder_is_the_built_ladder(self, seed):
         seq = random_process_spec(random.Random(seed))
         plan = build_plan(seq)
-        assert plan.ladder == build_ladder(seq, plan.schedule)
+        assert plan.ladder.envelopes == build_ladder(seq, plan.schedule)
+        assert plan.ladder.floors == floors_of(seq, plan.schedule)
 
 
 class TestSampling:

@@ -109,9 +109,9 @@ class TestSequenceDocs:
 
 
 class TestPlanDocs:
-    def test_format_3_stores_only_the_mixture(self, two_member_sequence):
+    def test_format_4_stores_only_the_mixture(self, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
-        assert doc["format"] == 3
+        assert doc["format"] == 4
         assert set(doc) == {
             "format",
             "sequence",
@@ -120,6 +120,8 @@ class TestPlanDocs:
             "increment_laws",
             "residual_laws",
         }
+        # P(N > M + 1) = 0: the last residual law is never drawn
+        assert doc["residual_laws"][-1] == {}
 
     def test_round_trip_preserves_everything(self, two_member_sequence):
         plan = build_plan(two_member_sequence)

@@ -25,7 +25,7 @@ from windowcoupling import (
     window_infimum,
     window_marginal,
 )
-from windowcoupling.engine import CategoricalTable
+from windowcoupling.engine import CategoricalTable, extended_floors
 from windowcoupling.measures import ZERO, prefix_conditionals
 
 
@@ -422,11 +422,11 @@ class TestIntegerForm:
                         if z[:k] == prefix
                     }
         schedule = build_schedule(seq, table)
-        ladder = build_ladder(seq, schedule, table)
+        envelopes = build_ladder(seq, schedule, table)
         limit = seq.limit.mass
         floors = [extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)]
-        assert ladder.floors == tuple(floors)
-        for n, env in enumerate(ladder.envelopes, start=1):
+        assert extended_floors(seq, schedule, table) == tuple(floors)
+        for n, env in enumerate(envelopes, start=1):
             expected = {
                 z: q * min(floor[z] / q for floor in floors[n - 1 :]) for z, q in limit.items()
             }

@@ -4,11 +4,13 @@ Any change to these hashes is a change of a wire format and must be
 deliberate.  The format-1 plan hashes were computed from the plain
 reference construction, before the build path became table-driven.
 Format 2 drops only data that format 1 derived or that the sampler
-never reads, and format 3 drops the ladder and the kernel rows, which
-format 2 stored but which follow from the rest.  ``v2_doc`` adds the
-derived ladder and kernel rows back to a format-3 plan and ``v1_doc``
-builds on it; they must reproduce the format-2 and format-1 bytes
-exactly.
+never reads, format 3 drops the ladder and the kernel rows, which
+format 2 stored but which follow from the rest, and format 4 writes the
+empty law in place of every mixture law the sampler never draws.
+``v3_doc`` puts the format-3 fillers back into a format-4 plan,
+``v2_doc`` adds the derived ladder and kernel rows to that, and
+``v1_doc`` builds on it; they must reproduce the format-3, format-2 and
+format-1 bytes exactly.  Sample bytes are the same in every format.
 """
 import hashlib
 import random
@@ -55,9 +57,30 @@ def uniform_on_cylinder(space, prefix) -> MassFunction:
     return MassFunction.from_masses(space, {z: F(1, len(extensions)) for z in extensions})
 
 
+def v3_doc(plan) -> dict:
+    """The format-3 document of a plan.
+
+    Format 3 stored the limit law as increment n where P(N = n) = 0 and
+    member n's window law as residual n where P(N > n) = 0, where format
+    4 stores the empty law.
+    """
+    doc = jsonio.plan_to_doc(plan)
+    doc["format"] = 3
+    seq = plan.sequence
+    for n in range(1, plan.count + 1):
+        if plan.index_probability(n) == 0:
+            assert doc["increment_laws"][n - 1] == {}
+            doc["increment_laws"][n - 1] = jsonio.law_to_doc(seq.limit)
+        if plan.index_tail_probability(n) == 0:
+            assert doc["residual_laws"][n - 1] == {}
+            member_window = window_marginal(seq.member(n), plan.schedule.window(n))
+            doc["residual_laws"][n - 1] = jsonio.law_to_doc(member_window)
+    return doc
+
+
 def v2_doc(plan) -> dict:
     """The format-2 document of a plan: format 3 plus the ladder and the kernel rows."""
-    doc = jsonio.plan_to_doc(plan)
+    doc = v3_doc(plan)
     doc["format"] = 2
     doc["ladder"] = {
         "floors": [jsonio.law_to_doc(f) for f in plan.ladder.floors],
@@ -116,42 +139,47 @@ def v1_doc(plan) -> dict:
     return doc
 
 
-# seed -> (schedule, format-1, format-2 and format-3 plan sha256, audit report sha256)
+# seed -> (schedule, format-1 to format-4 plan sha256, audit report sha256)
 ENUMERABLE = {
     0: (
         (0, 0, 0, 2),
         "243bd61a07bb4209a2844dbefacde3366ed22a4f99db9136547bb4af2a3e536c",
         "974ac6696e64fa40badb4b013d1b9c7a9c9fe5f122e97381c11fab2c8030b7c8",
         "a2418eee23df1c8536e833271858fae579639e1002da5288fd9437043202cb5a",
-        "f9ea228cc690f4a82ebed20f6d02b9e7ded36ea32199ded7e12afbff176df654",
+        "6dd10129eb047eeb8c5c5150f458e01e4ab20eb7c1019a22ee34deb13e79383f",
+        "7c5ce101611c3bd08fa794bb617d0f0ec4b7577e6024e0cdacca019210f32788",
     ),
     3: (
         (0, 0, 1),
         "e490890fa4a19f6f23411820281ecd198cc432c6d9090b34209da39c4f52a69d",
         "17b2eccd52396aa755a6b5768706e775d882f14dbdd840be58b7b5a85bc03a8d",
         "af5841eb812a9f27e5c4a9e5a1955e8a1b2b6e7fdc362d1df7a47ae94fb013f4",
-        "4349ef69ac5b0f40182eeae790abc717583ae344c3f2237fb8403c9863df681c",
+        "7e4d18cf484a7082f96ec061b9fa8850f032ca680dfda47f37792698d7176b0c",
+        "3812da1b1cc4970204fcb200e3bfac79f89949a9701e340de2981e8d44ad243e",
     ),
     12: (
         (1, 1, 1, 2),
         "dbed64a051141d2c6644b0c1dea5a03dbef9a81ac5a88492c18c5e97dc23cd2d",
         "64a77f6d5702ced8c305b6af98a74cc02d3b2aad6c7f2751a78ba7f2d0cd33c1",
         "aaa7dadf5c350e6336bf07fb8a8815b2c8e5b578b445e6a2c416b4f08e4a27d4",
-        "bfc0c0548f51a33bf8a0d66f1813a292d06fcccde41eab154c699fc8b7648b85",
+        "587b296e9b557438d699e0ec1982b1c54c80b82c75a57c9e16fb2419b55208e2",
+        "bc60d9d756f818c20db335fd132674be528a7cccf6d7a4b17edd6cbec9907c88",
     ),
     26: (
         (1, 1, 1, 1, 3),
         "96e9d082e2ff58d5f89f50ecc5610c4510a8493ae237a9a72ef498f89719d29d",
         "b73e911fb8fcf3c98316b4360024a4c0259686a20bd1f40c6bd2e2d9845470aa",
         "97161f9e9da129e5df06d3f3d13c1982a1759d36131de875655b1aad382898d7",
-        "7ebd8850ecc6d5bb32d2a9a2bd1633c37d137e955ff217797b5649a16820a68a",
+        "2220dd318f3a3030c5801c1d432d5d1bf71d16f21d3775c1960527cb68dc89b8",
+        "6a6da73c3ded97ec514fe1bca65ba738f82821624cf01de258f7db6c73c55e65",
     ),
     35: (
         (2, 2, 2, 3),
         "7ba01a77f6fac83630c2f8c1b578897f25570b0e47ef9a25257bc97aac2eaef8",
         "5b8467234ac09d541b096b2cea0944c41412555e89accc328aa659574a24da29",
         "3404011b9e9dad1ab7d79fdf15391d8ebe5b1da07d3e9af44ee1cb0ed139c706",
-        "875aec2d037119c79084a07b5967630ae9ac143e04ecc5f717d9344fc2457b93",
+        "93fe1328500c269db382dc66a436aaf3bba43101944bc7e3392c4fbe7192019c",
+        "620a789384688610c5f5f2f39b784e0ba59f1ec74163b014f096540ffe4e3dae",
     ),
 }
 
@@ -170,10 +198,11 @@ SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d
 
 @pytest.mark.parametrize("seed", sorted(ENUMERABLE))
 def test_enumerable_plan_bytes(seed):
-    windows, v1_sha, v2_sha, v3_sha, report_sha = ENUMERABLE[seed]
+    windows, v1_sha, v2_sha, v3_sha, v4_sha, report_sha = ENUMERABLE[seed]
     _, plan = random_enumerable_plan(random.Random(seed))
     assert plan.schedule.windows == windows
-    assert sha256(jsonio.plan_to_doc(plan)) == v3_sha
+    assert sha256(jsonio.plan_to_doc(plan)) == v4_sha
+    assert sha256(v3_doc(plan)) == v3_sha
     assert sha256(v2_doc(plan)) == v2_sha
     assert sha256(v1_doc(plan)) == v1_sha
     assert sha256(jsonio.report_to_doc(audit_plan(plan))) == report_sha
@@ -183,6 +212,19 @@ def test_format_2_documents_are_refused():
     _, plan = random_enumerable_plan(random.Random(0))
     with pytest.raises(ValueError, match="unsupported plan format 2"):
         jsonio.plan_from_doc(v2_doc(plan))
+
+
+@pytest.mark.parametrize("seed", sorted(ENUMERABLE) + sorted(WIDENING_SAMPLES))
+def test_sampler_tables_only_drawable_laws(seed):
+    _, plan = random_enumerable_plan(random.Random(seed))
+    sampler = CouplingSampler(plan)
+    for n, (law, table) in enumerate(zip(plan.increment_laws, sampler._increment_tables), 1):
+        never = plan.index_probability(n) == 0
+        assert (table is None) == never == (not law.weights)
+    for n, (law, table) in enumerate(zip(plan.residual_laws, sampler._residual_tables), 1):
+        never = plan.index_tail_probability(n) == 0
+        assert (table is None) == never == (not law.weights)
+    assert sampler._residual_tables[-1] is None
 
 
 def test_enumerable_sample_bytes():
@@ -220,6 +262,10 @@ def test_skorohod_plan_bytes():
     assert coupling.plan.schedule.windows == (0, 0, 3)
     assert (
         sha256(jsonio.plan_to_doc(coupling.plan))
+        == "d8255a38199117884a5b564a87ea5df65202f602478675ad0be2e83e82e02b29"
+    )
+    assert (
+        sha256(v3_doc(coupling.plan))
         == "e6872e0de6dd9496c8063af9ae97135c707592b9fa6b50daffd06830a76e7d1f"
     )
     assert (
@@ -232,7 +278,7 @@ def test_skorohod_plan_bytes():
     )
     assert (
         sha256(jsonio.report_to_doc(audit_skorohod(coupling)))
-        == "930efeb2ef2ea89d5a8c756bd775cf114785140c81a79bd207b3e916652b7f95"
+        == "d465d29096aa7e7e027aee5cee7e33f11c63335bfc20193db7272c2ff46742fb"
     )
 
 
@@ -283,5 +329,5 @@ def test_jittered_lattice_tree_and_report_bytes():
         "89164df424e1f13a0779aba61cd1038bac22c1bbf7029773b0f1b46cdaf4b17a"
     )
     assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
-        "142f4d9316c527cd2da9942385647d40e04cf78cc3e5718e492cdcbd08ce7574"
+        "868b18b91d5191cf162c84efc08f6ebdcf02dcd74b2a418960f08c4c67011ec0"
     )

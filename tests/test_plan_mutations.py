@@ -1,10 +1,11 @@
-"""One mutation of a valid format-3 plan document, run through the CLI.
+"""One mutation of a valid format-4 plan document, run through the CLI.
 
 Each case changes one thing in a plan document: scales one mass (to
 zero, a half, double, a negative value or "2/1"), drops a law or a
 window from a list, lowers or raises one schedule window, swaps two
-increment laws, or writes a "1/0" mass.  Then it runs ``verify`` and
-``sample`` on the result:
+increment laws, writes a "1/0" mass, or writes a probability law (the
+format-3 filler) into a slot the sampler never draws from.  Then it
+runs ``verify`` and ``sample`` on the result:
 
 - ``verify`` exits 1 with a FAIL line that names a witness, or exits 2
   with exactly one ``error:`` line.  It may exit 0 only when the mutated
@@ -12,11 +13,13 @@ increment laws, or writes a "1/0" mass.  Then it runs ``verify`` and
   law then confirms.  Whenever the plan loads, the report holds the
   factored ``joint-law-marginals`` check, which may pass only when the
   brute-force marginals are the input laws.
-- ``sample`` first audits the seven identities of ``verify``, which imply
+- ``sample`` first audits the exact checks of ``verify``, which imply
   the marginal check.  It may exit 0 only when they all pass.  A plan
   that fails one gives exit 1 with exactly one ``error:`` line, naming
   the first failing check and its witness; a plan that does not load
   gives exit 2 with exactly one ``error:`` line.
+- A filled never-drawn slot makes both commands exit 1 naming
+  ``never-drawn-laws-empty``.
 
 No case may end in an exception.
 """
@@ -32,7 +35,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from windowcoupling import audit_plan, exact_joint_law, jsonio
+from windowcoupling import audit_plan, exact_joint_law, jsonio, window_marginal
 from windowcoupling.cli import main
 from windowcoupling.verify import random_enumerable_plan
 
@@ -99,7 +102,27 @@ def swap_increments(doc: dict, draw) -> None:
     laws[i], laws[j] = laws[j], laws[i]
 
 
-MUTATIONS = (scale_mass, zero_denominator, drop_entry, shift_window, swap_increments)
+def fill_never_drawn(doc: dict, draw) -> None:
+    plan = jsonio.plan_from_doc(doc)
+    seq = plan.sequence
+    slots = [("increment_laws", n) for n in range(plan.count) if not doc["increment_laws"][n]]
+    slots += [("residual_laws", n) for n in range(plan.count) if not doc["residual_laws"][n]]
+    name, n = draw(st.sampled_from(slots))
+    if name == "increment_laws":
+        law = seq.limit
+    else:
+        law = window_marginal(seq.member(n + 1), plan.schedule.windows[n])
+    doc[name][n] = jsonio.law_to_doc(law)
+
+
+MUTATIONS = (
+    scale_mass,
+    zero_denominator,
+    drop_entry,
+    shift_window,
+    swap_increments,
+    fill_never_drawn,
+)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -159,6 +182,8 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
 
         code, out, err = run_cli(["verify", "--plan", str(plan), "--samples", "30"])
         assert "Traceback" not in err
+        if mutation is fill_never_drawn:
+            assert code == 1 and "  FAIL never-drawn-laws-empty: " in out, (code, out)
         if code == 0:
             assert is_coupling(doc), "verify passed a plan that is not a coupling"
         elif code == 1:
@@ -177,6 +202,8 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
         assert code in (0, 1, 2)
         if code:
             assert error_lines(err) == 1, (code, err)
+        if mutation is fill_never_drawn:
+            assert code == 1 and "no samples drawn: never-drawn-laws-empty: " in err, err
         failed = exact_failures(doc)
         if failed is None:
             assert code == 2, (code, err)
