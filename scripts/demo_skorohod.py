@@ -10,9 +10,10 @@ from collections import Counter
 from fractions import Fraction as F
 
 from windowcoupling import (
-    AtomicLaw,
     LawSequence,
+    MassFunction,
     MetricSpaceModel,
+    ProcessSequenceSpec,
     TailRule,
     audit_skorohod,
     build_skorohod_coupling,
@@ -32,9 +33,10 @@ def main() -> None:
     model = MetricSpaceModel.from_coords(
         ("x0", "x1", "x2"), ((F(0),), (F(1, 2),), (F(1),))
     )
-    start = AtomicLaw({0: F(1)})
-    uniform = AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    laws = LawSequence(model, (start,), uniform, TailRule(1))
+    space = model.space
+    start = MassFunction.point_mass(space, (0,))
+    uniform = MassFunction.uniform(space)
+    laws = LawSequence(model, ProcessSequenceSpec(space, (start,), uniform, TailRule(1)))
 
     coupling = build_skorohod_coupling(model, laws, args.depth)
     print("partition tree:")

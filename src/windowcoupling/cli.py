@@ -53,6 +53,8 @@ def _load_json(path: Path) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than the interpreter's digit limit
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Iterator
@@ -32,11 +34,11 @@ from .measures import (
 from .skorohod import (
     LINF_BACKEND,
     TABLE_BACKEND,
-    AtomicLaw,
     LawSequence,
     MetricSpaceModel,
     PartitionTree,
     max_metric_table,
+    weight_of,
 )
 
 
@@ -51,7 +53,10 @@ def parse_ratio(text: Any) -> tuple[int, int]:
     reduced.  Canonical ASCII ``[-]digits/digits`` and ``[-]digits``,
     the forms the package writes, are split into two ints; every other
     string goes through ``Fraction``'s own parser, which is several times
-    slower.
+    slower.  A decimal exponent larger in magnitude than
+    ``sys.get_int_max_str_digits()``, the limit ``int`` puts on digit
+    strings, is refused before that parser expands it (a limit of 0
+    turns the check off, as it does for ``int``).
     """
     if isinstance(text, int):
         return int(text), 1
@@ -62,12 +67,30 @@ def parse_ratio(text: Any) -> tuple[int, int]:
             denominator = int(den) if slash else 1
             if denominator:
                 return int(num), denominator
+        _check_exponent(text)
         try:
             value = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"rational {text!r} has a zero denominator") from None
         return value.numerator, value.denominator
     raise ValueError(f"expected a rational string, got {text!r}")
+
+
+# a decimal with an exponent, in the grammar ``Fraction`` reads
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.\d*(?:_\d+)*)?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal exponent whose expansion would pass the digit limit."""
+    match = _DECIMAL_EXPONENT.fullmatch(text)
+    # interpreters without the limit have no such check in ``int`` either
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if match and limit and abs(int(match[1])) > limit:
+        raise ValueError(
+            f"rational {text[:40]!r} has an exponent beyond the {limit}-digit limit"
+        )
 
 
 def parse_fraction(text: Any) -> Fraction:
@@ -122,13 +145,16 @@ def space_from_doc(doc: list) -> ProductSpace:
     return ProductSpace(tuple(Alphabet(tuple(symbols)) for symbols in doc))
 
 
-def sequence_to_doc(seq: ProcessSequenceSpec) -> dict:
+def _laws_to_doc(seq: ProcessSequenceSpec) -> dict:
     return {
-        "space": space_to_doc(seq.space),
         "members": [law_to_doc(m) for m in seq.members],
         "limit": law_to_doc(seq.limit),
         "tail": {"eventually_equal": seq.tail.eventually_equal},
     }
+
+
+def sequence_to_doc(seq: ProcessSequenceSpec) -> dict:
+    return {"space": space_to_doc(seq.space), **_laws_to_doc(seq)}
 
 
 @contextmanager
@@ -144,6 +170,11 @@ def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
     """Parse a sequence document; a field of the wrong shape raises ValueError."""
     with _doc_field("spec", "space"):
         space = space_from_doc(doc["space"])
+    return _laws_from_doc(space, doc)
+
+
+def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
+    """The members, limit and tail of a spec document, on ``space``."""
     with _doc_field("spec", "members"):
         members = tuple(law_from_doc(space, m) for m in doc["members"])
     with _doc_field("spec", "limit"):
@@ -283,42 +314,20 @@ def model_from_doc(doc: dict, backend: str | None = None) -> MetricSpaceModel:
     return MetricSpaceModel.from_table(labels, dist, support)
 
 
-def atomic_law_to_doc(model: MetricSpaceModel, law: AtomicLaw) -> dict:
-    return {
-        model.labels[i]: fraction_to_str(v) for i, v in sorted(law.masses.items())
-    }
-
-
-def atomic_law_from_doc(model: MetricSpaceModel, doc: dict) -> AtomicLaw:
-    return AtomicLaw(
-        {model.index(label): parse_fraction(value) for label, value in doc.items()}
-    )
-
-
 def law_sequence_to_doc(seq: LawSequence) -> dict:
-    return {
-        "model": model_to_doc(seq.model),
-        "members": [atomic_law_to_doc(seq.model, m) for m in seq.members],
-        "limit": atomic_law_to_doc(seq.model, seq.limit),
-        "tail": {"eventually_equal": seq.tail.eventually_equal},
-    }
+    return {"model": model_to_doc(seq.model), **_laws_to_doc(seq.sequence)}
 
 
 def law_sequence_from_doc(doc: dict, backend: str | None = None) -> LawSequence:
     """Parse a metric law sequence; a field of the wrong shape raises ValueError."""
     with _doc_field("spec", "model"):
         model = model_from_doc(doc["model"], backend)
-    with _doc_field("spec", "members"):
-        members = tuple(atomic_law_from_doc(model, m) for m in doc["members"])
-    with _doc_field("spec", "limit"):
-        limit = atomic_law_from_doc(model, doc["limit"])
-    with _doc_field("spec", "tail"):
-        tail = TailRule(int(doc["tail"]["eventually_equal"]))
-    return LawSequence(model=model, members=members, limit=limit, tail=tail)
+    return LawSequence(model, _laws_from_doc(model.space, doc))
 
 
 def tree_to_doc(tree: PartitionTree) -> dict:
     model = tree.model
+    law = tree.law
     return {
         "depth": tree.depth,
         "backend": model.backend,
@@ -328,7 +337,9 @@ def tree_to_doc(tree: PartitionTree) -> dict:
                     "path": list(cell.path),
                     "members": [model.labels[i] for i in cell.members],
                     "diameter": fraction_to_str(cell.diameter),
-                    "limit_mass": fraction_to_str(tree.law.mass_of(cell.members)),
+                    "limit_mass": fraction_to_str(
+                        Fraction(weight_of(law, cell.members), law.denominator)
+                    ),
                     "certificate": [
                         [model.labels[c], fraction_to_str(r)]
                         for c, r in cell.certificate

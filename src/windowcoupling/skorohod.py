@@ -1,12 +1,17 @@
 """Almost-surely convergent couplings on finite metric spaces.
 
+A law on a finite metric model is a ``MassFunction`` on the model's
+point space, the one-coordinate space whose symbols are the point
+labels, so point i is the point ``(i,)``; a ``LawSequence`` binds a
+``ProcessSequenceSpec`` on that space to its model.
+
 Pipeline: certify a nested family of continuity partitions with cell
-diameters shrinking like 1/k, digitize each atomic law into the process
-of its partition-cell indices (terminal coordinate carrying the point
-itself), hand the digit process sequence to the coupling engine, and
-decode the coupled trajectories back to metric points.  Window
-agreement of the digit processes then forces the decoded points into a
-shared small-diameter cell, which yields the distance guarantee
+diameters shrinking like 1/k, digitize each law into the process of its
+partition-cell indices (terminal coordinate carrying the point itself),
+hand the digit process sequence to the coupling engine, and decode the
+coupled trajectories back to metric points.  Window agreement of the
+digit processes then forces the decoded points into a shared
+small-diameter cell, which yields the distance guarantee
 ``d(X_n, X) < 1/k_n`` from the agreement index on.
 
 Two backends: an explicit rational distance table (finite ambient
@@ -17,13 +22,13 @@ distances to keep sphere masses at zero).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from operator import sub
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .engine import (
     CouplingPlan,
@@ -33,14 +38,13 @@ from .engine import (
     sample as sample_plan,
 )
 from .measures import (
-    ONE,
     ZERO,
     Alphabet,
     MassFunction,
     Point,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
+    SpaceMismatchError,
 )
 
 TABLE_BACKEND = "table"
@@ -64,7 +68,9 @@ class MetricSpaceModel:
     coordinates; its distance table is the max-metric, which keeps every
     realized distance rational.  Construction checks that the table is a
     metric, exactly: the checks run on the table scaled to integers by
-    the lcm of its denominators.
+    the lcm of its denominators.  ``space`` is the point space, built
+    once: one coordinate whose alphabet is the labels, which validates
+    them, so point i is the point ``(i,)`` of every law on the model.
     """
 
     labels: tuple[str, ...]
@@ -72,18 +78,17 @@ class MetricSpaceModel:
     separable_support: tuple[bool, ...]
     backend: str
     coords: tuple[tuple[Fraction, ...], ...] | None = None
+    space: ProductSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.labels)
         if n == 0:
             raise MetricModelError("model must have at least one point")
-        seen: set[str] = set()
-        for label in self.labels:
-            if not label or "," in label:
-                raise MetricModelError(f"bad point label {label!r}")
-            if label in seen:
-                raise MetricModelError(f"duplicate point label {label!r}")
-            seen.add(label)
+        try:
+            space = ProductSpace((Alphabet(tuple(self.labels)),))
+        except ValueError as exc:
+            raise MetricModelError(f"bad point label: {exc}") from None
+        object.__setattr__(self, "space", space)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
@@ -125,12 +130,6 @@ class MetricSpaceModel:
 
     def support_indices(self) -> list[int]:
         return [i for i, flag in enumerate(self.separable_support) if flag]
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown point label {label!r}") from None
 
     @classmethod
     def from_table(
@@ -184,80 +183,27 @@ def max_metric_table(
 
 
 @dataclass(frozen=True)
-class AtomicLaw:
-    """Exact probability (or sub-probability) law on model point indices."""
-
-    masses: Mapping[int, Fraction]
-
-    def __post_init__(self) -> None:
-        clean: dict[int, Fraction] = {}
-        total = ZERO
-        for idx, value in self.masses.items():
-            val = Fraction(value)
-            if val < 0:
-                raise ValueError(f"negative mass at point {idx}")
-            if val > 0:
-                clean[int(idx)] = val
-                total += val
-        if total > 1:
-            raise ValueError(f"total mass {total} exceeds 1")
-        object.__setattr__(self, "masses", clean)
-        object.__setattr__(self, "_total", total)
-
-    @property
-    def total_mass(self) -> Fraction:
-        return self._total  # type: ignore[attr-defined]
-
-    @property
-    def is_probability(self) -> bool:
-        return self.total_mass == ONE
-
-    def __getitem__(self, idx: int) -> Fraction:
-        return self.masses.get(idx, ZERO)
-
-    def mass_of(self, indices: Iterable[int]) -> Fraction:
-        return sum((self[i] for i in indices), ZERO)
-
-    @classmethod
-    def from_labels(
-        cls, model: MetricSpaceModel, mapping: Mapping[str, Fraction]
-    ) -> "AtomicLaw":
-        return cls({model.index(label): value for label, value in mapping.items()})
-
-
-@dataclass(frozen=True)
 class LawSequence:
-    """Atomic laws P_1..P_M with limit P on one model, under a tail rule."""
+    """A process sequence on a model's point space, bound to that model."""
 
     model: MetricSpaceModel
-    members: tuple[AtomicLaw, ...]
-    limit: AtomicLaw
-    tail: TailRule
+    sequence: ProcessSequenceSpec
 
     def __post_init__(self) -> None:
-        if len(self.members) != self.tail.eventually_equal:
-            raise ValueError(
-                f"{len(self.members)} members but tail index {self.tail.eventually_equal}"
-            )
-        for i, law in enumerate((*self.members, self.limit)):
-            for idx in law.masses:
-                if not 0 <= idx < self.model.size:
-                    raise ValueError(f"law {i} places mass on unknown point {idx}")
-            if not law.is_probability:
-                raise ValueError(f"law {i} has total mass {law.total_mass}, not 1")
+        if self.sequence.space != self.model.space:
+            raise SpaceMismatchError("law sequence does not live on the model's point space")
 
-    @property
-    def horizon(self) -> int:
-        return self.tail.eventually_equal
 
-    def member(self, n: int) -> AtomicLaw:
-        if n < 1:
-            raise ValueError(f"member index {n} must be at least 1")
-        return self.members[n - 1] if n <= self.horizon else self.limit
+def weight_of(law: MassFunction, indices: Iterable[int]) -> int:
+    """The summed integer weight of model points ``indices`` under ``law``.
+
+    The mass of the set is this weight over ``law.denominator``.
+    """
+    return sum(law.weights.get((i,), 0) for i in indices)
 
 
 def continuity_radius(
-    model: MetricSpaceModel, center: int, proposed: Fraction, law: AtomicLaw
+    model: MetricSpaceModel, center: int, proposed: Fraction, law: MassFunction
 ) -> Fraction:
     """A radius at most ``proposed`` whose sphere around ``center`` has law-mass 0.
 
@@ -268,7 +214,7 @@ def continuity_radius(
     """
     if proposed <= 0:
         raise ValueError("proposed radius must be positive")
-    realized = {model.distance(center, j) for j in law.masses}
+    realized = {model.distance(center, j) for (j,) in law.weights}
     if proposed not in realized:
         return proposed
     below = [d for d in realized if d < proposed]
@@ -305,7 +251,7 @@ class PartitionTree:
     """Nested continuity partitions, one level per resolution 1/k."""
 
     model: MetricSpaceModel
-    law: AtomicLaw
+    law: MassFunction
     depth: int
     levels: tuple[tuple[Cell, ...], ...]
     paths: tuple[tuple[int, ...], ...]  # per point, child indices to depth
@@ -332,7 +278,7 @@ def _diameter(model: MetricSpaceModel, members: tuple[int, ...]) -> Fraction:
 
 
 def build_partition_tree(
-    model: MetricSpaceModel, law: AtomicLaw, depth: int
+    model: MetricSpaceModel, law: MassFunction, depth: int
 ) -> PartitionTree:
     """Greedy nested covering of the separable support by continuity balls.
 
@@ -345,7 +291,7 @@ def build_partition_tree(
         raise ValueError("depth must be at least 1")
     if not law.is_probability:
         raise ValueError("partition tree needs a probability limit law")
-    if law.mass_of(model.support_indices()) != ONE:
+    if weight_of(law, model.support_indices()) != law.denominator:
         raise SeparabilityError(
             "limit law mass on the separable support is not 1"
         )
@@ -473,7 +419,7 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
     witness = None
     for level in tree.levels:
         for cell in level:
-            if not cell.is_covering and law.mass_of(cell.members) != 0:
+            if not cell.is_covering and weight_of(law, cell.members) != 0:
                 witness = f"residual cell {cell.path} has positive limit mass"
                 break
         if witness:
@@ -490,10 +436,8 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
                 if (center, radius) in checked:
                     continue
                 checked.add((center, radius))
-                sphere = [
-                    j for j in law.masses if model.distance(center, j) == radius
-                ]
-                if law.mass_of(sphere) != 0:
+                # every support point has positive weight
+                if any(model.distance(center, j) == radius for (j,) in law.weights):
                     witness = (
                         f"cell {cell.path}: sphere around {model.labels[center]}"
                         f" radius {radius} has positive mass"
@@ -520,11 +464,13 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
 
 
 def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
-    """Push the atomic laws forward to their partition-index digit processes.
+    """Push the laws forward to their partition-index digit processes.
 
     Coordinate k carries the level-k child index (nesting makes the
     digits well defined); the terminal coordinate carries the point
-    itself, so decoding is a projection.
+    itself, so decoding is a projection.  The pushforward is a
+    relabelling: each law keeps its denominator and point i's weight
+    moves to the digit point of i.
     """
     model = seq.model
     coordinates = [
@@ -537,19 +483,16 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
     def encode(i: int) -> Point:
         return tuple(d - 1 for d in tree.paths[i]) + (i,)
 
-    def push(law: AtomicLaw) -> MassFunction:
-        common = lcm(*(v.denominator for v in law.masses.values()))
-        return MassFunction(
-            space,
-            common,
-            {encode(i): v.numerator * (common // v.denominator) for i, v in law.masses.items()},
-        )
+    def push(law: MassFunction) -> MassFunction:
+        weights = {encode(i): w for (i,), w in law.weights.items()}
+        return MassFunction(space, law.denominator, weights)
 
+    laws = seq.sequence
     return ProcessSequenceSpec(
         space=space,
-        members=tuple(push(m) for m in seq.members),
-        limit=push(seq.limit),
-        tail=seq.tail,
+        members=tuple(push(m) for m in laws.members),
+        limit=push(laws.limit),
+        tail=laws.tail,
     )
 
 
@@ -595,7 +538,7 @@ def build_skorohod_coupling(
 ) -> SkorohodCoupling:
     if seq.model is not model and seq.model != model:
         raise ValueError("law sequence is bound to a different model")
-    tree = build_partition_tree(model, seq.limit, depth)
+    tree = build_partition_tree(model, seq.sequence.limit, depth)
     digit_sequence = digitize(seq, tree)
     plan = build_plan(digit_sequence)
     return SkorohodCoupling(model, seq, tree, digit_sequence, plan)

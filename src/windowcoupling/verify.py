@@ -38,7 +38,6 @@ from .measures import (
     WindowTable,
 )
 from .skorohod import (
-    AtomicLaw,
     LawSequence,
     MetricSpaceModel,
     SkorohodCoupling,
@@ -385,17 +384,14 @@ def random_law_sequence(
     max_members: int = 3,
     max_weight: int = 8,
 ) -> LawSequence:
+    space = model.space
     support = model.support_indices()
     count = rng.randint(1, max_members)
 
-    def pmf(indices: list[int]) -> AtomicLaw:
+    def pmf(indices: list[int]) -> MassFunction:
         values = random_rational_pmf(rng, len(indices), max_weight)
-        return AtomicLaw(dict(zip(indices, values)))
+        return MassFunction.from_masses(space, {(i,): v for i, v in zip(indices, values)})
 
     everything = list(range(model.size))
-    return LawSequence(
-        model=model,
-        members=tuple(pmf(everything) for _ in range(count)),
-        limit=pmf(support),
-        tail=TailRule(count),
-    )
+    members = tuple(pmf(everything) for _ in range(count))
+    return LawSequence(model, ProcessSequenceSpec(space, members, pmf(support), TailRule(count)))

@@ -4,7 +4,6 @@ import pytest
 
 from windowcoupling import (
     Alphabet,
-    AtomicLaw,
     LawSequence,
     MassFunction,
     MetricSpaceModel,
@@ -58,6 +57,7 @@ def line_model():
 
 @pytest.fixture
 def line_laws(line_model):
-    uniform = AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-    start = AtomicLaw({0: F(1)})
-    return LawSequence(line_model, (start,), uniform, TailRule(1))
+    space = line_model.space
+    uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
+    start = MassFunction.from_masses(space, {(0,): F(1)})
+    return LawSequence(line_model, ProcessSequenceSpec(space, (start,), uniform, TailRule(1)))

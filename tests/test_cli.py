@@ -381,6 +381,107 @@ class TestZeroDenominator:
         assert not out.exists()
 
 
+# a placeholder written out as a 5,000-digit JSON integer, longer than the
+# interpreter's default limit on the digits ``int`` parses (4,300)
+OVERLONG = "overlong-integer"
+
+
+def overlong_tail(doc):
+    doc["tail"]["eventually_equal"] = OVERLONG
+
+
+def overlong_window(doc):
+    doc["schedule"]["windows"][0] = OVERLONG
+
+
+class TestOverlongInteger:
+    """An integer past the interpreter's digit limit is bad input, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, target, edit",
+        [
+            (["build", "--spec", "{spec}"], "spec", overlong_tail),
+            (["skorohod", "--spec", "{line}"], "line", overlong_tail),
+            (["verify", "--plan", "{plan}"], "plan", overlong_window),
+            (["sample", "--plan", "{plan}"], "plan", overlong_window),
+        ],
+        ids=["build", "skorohod", "verify", "sample"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, skewed_file, skorohod_file, capsys,
+                                        argv, target, edit):
+        plan = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan)])
+        capsys.readouterr()
+        files = {"spec": skewed_file, "line": skorohod_file, "plan": plan}
+        doc = json.loads(files[target].read_text())
+        edit(doc)
+        files[target].write_text(json.dumps(doc).replace(f'"{OVERLONG}"', "1" * 5000))
+        out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert f"{files[target]}: invalid JSON" in err
+        assert not out.exists()
+
+
+class TestHugeExponent:
+    @pytest.mark.parametrize("command", ["build", "skorohod"])
+    def test_exit_2_without_expanding(self, tmp_path, skewed_file, skorohod_file, capsys,
+                                      command):
+        spec = skewed_file if command == "build" else skorohod_file
+        doc = json.loads(spec.read_text())
+        law = doc["members"][0]
+        law[next(iter(law))] = "1e-20000000"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert "exponent" in err
+        assert not out.exists()
+
+
+def unknown_member_label(doc):
+    doc["members"][0]["x9"] = "0/1"
+
+
+def negative_member_mass(doc):
+    doc["members"][0] = {"x0": "3/2", "x1": "-1/2"}
+
+
+def limit_short_of_one(doc):
+    doc["limit"] = {"x0": "1/3", "x1": "1/3"}
+
+
+def duplicated_model_label(doc):
+    doc["model"]["points"][2] = "x1"
+
+
+class TestMalformedMetricSpec:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (unknown_member_label, "'x9'"),
+            (negative_member_mass, "negative mass"),
+            (limit_short_of_one, "total mass 2/3, not 1"),
+            (duplicated_model_label, "'x1'"),
+        ],
+        ids=["unknown-label", "negative-mass", "limit-total", "duplicate-label"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, skorohod_file, capsys, edit, message):
+        doc = json.loads(skorohod_file.read_text())
+        edit(doc)
+        skorohod_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["skorohod", "--spec", str(skorohod_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        error_line = next(line for line in err.splitlines() if "error:" in line)
+        assert message in error_line
+        assert not (out / "tree.json").exists()
+
+
 class TestMalformedReport:
     @pytest.mark.parametrize(
         "edit",

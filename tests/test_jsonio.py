@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from windowcoupling import (
+    LawSequence,
     MetricSpaceModel,
+    SpaceMismatchError,
     audit_plan,
     build_plan,
     build_partition_tree,
@@ -16,6 +19,7 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio, streams
 from windowcoupling.engine import plan_exact_checks
+from windowcoupling.verify import random_law_sequence, random_metric_model
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -58,6 +62,15 @@ class TestFractions:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             jsonio.parse_fraction("1/0")
+
+    @pytest.mark.parametrize("text", ["1e-100000000", "1E+99999999"])
+    def test_refuses_an_exponent_past_the_digit_limit(self, text):
+        with pytest.raises(ValueError, match="exponent beyond the"):
+            jsonio.parse_ratio(text)
+
+    def test_small_exponents_still_parse(self):
+        assert jsonio.parse_ratio("2E-2") == (1, 50)
+        assert jsonio.parse_ratio("1e3") == (1000, 1)
 
     @given(
         text=st.one_of(
@@ -220,10 +233,24 @@ class TestLawSequenceDocs:
         doc = jsonio.law_sequence_to_doc(line_laws)
         assert jsonio.law_sequence_from_doc(json.loads(json.dumps(doc))) == line_laws
 
+    def test_random_round_trips_are_byte_identical(self):
+        rng = random.Random(17)
+        for trial in range(30):
+            model = random_metric_model(rng, partial_support=trial % 2 == 1)
+            seq = random_law_sequence(rng, model)
+            text = jsonio.canonical_dumps(jsonio.law_sequence_to_doc(seq))
+            again = jsonio.law_sequence_from_doc(json.loads(text))
+            assert again == seq, trial
+            assert jsonio.canonical_dumps(jsonio.law_sequence_to_doc(again)) == text, trial
+
+    def test_sequence_on_another_space_is_refused(self, line_model, two_member_sequence):
+        with pytest.raises(SpaceMismatchError):
+            LawSequence(line_model, two_member_sequence)
+
 
 class TestTreeDocs:
     def test_membership_and_certificates_present(self, line_model, line_laws):
-        tree = build_partition_tree(line_model, line_laws.limit, 2)
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
         doc = jsonio.tree_to_doc(tree)
         assert doc["depth"] == 2
         assert doc["point_paths"]["x0"] == [2, 2]

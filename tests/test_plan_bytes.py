@@ -19,11 +19,11 @@ from fractions import Fraction as F
 import pytest
 
 from windowcoupling import (
-    AtomicLaw,
     CouplingSampler,
     LawSequence,
     MassFunction,
     MetricSpaceModel,
+    ProcessSequenceSpec,
     TailRule,
     audit_plan,
     audit_skorohod,
@@ -248,11 +248,18 @@ def skorohod_instance():
     model = MetricSpaceModel.from_coords(
         ("x0", "x1", "x2"), ((F(0),), (F(1, 2),), (F(1),))
     )
+    space = model.space
     laws = LawSequence(
         model,
-        (AtomicLaw({0: F(1)}), AtomicLaw({0: F(1, 2), 2: F(1, 2)})),
-        AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
-        TailRule(2),
+        ProcessSequenceSpec(
+            space,
+            (
+                MassFunction.from_masses(space, {(0,): F(1)}),
+                MassFunction.from_masses(space, {(0,): F(1, 2), (2,): F(1, 2)}),
+            ),
+            MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}),
+            TailRule(2),
+        ),
     )
     return build_skorohod_coupling(model, laws, 2)
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windowcoupling import (
-    AtomicLaw,
     LawSequence,
+    MassFunction,
     MetricModelError,
     MetricSpaceModel,
+    ProcessSequenceSpec,
     SeparabilityError,
     TailRule,
     build_partition_tree,
@@ -166,27 +167,27 @@ class TestMetricValidation:
 
 class TestContinuityRadius:
     def test_unrealized_radius_returned_unchanged(self, line_model):
-        law = AtomicLaw({0: F(1)})
+        law = MassFunction.from_masses(line_model.space, {(0,): F(1)})
         assert continuity_radius(line_model, 0, F(1), law) == F(1)
 
     def test_midpoint_of_gap(self, line_model, line_laws):
         # distances from x0 realized on the support: {0, 1/2, 1}
-        got = continuity_radius(line_model, 0, F(1, 2), line_laws.limit)
+        got = continuity_radius(line_model, 0, F(1, 2), line_laws.sequence.limit)
         assert got == F(1, 4)
 
     def test_unrealized_proposal_kept(self, line_model, line_laws):
-        assert continuity_radius(line_model, 0, F(2, 5), line_laws.limit) == F(2, 5)
+        assert continuity_radius(line_model, 0, F(2, 5), line_laws.sequence.limit) == F(2, 5)
 
     def test_positive_radius_required(self, line_model, line_laws):
         with pytest.raises(ValueError):
-            continuity_radius(line_model, 0, F(0), line_laws.limit)
+            continuity_radius(line_model, 0, F(0), line_laws.sequence.limit)
 
     def test_result_never_realized(self, line_model, line_laws):
         for proposed in (F(1, 2), F(1), F(1, 3), F(1, 4)):
-            r = continuity_radius(line_model, 0, proposed, line_laws.limit)
+            r = continuity_radius(line_model, 0, proposed, line_laws.sequence.limit)
             assert 0 < r <= proposed
             realized = {
-                line_model.distance(0, j) for j in line_laws.limit.masses
+                line_model.distance(0, j) for (j,) in line_laws.sequence.limit.weights
             }
             assert r not in realized
 
@@ -194,7 +195,7 @@ class TestContinuityRadius:
 class TestPartitionTree:
     def test_single_point_space(self):
         m = MetricSpaceModel.from_coords(("only",), ((F(0),),))
-        law = AtomicLaw({0: F(1)})
+        law = MassFunction.from_masses(m.space, {(0,): F(1)})
         tree = build_partition_tree(m, law, 3)
         for level in tree.levels:
             covering = [c for c in level if c.is_covering]
@@ -204,7 +205,7 @@ class TestPartitionTree:
         assert all(c.passed for c in tree_exact_checks(tree))
 
     def test_three_point_line_at_depth_two(self, line_model, line_laws):
-        tree = build_partition_tree(line_model, line_laws.limit, 2)
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
         # radii dodge the realized distances {1/2, 1}, so every ball is a
         # singleton and each point gets its own index path
         level1 = {c.path: c.members for c in tree.levels[0]}
@@ -216,7 +217,7 @@ class TestPartitionTree:
         m = MetricSpaceModel.from_coords(
             ("a", "b", "c"), ((F(0),), (F(1, 8),), (F(1),))
         )
-        law = AtomicLaw({0: F(1, 2), 1: F(1, 4), 2: F(1, 4)})
+        law = MassFunction.from_masses(m.space, {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)})
         tree = build_partition_tree(m, law, 4)
         # points 1/8 apart share a cell while the radius cap 1/(2k) exceeds
         # their distance; at level 4 the cap 1/8 is a realized distance, the
@@ -229,7 +230,7 @@ class TestPartitionTree:
         assert all(c.passed for c in tree_exact_checks(tree))
 
     def test_separability_violation(self, line_model):
-        law = AtomicLaw({0: F(1)})
+        law = MassFunction.from_masses(line_model.space, {(0,): F(1)})
         flagged = MetricSpaceModel.from_coords(
             line_model.labels,
             ((F(0),), (F(1, 2),), (F(1),)),
@@ -243,7 +244,7 @@ class TestPartitionTree:
         for trial in range(20):
             model = random_metric_model(rng, partial_support=trial % 2 == 0)
             laws = random_law_sequence(rng, model)
-            tree = build_partition_tree(model, laws.limit, rng.choice((2, 3)))
+            tree = build_partition_tree(model, laws.sequence.limit, rng.choice((2, 3)))
             bad = [c for c in tree_exact_checks(tree) if not c.passed]
             assert not bad, (trial, bad)
 
@@ -254,8 +255,8 @@ def reference_sphere_witness(tree):
     for level in tree.levels:
         for cell in level:
             for center, radius in cell.certificate:
-                sphere = [j for j in law.masses if model.distance(center, j) == radius]
-                if law.mass_of(sphere) != 0:
+                sphere = [j for (j,) in law.weights if model.distance(center, j) == radius]
+                if sum(law[(j,)] for j in sphere) != 0:
                     return (
                         f"cell {cell.path}: sphere around {model.labels[center]}"
                         f" radius {radius} has positive mass"
@@ -284,13 +285,13 @@ class TestCertificateSpheres:
         for trial in range(30):
             model = random_metric_model(rng)
             laws = random_law_sequence(rng, model)
-            tree = build_partition_tree(model, laws.limit, 3)
+            tree = build_partition_tree(model, laws.sequence.limit, 3)
             level = rng.randrange(tree.depth)
             spheres = sorted({s for c in tree.levels[level] for s in c.certificate[-2:]})
             if not spheres:
                 continue
             center, radius = rng.choice(spheres)
-            hit = rng.choice(sorted(laws.limit.masses))
+            hit = rng.choice([j for (j,) in laws.sequence.limit.support()])
             bad = with_sphere_radius(tree, (center, radius), (center, model.distance(center, hit)))
             check = {c.name: c for c in tree_exact_checks(bad)}["certificate-spheres-mass-zero"]
             assert not check.passed, trial
@@ -301,7 +302,7 @@ class TestCertificateSpheres:
 
 class TestDigitize:
     def test_three_point_line_digit_masses(self, line_model, line_laws):
-        tree = build_partition_tree(line_model, line_laws.limit, 2)
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
         seq = digitize(line_laws, tree)
         # uniform limit: 1/3 on each point's digit path
         expected = {
@@ -313,19 +314,22 @@ class TestDigitize:
         assert seq.member(1).mass == {(1, 1, 0): F(1)}
 
     def test_window_marginals_match_cell_masses(self, line_model, line_laws):
-        tree = build_partition_tree(line_model, line_laws.limit, 2)
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
         seq = digitize(line_laws, tree)
         for k in (1, 2):
             marginal = window_marginal(seq.limit, k)
             for cell in tree.levels[k - 1]:
                 digit_point = tuple(d - 1 for d in cell.path)
-                assert marginal[digit_point] == line_laws.limit.mass_of(cell.members)
+                assert marginal[digit_point] == sum(
+                    line_laws.sequence.limit[(i,)] for i in cell.members
+                )
 
 
 class TestSkorohodCoupling:
     def test_constant_laws_couple_exactly(self, line_model):
-        uniform = AtomicLaw({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
-        seq = LawSequence(line_model, (uniform,), uniform, TailRule(1))
+        space = line_model.space
+        uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
+        seq = LawSequence(line_model, ProcessSequenceSpec(space, (uniform,), uniform, TailRule(1)))
         coupling = build_skorohod_coupling(line_model, seq, 2)
         rng = random.Random(0)
         for _ in range(200):
@@ -364,9 +368,10 @@ class TestSkorohodCoupling:
             ((F(0),), (F(1, 4),), (F(3),)),
             support=(True, True, False),
         )
-        member = AtomicLaw({2: F(1, 2), 0: F(1, 2)})
-        limit = AtomicLaw({0: F(1, 2), 1: F(1, 2)})
-        seq = LawSequence(model, (member,), limit, TailRule(1))
+        space = model.space
+        member = MassFunction.from_masses(space, {(2,): F(1, 2), (0,): F(1, 2)})
+        limit = MassFunction.from_masses(space, {(0,): F(1, 2), (1,): F(1, 2)})
+        seq = LawSequence(model, ProcessSequenceSpec(space, (member,), limit, TailRule(1)))
         coupling = build_skorohod_coupling(model, seq, 2)
         joint = exact_joint_law(coupling.plan)
         assert joint.marginal_member(1) == coupling.digit_sequence.member(1)

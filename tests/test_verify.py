@@ -254,4 +254,5 @@ class TestGenerators:
             model = random_metric_model(rng)
             assert 1 <= model.size <= 6
             laws = random_law_sequence(rng, model)
-            assert laws.limit.mass_of(model.support_indices()) == 1
+            limit = laws.sequence.limit
+            assert sum(limit[(j,)] for j in model.support_indices()) == 1
