@@ -53,7 +53,9 @@ def _load_json(path: Path) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer longer than the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer longer than the interpreter's digit limit, or nesting
+        # deeper than the parser's recursion limit
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 

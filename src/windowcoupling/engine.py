@@ -14,10 +14,11 @@ this module materializes the coupling in four stages:
    envelope increment laws (full-space components) and the residual
    window laws used while N has not been reached;
 4. an exact sampler, which extends each window prefix to a full point
-   by the member's conditional law given that prefix; the exact law of
-   every component, factored through the kernel rows at any size; and,
-   for small instances, brute-force enumeration of the whole joint law
-   as an independent oracle.
+   by the member's conditional law given that prefix, drawn from one
+   sorted table per member in which every prefix's row is a contiguous
+   slice; the exact law of every component, factored through the
+   kernel rows at any size; and, for small instances, brute-force
+   enumeration of the whole joint law as an independent oracle.
 
 A plan stores only the mixture: the index law, the increment laws and
 the residual laws, besides the sequence and the schedule.  Increment n
@@ -35,8 +36,12 @@ positive mass, because component n's prefix is
 drawn from the residual law (which sits below the member's window
 marginal) while N > n, and from N on it is the limit point's prefix,
 drawn from the N-th envelope, which every later member dominates on its
-window.  ``CouplingPlan.kernels`` groups each member's mass by window
-prefix in one pass.
+window.  The sampler never builds these rows as laws: sorting member
+n's support puts each prefix's points next to each other, so each row
+is a slice of one ``KernelTable`` per member, built once per plan, and
+a row draw reads only its slice.  ``CouplingPlan.kernels`` builds the
+rows as laws, in one pass per member, for the exact marginals and the
+joint-law oracle.
 
 Every window marginal and window infimum the construction and its
 checks read comes from one ``WindowTable`` per sequence: ``build_plan``
@@ -157,7 +162,9 @@ class KernelRow:
     probability law concentrated on the prefix's cylinder.  Rows are
     derived from the member (``CouplingPlan.kernels``), never stored,
     and exist only at prefixes where the member has positive mass, which
-    are the only prefixes the sampler can land on.
+    are the only prefixes the sampler can land on.  The exact marginals
+    and the joint-law oracle read them; the sampler draws each row from
+    its slice of a ``KernelTable`` instead.
     """
 
     law: MassFunction
@@ -173,12 +180,15 @@ class CouplingPlan:
     N > n.  Where P(N = n) = 0, respectively P(N > n) = 0, the law is
     never drawn and is the empty law on its space.  These are all a
     plan stores besides the sequence and the schedule.  The derived
-    data is built on first use and kept with the plan: ``kernels[n-1]``
-    maps each k_n-prefix of positive mass under member n to its
-    extension row, and has no other keys; ``envelopes`` are the partial
-    sums of the mixture; ``ladder`` holds the floors and the envelopes;
-    ``sampler`` is the plan's exact sampler; ``spec_sha256`` is the hash
-    of the sequence's document that reports record.
+    data is built on first use and kept with the plan: ``draw_tables``
+    holds every table a draw reads, one kernel table per component among
+    them, and every ``CouplingSampler`` of the plan shares it;
+    ``kernels[n-1]`` maps each k_n-prefix of positive mass under member
+    n to its extension row as a law, and has no other keys;
+    ``envelopes`` are the partial sums of the mixture; ``ladder`` holds
+    the floors and the envelopes; ``sampler`` is the plan's exact
+    sampler; ``spec_sha256`` is the hash of the sequence's document that
+    reports record.
     """
 
     sequence: ProcessSequenceSpec
@@ -198,6 +208,25 @@ class CouplingPlan:
                 ).items()
             }
             for n in range(1, self.count + 1)
+        )
+
+    @cached_property
+    def draw_tables(self) -> "DrawTables":
+        """The sampling tables of the laws a draw can reach, built once per plan."""
+        return DrawTables(
+            CategoricalTable(self.index_law),
+            tuple(
+                CategoricalTable(law) if self.index_probability(n) else None
+                for n, law in enumerate(self.increment_laws, start=1)
+            ),
+            tuple(
+                CategoricalTable(law) if self.index_tail_probability(n) else None
+                for n, law in enumerate(self.residual_laws, start=1)
+            ),
+            tuple(
+                KernelTable(self.sequence.member(n), k)
+                for n, k in enumerate(self.schedule.windows, start=1)
+            ),
         )
 
     @cached_property
@@ -698,57 +727,85 @@ class CategoricalTable:
         return self.points[bisect_right(self.cumulative, r)]
 
 
+class KernelTable:
+    """Component n's extension kernel, every row a slice of one sorted table.
+
+    ``points`` is member n's support in sorted order.  Sorting puts the
+    points of each k_n-prefix next to each other, so ``slices`` maps
+    each prefix of positive mass to ``(lo, hi, total)``, its row being
+    ``points[lo:hi]``.  The row's law, member n's conditional given the
+    prefix, is in canonical form its weights divided by their gcd over
+    the sum ``total`` of those quotients; ``cumulative[lo:hi]`` holds
+    their running sums.  So the draw
+    ``points[bisect_right(cumulative, rng.randrange(total), lo, hi)]``
+    is the draw ``CategoricalTable`` makes on the row's law, consuming
+    the same randomness.
+    """
+
+    __slots__ = ("points", "cumulative", "slices")
+
+    def __init__(self, member: MassFunction, k: int) -> None:
+        weights = member.weights
+        self.points = points = sorted(weights)
+        ordered = [weights[z] for z in points]
+        prefixes = [z[:k] for z in points]
+        starts = [i for i, (a, b) in enumerate(itertools.pairwise(prefixes), 1) if a != b]
+        self.cumulative: list[int] = []
+        self.slices: dict[Point, tuple[int, int, int]] = {}
+        for lo, hi in itertools.pairwise([0, *starts, len(points)]):
+            row = ordered[lo:hi]
+            g = math.gcd(*row)
+            self.cumulative += itertools.accumulate([w // g for w in row])
+            self.slices[prefixes[lo]] = (lo, hi, self.cumulative[-1])
+
+
+class DrawTables(NamedTuple):
+    """A plan's sampling tables; the slot of a law no draw can reach holds None."""
+
+    index: CategoricalTable
+    increments: tuple[CategoricalTable | None, ...]
+    residuals: tuple[CategoricalTable | None, ...]
+    kernels: tuple[KernelTable, ...]
+
+
 class CouplingSampler:
     """Reusable exact sampler for one plan.
 
     Draw order per sample, fixed for reproducibility: the agreement
     index N, then the full limit point, then for each component index
     n = 1..M+1 the window prefix (only when n < N) followed by the
-    kernel-row draw for that prefix.  Tables are built here for the
-    index law, for increment n where P(N = n) > 0 and for residual n
-    where P(N > n) > 0, the laws a draw can reach; the other slots hold
-    None.  The plan's kernel rows are derived here, once; each row's
-    table is built on the first draw that lands on its prefix and kept
-    per component.
+    kernel-row draw for that prefix.  The tables come from the plan's
+    ``draw_tables``, built once per plan and shared by every sampler of
+    it: one for the index law, one for increment n where P(N = n) > 0
+    and for residual n where P(N > n) > 0 (the other slots hold None),
+    and one sorted kernel table per component, whose rows are slices.
     """
 
     def __init__(self, plan: CouplingPlan) -> None:
         self.plan = plan
-        self._index_table = CategoricalTable(plan.index_law)
-        self._increment_tables: list[CategoricalTable | None] = [
-            CategoricalTable(law) if plan.index_probability(n) else None
-            for n, law in enumerate(plan.increment_laws, start=1)
-        ]
-        self._residual_tables: list[CategoricalTable | None] = [
-            CategoricalTable(law) if plan.index_tail_probability(n) else None
-            for n, law in enumerate(plan.residual_laws, start=1)
-        ]
-        self._kernels = plan.kernels
-        self._row_tables: list[dict[Point, CategoricalTable]] = [
-            {} for _ in range(plan.count)
-        ]
-
-    def _row_table(self, n: int, prefix: Point) -> CategoricalTable:
-        """Build and keep the table of component n's kernel row at ``prefix``."""
-        rows = self._kernels[n - 1]
-        if prefix not in rows:
-            raise InternalInvariantError(
-                f"no kernel row for prefix {prefix!r} at index {n}"
-            )
-        table = self._row_tables[n - 1][prefix] = CategoricalTable(rows[prefix].law)
-        return table
+        tables = plan.draw_tables
+        self._index_table = tables.index
+        self._increment_tables = tables.increments
+        self._residual_tables = tables.residuals
+        # per component n: the window k_n, the residual table and kernel table n's parts
+        self._components = tuple(
+            (k, residual, kernel.slices, kernel.points, kernel.cumulative)
+            for k, residual, kernel in zip(plan.schedule.windows, tables.residuals, tables.kernels)
+        )
 
     def sample(self, rng: Random) -> CouplingSample:
         index = self._index_table.draw(rng)[0] + 1
         limit_point = self._increment_tables[index - 1].draw(rng)
         members: list[Point] = []
-        components = zip(self.plan.schedule.windows, self._residual_tables, self._row_tables)
-        for n, (k, residual, rows) in enumerate(components, start=1):
+        for n, (k, residual, slices, points, cumulative) in enumerate(self._components, start=1):
             prefix = residual.draw(rng) if n < index else limit_point[:k]
-            table = rows.get(prefix)
-            if table is None:
-                table = self._row_table(n, prefix)
-            members.append(table.draw(rng))
+            row = slices.get(prefix)
+            if row is None:
+                raise InternalInvariantError(
+                    f"no kernel row for prefix {prefix!r} at index {n}"
+                )
+            lo, hi, total = row
+            members.append(points[bisect_right(cumulative, rng.randrange(total), lo, hi)])
         return CouplingSample(index, limit_point, tuple(members))
 
 
@@ -801,9 +858,23 @@ def coupling_marginals(
 
 
 def joint_support_size(plan: CouplingPlan) -> int:
-    """Exact support size of the joint law enumerated by exact_joint_law."""
-    mixes = _tail_mixture_laws(plan)
+    """Exact support size of the joint law enumerated by exact_joint_law.
+
+    Component n has, given its prefix, the support of its kernel row,
+    one slice of kernel table n; on {N > n} it has the tail mixture's
+    support, whose rows sit on disjoint cylinders, so its size is the
+    sum of the row sizes over the residual law's prefixes.
+    """
+    sizes = [
+        {prefix: hi - lo for prefix, (lo, hi, _) in table.slices.items()}
+        for table in plan.draw_tables.kernels
+    ]
     windows = plan.schedule.windows
+    tails = {
+        n: sum(sizes[n - 1][prefix] for prefix in plan.residual_laws[n - 1].weights)
+        for n in range(1, plan.count + 1)
+        if plan.index_tail_probability(n)
+    }
     total = 0
     for m in range(1, plan.count + 1):
         if plan.index_probability(m) == 0:
@@ -811,10 +882,7 @@ def joint_support_size(plan: CouplingPlan) -> int:
         for z in plan.increment_laws[m - 1].weights:
             combos = 1
             for n in range(1, plan.count + 1):
-                if n >= m:
-                    combos *= len(plan.kernels[n - 1][z[: windows[n - 1]]].law.weights)
-                else:
-                    combos *= len(mixes[n].weights)
+                combos *= sizes[n - 1][z[: windows[n - 1]]] if n >= m else tails[n]
             total += combos
     return total
 

@@ -77,7 +77,9 @@ class Alphabet:
         try:
             return self._index[symbol]  # type: ignore[attr-defined]
         except (KeyError, TypeError):
-            raise KeyError(f"symbol {symbol!r} not in alphabet {self.symbols}") from None
+            raise KeyError(
+                f"symbol {symbol!r} not in alphabet of {len(self.symbols)} symbols"
+            ) from None
 
 
 @dataclass(frozen=True)

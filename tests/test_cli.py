@@ -425,6 +425,31 @@ class TestOverlongInteger:
         assert not out.exists()
 
 
+class TestDeeplyNested:
+    """A document nested past the parser's recursion limit is bad input, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--spec"],
+            ["skorohod", "--spec"],
+            ["verify", "--plan"],
+            ["sample", "--plan"],
+            ["report"],
+        ],
+        ids=["build", "skorohod", "verify", "sample", "report"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert main([*argv, str(deep), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert f"{deep}: invalid JSON: maximum recursion depth exceeded" in err
+        assert not out.exists()
+
+
 class TestHugeExponent:
     @pytest.mark.parametrize("command", ["build", "skorohod"])
     def test_exit_2_without_expanding(self, tmp_path, skewed_file, skorohod_file, capsys,
@@ -462,7 +487,7 @@ class TestMalformedMetricSpec:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (unknown_member_label, "'x9'"),
+            (unknown_member_label, "symbol 'x9' not in alphabet of 3 symbols"),
             (negative_member_mass, "negative mass"),
             (limit_short_of_one, "total mass 2/3, not 1"),
             (duplicated_model_label, "'x1'"),

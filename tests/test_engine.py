@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -34,7 +35,9 @@ from windowcoupling import (
 from windowcoupling import engine, measures
 from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
+    CategoricalTable,
     InternalInvariantError,
+    KernelTable,
     coupling_marginals,
     extended_floors,
     largest_feasible_windows,
@@ -421,6 +424,86 @@ class TestSampling:
         assert plan.sampler.plan is plan
         copy = replace(plan)
         assert copy.sampler is not plan.sampler and copy.sampler.plan is copy
+
+
+def slice_draw(table, prefix, rng):
+    """Draw component n's kernel row at ``prefix`` as the sampler does."""
+    lo, hi, total = table.slices[prefix]
+    return table.points[bisect_right(table.cumulative, rng.randrange(total), lo, hi)]
+
+
+class TestKernelTable:
+    """Each kernel row is a slice of its member's sorted table, drawn exactly as its own law."""
+
+    @staticmethod
+    def assert_slices_draw_rows(member, k, table, seeds=range(20)):
+        assert set(table.slices) == set(window_marginal(member, k).weights)
+        for prefix, (lo, hi, total) in table.slices.items():
+            row = CategoricalTable(conditional_given_prefix(member, prefix))
+            assert table.points[lo:hi] == row.points
+            assert table.cumulative[lo:hi] == row.cumulative and total == row.total
+            for seed in seeds:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert slice_draw(table, prefix, ours) == row.draw(theirs)
+                assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_slices_draw_the_member_conditionals(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        plan = build_plan(seq)
+        for n, (k, table) in enumerate(zip(plan.schedule.windows, plan.draw_tables.kernels), 1):
+            self.assert_slices_draw_rows(seq.member(n), k, table, seeds=range(5))
+
+    def test_rows_with_a_common_factor_are_reduced(self):
+        # the row at a has weights 2 and 4 (gcd 2), the row at b 1 and 3
+        space = ProductSpace((Alphabet(("a", "b")), Alphabet(("x", "y"))))
+        member = MassFunction(space, 10, {(0, 0): 2, (0, 1): 4, (1, 0): 1, (1, 1): 3})
+        table = KernelTable(member, 1)
+        assert table.points == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert table.cumulative == [1, 3, 1, 4]
+        assert table.slices == {(0,): (0, 2, 3), (1,): (2, 4, 4)}
+        self.assert_slices_draw_rows(member, 1, table, seeds=range(200))
+        rng = random.Random(0)
+        draws = Counter(slice_draw(table, (0,), rng) for _ in range(3000))
+        assert set(draws) == {(0, 0), (0, 1)}
+        assert 800 < draws[(0, 0)] < 1200  # mass 1/3
+
+    def test_full_and_empty_windows(self):
+        space = ProductSpace((Alphabet(("a", "b")), Alphabet(("x", "y"))))
+        member = MassFunction(space, 6, {(1, 1): 3, (0, 1): 2, (1, 0): 1})
+        assert KernelTable(member, 0).slices == {(): (0, 3, 6)}
+        full = KernelTable(member, 2)
+        assert full.cumulative == [1, 1, 1]
+        assert full.slices == {(0, 1): (0, 1, 1), (1, 0): (1, 2, 1), (1, 1): (2, 3, 1)}
+        for k in (0, 2):
+            self.assert_slices_draw_rows(member, k, KernelTable(member, k))
+
+    def test_samplers_of_one_plan_share_its_tables(self, skewed_sequence):
+        plan = build_plan(skewed_sequence)
+        first, second = CouplingSampler(plan), CouplingSampler(plan)
+        tables = plan.draw_tables
+        for sampler in (first, second, plan.sampler):
+            assert sampler._index_table is tables.index
+            assert sampler._increment_tables is tables.increments
+            assert sampler._residual_tables is tables.residuals
+            for (_, residual, *parts), table, kernel in zip(
+                sampler._components, tables.residuals, tables.kernels
+            ):
+                assert residual is table
+                shared = (kernel.slices, kernel.points, kernel.cumulative)
+                assert all(ours is theirs for ours, theirs in zip(parts, shared, strict=True))
+
+    def test_joint_support_size_counts_the_joint_law(self):
+        rng = random.Random(11)
+        tails = 0
+        for _ in range(40):
+            _, plan = random_enumerable_plan(rng, cap=20_000)
+            horizon = plan.sequence.horizon
+            if any(plan.index_tail_probability(n) for n in range(1, horizon + 1)):
+                tails += 1
+            assert joint_support_size(plan) == len(exact_joint_law(plan).mass)
+        assert tails >= 10
 
 
 class TestJointLaw:

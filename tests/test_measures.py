@@ -123,7 +123,7 @@ class TestProductSpace:
     def test_parse_point_unknown_symbol(self, pair_space):
         with pytest.raises(KeyError) as info:
             pair_space.parse_point("a,z")
-        assert info.value.args == ("symbol 'z' not in alphabet ('x', 'y')",)
+        assert info.value.args == ("symbol 'z' not in alphabet of 2 symbols",)
 
     @pytest.mark.parametrize("text", ["a", "a,x,y", ""])
     def test_parse_point_wrong_coordinate_count(self, pair_space, text):
@@ -139,7 +139,7 @@ class TestProductSpace:
         for _ in range(2):  # a failed parse is not kept
             with pytest.raises(KeyError) as info:
                 pair_space.parse_point("a,z")
-            assert info.value.args == ("symbol 'z' not in alphabet ('x', 'y')",)
+            assert info.value.args == ("symbol 'z' not in alphabet of 2 symbols",)
             for text in ["a", "a,x,y", ""]:
                 with pytest.raises(ValueError, match="coordinates, expected 2"):
                     pair_space.parse_point(text)
