@@ -13,10 +13,10 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonio, streams, verify
+from .engine import build_plan
 from .skorohod import build_skorohod_coupling
 from .version import __version__
 
@@ -25,24 +25,13 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_DEPTH = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    spec: Path | None = None
-    plan: Path | None = None
-    report: Path | None = None
-    out: Path | None = None
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    depth: int = DEFAULT_DEPTH
-    backend: str | None = None
-
-
 class InputError(Exception):
     """Unusable input file or option; maps to exit code 2."""
 
 
 def _load_json(path: Path) -> dict:
+    if not path.exists():
+        raise InputError(f"input file {path} does not exist")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -59,6 +48,21 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _read(path: Path, parse):
+    """``parse`` applied to the document at ``path``; bad input raises InputError.
+
+    A ``ValueError`` is shown as its message and a ``KeyError`` as the
+    document field it names.
+    """
+    doc = _load_json(path)
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -67,42 +71,24 @@ def _write_text(path: Path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_build(config: RunConfig) -> int:
-    assert config.spec is not None and config.out is not None
-    doc = _load_json(config.spec)
-    try:
-        seq = jsonio.sequence_from_doc(doc)
-        from .engine import build_plan
-
-        plan = build_plan(seq)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{config.spec}: {exc}") from exc
-    _write_text(config.out, jsonio.canonical_dumps(jsonio.plan_to_doc(plan)))
-    print(f"plan written to {config.out}")
+def _cmd_build(args: argparse.Namespace) -> int:
+    plan = _read(args.spec, lambda doc: build_plan(jsonio.sequence_from_doc(doc)))
+    _write_text(args.out, jsonio.canonical_dumps(jsonio.plan_to_doc(plan)))
+    print(f"plan written to {args.out}")
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    assert config.plan is not None
-    doc = _load_json(config.plan)
-    try:
-        plan = jsonio.plan_from_doc(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{config.plan}: {exc}") from exc
-    report = verify.certify(plan, config.samples, config.seed)
-    if config.out is not None:
-        _write_text(config.out, jsonio.canonical_dumps(jsonio.report_to_doc(report)))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    plan = _read(args.plan, jsonio.plan_from_doc)
+    report = verify.certify(plan, args.samples, args.seed)
+    if args.out is not None:
+        _write_text(args.out, jsonio.canonical_dumps(jsonio.report_to_doc(report)))
     sys.stdout.write(report.to_text())
     return 0 if report.all_passed else 1
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    assert config.plan is not None
-    doc = _load_json(config.plan)
-    try:
-        plan = jsonio.plan_from_doc(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{config.plan}: {exc}") from exc
+def _cmd_sample(args: argparse.Namespace) -> int:
+    plan = _read(args.plan, jsonio.plan_from_doc)
     # the exact checks that ``verify`` audits, which imply its marginal check:
     # samples of a plan that fails them do not have the coupling's law
     failed = [c for c in verify.audit_plan(plan).exact_checks if not c.passed]
@@ -110,7 +96,7 @@ def _cmd_sample(config: RunConfig) -> int:
         first = failed[0]
         more = f" (and {len(failed) - 1} more failing checks)" if len(failed) > 1 else ""
         print(
-            f"error: {config.plan}: plan fails the exact audit, no samples drawn:"
+            f"error: {args.plan}: plan fails the exact audit, no samples drawn:"
             f" {first.name}: {first.witness}{more}",
             file=sys.stderr,
         )
@@ -118,53 +104,46 @@ def _cmd_sample(config: RunConfig) -> int:
     lines = []
     try:
         sampler = plan.sampler
-        for i in range(config.samples):
-            derived = streams.derive_seed(config.seed, "sample", i)
+        for i in range(args.samples):
+            derived = streams.derive_seed(args.seed, "sample", i)
             draw = sampler.sample(random.Random(derived))
             lines.append(jsonio.compact_dumps(jsonio.sample_record(plan, draw, derived)))
     except Exception as exc:  # a corrupted plan can break sampling anywhere
         print(
-            f"error: {config.plan}: sampling failed after {len(lines)} draws:"
+            f"error: {args.plan}: sampling failed after {len(lines)} draws:"
             f" {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         return 1
     text = "\n".join(lines) + "\n"
-    if config.out is not None:
-        _write_text(config.out, text)
-        print(f"{config.samples} samples written to {config.out}")
+    if args.out is not None:
+        _write_text(args.out, text)
+        print(f"{args.samples} samples written to {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_skorohod(config: RunConfig) -> int:
-    assert config.spec is not None and config.out is not None
-    doc = _load_json(config.spec)
-    try:
-        seq = jsonio.law_sequence_from_doc(doc, config.backend)
-        coupling = build_skorohod_coupling(seq.model, seq, config.depth)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{config.spec}: {exc}") from exc
-    out = config.out
+def _cmd_skorohod(args: argparse.Namespace) -> int:
+    def build(doc: dict):
+        seq = jsonio.law_sequence_from_doc(doc, args.backend)
+        return build_skorohod_coupling(seq.model, seq, args.depth)
+
+    coupling = _read(args.spec, build)
+    out = args.out
     _write_text(out / "tree.json", jsonio.canonical_dumps(jsonio.tree_to_doc(coupling.tree)))
     _write_text(out / "plan.json", jsonio.canonical_dumps(jsonio.plan_to_doc(coupling.plan)))
-    report = verify.certify(coupling, config.samples, config.seed)
+    report = verify.certify(coupling, args.samples, args.seed)
     _write_text(out / "report.json", jsonio.canonical_dumps(jsonio.report_to_doc(report)))
     sys.stdout.write(report.to_text())
     return 0 if report.all_passed else 1
 
 
-def _cmd_report(config: RunConfig) -> int:
-    assert config.report is not None
-    doc = _load_json(config.report)
-    try:
-        report = jsonio.report_from_doc(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{config.report}: {exc}") from exc
+def _cmd_report(args: argparse.Namespace) -> int:
+    report = _read(args.report, jsonio.report_from_doc)
     text = report.to_text()
-    if config.out is not None:
-        _write_text(config.out, text)
+    if args.out is not None:
+        _write_text(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -195,18 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="build a coupling plan from a sequence document")
     build.add_argument("--spec", type=Path, required=True, help="process sequence JSON")
     build.add_argument("--out", type=Path, required=True, help="output plan JSON")
+    build.set_defaults(run=_cmd_build)
 
     ver = sub.add_parser("verify", help="audit a plan and run Monte Carlo guards")
     ver.add_argument("--plan", type=Path, required=True, help="plan JSON")
     ver.add_argument("--out", type=Path, help="write the report JSON here")
     ver.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ver.set_defaults(run=_cmd_verify)
 
     smp = sub.add_parser("sample", help="stream coupled samples as JSON lines")
     smp.add_argument("--plan", type=Path, required=True, help="plan JSON")
     smp.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     smp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     smp.add_argument("--out", type=Path, help="output JSONL (default stdout)")
+    smp.set_defaults(run=_cmd_sample)
 
     sko = sub.add_parser(
         "skorohod", help="metric pipeline: tree, digitization, plan, report"
@@ -217,42 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
     sko.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     sko.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sko.add_argument("--backend", choices=("table", "linf"), default=None)
+    sko.set_defaults(run=_cmd_skorohod)
 
     rep = sub.add_parser("report", help="render an existing report to text")
     rep.add_argument("report", type=Path, help="report JSON")
     rep.add_argument("--out", type=Path, help="write the text here too")
+    rep.set_defaults(run=_cmd_report)
 
     return parser
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
-    "skorohod": _cmd_skorohod,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        spec=getattr(args, "spec", None),
-        plan=getattr(args, "plan", None),
-        report=getattr(args, "report", None),
-        out=getattr(args, "out", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        samples=getattr(args, "samples", DEFAULT_SAMPLES),
-        depth=getattr(args, "depth", DEFAULT_DEPTH),
-        backend=getattr(args, "backend", None),
-    )
-    for path in (config.spec, config.plan, config.report):
-        if path is not None and not path.exists():
-            print(f"error: input file {path} does not exist", file=sys.stderr)
-            return 2
     try:
-        return _COMMANDS[config.subcommand](config)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,11 @@ this module materializes the coupling in four stages:
 4. an exact sampler, which extends each window prefix to a full point
    by the member's conditional law given that prefix, drawn from one
    sorted table per member in which every prefix's row is a contiguous
-   slice; the exact law of every component, factored through the
-   kernel rows at any size; and, for small instances, brute-force
-   enumeration of the whole joint law as an independent oracle.
+   slice; the index, increment and residual laws are drawn from the
+   same kind of table at window 0, whose one row is the law itself;
+   the exact law of every component, factored through the kernel rows
+   at any size; and, for small instances, brute-force enumeration of
+   the whole joint law as an independent oracle.
 
 A plan stores only the mixture: the index law, the increment laws and
 the residual laws, besides the sequence and the schedule.  Increment n
@@ -214,13 +216,13 @@ class CouplingPlan:
     def draw_tables(self) -> "DrawTables":
         """The sampling tables of the laws a draw can reach, built once per plan."""
         return DrawTables(
-            CategoricalTable(self.index_law),
+            KernelTable(self.index_law),
             tuple(
-                CategoricalTable(law) if self.index_probability(n) else None
+                KernelTable(law) if self.index_probability(n) else None
                 for n, law in enumerate(self.increment_laws, start=1)
             ),
             tuple(
-                CategoricalTable(law) if self.index_tail_probability(n) else None
+                KernelTable(law) if self.index_tail_probability(n) else None
                 for n, law in enumerate(self.residual_laws, start=1)
             ),
             tuple(
@@ -499,12 +501,12 @@ def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction
     return MassFunction(upper.space, total, excess) if total else MassFunction(upper.space, 1, {})
 
 
-def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
+def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
     """Assemble the schedule, the ladder and from it the mixture laws.
 
-    With ``validate`` (the default) the plan's identities are re-checked
-    by exact arithmetic and a failure raises InternalInvariantError
-    rather than returning a bad plan.
+    The plan's identities are re-checked by exact arithmetic, and a
+    failure raises InternalInvariantError rather than returning a bad
+    plan.
     """
     table = WindowTable(seq)
     schedule = build_schedule(seq, table)
@@ -544,13 +546,12 @@ def build_plan(seq: ProcessSequenceSpec, validate: bool = True) -> CouplingPlan:
         increment_laws=tuple(increments),
         residual_laws=tuple(residuals),
     )
-    if validate:
-        failures = [c for c in plan_exact_checks(plan, table) if not c.passed]
-        if failures:
-            raise InternalInvariantError(
-                "plan invariants violated: "
-                + "; ".join(f"{c.name} ({c.witness})" for c in failures)
-            )
+    failures = [c for c in plan_exact_checks(plan, table) if not c.passed]
+    if failures:
+        raise InternalInvariantError(
+            "plan invariants violated: "
+            + "; ".join(f"{c.name} ({c.witness})" for c in failures)
+        )
     return plan
 
 
@@ -703,49 +704,28 @@ def plan_exact_checks(
     return checks
 
 
-class CategoricalTable:
-    """Exact categorical sampler over a probability mass function.
-
-    The law's integer weights, which sum to its denominator, make a
-    single ``randrange`` draw over the denominator distributed exactly;
-    points are kept in sorted order to make the draw sequence
-    reproducible.
-    """
-
-    __slots__ = ("points", "cumulative", "total")
-
-    def __init__(self, law: MassFunction) -> None:
-        if not law.is_probability:
-            raise ValueError("can only sample probability laws")
-        weights = law.weights
-        self.points = sorted(weights)
-        self.cumulative = list(itertools.accumulate([weights[z] for z in self.points]))
-        self.total = law.denominator
-
-    def draw(self, rng: Random) -> Point:
-        r = rng.randrange(self.total)
-        return self.points[bisect_right(self.cumulative, r)]
-
-
 class KernelTable:
-    """Component n's extension kernel, every row a slice of one sorted table.
+    """Exact draws from a law's conditionals given its k-prefixes, one sorted table.
 
-    ``points`` is member n's support in sorted order.  Sorting puts the
-    points of each k_n-prefix next to each other, so ``slices`` maps
-    each prefix of positive mass to ``(lo, hi, total)``, its row being
-    ``points[lo:hi]``.  The row's law, member n's conditional given the
-    prefix, is in canonical form its weights divided by their gcd over
-    the sum ``total`` of those quotients; ``cumulative[lo:hi]`` holds
-    their running sums.  So the draw
-    ``points[bisect_right(cumulative, rng.randrange(total), lo, hi)]``
-    is the draw ``CategoricalTable`` makes on the row's law, consuming
-    the same randomness.
+    ``points`` is the law's support in sorted order.  Sorting puts the
+    points of each k-prefix next to each other, so ``slices`` maps each
+    prefix of positive mass to ``(lo, hi, total)``, its row being
+    ``points[lo:hi]``.  The row's law, the conditional given the prefix,
+    is in canonical form its weights divided by their gcd over the sum
+    ``total`` of those quotients; ``cumulative[lo:hi]`` holds their
+    running sums, so one ``randrange(total)`` draw is distributed
+    exactly.  Window 0 (the default) gives the law itself: a canonical
+    probability law's weights have gcd 1, so its one slice ``()`` spans
+    the whole table with the law's denominator as its total.  Every
+    draw of the sampler reads one of these tables.
     """
 
     __slots__ = ("points", "cumulative", "slices")
 
-    def __init__(self, member: MassFunction, k: int) -> None:
-        weights = member.weights
+    def __init__(self, law: MassFunction, k: int = 0) -> None:
+        if not law.is_probability:
+            raise ValueError("can only sample probability laws")
+        weights = law.weights
         self.points = points = sorted(weights)
         ordered = [weights[z] for z in points]
         prefixes = [z[:k] for z in points]
@@ -758,13 +738,22 @@ class KernelTable:
             self.cumulative += itertools.accumulate([w // g for w in row])
             self.slices[prefixes[lo]] = (lo, hi, self.cumulative[-1])
 
+    def draw(self, rng: Random, prefix: Point = ()) -> Point:
+        """One point of the conditional law given ``prefix``."""
+        lo, hi, total = self.slices[prefix]
+        return self.points[bisect_right(self.cumulative, rng.randrange(total), lo, hi)]
+
 
 class DrawTables(NamedTuple):
-    """A plan's sampling tables; the slot of a law no draw can reach holds None."""
+    """A plan's sampling tables; the slot of a law no draw can reach holds None.
 
-    index: CategoricalTable
-    increments: tuple[CategoricalTable | None, ...]
-    residuals: tuple[CategoricalTable | None, ...]
+    The index, increment and residual tables are window-0 tables of
+    their laws; kernel table n is member n's table at window k_n.
+    """
+
+    index: KernelTable
+    increments: tuple[KernelTable | None, ...]
+    residuals: tuple[KernelTable | None, ...]
     kernels: tuple[KernelTable, ...]
 
 
@@ -774,11 +763,13 @@ class CouplingSampler:
     Draw order per sample, fixed for reproducibility: the agreement
     index N, then the full limit point, then for each component index
     n = 1..M+1 the window prefix (only when n < N) followed by the
-    kernel-row draw for that prefix.  The tables come from the plan's
-    ``draw_tables``, built once per plan and shared by every sampler of
-    it: one for the index law, one for increment n where P(N = n) > 0
-    and for residual n where P(N > n) > 0 (the other slots hold None),
-    and one sorted kernel table per component, whose rows are slices.
+    kernel-row draw for that prefix.  Every table is a ``KernelTable``
+    from the plan's ``draw_tables``, built once per plan and shared by
+    every sampler of it: the window-0 tables of the index law, of
+    increment n where P(N = n) > 0 and of residual n where P(N > n) > 0
+    (the other slots hold None), and member n's table at window k_n,
+    whose rows are slices.  The kernel-row draw is inlined, since it
+    runs once per component.
     """
 
     def __init__(self, plan: CouplingPlan) -> None:

@@ -77,7 +77,7 @@ class Alphabet:
         try:
             return self._index[symbol]  # type: ignore[attr-defined]
         except (KeyError, TypeError):
-            raise KeyError(
+            raise ValueError(
                 f"symbol {symbol!r} not in alphabet of {len(self.symbols)} symbols"
             ) from None
 

@@ -175,11 +175,10 @@ def mc_agreement(
     if isinstance(target, SkorohodCoupling):
         plan = target.plan
         coupling: SkorohodCoupling | None = target
-        provenance = _provenance(target, seed)
     else:
         plan = target
         coupling = None
-        provenance = _provenance(target, seed)
+    provenance = _provenance(target, seed)
 
     agreement_failures = 0
     distance_failures = 0

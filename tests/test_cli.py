@@ -323,6 +323,17 @@ class TestMalformedSpec:
         assert f"malformed spec field {field!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["build", "skorohod"])
+    def test_missing_field_is_named(self, tmp_path, skewed_file, skorohod_file, capsys, command):
+        spec = skewed_file if command == "build" else skorohod_file
+        doc = json.loads(spec.read_text())
+        del doc["tail"]
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: missing field 'tail'\n"
+        assert not out.exists()
+
 
 def one_error_line(err: str) -> bool:
     return "Traceback" not in err and len([line for line in err.splitlines() if "error:" in line]) == 1
@@ -505,6 +516,16 @@ class TestMalformedMetricSpec:
         error_line = next(line for line in err.splitlines() if "error:" in line)
         assert message in error_line
         assert not (out / "tree.json").exists()
+
+    def test_unknown_label_line_is_unquoted(self, tmp_path, skorohod_file, capsys):
+        doc = json.loads(skorohod_file.read_text())
+        unknown_member_label(doc)
+        skorohod_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["skorohod", "--spec", str(skorohod_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {skorohod_file}: symbol 'x9' not in alphabet of 3 symbols\n"
+        )
 
 
 class TestMalformedReport:

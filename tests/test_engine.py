@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -35,7 +36,6 @@ from windowcoupling import (
 from windowcoupling import engine, measures
 from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
-    CategoricalTable,
     InternalInvariantError,
     KernelTable,
     coupling_marginals,
@@ -439,13 +439,18 @@ class TestKernelTable:
     def assert_slices_draw_rows(member, k, table, seeds=range(20)):
         assert set(table.slices) == set(window_marginal(member, k).weights)
         for prefix, (lo, hi, total) in table.slices.items():
-            row = CategoricalTable(conditional_given_prefix(member, prefix))
-            assert table.points[lo:hi] == row.points
-            assert table.cumulative[lo:hi] == row.cumulative and total == row.total
+            # the reference row: the conditional law's sorted points and running sums
+            row = conditional_given_prefix(member, prefix)
+            points = sorted(row.weights)
+            cumulative = list(itertools.accumulate(row.weights[z] for z in points))
+            assert table.points[lo:hi] == points
+            assert table.cumulative[lo:hi] == cumulative and total == row.denominator
             for seed in seeds:
-                ours, theirs = random.Random(seed), random.Random(seed)
-                assert slice_draw(table, prefix, ours) == row.draw(theirs)
-                assert ours.getstate() == theirs.getstate()
+                ours, method, theirs = (random.Random(seed) for _ in range(3))
+                expected = points[bisect_right(cumulative, theirs.randrange(row.denominator))]
+                assert slice_draw(table, prefix, ours) == expected
+                assert table.draw(method, prefix) == expected
+                assert ours.getstate() == method.getstate() == theirs.getstate()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**9))
@@ -478,6 +483,36 @@ class TestKernelTable:
         assert full.slices == {(0, 1): (0, 1, 1), (1, 0): (1, 2, 1), (1, 1): (2, 3, 1)}
         for k in (0, 2):
             self.assert_slices_draw_rows(member, k, KernelTable(member, k))
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_window_0_table_is_the_law(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+        space = ProductSpace(tuple(Alphabet(tuple("abc"[:size])) for size in sizes))
+        points = list(space.points())
+        weights = data.draw(
+            st.lists(st.integers(0, 12), min_size=len(points), max_size=len(points)).filter(any)
+        )
+        scale = data.draw(st.integers(1, 6))  # a common factor the law cancels
+        law = MassFunction(
+            space, scale * sum(weights), {z: scale * w for z, w in zip(points, weights)}
+        )
+        table = KernelTable(law)
+        assert table.slices == {(): (0, len(law.weights), law.denominator)}
+        assert table.points == sorted(law.weights)
+        assert table.cumulative == list(
+            itertools.accumulate(law.weights[z] for z in sorted(law.weights))
+        )
+        self.assert_slices_draw_rows(law, 0, table, seeds=range(3))
+
+    def test_refuses_laws_that_are_not_probabilities(self, binary_space):
+        for law in (
+            MassFunction(binary_space, 4, {(0,): 1, (1,): 2}),  # mass 3/4
+            MassFunction(binary_space, 1, {}),  # the empty law
+        ):
+            for k in (0, 1):
+                with pytest.raises(ValueError, match="^can only sample probability laws$"):
+                    KernelTable(law, k)
 
     def test_samplers_of_one_plan_share_its_tables(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
