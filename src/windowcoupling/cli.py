@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, streams, verify
-from .engine import build_plan
+from .engine import build_plan, plan_exact_checks
 from .skorohod import build_skorohod_coupling
 from .version import __version__
 
@@ -91,7 +91,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     plan = _read(args.plan, jsonio.plan_from_doc)
     # the exact checks that ``verify`` audits, which imply its marginal check:
     # samples of a plan that fails them do not have the coupling's law
-    failed = [c for c in verify.audit_plan(plan).exact_checks if not c.passed]
+    failed = [c for c in plan_exact_checks(plan) if not c.passed]
     if failed:
         first = failed[0]
         more = f" (and {len(failed) - 1} more failing checks)" if len(failed) > 1 else ""

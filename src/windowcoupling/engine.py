@@ -18,9 +18,9 @@ this module materializes the coupling in four stages:
    sorted table per member in which every prefix's row is a contiguous
    slice; the index, increment and residual laws are drawn from the
    same kind of table at window 0, whose one row is the law itself;
-   the exact law of every component, factored through the kernel rows
-   at any size; and, for small instances, brute-force enumeration of
-   the whole joint law as an independent oracle.
+   the exact law of every component at any size, its window mixture
+   extended along the member; and, for small instances, brute-force
+   enumeration of the whole joint law as an independent oracle.
 
 A plan stores only the mixture: the index law, the increment laws and
 the residual laws, besides the sequence and the schedule.  Increment n
@@ -32,18 +32,19 @@ construction step: envelope n is the partial sum
 ``sum_{m <= n} P(N = m) * increment_m`` and floor n the table's window
 infimum extended along the limit law; building a plan needs only the
 envelopes, so the floors are built only when ``CouplingPlan.ladder`` is
-read.  Kernel row n at a prefix is, by definition, member n's
-conditional law given that prefix; it is needed only where member n has
-positive mass, because component n's prefix is
-drawn from the residual law (which sits below the member's window
-marginal) while N > n, and from N on it is the limit point's prefix,
-drawn from the N-th envelope, which every later member dominates on its
-window.  The sampler never builds these rows as laws: sorting member
-n's support puts each prefix's points next to each other, so each row
-is a slice of one ``KernelTable`` per member, built once per plan, and
-a row draw reads only its slice.  ``CouplingPlan.kernels`` builds the
-rows as laws, in one pass per member, for the exact marginals and the
-joint-law oracle.
+read.  Kernel row n at a prefix is member n's conditional law given
+that prefix.  Component n's prefix always has positive mass under
+member n: while N > n it is drawn from the residual law, which sits
+below the member's window marginal, and from N on it is the limit
+point's, drawn from the N-th envelope, which every later member
+dominates on its window.  Sorting member n's support makes each row a
+slice of one ``KernelTable`` per member, built once per plan; only the
+joint-law oracle builds the rows as laws (``CouplingPlan.kernels``).
+
+Floors, tail mixtures and exact marginals extend a window law to the
+full space along a law's conditionals given the k-prefix by one integer
+step: ``_prefix_ratios`` divides the window law by the law's k-marginal
+at each charged prefix, and ``_limit_times`` multiplies the law by it.
 
 Every window marginal and window infimum the construction and its
 checks read comes from one ``WindowTable`` per sequence: ``build_plan``
@@ -53,9 +54,9 @@ loaded plan.  The tail rule makes density convergence automatic (from
 index M + 1 on only the limit law remains), so no convergence scan
 runs.
 
-``window_infimum``, ``window_deficit`` and ``extended_floor`` compute
-the same quantities directly from the sequence, one ``Fraction`` at a
-time; they are the reference the table and the ladder are tested
+``window_infimum``, ``window_deficit``, ``extend_window_law`` and
+``extended_floor`` compute the same quantities one ``Fraction`` at a
+time; they are the reference the table and the extension are tested
 against.
 
 Every quantity is an exact rational.  Laws are integer weights over one
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .measures import (
     ONE,
@@ -123,10 +124,6 @@ class WindowSchedule:
         if len(self.windows) != self.horizon + 1:
             raise ValueError("schedule must have horizon + 1 entries")
 
-    @property
-    def length(self) -> int:
-        return len(self.windows)
-
     def window(self, n: int) -> int:
         return self.windows[n - 1]
 
@@ -164,9 +161,9 @@ class KernelRow:
     probability law concentrated on the prefix's cylinder.  Rows are
     derived from the member (``CouplingPlan.kernels``), never stored,
     and exist only at prefixes where the member has positive mass, which
-    are the only prefixes the sampler can land on.  The exact marginals
-    and the joint-law oracle read them; the sampler draws each row from
-    its slice of a ``KernelTable`` instead.
+    are the only prefixes the sampler can land on.  Only the joint-law
+    oracle ``exact_joint_law`` reads them; the sampler draws each row
+    from its slice of a ``KernelTable`` instead.
     """
 
     law: MassFunction
@@ -186,7 +183,8 @@ class CouplingPlan:
     holds every table a draw reads, one kernel table per component among
     them, and every ``CouplingSampler`` of the plan shares it;
     ``kernels[n-1]`` maps each k_n-prefix of positive mass under member
-    n to its extension row as a law, and has no other keys;
+    n to its extension row as a law, has no other keys, and is read
+    only by ``exact_joint_law``;
     ``envelopes`` are the partial sums of the mixture; ``ladder`` holds
     the floors and the envelopes; ``sampler`` is the plan's exact
     sampler; ``spec_sha256`` is the hash of the sequence's document that
@@ -345,7 +343,7 @@ def extend_window_law(window_law: MassFunction, full_law: MassFunction) -> MassF
     window marginal reproduces the input exactly, so total mass is
     preserved.  Requires the window law's support to be dominated by
     full_law's window marginal.  It computes one ``Fraction`` at a time
-    and is the reference the ladder's floors are tested against.
+    and is the reference the integer extension is tested against.
     """
     k = window_law.space.width
     full_prefix = window_marginal(full_law, k).mass
@@ -378,39 +376,48 @@ def extended_floor(
 Ratio = tuple[int, int]
 
 
+def _prefix_ratios(
+    denominator: int, weights: Mapping[Point, int], marginal: MassFunction
+) -> dict[Point, Ratio]:
+    """window(p) / marginal(p) at each prefix p the window law ``weights / denominator`` charges.
+
+    ``_limit_times`` turns them into the window law's extension along the
+    law whose k-marginal is ``marginal``.  A prefix the marginal does not
+    charge raises ``KeyError(p)``.
+    """
+    below = marginal.weights
+    scale = marginal.denominator
+    return {p: (w * scale, denominator * below[p]) for p, w in weights.items()}
+
+
+def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
+    """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
+    common = math.lcm(*{den for _, den in ratios.values()})
+    factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
+    return MassFunction(
+        law.space,
+        law.denominator * common,
+        {z: w * factors.get(z[:k], 0) for z, w in law.weights.items()},
+    )
+
+
 def _floor_ratios(
     seq: ProcessSequenceSpec, schedule: WindowSchedule, table: WindowTable
 ) -> list[dict[Point, Ratio]]:
-    """Per index n, the ratio inf_n|k(p) / L|k(p) at each prefix p of the limit's window.
+    """Per index n, the ratio inf_n|k(p) / L|k(p) at each prefix p the infimum charges.
 
     k is the scheduled window k_n and L the limit law.  Floor n is the
-    limit law times this ratio at each point's prefix; the infimum sits
-    below the limit's marginal, so every prefix it charges is a key.
+    limit law times this ratio at each point's prefix, and 0 where the
+    prefix has no ratio.
     """
     ratios = []
     limit_index = seq.horizon + 1
     for n, k in enumerate(schedule.windows, start=1):
         infimum = table.infimum(n, k)
-        marginal = table.marginal(limit_index, k)
-        low = infimum.weights
         ratios.append(
-            {
-                prefix: (low.get(prefix, 0) * marginal.denominator, infimum.denominator * w)
-                for prefix, w in marginal.weights.items()
-            }
+            _prefix_ratios(infimum.denominator, infimum.weights, table.marginal(limit_index, k))
         )
     return ratios
-
-
-def _limit_times(limit: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
-    """The measure L(z) * ratios[z|k], over one common denominator."""
-    common = math.lcm(*{den for _, den in ratios.values()})
-    factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
-    return MassFunction(
-        limit.space,
-        limit.denominator * common,
-        {z: w * factors[z[:k]] for z, w in limit.weights.items()},
-    )
 
 
 def extended_floors(
@@ -432,8 +439,8 @@ def build_ladder(
 
     The density of floor n against the limit law is its prefix ratio,
     so envelope n is the limit law times the minimum over i >= n of the
-    ratios at the point's k_i-prefix.  The floors themselves are not
-    built (see ``extended_floors``).
+    ratios at the point's k_i-prefix, a missing ratio reading as 0.  The
+    floors themselves are not built (see ``extended_floors``).
     """
     if table is None:
         table = WindowTable(seq)
@@ -442,11 +449,11 @@ def build_ladder(
     # running minimum of the floor densities, from the last index down
     full = seq.space.width
     last = schedule.windows[-1]
-    running = {z: ratios[-1][z[:last]] for z in limit.weights}
+    running = {z: ratios[-1].get(z[:last], (0, 1)) for z in limit.weights}
     envelopes = []
     for k, ratio in zip(reversed(schedule.windows), reversed(ratios)):
         for z, (low, den) in running.items():
-            num, other = ratio[z[:k]]
+            num, other = ratio.get(z[:k], (0, 1))
             if num * den < low * other:
                 running[z] = (num, other)
         envelopes.append(_limit_times(limit, full, running))
@@ -454,21 +461,29 @@ def build_ladder(
     return tuple(envelopes)
 
 
-def _weighted_sum(terms: list[tuple[int, int, MassFunction]]) -> tuple[int, dict[Point, int]]:
-    """The sum of (a / b) * law over the terms, as a denominator and weights.
+def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, int]]]:
+    """Per component n, envelope n's k_n-marginal plus P(N > n) times residual n.
 
-    The weights are not validated or reduced: the checks compare them
-    with a law, and a law is built from them only where the sum must be
-    a sub-probability.
+    This is the law of component n's prefix, as a denominator and
+    weights, neither validated nor reduced.
     """
-    terms = [(a, b * law.denominator, law) for a, b, law in terms if a]
-    common = math.lcm(*(den for _, den, _ in terms))
-    acc: dict[Point, int] = {}
-    for a, den, law in terms:
-        factor = a * (common // den)
-        for z, w in law.weights.items():
-            acc[z] = acc.get(z, 0) + factor * w
-    return common, acc
+    index = plan.index_law
+    tail = index.denominator  # P(N > n) over the index law's denominator
+    for n, (k, env, residual) in enumerate(
+        zip(plan.schedule.windows, plan.envelopes, plan.residual_laws), start=1
+    ):
+        tail -= index.weights.get((n - 1,), 0)
+        marginal = window_marginal(env, k)
+        if not tail:
+            yield marginal.denominator, marginal.weights
+            continue
+        scale = index.denominator * residual.denominator
+        common = math.lcm(marginal.denominator, scale)
+        up, factor = common // marginal.denominator, tail * (common // scale)
+        acc = {p: w * up for p, w in marginal.weights.items()}
+        for p, w in residual.weights.items():
+            acc[p] = acc.get(p, 0) + factor * w
+        yield common, acc
 
 
 def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
@@ -633,20 +648,14 @@ def plan_exact_checks(
         return None
 
     def ladder_below_floor() -> str | None:
-        # E_n(z) <= floor_n(z) = inf_n|k(z|k) * L(z) / L|k(z|k), cross-multiplied
+        # E_n(z) <= floor_n(z) = L(z) * ratio_n(z|k), cross-multiplied
+        ratios = _floor_ratios(seq, schedule, table)
         limit_weights = limit.weights
         for n, env in enumerate(plan.envelopes, start=1):
-            k = schedule.window(n)
-            infimum = table.infimum(n, k)
-            limit_window = table.marginal(plan.count, k)
-            low, window = infimum.weights, limit_window.weights
-            left = infimum.denominator * limit.denominator
-            right = env.denominator * limit_window.denominator
+            k, ratio = schedule.window(n), ratios[n - 1]
             for z, v in env.weights.items():
-                prefix = z[:k]
-                if v * window.get(prefix, 0) * left > (
-                    low.get(prefix, 0) * limit_weights.get(z, 0) * right
-                ):
+                num, den = ratio.get(z[:k], (0, 1))
+                if v * den * limit.denominator > limit_weights.get(z, 0) * num * env.denominator:
                     return f"envelope {n} exceeds floor {n} at {z}"
         return None
 
@@ -666,15 +675,8 @@ def plan_exact_checks(
         return None
 
     def window_mixture_reconstructs_members() -> str | None:
-        index = plan.index_law
-        tail = index.denominator  # P(N > n) over the index law's denominator
-        for n, env in enumerate(plan.envelopes, start=1):
-            k = schedule.window(n)
-            tail -= index.weights.get((n - 1,), 0)
-            terms = [(1, 1, window_marginal(env, k))]
-            if tail > 0:
-                terms.append((tail, index.denominator, plan.residual_laws[n - 1]))
-            bad = mismatch(*_weighted_sum(terms), table.marginal(n, k))
+        for n, (k, mixture) in enumerate(zip(schedule.windows, _window_mixtures(plan)), start=1):
+            bad = mismatch(*mixture, table.marginal(n, k))
             if bad is not None:
                 return f"n={n}: window mixture misses the member law at {bad}"
         return None
@@ -805,23 +807,21 @@ def sample(plan: CouplingPlan, rng: Random) -> CouplingSample:
     return plan.sampler.sample(rng)
 
 
+def _extended(
+    law: MassFunction, k: int, denominator: int, weights: Mapping[Point, int]
+) -> MassFunction:
+    """The window law ``weights / denominator`` extended along law's conditionals given z|k."""
+    return _limit_times(law, k, _prefix_ratios(denominator, weights, window_marginal(law, k)))
+
+
 def _tail_mixture_laws(plan: CouplingPlan) -> dict[int, MassFunction]:
-    """Per component n with P(N > n) > 0, the law of the component on that event."""
-    mixes: dict[int, MassFunction] = {}
-    for n in range(1, plan.count + 1):
-        if plan.index_tail_probability(n) == 0:
-            continue
-        terms = _through_rows(plan.residual_laws[n - 1], plan.kernels[n - 1])
-        mixes[n] = MassFunction(plan.sequence.space, *_weighted_sum(terms))
-    return mixes
-
-
-def _through_rows(
-    window_law: MassFunction, rows: Mapping[Point, KernelRow]
-) -> list[tuple[int, int, MassFunction]]:
-    """A window law pushed through kernel rows, as ``_weighted_sum`` terms."""
-    den = window_law.denominator
-    return [(w, den, rows[prefix].law) for prefix, w in window_law.weights.items()]
+    """Per component n with P(N > n) > 0, its law on that event: residual n extended."""
+    laws = zip(plan.schedule.windows, plan.residual_laws)
+    return {
+        n: _extended(plan.sequence.member(n), k, residual.denominator, residual.weights)
+        for n, (k, residual) in enumerate(laws, start=1)
+        if plan.index_tail_probability(n)
+    }
 
 
 def coupling_marginals(
@@ -829,23 +829,17 @@ def coupling_marginals(
 ) -> tuple[tuple[MassFunction, ...], MassFunction]:
     """The exact law of every component and of the limit point, unenumerated.
 
-    Given N and the limit point the components are independent, so
-    component n's law is envelope n pushed through kernel row n, plus
-    P(N > n) times its tail mixture law; the limit point's law is the
-    last envelope.  These are the marginals of ``exact_joint_law``.
+    Component n extends its k_n-prefix along member n's conditional, so
+    its law is its window mixture (``_window_mixtures``) extended along
+    member n; the limit point's law is the last envelope.  These are
+    the marginals of ``exact_joint_law``.
     """
-    envelopes = plan.envelopes
-    tails = _tail_mixture_laws(plan)
-    members = []
-    for n, (k, rows, env) in enumerate(
-        zip(plan.schedule.windows, plan.kernels, envelopes), start=1
-    ):
-        terms = _through_rows(window_marginal(env, k), rows)
-        if n in tails:
-            tail = plan.index_tail_probability(n)
-            terms.append((tail.numerator, tail.denominator, tails[n]))
-        members.append(MassFunction(plan.sequence.space, *_weighted_sum(terms)))
-    return tuple(members), envelopes[-1]
+    mixtures = zip(plan.schedule.windows, _window_mixtures(plan))
+    members = tuple(
+        _extended(plan.sequence.member(n), k, *mixture)
+        for n, (k, mixture) in enumerate(mixtures, start=1)
+    )
+    return members, plan.envelopes[-1]
 
 
 def joint_support_size(plan: CouplingPlan) -> int:

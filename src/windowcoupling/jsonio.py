@@ -37,7 +37,6 @@ from .skorohod import (
     LawSequence,
     MetricSpaceModel,
     PartitionTree,
-    max_metric_table,
     weight_of,
 )
 
@@ -296,22 +295,19 @@ def model_to_doc(model: MetricSpaceModel) -> dict:
 
 def model_from_doc(doc: dict, backend: str | None = None) -> MetricSpaceModel:
     has_coords = "coords" in doc
+    if "metric" in doc and doc["metric"] != LINF_BACKEND:
+        raise ValueError(f"unknown metric {doc['metric']!r}, the only metric is 'linf'")
     if backend is None:
         backend = LINF_BACKEND if has_coords else TABLE_BACKEND
-    if backend == LINF_BACKEND and not has_coords:
-        raise ValueError("linf backend requires a coords field")
+    if (backend == LINF_BACKEND or "metric" in doc) and not has_coords:
+        raise ValueError("the linf metric requires a coords field")
+    support = doc.get("separable_support")
     if has_coords:
         coords = [[parse_fraction(c) for c in row] for row in doc["coords"]]
         labels = doc.get("points") or [f"p{i}" for i in range(len(coords))]
-    else:
-        labels = doc["points"]
-    support = doc.get("separable_support")
-    if backend == LINF_BACKEND:
-        return MetricSpaceModel.from_coords(labels, coords, support)
-    if has_coords:
-        return MetricSpaceModel.from_table(labels, max_metric_table(coords), support)
+        return MetricSpaceModel.from_coords(labels, coords, support, backend)
     dist = [[parse_fraction(d) for d in row] for row in doc["dist"]]
-    return MetricSpaceModel.from_table(labels, dist, support)
+    return MetricSpaceModel.from_table(doc["points"], dist, support)
 
 
 def law_sequence_to_doc(seq: LawSequence) -> dict:

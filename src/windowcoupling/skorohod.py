@@ -63,8 +63,8 @@ class SeparabilityError(ValueError):
 class MetricSpaceModel:
     """Finite labeled metric space with exact rational distances.
 
-    ``separable_support`` flags the points forming the set the limit law
-    must live on.  The ``linf`` backend additionally carries rational
+    ``separable_support`` flags, with booleans, the points forming the
+    set the limit law must live on.  The ``linf`` backend additionally carries rational
     coordinates; its distance table is the max-metric, which keeps every
     realized distance rational.  Construction checks that the table is a
     metric, exactly: the checks run on the table scaled to integers by
@@ -93,6 +93,9 @@ class MetricSpaceModel:
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
             raise MetricModelError("support flags shape mismatch")
+        for label, flag in zip(self.labels, self.separable_support):
+            if type(flag) is not bool:
+                raise MetricModelError(f"support flag {flag!r} of {label} is not a boolean")
         rows, _ = _integer_rows(self.dist)
         for i in range(n):
             if rows[i][i] != 0:
@@ -149,12 +152,23 @@ class MetricSpaceModel:
         labels: Iterable[str],
         coords: Iterable[Iterable[Fraction | int]],
         support: Iterable[bool] | None = None,
+        backend: str = LINF_BACKEND,
     ) -> "MetricSpaceModel":
+        """The exact max-metric model of rational points; the table backend keeps no coordinates."""
         labels = tuple(labels)
         pts = tuple(tuple(Fraction(c) for c in row) for row in coords)
-        table = max_metric_table(pts)
+        for label, row in zip(labels, pts):
+            if len(row) != len(pts[0]):
+                raise MetricModelError(
+                    f"point {label} has {len(row)} coordinates, not {len(pts[0])}"
+                )
+        scaled, scale = _integer_rows(pts)
+        table = tuple(
+            tuple(Fraction(max(map(abs, map(sub, p, q)), default=0), scale) for q in scaled)
+            for p in scaled
+        )
         flags = tuple(support) if support is not None else (True,) * len(labels)
-        return cls(labels, table, flags, LINF_BACKEND, pts)
+        return cls(labels, table, flags, backend, pts if backend == LINF_BACKEND else None)
 
 
 def _integer_rows(
@@ -169,17 +183,6 @@ def _integer_rows(
     rows = [[Fraction(v) for v in row] for row in table]
     scale = lcm(*{v.denominator for row in rows for v in row})
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
-
-
-def max_metric_table(
-    points: Iterable[Iterable[Fraction | int]],
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact max-metric distance table of rational points."""
-    scaled, scale = _integer_rows(points)
-    return tuple(
-        tuple(Fraction(max(map(abs, map(sub, p, q)), default=0), scale) for q in scaled)
-        for p in scaled
-    )
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 Exact invariants are audited by rational arithmetic and either pass or
 fail with a pointwise witness; among them, ``joint_law_marginals``
-compares the coupling's exact marginals, factored through the kernel
-rows at any size, with the input laws.  Monte Carlo suites guard the
-sampler implementation only: agreement and distance guarantees hold
-surely by construction, so any violation is a bug, while the
-empirical-versus-exact law comparisons record their total-variation
-thresholds in the report rather than hiding constants.  Reports are
+compares the coupling's exact marginals, each component's window
+mixture extended along its member at any size, with the input laws.
+Monte Carlo suites guard the sampler implementation only: agreement
+and distance guarantees hold surely by construction, so any violation
+is a bug, while the empirical-versus-exact law comparisons record their
+total-variation thresholds in the report rather than hiding constants.  Reports are
 deterministic functions of (input, seed, version).
 """
 from __future__ import annotations
@@ -246,9 +246,10 @@ def joint_law_marginals(plan: CouplingPlan) -> ExactCheck:
     """Whether every exact marginal of the coupling is its input law.
 
     The marginals come from ``coupling_marginals``, so no joint law is
-    enumerated and the check runs at any size.  A plan that breaks the
-    computation, such as a limit point on a prefix without a kernel row,
-    fails the check with the exception as its witness.
+    enumerated, no kernel row is built and the check runs at any size.
+    A plan that breaks the computation, such as a limit point on a
+    prefix the member does not charge, fails the check with the
+    exception as its witness.
     """
     seq = plan.sequence
     try:

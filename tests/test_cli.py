@@ -494,6 +494,24 @@ def duplicated_model_label(doc):
     doc["model"]["points"][2] = "x1"
 
 
+def unknown_metric(doc):
+    doc["model"]["metric"] = "l2"
+
+
+def linf_without_coords(doc):
+    model = doc["model"]
+    del model["coords"]
+    model["dist"] = [["0/1", "1/2", "1/1"], ["1/2", "0/1", "1/2"], ["1/1", "1/2", "0/1"]]
+
+
+def ragged_coords(doc):
+    doc["model"]["coords"] = [["0/1", "0/1"], ["1/1"], ["2/1", "1/1"]]
+
+
+def string_support_flag(doc):
+    doc["model"]["separable_support"] = [True, "no", True]
+
+
 class TestMalformedMetricSpec:
     @pytest.mark.parametrize(
         "edit, message",
@@ -502,8 +520,21 @@ class TestMalformedMetricSpec:
             (negative_member_mass, "negative mass"),
             (limit_short_of_one, "total mass 2/3, not 1"),
             (duplicated_model_label, "'x1'"),
+            (unknown_metric, "unknown metric 'l2', the only metric is 'linf'"),
+            (linf_without_coords, "the linf metric requires a coords field"),
+            (ragged_coords, "point x1 has 1 coordinates, not 2"),
+            (string_support_flag, "support flag 'no' of x1 is not a boolean"),
         ],
-        ids=["unknown-label", "negative-mass", "limit-total", "duplicate-label"],
+        ids=[
+            "unknown-label",
+            "negative-mass",
+            "limit-total",
+            "duplicate-label",
+            "unknown-metric",
+            "linf-without-coords",
+            "ragged-coords",
+            "string-support-flag",
+        ],
     )
     def test_exit_2_with_one_error_line(self, tmp_path, skorohod_file, capsys, edit, message):
         doc = json.loads(skorohod_file.read_text())

@@ -170,6 +170,48 @@ class TestExtension:
             )
 
 
+def random_dominated_window(rng, law, k):
+    """A sub-probability window law charging a random part of law's k-marginal."""
+    charged = [p for p in window_marginal(law, k).weights if rng.random() < 0.7]
+    weights = {p: rng.randint(1, 9) for p in charged}
+    total = sum(weights.values())
+    share = F(rng.randint(1, 4), 4)
+    return MassFunction.from_masses(
+        law.space.window(k), {p: share * F(w, total) for p, w in weights.items()}
+    )
+
+
+class TestIntegerExtension:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_equals_the_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        space = ProductSpace(
+            tuple(
+                Alphabet(tuple(f"s{i}" for i in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 3))
+            )
+        )
+        masses = {z: rng.choice((0, 0, 1, 2, 5)) for z in space.points()}
+        if not any(masses.values()):
+            masses[next(space.points())] = 1
+        total = sum(masses.values()) + rng.choice((0, 0, 3))  # some laws are sub-probabilities
+        law = MassFunction.from_masses(space, {z: F(m, total) for z, m in masses.items() if m})
+        k = rng.randint(0, space.width)
+        window = random_dominated_window(rng, law, k)
+        ratios = engine._prefix_ratios(
+            window.denominator, window.weights, window_marginal(law, k)
+        )
+        assert engine._limit_times(law, k, ratios) == extend_window_law(window, law)
+
+    def test_uncharged_prefix_raises_key_error_naming_it(self, pair_space):
+        law = MassFunction.from_masses(pair_space, {(0, 0): F(1, 2), (0, 1): F(1, 2)})
+        window = MassFunction.from_masses(pair_space.window(1), {(0,): F(1, 2), (1,): F(1, 4)})
+        with pytest.raises(KeyError) as info:
+            engine._prefix_ratios(window.denominator, window.weights, window_marginal(law, 1))
+        assert info.value.args == ((1,),)
+
+
 def floors_of(seq, schedule):
     return extended_floors(seq, schedule, WindowTable(seq))
 

@@ -152,6 +152,18 @@ class TestMetricValidation:
         assert str(info.value) == "triangle inequality fails at (a,b,c)"
         assert str(info.value) == reference_metric_error(labels, dist)
 
+    @pytest.mark.parametrize("backend", ["linf", "table"])
+    def test_from_coords_refuses_ragged_points(self, backend):
+        with pytest.raises(MetricModelError, match="^point b has 1 coordinates, not 2$"):
+            MetricSpaceModel.from_coords(
+                ("a", "b", "c"), ((0, 0), (1,), (2, 1)), backend=backend
+            )
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_support_flags_must_be_booleans(self, flag):
+        with pytest.raises(MetricModelError, match="of b is not a boolean$"):
+            MetricSpaceModel.from_table(("a", "b"), ((0, 1), (1, 0)), (True, flag))
+
     def test_from_coords_table_is_the_fraction_max_metric(self):
         rng = random.Random(3)
         points = [

@@ -135,6 +135,11 @@ class TestJointLawMarginals:
         assert not check.passed
         assert check.witness == "check raised KeyError: (1,)"
 
+    def test_builds_no_kernel_rows(self, two_member_sequence):
+        plan = reloaded(build_plan(two_member_sequence))
+        assert joint_law_marginals(plan).passed
+        assert "kernels" not in vars(plan)
+
     def test_report_runs_the_check_after_the_audit(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         report = certify(plan, 50, seed=1)
