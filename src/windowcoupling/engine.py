@@ -84,6 +84,7 @@ from .measures import (
     Point,
     ProcessSequenceSpec,
     ProductSpace,
+    SpaceMismatchError,
     WindowTable,
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
     prefix_conditionals,
@@ -394,7 +395,7 @@ def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> Ma
     """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
     common = math.lcm(*{den for _, den in ratios.values()})
     factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
-    return MassFunction(
+    return MassFunction._derived(
         law.space,
         law.denominator * common,
         {z: w * factors.get(z[:k], 0) for z, w in law.weights.items()},
@@ -487,8 +488,14 @@ def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, i
 
 
 def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
-    """Envelope n as the partial sum of P(N = m) * increment_m over m <= n."""
+    """Envelope n as the partial sum of P(N = m) * increment_m over m <= n.
+
+    An increment law that is drawn must live on the sequence's space,
+    which puts every envelope point there; one on another space raises
+    ``SpaceMismatchError``.
+    """
     index = plan.index_law
+    space = plan.sequence.space
     steps = [
         (index.weights.get((n - 1,), 0), plan.increment_laws[n - 1])
         for n in range(1, plan.count + 1)
@@ -496,12 +503,14 @@ def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
     scale = math.lcm(*(law.denominator for prob, law in steps if prob))
     acc: dict[Point, int] = {}
     envelopes = []
-    for prob, law in steps:
+    for n, (prob, law) in enumerate(steps, start=1):
         if prob:
+            if law.space != space:
+                raise SpaceMismatchError(f"increment law {n} lives on a different space")
             factor = prob * (scale // law.denominator)
             for z, w in law.weights.items():
                 acc[z] = acc.get(z, 0) + factor * w
-        envelopes.append(MassFunction(plan.sequence.space, index.denominator * scale, acc))
+        envelopes.append(MassFunction._derived(space, index.denominator * scale, acc))
     return tuple(envelopes)
 
 
@@ -513,7 +522,9 @@ def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction
     low = lower.weights
     excess = {z: w * upper_scale - low.get(z, 0) * lower_scale for z, w in upper.weights.items()}
     total = sum(excess.values())
-    return MassFunction(upper.space, total, excess) if total else MassFunction(upper.space, 1, {})
+    if not total:
+        return MassFunction(upper.space, 1, {})
+    return MassFunction._derived(upper.space, total, excess)
 
 
 def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:

@@ -57,8 +57,8 @@ def parse_ratio(text: Any) -> tuple[int, int]:
     strings, is refused before that parser expands it (a limit of 0
     turns the check off, as it does for ``int``).
     """
-    if isinstance(text, int):
-        return int(text), 1
+    if type(text) is int:  # not a bool, which JSON writes as true/false
+        return text, 1
     if isinstance(text, str):
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
@@ -140,8 +140,28 @@ def space_to_doc(space: ProductSpace) -> list[list[str]]:
     return [list(a.symbols) for a in space.coordinates]
 
 
+def _array(value: Any, name: str) -> list:
+    """A JSON array as read; a string or any other value raises TypeError.
+
+    Python iterates a string as its characters, so without this check
+    ``"ab"`` would read as the array ``["a", "b"]``.
+    """
+    if type(value) is not list:
+        raise TypeError(f"{name} {value!r} is not an array")
+    return value
+
+
+def _integer(value: Any, name: str) -> int:
+    """A JSON integer as read; a boolean, a float (even ``2.0``) or a string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def space_from_doc(doc: list) -> ProductSpace:
-    return ProductSpace(tuple(Alphabet(tuple(symbols)) for symbols in doc))
+    return ProductSpace(
+        tuple(Alphabet(tuple(_array(symbols, "alphabet"))) for symbols in _array(doc, "space"))
+    )
 
 
 def _laws_to_doc(seq: ProcessSequenceSpec) -> dict:
@@ -179,7 +199,7 @@ def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
     with _doc_field("spec", "limit"):
         limit = law_from_doc(space, doc["limit"])
     with _doc_field("spec", "tail"):
-        tail = TailRule(int(doc["tail"]["eventually_equal"]))
+        tail = TailRule(_integer(doc["tail"]["eventually_equal"], "tail index"))
     return ProcessSequenceSpec(space=space, members=members, limit=limit, tail=tail)
 
 
@@ -229,8 +249,8 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     count = seq.horizon + 1
     with _doc_field("plan", "schedule"):
         schedule = WindowSchedule(
-            tuple(int(k) for k in doc["schedule"]["windows"]),
-            int(doc["schedule"]["horizon"]),
+            tuple(_integer(k, "window") for k in _array(doc["schedule"]["windows"], "windows")),
+            _integer(doc["schedule"]["horizon"], "horizon"),
         )
     if schedule.horizon != seq.horizon:
         raise ValueError(
@@ -303,11 +323,18 @@ def model_from_doc(doc: dict, backend: str | None = None) -> MetricSpaceModel:
         raise ValueError("the linf metric requires a coords field")
     support = doc.get("separable_support")
     if has_coords:
-        coords = [[parse_fraction(c) for c in row] for row in doc["coords"]]
+        coords = _rational_rows(doc["coords"], "coords")
         labels = doc.get("points") or [f"p{i}" for i in range(len(coords))]
-        return MetricSpaceModel.from_coords(labels, coords, support, backend)
-    dist = [[parse_fraction(d) for d in row] for row in doc["dist"]]
-    return MetricSpaceModel.from_table(doc["points"], dist, support)
+        return MetricSpaceModel.from_coords(_array(labels, "points"), coords, support, backend)
+    dist = _rational_rows(doc["dist"], "dist")
+    return MetricSpaceModel.from_table(_array(doc["points"], "points"), dist, support)
+
+
+def _rational_rows(doc: Any, name: str) -> list[list[Fraction]]:
+    """An array of arrays of rationals, such as the ``coords`` or ``dist`` field."""
+    return [
+        [parse_fraction(v) for v in _array(row, f"{name} row")] for row in _array(doc, name)
+    ]
 
 
 def law_sequence_to_doc(seq: LawSequence) -> dict:

@@ -172,17 +172,20 @@ class MassFunction:
 
     The mass at ``z`` is ``weights[z] / denominator``: one positive
     integer denominator per law and a positive integer weight per
-    support point.  The constructor is the one validation path: each
-    point must lie in the space (a non-tuple key is converted to a
+    support point.  The constructor is the checking constructor, for
+    every law that comes from outside input (a document, a caller):
+    each point must lie in the space (a non-tuple key is converted to a
     tuple), each weight must be a non-negative ``int`` and the weights
     must sum to at most the denominator; zero weights are dropped and
     then the denominator and weights are divided by their gcd.  The
     stored form is therefore canonical (the denominator is the lcm of
     the reduced denominators of the masses), so two mass functions are
     equal exactly when they have the same space and the same support
-    with the same masses.  ``from_masses`` builds a law from rational
-    masses.  ``mass`` and ``law[z]`` are read-only ``Fraction`` views,
-    built on each access.
+    with the same masses.  ``_derived`` builds the same canonical form
+    for a law whose points come from a law on the space, or are
+    k-prefixes of such points, without the per-point checks.
+    ``from_masses`` builds a law from rational masses.  ``mass`` and
+    ``law[z]`` are read-only ``Fraction`` views, built on each access.
     """
 
     space: ProductSpace
@@ -209,12 +212,38 @@ class MassFunction:
                 total += weight
         if total > denominator:
             raise ValueError(f"total mass {Fraction(total, denominator)} exceeds 1")
+        self._settle(denominator, clean)
+
+    def _settle(self, denominator: int, clean: dict[Point, int]) -> None:
+        """Store positive weights over ``denominator`` divided by their gcd."""
         common = math.gcd(denominator, *clean.values())
         if common > 1:
             denominator //= common
             clean = {z: w // common for z, w in clean.items()}
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "weights", clean)
+
+    @classmethod
+    def _derived(
+        cls, space: ProductSpace, denominator: int, weights: Mapping[Point, int]
+    ) -> "MassFunction":
+        """The law ``weights / denominator`` whose points are known to lie in ``space``.
+
+        For laws derived from laws already on ``space``: each key is a
+        point tuple of such a law, or a k-prefix of one on the k-window
+        space, and each weight an ``int``.  Zero weights are dropped and
+        the form is reduced as by the constructor; a non-positive
+        denominator, a negative weight or a total above one is handed
+        to the checking constructor, which raises its own error.
+        """
+        clean = {z: w for z, w in weights.items() if w}
+        values = clean.values()
+        if denominator < 1 or min(values, default=0) < 0 or sum(values) > denominator:
+            return cls(space, denominator, weights)
+        law = object.__new__(cls)
+        object.__setattr__(law, "space", space)
+        law._settle(denominator, clean)
+        return law
 
     @classmethod
     def from_masses(cls, space: ProductSpace, masses: Mapping[Point, object]) -> "MassFunction":
@@ -262,7 +291,7 @@ class MassFunction:
 
     def scaled(self, factor: Fraction) -> "MassFunction":
         f = Fraction(factor)
-        return MassFunction(
+        return MassFunction._derived(
             self.space,
             self.denominator * f.denominator,
             {z: w * f.numerator for z, w in self.weights.items()},
@@ -339,7 +368,7 @@ def window_marginal(law: MassFunction, k: int) -> MassFunction:
     for point, weight in law.weights.items():
         key = point[:k]
         sums[key] = sums.get(key, 0) + weight
-    return MassFunction(law.space.window(k), law.denominator, sums)
+    return MassFunction._derived(law.space.window(k), law.denominator, sums)
 
 
 def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction:
@@ -410,7 +439,7 @@ class WindowTable:
                     m = min(weights.get(point, 0) * member_scale, weight * later_scale)
                     if m:
                         out[point] = m
-                column.append(MassFunction(later.space, common, out))
+                column.append(MassFunction._derived(later.space, common, out))
             column.reverse()
 
     def _locate(self, n: int, k: int) -> int:
@@ -467,7 +496,7 @@ def conditional_given_prefix(law: MassFunction, prefix: Point) -> MassFunction:
     group = {z: w for z, w in law.weights.items() if z[:k] == prefix}
     if not group:
         raise ValueError(f"conditioning on zero-mass prefix {prefix!r}")
-    return MassFunction(law.space, sum(group.values()), group)
+    return MassFunction._derived(law.space, sum(group.values()), group)
 
 
 def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
@@ -482,7 +511,7 @@ def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
     for z, w in law.weights.items():
         groups.setdefault(z[:k], {})[z] = w
     return {
-        prefix: MassFunction(law.space, sum(group.values()), group)
+        prefix: MassFunction._derived(law.space, sum(group.values()), group)
         for prefix, group in groups.items()
     }
 

@@ -335,6 +335,98 @@ class TestMalformedSpec:
         assert not out.exists()
 
 
+def alphabet_as_string(doc):
+    doc["space"] = ["".join(symbols) for symbols in doc["space"]]
+
+
+def boolean_mass(doc):
+    doc["members"][0] = {"a": True, "b": "0/1"}
+
+
+def tail_with_fraction(doc):
+    doc["tail"]["eventually_equal"] += 0.9
+
+
+def boolean_tail(doc):
+    doc["tail"]["eventually_equal"] = True
+
+
+def coords_rows_as_strings(doc):
+    doc["model"]["coords"] = ["0", "1", "2"]
+
+
+def dist_rows_as_strings(doc):
+    model = doc["model"]
+    del model["coords"], model["metric"]
+    model["dist"] = ["012", "101", "210"]
+
+
+def points_as_string(doc):
+    doc["model"]["points"] = "xyz"
+
+
+# spec edit -> the command it goes to and what its one error line must say;
+# read as Python iterables and numbers, each edited spec would be a valid one
+SPEC_TYPE_EDITS = {
+    alphabet_as_string: ("build", "malformed spec field 'space': alphabet 'ab' is not an array"),
+    boolean_mass: ("build", "expected a rational string, got True"),
+    tail_with_fraction: ("build", "malformed spec field 'tail': tail index 1.9 is not an integer"),
+    boolean_tail: ("build", "malformed spec field 'tail': tail index True is not an integer"),
+    coords_rows_as_strings: ("skorohod", "malformed spec field 'model': coords row '0' is not an array"),
+    dist_rows_as_strings: ("skorohod", "malformed spec field 'model': dist row '012' is not an array"),
+    points_as_string: ("skorohod", "malformed spec field 'model': points 'xyz' is not an array"),
+}
+
+
+def window_with_fraction(doc):
+    doc["schedule"]["windows"][0] += 0.5
+
+
+def boolean_horizon(doc):
+    doc["schedule"]["horizon"] = True
+
+
+def windows_as_string(doc):
+    doc["schedule"]["windows"] = "11"
+
+
+PLAN_TYPE_EDITS = {
+    window_with_fraction: "malformed plan field 'schedule': window 1.5 is not an integer",
+    boolean_horizon: "malformed plan field 'schedule': horizon True is not an integer",
+    windows_as_string: "malformed plan field 'schedule': windows '11' is not an array",
+}
+
+
+class TestJsonValueTypes:
+    """A string is not an array, a boolean not a number and 2.9 not an index."""
+
+    @pytest.mark.parametrize("edit", list(SPEC_TYPE_EDITS), ids=lambda edit: edit.__name__)
+    def test_spec_exits_2(self, tmp_path, skewed_file, skorohod_file, capsys, edit):
+        command, message = SPEC_TYPE_EDITS[edit]
+        spec = skewed_file if command == "build" else skorohod_file
+        doc = json.loads(spec.read_text())
+        edit(doc)
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", list(PLAN_TYPE_EDITS), ids=lambda edit: edit.__name__)
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_plan_exits_2(self, tmp_path, skewed_file, capsys, edit, command):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        edit(doc)
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {plan_path}: {PLAN_TYPE_EDITS[edit]}\n"
+        assert not out.exists()
+
+
 def one_error_line(err: str) -> bool:
     return "Traceback" not in err and len([line for line in err.splitlines() if "error:" in line]) == 1
 

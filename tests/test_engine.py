@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from math import sqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from windowcoupling import (
     window_deficit,
     window_marginal,
 )
-from windowcoupling import engine, measures
+from windowcoupling import engine, jsonio, measures
 from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
     InternalInvariantError,
@@ -41,9 +43,11 @@ from windowcoupling.engine import (
     coupling_marginals,
     extended_floors,
     largest_feasible_windows,
+    mixture_envelopes,
     plan_exact_checks,
 )
 from windowcoupling.verify import (
+    joint_law_marginals,
     random_enumerable_plan,
     random_law_sequence,
     random_metric_model,
@@ -649,3 +653,76 @@ class TestCouplingMarginals:
             laws = random_law_sequence(rng, model)
             coupling = build_skorohod_coupling(model, laws, rng.choice((2, 3)))
             self.assert_matches_joint_law(coupling.plan)
+
+
+def assert_checked(law):
+    """Every support point lies in the law's space, and the checking constructor agrees."""
+    assert all(z in law.space for z in law.weights)
+    assert law == MassFunction(law.space, law.denominator, dict(law.weights))
+
+
+class TestDerivedLaws:
+    """Laws built by ``MassFunction._derived`` are the laws the checking constructor builds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_build_and_audit_laws_pass_the_checking_constructor(self, seed):
+        seq = random_process_spec(random.Random(seed))
+        derived = MassFunction._derived.__func__
+        made = []
+
+        def record(cls, space, denominator, weights):
+            made.append(derived(cls, space, denominator, weights))
+            return made[-1]
+
+        with mock.patch.object(MassFunction, "_derived", classmethod(record)):
+            plan = build_plan(seq)
+            text = jsonio.canonical_dumps(jsonio.plan_to_doc(plan))
+            loaded = jsonio.plan_from_doc(json.loads(text))
+            assert audit_plan(loaded).all_exact_passed
+            assert joint_law_marginals(loaded).passed
+            table = WindowTable(seq)
+            laws = [
+                law
+                for n in range(1, seq.horizon + 2)
+                for k in range(seq.space.width + 1)
+                for law in (table.marginal(n, k), table.infimum(n, k))
+            ]
+            for member in (*seq.members, seq.limit):
+                for k in range(seq.space.width + 1):
+                    conditionals = measures.prefix_conditionals(member, k)
+                    laws += conditionals.values()
+                    laws += (conditional_given_prefix(member, p) for p in conditionals)
+                laws.append(member.scaled(F(2, 3)))
+            for p in (plan, loaded):
+                laws += (*p.ladder.floors, *p.ladder.envelopes, *mixture_envelopes(p))
+                laws += (*p.increment_laws, *p.residual_laws, *coupling_marginals(p)[0])
+                laws += engine._tail_mixture_laws(p).values()
+                laws += (row.law for rows in p.kernels for row in rows.values())
+        assert made
+        for law in (*made, *laws):
+            assert_checked(law)
+
+    @pytest.mark.parametrize(
+        "space",
+        [ProductSpace((Alphabet(("x", "y")),)), ProductSpace((Alphabet(("a", "b")),) * 2)],
+        ids=["same-shape", "wider"],
+    )
+    def test_foreign_space_increment_fails_with_witness(self, two_member_sequence, space):
+        plan = build_plan(two_member_sequence)
+        laws = list(plan.increment_laws)
+        assert plan.index_probability(1)
+        weights = {z + (0,) * (space.width - len(z)): w for z, w in laws[0].weights.items()}
+        laws[0] = MassFunction(space, laws[0].denominator, weights)
+        checks = plan_exact_checks(replace(plan, increment_laws=tuple(laws)))
+        witness = "check raised SpaceMismatchError: increment law 1 lives on a different space"
+        failed = {c.name: c.witness for c in checks if not c.passed}
+        assert failed == dict.fromkeys(
+            [
+                "ladder-below-floor",
+                "ladder-mass-bound",
+                "mixture-reconstructs-limit",
+                "window-mixture-reconstructs-members",
+            ],
+            witness,
+        )

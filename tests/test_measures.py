@@ -244,6 +244,29 @@ class TestMassFunction:
 
         assert outcome(construct) == outcome(lambda: reference_mass_function(space, mass))
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_derived_matches_the_checking_constructor(self, data):
+        """On points of the space, ``_derived`` builds or refuses exactly as the constructor does."""
+        space = data.draw(spaces())
+        k = data.draw(st.integers(0, space.width))
+        points = sorted({z[:k] for z in space.points()})
+        chosen = data.draw(st.lists(st.sampled_from(points), unique=True, max_size=6))
+        weights = {z: data.draw(st.integers(-2, 9)) for z in chosen}
+        denominator = data.draw(st.integers(-1, 24))
+        window = space.window(k)
+
+        def construct(build):
+            def run():
+                law = build(window, denominator, weights)
+                assert type(law) is MassFunction and law.space is window
+                return law.mass, law.total_mass
+
+            return run
+
+        # masses in support order, or the error type and message
+        assert outcome(construct(MassFunction._derived)) == outcome(construct(MassFunction))
+
     def test_getitem_accepts_any_sequence(self, pair_space):
         law = MassFunction.from_masses(pair_space, {(0, 1): F(1, 3)})
         assert law[(0, 1)] == law[[0, 1]] == F(1, 3)
