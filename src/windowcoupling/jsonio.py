@@ -158,6 +158,13 @@ def _integer(value: Any, name: str) -> int:
     return value
 
 
+def _boolean(value: Any, name: str) -> bool:
+    """A JSON boolean as read; a string such as ``"no"`` or a number raises TypeError."""
+    if type(value) is not bool:
+        raise TypeError(f"{name} {value!r} is not a boolean")
+    return value
+
+
 def space_from_doc(doc: list) -> ProductSpace:
     return ProductSpace(
         tuple(Alphabet(tuple(_array(symbols, "alphabet"))) for symbols in _array(doc, "space"))
@@ -416,19 +423,24 @@ def report_from_doc(doc: dict):
 
     with _doc_field("report", "exact_checks"):
         exact_checks = tuple(
-            ExactCheck(c["name"], bool(c["passed"]), c["witness"])
+            ExactCheck(c["name"], _boolean(c["passed"], "passed"), c["witness"])
             for c in doc["exact_checks"]
         )
     with _doc_field("report", "mc_checks"):
         mc_checks = tuple(
-            McCheck(c["name"], int(c["samples"]), int(c["failures"]), c["note"])
+            McCheck(
+                c["name"],
+                _integer(c["samples"], "samples"),
+                _integer(c["failures"], "failures"),
+                c["note"],
+            )
             for c in doc["mc_checks"]
         )
     with _doc_field("report", "deficit_trace"):
         deficit_trace = tuple(
             DeficitEntry(
-                int(e["index"]),
-                int(e["window"]),
+                _integer(e["index"], "index"),
+                _integer(e["window"], "window"),
                 parse_fraction(e["deficit"]),
                 parse_fraction(e["bound"]),
             )

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import sub
 from random import Random
 from typing import Iterable
@@ -38,7 +39,6 @@ from .engine import (
     sample as sample_plan,
 )
 from .measures import (
-    ZERO,
     Alphabet,
     MassFunction,
     Point,
@@ -59,26 +59,56 @@ class SeparabilityError(ValueError):
     """The limit law puts mass outside the designated separable support."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricSpaceModel:
     """Finite labeled metric space with exact rational distances.
 
     ``separable_support`` flags, with booleans, the points forming the
-    set the limit law must live on.  The ``linf`` backend additionally carries rational
-    coordinates; its distance table is the max-metric, which keeps every
-    realized distance rational.  Construction checks that the table is a
-    metric, exactly: the checks run on the table scaled to integers by
-    the lcm of its denominators.  ``space`` is the point space, built
-    once: one coordinate whose alphabet is the labels, which validates
-    them, so point i is the point ``(i,)`` of every law on the model.
+    set the limit law must live on.  The ``linf`` backend additionally
+    carries rational coordinates; its distances are the max-metric, which
+    keeps every realized distance rational.  Distances are held once, as
+    integers: ``rows`` is the distance table scaled by ``scale``, the lcm
+    of its denominators, so d(i, j) = rows[i][j] / scale.  ``space`` is
+    the point space, built once: one coordinate whose alphabet is the
+    labels, which validates them, so point i is the point ``(i,)`` of
+    every law on the model.
+
+    A distance table given to the constructor is outside input: every
+    metric check (self-distance, symmetry, positivity, the triangle
+    inequality) runs on its integer rows, and ``dist`` is that table.
+    A coordinate model (``from_coords``, either backend) is trusted: the
+    max-metric of rational points is zero on the diagonal, symmetric and
+    satisfies the triangle inequality by construction, so only
+    distinctness of the points is checked, and ``dist`` is built from
+    the rows on first read.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
     separable_support: tuple[bool, ...]
     backend: str
-    coords: tuple[tuple[Fraction, ...], ...] | None = None
-    space: ProductSpace = field(init=False, repr=False, compare=False)
+    coords: tuple[tuple[Fraction, ...], ...] | None
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    scale: int
+    space: ProductSpace = field(repr=False, compare=False)
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        dist: tuple[tuple[Fraction, ...], ...],
+        separable_support: tuple[bool, ...],
+        backend: str,
+        coords: tuple[tuple[Fraction, ...], ...] | None = None,
+    ) -> None:
+        # the fields go straight into the instance dict, as the frozen
+        # dataclass's own __init__ would; ``dist`` fills its cached slot
+        vars(self).update(
+            labels=labels,
+            dist=dist,
+            separable_support=separable_support,
+            backend=backend,
+            coords=coords,
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -89,14 +119,28 @@ class MetricSpaceModel:
         except ValueError as exc:
             raise MetricModelError(f"bad point label: {exc}") from None
         object.__setattr__(self, "space", space)
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        trusted = "rows" in vars(self)
+        table = self.rows if trusted else self.dist
+        if len(table) != n or any(len(row) != n for row in table):
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
             raise MetricModelError("support flags shape mismatch")
         for label, flag in zip(self.labels, self.separable_support):
             if type(flag) is not bool:
                 raise MetricModelError(f"support flag {flag!r} of {label} is not a boolean")
-        rows, _ = _integer_rows(self.dist)
+        if trusted:
+            self._check_distinct()
+        else:
+            self._check_metric()
+        if self.backend not in (TABLE_BACKEND, LINF_BACKEND):
+            raise MetricModelError(f"unknown backend {self.backend!r}")
+        if self.backend == LINF_BACKEND and self.coords is None:
+            raise MetricModelError("linf backend requires coordinates")
+
+    def _check_metric(self) -> None:
+        """Every metric check on the given table, in the order of a full scan; keeps its rows."""
+        rows, scale = _integer_rows(self.dist)
+        n = len(rows)
         for i in range(n):
             if rows[i][i] != 0:
                 raise MetricModelError(f"nonzero self-distance at {self.labels[i]}")
@@ -119,17 +163,33 @@ class MetricSpaceModel:
                         "triangle inequality fails at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})"
                     )
-        if self.backend not in (TABLE_BACKEND, LINF_BACKEND):
-            raise MetricModelError(f"unknown backend {self.backend!r}")
-        if self.backend == LINF_BACKEND and self.coords is None:
-            raise MetricModelError("linf backend requires coordinates")
+        vars(self).update(rows=rows, scale=scale)
+
+    def _check_distinct(self) -> None:
+        """The only check a max-metric needs: no two points coincide.
+
+        A zero off the diagonal is a coincident pair; the first row that
+        has one names the pair the full scan would meet first.
+        """
+        for i, row in enumerate(self.rows):
+            if row.count(0) > 1:
+                j = next(j for j, d in enumerate(row) if d == 0 and j != i)
+                raise MetricModelError(
+                    f"non-positive distance {self.labels[i]}..{self.labels[j]}"
+                )
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance table as fractions, built from ``rows`` on first read."""
+        scale = self.scale
+        return tuple(tuple(Fraction(d, scale) for d in row) for row in self.rows)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return Fraction(self.rows[i][j], self.scale)
 
     def support_indices(self) -> list[int]:
         return [i for i, flag in enumerate(self.separable_support) if flag]
@@ -154,7 +214,11 @@ class MetricSpaceModel:
         support: Iterable[bool] | None = None,
         backend: str = LINF_BACKEND,
     ) -> "MetricSpaceModel":
-        """The exact max-metric model of rational points; the table backend keeps no coordinates."""
+        """The exact max-metric model of rational points; the table backend keeps no coordinates.
+
+        The distances are computed on integers and trusted: only
+        distinctness is checked.
+        """
         labels = tuple(labels)
         pts = tuple(tuple(Fraction(c) for c in row) for row in coords)
         for label, row in zip(labels, pts):
@@ -163,17 +227,35 @@ class MetricSpaceModel:
                     f"point {label} has {len(row)} coordinates, not {len(pts[0])}"
                 )
         scaled, scale = _integer_rows(pts)
-        table = tuple(
-            tuple(Fraction(max(map(abs, map(sub, p, q)), default=0), scale) for q in scaled)
-            for p in scaled
+        columns = tuple(zip(*scaled))
+        zeros = (0,) * len(scaled)  # the distance when there are no coordinates
+        table = []
+        for p in scaled:
+            gaps = (map(abs, map(x.__sub__, column)) for x, column in zip(p, columns))
+            table.append(tuple(map(max, zip(zeros, *gaps))))
+        rows = tuple(table)
+        # the coordinates' lcm can exceed the distances' own: reduce to it,
+        # so that equal tables have equal rows and scale
+        common = gcd(scale, *chain.from_iterable(rows))
+        if common > 1:
+            rows = tuple(tuple(d // common for d in row) for row in rows)
+            scale //= common
+        model = cls.__new__(cls)
+        vars(model).update(
+            labels=labels,
+            separable_support=tuple(support) if support is not None else (True,) * len(labels),
+            backend=backend,
+            coords=pts if backend == LINF_BACKEND else None,
+            rows=rows,
+            scale=scale,
         )
-        flags = tuple(support) if support is not None else (True,) * len(labels)
-        return cls(labels, table, flags, backend, pts if backend == LINF_BACKEND else None)
+        model.__post_init__()
+        return model
 
 
 def _integer_rows(
     table: Iterable[Iterable[Fraction | int]],
-) -> tuple[list[list[int]], int]:
+) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The table scaled by the lcm of its denominators, and that lcm.
 
     Scaling by one positive integer keeps every equality, sign and sum
@@ -182,7 +264,7 @@ def _integer_rows(
     """
     rows = [[Fraction(v) for v in row] for row in table]
     scale = lcm(*{v.denominator for row in rows for v in row})
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
 
 
 @dataclass(frozen=True)
@@ -213,16 +295,19 @@ def continuity_radius(
     Only finitely many distances from the center are realized on the
     law's support, so if the proposed radius is realized we return the
     midpoint of the gap between it and the next realized distance below,
-    which no support point can hit.
+    which no support point can hit.  The distances are compared as the
+    model's integer rows.
     """
     if proposed <= 0:
         raise ValueError("proposed radius must be positive")
-    realized = {model.distance(center, j) for (j,) in law.weights}
-    if proposed not in realized:
+    row = model.rows[center]
+    realized = {row[j] for (j,) in law.weights}
+    # a scaled distance d is the proposed radius p/q iff d * q == p * scale
+    scaled, rest = divmod(proposed.numerator * model.scale, proposed.denominator)
+    if rest or scaled not in realized:
         return proposed
-    below = [d for d in realized if d < proposed]
-    lower = max(below) if below else ZERO
-    return (lower + proposed) / 2
+    lower = max((d for d in realized if d < scaled), default=0)
+    return Fraction(lower + scaled, 2 * model.scale)
 
 
 @dataclass(frozen=True)
@@ -264,20 +349,25 @@ class PartitionTree:
         return max(cell.path[k - 1] for cell in self.levels[k - 1])
 
     def cell_at(self, path: tuple[int, ...]) -> Cell:
-        for cell in self.levels[len(path) - 1]:
-            if cell.path == path:
-                return cell
-        raise KeyError(f"no cell with path {path!r}")
+        try:
+            return self._cells[path]
+        except KeyError:
+            raise KeyError(f"no cell with path {path!r}") from None
+
+    @cached_property
+    def _cells(self) -> dict[tuple[int, ...], Cell]:
+        """Every cell by its path, the first one where two share a path."""
+        cells: dict[tuple[int, ...], Cell] = {}
+        for level in self.levels:
+            for cell in level:
+                cells.setdefault(cell.path, cell)
+        return cells
 
 
-def _diameter(model: MetricSpaceModel, members: tuple[int, ...]) -> Fraction:
-    best = ZERO
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            d = model.distance(members[a], members[b])
-            if d > best:
-                best = d
-    return best
+def _diameter(model: MetricSpaceModel, members: tuple[int, ...]) -> int:
+    """The largest distance between two of ``members``, scaled as ``model.rows``."""
+    rows = model.rows
+    return max((max(map(rows[a].__getitem__, members)) for a in members), default=0)
 
 
 def build_partition_tree(
@@ -298,7 +388,9 @@ def build_partition_tree(
         raise SeparabilityError(
             "limit law mass on the separable support is not 1"
         )
-    root = Cell((), tuple(range(model.size)), _diameter(model, tuple(range(model.size))), ())
+    rows, scale = model.rows, model.scale
+    everything = tuple(range(model.size))
+    root = Cell((), everything, Fraction(_diameter(model, everything), scale), ())
     levels: list[tuple[Cell, ...]] = []
     parents = [root]
     for k in range(1, depth + 1):
@@ -316,17 +408,17 @@ def build_partition_tree(
                     continue
                 radius = continuity_radius(model, center, Fraction(1, 2 * k), law)
                 spheres.append((center, radius))
+                # d / scale < p / q iff d * q < p * scale
+                row, q, bound = rows[center], radius.denominator, radius.numerator * scale
                 members = tuple(
-                    j
-                    for j in parent.members
-                    if j not in assigned and model.distance(center, j) < radius
+                    j for j in parent.members if j not in assigned and row[j] * q < bound
                 )
                 assigned.update(members)
                 cells.append(
                     Cell(
                         parent.path + (child,),
                         members,
-                        _diameter(model, members),
+                        Fraction(_diameter(model, members), scale),
                         parent.certificate + tuple(spheres),
                     )
                 )
@@ -336,19 +428,18 @@ def build_partition_tree(
                 Cell(
                     parent.path + (1,),
                     residual,
-                    _diameter(model, residual),
+                    Fraction(_diameter(model, residual), scale),
                     parent.certificate + tuple(spheres),
                 )
             )
         cells.sort(key=lambda c: c.path)
         levels.append(tuple(cells))
         parents = list(cells)
-    paths: list[tuple[int, ...]] = []
-    for i in range(model.size):
-        for cell in levels[-1]:
-            if i in cell.members:
-                paths.append(cell.path)
-                break
+    # the last level partitions the points, so each point has one path
+    paths: list[tuple[int, ...]] = [()] * model.size
+    for cell in levels[-1]:
+        for i in cell.members:
+            paths[i] = cell.path
     return PartitionTree(model, law, depth, tuple(levels), tuple(paths))
 
 
@@ -392,16 +483,19 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
     add("partition-nested", witness)
 
     witness = None
+    scale = model.scale
     for k, level in enumerate(tree.levels, start=1):
-        bound = Fraction(1, k)
         for cell in level:
             if cell.is_covering:
                 actual = _diameter(model, cell.members)
-                if actual != cell.diameter:
+                recorded = cell.diameter
+                if actual * recorded.denominator != recorded.numerator * scale:
                     witness = f"cell {cell.path}: recorded diameter is wrong"
                     break
-                if actual >= bound:
-                    witness = f"cell {cell.path}: diameter {actual} >= {bound}"
+                if actual * k >= scale:  # actual / scale >= 1 / k
+                    witness = (
+                        f"cell {cell.path}: diameter {Fraction(actual, scale)} >= {Fraction(1, k)}"
+                    )
                     break
         if witness:
             break
@@ -432,15 +526,19 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
     # every cell repeats its ancestors' spheres: check each distinct one at
     # its first occurrence, which is where a failing sphere is reported
     witness = None
-    checked: set[tuple[int, Fraction]] = set()
+    checked: set[tuple[int, int, int]] = set()
     for level in tree.levels:
         for cell in level:
             for center, radius in cell.certificate:
-                if (center, radius) in checked:
+                key = (center, radius.numerator, radius.denominator)
+                if key in checked:
                     continue
-                checked.add((center, radius))
+                checked.add(key)
+                # the sphere holds the points at scaled distance p * scale / q;
                 # every support point has positive weight
-                if any(model.distance(center, j) == radius for (j,) in law.weights):
+                scaled, rest = divmod(radius.numerator * scale, radius.denominator)
+                row = model.rows[center]
+                if not rest and any(row[j] == scaled for (j,) in law.weights):
                     witness = (
                         f"cell {cell.path}: sphere around {model.labels[center]}"
                         f" radius {radius} has positive mass"
@@ -565,12 +663,15 @@ def distance_violations(
     coupling: SkorohodCoupling, realization: SkorohodSample
 ) -> list[int]:
     """Component indices n >= N whose decoded point breaks the 1/k_n bound."""
+    scale = coupling.model.scale
+    row = coupling.model.rows[realization.point]
     bad: list[int] = []
     for n in range(realization.index, coupling.plan.count + 1):
         bound = coupling.distance_bound(n)
         if bound is None:
             continue
-        d = coupling.model.distance(realization.point, realization.member_points[n - 1])
-        if d >= bound:
+        # d / scale >= p / q iff d * q >= p * scale
+        d = row[realization.member_points[n - 1]]
+        if d * bound.denominator >= bound.numerator * scale:
             bad.append(n)
     return bad

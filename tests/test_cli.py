@@ -671,6 +671,41 @@ class TestMalformedReport:
         assert "malformed report field 'exact_checks'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, key, value, message",
+        [
+            ("exact_checks", "passed", "no", "passed 'no' is not a boolean"),
+            ("exact_checks", "passed", 1, "passed 1 is not a boolean"),
+            ("mc_checks", "samples", True, "samples True is not an integer"),
+            ("mc_checks", "failures", "0", "failures '0' is not an integer"),
+            ("deficit_trace", "index", 1.0, "index 1.0 is not an integer"),
+            ("deficit_trace", "window", False, "window False is not an integer"),
+        ],
+        ids=[
+            "passed-string",
+            "passed-number",
+            "samples-boolean",
+            "failures-string",
+            "index-float",
+            "window-boolean",
+        ],
+    )
+    def test_badly_typed_check_field(
+        self, tmp_path, skewed_file, capsys, field, key, value, message
+    ):
+        plan = tmp_path / "plan.json"
+        report = tmp_path / "report.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan)])
+        main(["verify", "--plan", str(plan), "--samples", "20", "--out", str(report)])
+        doc = json.loads(report.read_text())
+        doc[field][0][key] = value
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {report}: malformed report field '{field}': {message}\n"
+
 
 class TestSample:
     def test_schema_and_determinism(self, tmp_path, skewed_file, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windowcoupling import (
+    Cell,
     LawSequence,
     MassFunction,
     MetricModelError,
@@ -14,12 +15,14 @@ from windowcoupling import (
     ProcessSequenceSpec,
     SeparabilityError,
     TailRule,
+    audit_skorohod,
     build_partition_tree,
     build_skorohod_coupling,
     continuity_radius,
     digitize,
     distance_violations,
     exact_joint_law,
+    mc_agreement,
     sample_coupled_points,
     tree_exact_checks,
     window_marginal,
@@ -177,6 +180,156 @@ class TestMetricValidation:
         )
 
 
+def reference_continuity_radius(model, center, proposed, law):
+    """continuity_radius on the Fraction table: realized distances as a set of Fractions."""
+    realized = {model.dist[center][j] for (j,) in law.weights}
+    if proposed not in realized:
+        return proposed
+    below = [d for d in realized if d < proposed]
+    lower = max(below) if below else F(0)
+    return (lower + proposed) / 2
+
+
+def reference_partition_tree(model, law, depth):
+    """build_partition_tree's levels and paths, every distance read as a Fraction."""
+    dist = model.dist
+
+    def diameter(members):
+        return max((dist[a][b] for a in members for b in members), default=F(0))
+
+    levels = []
+    parents = [Cell((), tuple(range(model.size)), diameter(range(model.size)), ())]
+    for k in range(1, depth + 1):
+        cells = []
+        for parent in parents:
+            targets = sorted(
+                (i for i in parent.members if model.separable_support[i]),
+                key=lambda i: model.labels[i],
+            )
+            assigned, spheres, child = set(), [], 2
+            for center in targets:
+                if center in assigned:
+                    continue
+                radius = reference_continuity_radius(model, center, F(1, 2 * k), law)
+                spheres.append((center, radius))
+                members = tuple(
+                    j for j in parent.members if j not in assigned and dist[center][j] < radius
+                )
+                assigned.update(members)
+                cells.append(
+                    Cell(
+                        parent.path + (child,),
+                        members,
+                        diameter(members),
+                        parent.certificate + tuple(spheres),
+                    )
+                )
+                child += 1
+            residual = tuple(j for j in parent.members if j not in assigned)
+            cells.append(
+                Cell(
+                    parent.path + (1,),
+                    residual,
+                    diameter(residual),
+                    parent.certificate + tuple(spheres),
+                )
+            )
+        cells.sort(key=lambda c: c.path)
+        levels.append(tuple(cells))
+        parents = cells
+    paths = tuple(
+        next(cell.path for cell in levels[-1] if i in cell.members) for i in range(model.size)
+    )
+    return tuple(levels), paths
+
+
+@st.composite
+def coordinate_points(draw):
+    """Random rational points in 1-3 dimensions, some of them repeated."""
+    n = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 3))
+    coordinate = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        points[j] = points[i]
+    return points
+
+
+class TestTrustedCoordinateModel:
+    @settings(max_examples=300, deadline=None)
+    @given(coordinate_points(), st.sampled_from(("linf", "table")), st.data())
+    def test_equals_the_scanned_table_model(self, points, backend, data):
+        labels = tuple(f"p{i}" for i in range(len(points)))
+        n = len(points)
+        support = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        dist = tuple(tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points) for p in points)
+        expected = reference_metric_error(labels, dist)
+        if expected is not None:
+            # only coincident points can fail, with the full scan's message
+            assert expected.startswith("non-positive distance")
+            with pytest.raises(MetricModelError) as info:
+                MetricSpaceModel.from_table(labels, dist, support)
+            assert str(info.value) == expected
+            with pytest.raises(MetricModelError) as info:
+                MetricSpaceModel.from_coords(labels, points, support, backend)
+            assert str(info.value) == expected
+            return
+        model = MetricSpaceModel.from_coords(labels, points, support, backend)
+        scanned = MetricSpaceModel.from_table(labels, model.dist, support)
+        assert model.dist == scanned.dist == dist
+        for i in range(n):
+            for j in range(n):
+                assert model.distance(i, j) == scanned.distance(i, j) == dist[i][j]
+        assert (model.rows, model.scale) == (scanned.rows, scanned.scale)
+        if backend == "table":
+            assert model == scanned and hash(model) == hash(scanned)
+        else:
+            assert model != scanned  # the linf model keeps its coordinates
+            assert MetricSpaceModel.from_coords(labels, points, support) == model
+
+    @settings(max_examples=200, deadline=None)
+    @given(coordinate_points(), st.integers(1, 3), st.data())
+    def test_radius_and_tree_equal_the_fraction_reference(self, points, depth, data):
+        points = list(dict.fromkeys(points))  # distinct, in first-seen order
+        n = len(points)
+        labels = tuple(f"p{i}" for i in range(n))
+        support = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        support[data.draw(st.integers(0, n - 1))] = True
+        model = MetricSpaceModel.from_coords(labels, points, support)
+        weights = [data.draw(st.integers(0, 5)) if flag else 0 for flag in support]
+        if not any(weights):
+            weights[support.index(True)] = 1
+        law = MassFunction.from_masses(
+            model.space, {(i,): F(w, sum(weights)) for i, w in enumerate(weights) if w}
+        )
+        for center in range(n):
+            proposals = {F(1, 2 * k) for k in range(1, depth + 1)}
+            proposals |= {d for d in model.dist[center] if d > 0}
+            for proposed in proposals:
+                assert continuity_radius(model, center, proposed, law) == (
+                    reference_continuity_radius(model, center, proposed, law)
+                )
+        tree = build_partition_tree(model, law, depth)
+        assert (tree.levels, tree.paths) == reference_partition_tree(model, law, depth)
+        assert all(c.passed for c in tree_exact_checks(tree))
+
+
+class TestNoFractionTableOnTheSkorohodPath:
+    def test_coupling_audit_and_mc_never_build_the_table(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            model = random_metric_model(rng, max_points=8)
+            laws = random_law_sequence(rng, model)
+            coupling = build_skorohod_coupling(model, laws, 3)
+            audit = audit_skorohod(coupling)
+            guard = mc_agreement(coupling, 50, 1)
+            assert audit.all_passed and guard.all_passed
+            assert "dist" not in vars(model)
+            # the table is built on first read, where the check would see it
+            assert model.dist[0][0] == 0 and "dist" in vars(model)
+
+
 class TestContinuityRadius:
     def test_unrealized_radius_returned_unchanged(self, line_model):
         law = MassFunction.from_masses(line_model.space, {(0,): F(1)})
@@ -250,6 +403,27 @@ class TestPartitionTree:
         )
         with pytest.raises(SeparabilityError):
             build_partition_tree(flagged, law, 2)
+
+    @pytest.mark.parametrize(
+        "members, diameter, witness",
+        [
+            ((0, 1), F(1, 2), "cell (2, 2): diameter 1/2 >= 1/2"),
+            ((0,), F(1, 3), "cell (2, 2): recorded diameter is wrong"),
+        ],
+        ids=["diameter-at-the-bound", "wrong-recorded-diameter"],
+    )
+    def test_covering_diameter_check(self, line_model, line_laws, members, diameter, witness):
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
+        level2 = tuple(
+            dataclasses.replace(cell, members=members, diameter=diameter)
+            if cell.path == (2, 2)
+            else cell
+            for cell in tree.levels[1]
+        )
+        bad = dataclasses.replace(tree, levels=(tree.levels[0], level2))
+        check = {c.name: c for c in tree_exact_checks(bad)}["covering-cells-diameter"]
+        assert not check.passed
+        assert check.witness == witness
 
     def test_random_trees_pass_all_checks(self):
         rng = random.Random(7)
