@@ -126,7 +126,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_skorohod(args: argparse.Namespace) -> int:
     def build(doc: dict):
-        seq = jsonio.law_sequence_from_doc(doc, args.backend)
+        seq = jsonio.law_sequence_from_doc(doc)
         return build_skorohod_coupling(seq.model, seq, args.depth)
 
     coupling = _read(args.spec, build)
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     sko.add_argument("--depth", type=_at_least(1), default=DEFAULT_DEPTH)
     sko.add_argument("--samples", type=_at_least(1), default=DEFAULT_SAMPLES)
     sko.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sko.add_argument("--backend", choices=("table", "linf"), default=None)
     sko.set_defaults(run=_cmd_skorohod)
 
     rep = sub.add_parser("report", help="render an existing report to text")

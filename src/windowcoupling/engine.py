@@ -170,6 +170,11 @@ class KernelRow:
     law: MassFunction
 
 
+def index_space(count: int) -> ProductSpace:
+    """The space of the agreement index N: one coordinate with the labels 1..count."""
+    return ProductSpace((Alphabet(tuple(str(n) for n in range(1, count + 1))),))
+
+
 @dataclass(frozen=True)
 class CouplingPlan:
     """Coupling of a process-law sequence, stored as its mixture.
@@ -539,16 +544,13 @@ def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
     envelopes = build_ladder(seq, schedule, table)
     count = seq.horizon + 1
 
-    index_space = ProductSpace(
-        (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
-    )
     # P(N <= n) is the mass of envelope n; all over one common denominator
     common = math.lcm(*(env.denominator for env in envelopes))
     cumulative = [
         sum(env.weights.values()) * (common // env.denominator) for env in envelopes
     ]
     index_law = MassFunction(
-        index_space,
+        index_space(count),
         common,
         {(n,): c - prev for n, (prev, c) in enumerate(itertools.pairwise([0, *cumulative]))},
     )

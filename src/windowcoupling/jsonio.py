@@ -22,6 +22,7 @@ from .engine import (
     DeficitEntry,
     ExactCheck,
     WindowSchedule,
+    index_space,
 )
 from .measures import (
     Alphabet,
@@ -32,8 +33,6 @@ from .measures import (
     TailRule,
 )
 from .skorohod import (
-    LINF_BACKEND,
-    TABLE_BACKEND,
     LawSequence,
     MetricSpaceModel,
     PartitionTree,
@@ -263,11 +262,8 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         raise ValueError(
             f"plan schedule horizon {schedule.horizon} != sequence horizon {seq.horizon}"
         )
-    index_space = ProductSpace(
-        (Alphabet(tuple(str(n) for n in range(1, count + 1))),)
-    )
     with _doc_field("plan", "index_law"):
-        index_law = law_from_doc(index_space, doc["index_law"])
+        index_law = law_from_doc(index_space(count), doc["index_law"])
     with _doc_field("plan", "increment_laws"):
         increment_laws = tuple(law_from_doc(space, v) for v in doc["increment_laws"])
     with _doc_field("plan", "residual_laws"):
@@ -306,11 +302,9 @@ def sample_record(plan: CouplingPlan, draw: CouplingSample, seed: int) -> dict:
 
 def model_to_doc(model: MetricSpaceModel) -> dict:
     doc: dict[str, Any] = {"points": list(model.labels)}
-    if model.backend == LINF_BACKEND:
+    if model.coords is not None:
         doc["metric"] = "linf"
-        doc["coords"] = [
-            [fraction_to_str(c) for c in row] for row in model.coords or ()
-        ]
+        doc["coords"] = [[fraction_to_str(c) for c in row] for row in model.coords]
     else:
         doc["dist"] = [
             [fraction_to_str(d) for d in row] for row in model.dist
@@ -320,19 +314,30 @@ def model_to_doc(model: MetricSpaceModel) -> dict:
     return doc
 
 
-def model_from_doc(doc: dict, backend: str | None = None) -> MetricSpaceModel:
+def model_from_doc(doc: dict) -> MetricSpaceModel:
+    """The model of a ``coords`` or a ``dist`` document, which gives exactly one of them.
+
+    A field of the wrong shape raises TypeError.  Only a missing
+    ``points`` field of a ``coords`` document falls back to the labels
+    ``p0``, ``p1``, ...
+    """
     has_coords = "coords" in doc
-    if "metric" in doc and doc["metric"] != LINF_BACKEND:
+    if "metric" in doc and doc["metric"] != "linf":
         raise ValueError(f"unknown metric {doc['metric']!r}, the only metric is 'linf'")
-    if backend is None:
-        backend = LINF_BACKEND if has_coords else TABLE_BACKEND
-    if (backend == LINF_BACKEND or "metric" in doc) and not has_coords:
+    if has_coords and "dist" in doc:
+        raise TypeError("a model gives coords or dist, not both")
+    if "metric" in doc and not has_coords:
         raise ValueError("the linf metric requires a coords field")
     support = doc.get("separable_support")
     if has_coords:
         coords = _rational_rows(doc["coords"], "coords")
-        labels = doc.get("points") or [f"p{i}" for i in range(len(coords))]
-        return MetricSpaceModel.from_coords(_array(labels, "points"), coords, support, backend)
+        if "points" not in doc:
+            labels = [f"p{i}" for i in range(len(coords))]
+        elif not _array(doc["points"], "points"):
+            raise TypeError("points [] names no point")
+        else:
+            labels = doc["points"]
+        return MetricSpaceModel.from_coords(labels, coords, support)
     dist = _rational_rows(doc["dist"], "dist")
     return MetricSpaceModel.from_table(_array(doc["points"], "points"), dist, support)
 
@@ -348,10 +353,10 @@ def law_sequence_to_doc(seq: LawSequence) -> dict:
     return {"model": model_to_doc(seq.model), **_laws_to_doc(seq.sequence)}
 
 
-def law_sequence_from_doc(doc: dict, backend: str | None = None) -> LawSequence:
+def law_sequence_from_doc(doc: dict) -> LawSequence:
     """Parse a metric law sequence; a field of the wrong shape raises ValueError."""
     with _doc_field("spec", "model"):
-        model = model_from_doc(doc["model"], backend)
+        model = model_from_doc(doc["model"])
     return LawSequence(model, _laws_from_doc(model.space, doc))
 
 
@@ -360,7 +365,7 @@ def tree_to_doc(tree: PartitionTree) -> dict:
     law = tree.law
     return {
         "depth": tree.depth,
-        "backend": model.backend,
+        "backend": "table" if model.coords is None else "linf",
         "levels": [
             [
                 {

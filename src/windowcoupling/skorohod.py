@@ -14,11 +14,11 @@ digit processes then forces the decoded points into a shared
 small-diameter cell, which yields the distance guarantee
 ``d(X_n, X) < 1/k_n`` from the agreement index on.
 
-Two backends: an explicit rational distance table (finite ambient
-topology, boundaries empty, continuity certificates vacuous) and
-rational coordinates under the max-metric (ambient Euclidean-space
-topology, where ball radii must dodge the finitely many realized
-distances to keep sphere masses at zero).
+One metric model, given either by an explicit rational distance table
+or by rational coordinates under the max-metric.  Either way the
+partition is built from the distances alone: ball radii dodge the
+finitely many realized distances, so every sphere has limit mass zero
+and the certificates hold in any ambient topology.
 """
 from __future__ import annotations
 
@@ -47,10 +47,6 @@ from .measures import (
     SpaceMismatchError,
 )
 
-TABLE_BACKEND = "table"
-LINF_BACKEND = "linf"
-
-
 class MetricModelError(ValueError):
     """The distance table is not an exact metric on the labeled points."""
 
@@ -64,28 +60,27 @@ class MetricSpaceModel:
     """Finite labeled metric space with exact rational distances.
 
     ``separable_support`` flags, with booleans, the points forming the
-    set the limit law must live on.  The ``linf`` backend additionally
-    carries rational coordinates; its distances are the max-metric, which
-    keeps every realized distance rational.  Distances are held once, as
-    integers: ``rows`` is the distance table scaled by ``scale``, the lcm
-    of its denominators, so d(i, j) = rows[i][j] / scale.  ``space`` is
-    the point space, built once: one coordinate whose alphabet is the
+    set the limit law must live on.  The metric is given in one of two
+    forms: a distance table, or rational ``coords`` under the
+    max-metric, which keeps every realized distance rational; ``coords``
+    is None exactly for a table.  Distances are held once, as integers:
+    ``rows`` is the distance table scaled by ``scale``, the lcm of its
+    denominators, so d(i, j) = rows[i][j] / scale.  ``space`` is the
+    point space, built once: one coordinate whose alphabet is the
     labels, which validates them, so point i is the point ``(i,)`` of
     every law on the model.
 
-    A distance table given to the constructor is outside input: every
-    metric check (self-distance, symmetry, positivity, the triangle
-    inequality) runs on its integer rows, and ``dist`` is that table.
-    A coordinate model (``from_coords``, either backend) is trusted: the
-    max-metric of rational points is zero on the diagonal, symmetric and
-    satisfies the triangle inequality by construction, so only
-    distinctness of the points is checked, and ``dist`` is built from
-    the rows on first read.
+    A distance table is outside input: every metric check
+    (self-distance, symmetry, positivity, the triangle inequality) runs
+    on its integer rows, and ``dist`` is that table.  Coordinates are
+    trusted: the max-metric of rational points is zero on the diagonal,
+    symmetric and satisfies the triangle inequality by construction, so
+    only distinctness of the points is checked, and ``dist`` is built
+    from the rows on first read.
     """
 
     labels: tuple[str, ...]
     separable_support: tuple[bool, ...]
-    backend: str
     coords: tuple[tuple[Fraction, ...], ...] | None
     rows: tuple[tuple[int, ...], ...] = field(repr=False)
     scale: int
@@ -94,23 +89,23 @@ class MetricSpaceModel:
     def __init__(
         self,
         labels: tuple[str, ...],
-        dist: tuple[tuple[Fraction, ...], ...],
+        dist: tuple[tuple[Fraction, ...], ...] | None,
         separable_support: tuple[bool, ...],
-        backend: str,
         coords: tuple[tuple[Fraction, ...], ...] | None = None,
     ) -> None:
+        """A model of the table ``dist``, or, when ``coords`` is given, of their max-metric."""
         # the fields go straight into the instance dict, as the frozen
-        # dataclass's own __init__ would; ``dist`` fills its cached slot
-        vars(self).update(
-            labels=labels,
-            dist=dist,
-            separable_support=separable_support,
-            backend=backend,
-            coords=coords,
-        )
+        # dataclass's own __init__ would; a table fills the cached ``dist``
+        vars(self).update(labels=labels, separable_support=separable_support, coords=coords)
+        if coords is None:
+            vars(self)["dist"] = dist
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if self.coords is None:
+            table = self.dist
+        else:
+            table, scale = _max_metric_rows(self.labels, self.coords)
         n = len(self.labels)
         if n == 0:
             raise MetricModelError("model must have at least one point")
@@ -118,9 +113,6 @@ class MetricSpaceModel:
             space = ProductSpace((Alphabet(tuple(self.labels)),))
         except ValueError as exc:
             raise MetricModelError(f"bad point label: {exc}") from None
-        object.__setattr__(self, "space", space)
-        trusted = "rows" in vars(self)
-        table = self.rows if trusted else self.dist
         if len(table) != n or any(len(row) != n for row in table):
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
@@ -128,17 +120,14 @@ class MetricSpaceModel:
         for label, flag in zip(self.labels, self.separable_support):
             if type(flag) is not bool:
                 raise MetricModelError(f"support flag {flag!r} of {label} is not a boolean")
-        if trusted:
-            self._check_distinct()
+        if self.coords is None:
+            table, scale = self._check_metric()
         else:
-            self._check_metric()
-        if self.backend not in (TABLE_BACKEND, LINF_BACKEND):
-            raise MetricModelError(f"unknown backend {self.backend!r}")
-        if self.backend == LINF_BACKEND and self.coords is None:
-            raise MetricModelError("linf backend requires coordinates")
+            self._check_distinct(table)
+        vars(self).update(rows=table, scale=scale, space=space)
 
-    def _check_metric(self) -> None:
-        """Every metric check on the given table, in the order of a full scan; keeps its rows."""
+    def _check_metric(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Every metric check on the given table, in the order of a full scan; its integer rows."""
         rows, scale = _integer_rows(self.dist)
         n = len(rows)
         for i in range(n):
@@ -163,15 +152,15 @@ class MetricSpaceModel:
                         "triangle inequality fails at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})"
                     )
-        vars(self).update(rows=rows, scale=scale)
+        return rows, scale
 
-    def _check_distinct(self) -> None:
+    def _check_distinct(self, rows: tuple[tuple[int, ...], ...]) -> None:
         """The only check a max-metric needs: no two points coincide.
 
         A zero off the diagonal is a coincident pair; the first row that
         has one names the pair the full scan would meet first.
         """
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if row.count(0) > 1:
                 j = next(j for j, d in enumerate(row) if d == 0 and j != i)
                 raise MetricModelError(
@@ -204,7 +193,7 @@ class MetricSpaceModel:
         labels = tuple(labels)
         table = tuple(tuple(Fraction(d) for d in row) for row in dist)
         flags = tuple(support) if support is not None else (True,) * len(labels)
-        return cls(labels, table, flags, TABLE_BACKEND)
+        return cls(labels, table, flags)
 
     @classmethod
     def from_coords(
@@ -212,45 +201,45 @@ class MetricSpaceModel:
         labels: Iterable[str],
         coords: Iterable[Iterable[Fraction | int]],
         support: Iterable[bool] | None = None,
-        backend: str = LINF_BACKEND,
     ) -> "MetricSpaceModel":
-        """The exact max-metric model of rational points; the table backend keeps no coordinates.
+        """The exact max-metric model of rational points.
 
         The distances are computed on integers and trusted: only
         distinctness is checked.
         """
         labels = tuple(labels)
         pts = tuple(tuple(Fraction(c) for c in row) for row in coords)
-        for label, row in zip(labels, pts):
-            if len(row) != len(pts[0]):
-                raise MetricModelError(
-                    f"point {label} has {len(row)} coordinates, not {len(pts[0])}"
-                )
-        scaled, scale = _integer_rows(pts)
-        columns = tuple(zip(*scaled))
-        zeros = (0,) * len(scaled)  # the distance when there are no coordinates
-        table = []
-        for p in scaled:
-            gaps = (map(abs, map(x.__sub__, column)) for x, column in zip(p, columns))
-            table.append(tuple(map(max, zip(zeros, *gaps))))
-        rows = tuple(table)
-        # the coordinates' lcm can exceed the distances' own: reduce to it,
-        # so that equal tables have equal rows and scale
-        common = gcd(scale, *chain.from_iterable(rows))
-        if common > 1:
-            rows = tuple(tuple(d // common for d in row) for row in rows)
-            scale //= common
-        model = cls.__new__(cls)
-        vars(model).update(
-            labels=labels,
-            separable_support=tuple(support) if support is not None else (True,) * len(labels),
-            backend=backend,
-            coords=pts if backend == LINF_BACKEND else None,
-            rows=rows,
-            scale=scale,
-        )
-        model.__post_init__()
-        return model
+        flags = tuple(support) if support is not None else (True,) * len(labels)
+        return cls(labels, None, flags, pts)
+
+
+def _max_metric_rows(
+    labels: tuple[str, ...], pts: tuple[tuple[Fraction, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The max-metric table of ``pts`` as integer rows over the least common scale.
+
+    Points with different numbers of coordinates are refused first.
+    """
+    for label, row in zip(labels, pts):
+        if len(row) != len(pts[0]):
+            raise MetricModelError(
+                f"point {label} has {len(row)} coordinates, not {len(pts[0])}"
+            )
+    scaled, scale = _integer_rows(pts)
+    columns = tuple(zip(*scaled))
+    zeros = (0,) * len(scaled)  # the distance when there are no coordinates
+    table = []
+    for p in scaled:
+        gaps = (map(abs, map(x.__sub__, column)) for x, column in zip(p, columns))
+        table.append(tuple(map(max, zip(zeros, *gaps))))
+    rows = tuple(table)
+    # the coordinates' lcm can exceed the distances' own: reduce to it,
+    # so that equal tables have equal rows and scale
+    common = gcd(scale, *chain.from_iterable(rows))
+    if common > 1:
+        rows = tuple(tuple(d // common for d in row) for row in rows)
+        scale //= common
+    return rows, scale
 
 
 def _integer_rows(
@@ -324,10 +313,6 @@ class Cell:
     members: tuple[int, ...]
     diameter: Fraction
     certificate: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def level(self) -> int:
-        return len(self.path)
 
     @property
     def is_covering(self) -> bool:

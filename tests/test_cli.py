@@ -7,6 +7,7 @@ import pytest
 from windowcoupling import jsonio, streams
 from windowcoupling.cli import main
 from windowcoupling.engine import CouplingSampler, joint_support_size
+from windowcoupling.skorohod import MetricSpaceModel
 
 
 @pytest.fixture
@@ -365,6 +366,22 @@ def points_as_string(doc):
     doc["model"]["points"] = "xyz"
 
 
+def points_empty(doc):
+    doc["model"]["points"] = []
+
+
+def points_null(doc):
+    # the labels a missing ``points`` falls back to, so only the null is wrong
+    doc["model"]["points"] = None
+    for law in (*doc["members"], doc["limit"]):
+        for label in list(law):
+            law["p" + label[1:]] = law.pop(label)
+
+
+def coords_and_dist(doc):
+    doc["model"]["dist"] = [["0/1", "1/1", "2/1"], ["1/1", "0/1", "1/1"], ["2/1", "1/1", "0/1"]]
+
+
 # spec edit -> the command it goes to and what its one error line must say;
 # read as Python iterables and numbers, each edited spec would be a valid one
 SPEC_TYPE_EDITS = {
@@ -375,6 +392,9 @@ SPEC_TYPE_EDITS = {
     coords_rows_as_strings: ("skorohod", "malformed spec field 'model': coords row '0' is not an array"),
     dist_rows_as_strings: ("skorohod", "malformed spec field 'model': dist row '012' is not an array"),
     points_as_string: ("skorohod", "malformed spec field 'model': points 'xyz' is not an array"),
+    points_empty: ("skorohod", "malformed spec field 'model': points [] names no point"),
+    points_null: ("skorohod", "malformed spec field 'model': points None is not an array"),
+    coords_and_dist: ("skorohod", "malformed spec field 'model': a model gives coords or dist, not both"),
 }
 
 
@@ -839,24 +859,38 @@ class TestSkorohod:
         for name in ("tree.json", "plan.json", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_table_backend_override(self, tmp_path, skorohod_file, capsys):
-        out_dir = tmp_path / "table-run"
-        code = main(
-            [
-                "skorohod",
-                "--spec",
-                str(skorohod_file),
-                "--backend",
-                "table",
-                "--samples",
-                "50",
-                "--out",
-                str(out_dir),
-            ]
-        )
-        assert code == 0
-        tree = json.loads((out_dir / "tree.json").read_text())
-        assert tree["backend"] == "table"
+    def test_coordinates_and_their_distance_table_couple_alike(
+        self, tmp_path, skorohod_file, line_model, capsys
+    ):
+        doc = json.loads(skorohod_file.read_text())
+        table = MetricSpaceModel.from_table(line_model.labels, line_model.dist)
+        twin = tmp_path / "twin.json"
+        twin.write_text(json.dumps({**doc, "model": jsonio.model_to_doc(table)}))
+        runs = {}
+        for name, spec in (("coords", skorohod_file), ("dist", twin)):
+            out = tmp_path / name
+            argv = ["skorohod", "--spec", str(spec), "--depth", "3", "--samples", "100"]
+            assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+            argv = ["sample", "--plan", str(out / "plan.json"), "--samples", "50", "--seed", "6"]
+            assert main(argv + ["--out", str(out / "samples.jsonl")]) == 0
+            runs[name] = out
+        coords, dist = runs["coords"], runs["dist"]
+        for name in ("plan.json", "samples.jsonl"):
+            assert (coords / name).read_bytes() == (dist / name).read_bytes()
+        tree, twin_tree = (json.loads((out / "tree.json").read_text()) for out in (coords, dist))
+        assert (tree.pop("backend"), twin_tree.pop("backend")) == ("linf", "table")
+        assert tree == twin_tree
+
+    def test_backend_option_is_gone(self, tmp_path, skorohod_file, capsys):
+        argv = ["skorohod", "--spec", str(skorohod_file), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--backend", "table"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: windowcoupling")
+        assert err.endswith("error: unrecognized arguments: --backend table\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadCounts:

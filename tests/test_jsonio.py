@@ -194,38 +194,42 @@ class TestModelDocs:
         assert "dist" in doc and "coords" not in doc
         assert jsonio.model_from_doc(doc) == model
 
-    def test_coords_doc_can_load_as_table_backend(self):
-        doc = {"coords": [["0/1"], ["1/2"]], "metric": "linf"}
-        model = jsonio.model_from_doc(doc, backend="table")
-        assert model.backend == "table"
-        assert model.distance(0, 1) == F(1, 2)
-        assert model.labels == ("p0", "p1")
+    def test_coords_doc_and_its_dist_twin_give_the_same_distances(self):
+        coords = {"coords": [["0/1"], ["1/2"]], "metric": "linf"}
+        twin = {"points": ["p0", "p1"], "dist": [["0/1", "1/2"], ["1/2", "0/1"]]}
+        model, table = jsonio.model_from_doc(coords), jsonio.model_from_doc(twin)
+        assert model.labels == table.labels == ("p0", "p1")
+        assert model.distance(0, 1) == table.distance(0, 1) == F(1, 2)
+        assert (model.rows, model.scale) == (table.rows, table.scale)
+        assert table.coords is None and jsonio.model_to_doc(table) == twin
 
-    def test_table_backend_builds_the_linf_table_once(self, monkeypatch):
+    def test_coords_doc_builds_and_checks_its_model_once(self, monkeypatch):
         coords = [["0/1", "1/3"], ["1/2", "-1/4"], ["5/6", "2/7"], ["3/1", "1/3"]]
         doc = {"coords": coords, "metric": "linf", "separable_support": [True, True, False, True]}
-        linf = jsonio.model_from_doc(doc)
         validated = []
         check = MetricSpaceModel.__post_init__
 
         def counting(model):
-            validated.append(model.backend)
+            validated.append(model.coords is not None)
             check(model)
 
+        def scan(model):
+            raise AssertionError("a coordinate model runs no metric scan")
+
         monkeypatch.setattr(MetricSpaceModel, "__post_init__", counting)
-        table = jsonio.model_from_doc(doc, backend="table")
-        assert validated == ["table"]
-        assert table.dist == linf.dist
+        monkeypatch.setattr(MetricSpaceModel, "_check_metric", scan)
+        model = jsonio.model_from_doc(doc)
+        assert validated == [True]
         points = [[F(c) for c in row] for row in coords]
-        assert table.dist == tuple(
+        assert model.dist == tuple(
             tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points) for p in points
         )
-        assert table.separable_support == (True, True, False, True)
+        assert model.separable_support == (True, True, False, True)
 
     def test_table_doc_cannot_load_as_linf(self):
-        doc = {"points": ["a"], "dist": [["0/1"]]}
-        with pytest.raises(ValueError):
-            jsonio.model_from_doc(doc, backend="linf")
+        doc = {"points": ["a"], "dist": [["0/1"]], "metric": "linf"}
+        with pytest.raises(ValueError, match="^the linf metric requires a coords field$"):
+            jsonio.model_from_doc(doc)
 
 
 class TestLawSequenceDocs:

@@ -27,6 +27,7 @@ from windowcoupling import (
     tree_exact_checks,
     window_marginal,
 )
+from windowcoupling.skorohod import _max_metric_rows
 from windowcoupling.verify import random_law_sequence, random_metric_model
 
 
@@ -135,7 +136,7 @@ class TestMetricValidation:
         labels = tuple(f"p{i}" for i in range(len(dist)))
         expected = reference_metric_error(labels, dist)
         try:
-            model = MetricSpaceModel(labels, dist, (True,) * len(labels), "table")
+            model = MetricSpaceModel(labels, dist, (True,) * len(labels))
         except MetricModelError as exc:
             assert str(exc) == expected
         else:
@@ -151,16 +152,22 @@ class TestMetricValidation:
         )
         labels = ("a", "b", "c", "d")
         with pytest.raises(MetricModelError) as info:
-            MetricSpaceModel(labels, dist, (True,) * 4, "table")
+            MetricSpaceModel(labels, dist, (True,) * 4)
         assert str(info.value) == "triangle inequality fails at (a,b,c)"
         assert str(info.value) == reference_metric_error(labels, dist)
 
-    @pytest.mark.parametrize("backend", ["linf", "table"])
-    def test_from_coords_refuses_ragged_points(self, backend):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # the model of the points, and the integer max-metric table it is
+            # built on, which must refuse before zip cuts the rows to one length
+            pytest.param(MetricSpaceModel.from_coords, id="linf"),
+            pytest.param(_max_metric_rows, id="table"),
+        ],
+    )
+    def test_from_coords_refuses_ragged_points(self, build):
         with pytest.raises(MetricModelError, match="^point b has 1 coordinates, not 2$"):
-            MetricSpaceModel.from_coords(
-                ("a", "b", "c"), ((0, 0), (1,), (2, 1)), backend=backend
-            )
+            build(("a", "b", "c"), ((0, 0), (1,), (2, 1)))
 
     @pytest.mark.parametrize("flag", ["no", 1, None])
     def test_support_flags_must_be_booleans(self, flag):
@@ -258,8 +265,8 @@ def coordinate_points(draw):
 
 class TestTrustedCoordinateModel:
     @settings(max_examples=300, deadline=None)
-    @given(coordinate_points(), st.sampled_from(("linf", "table")), st.data())
-    def test_equals_the_scanned_table_model(self, points, backend, data):
+    @given(coordinate_points(), st.data())
+    def test_equals_the_scanned_table_model(self, points, data):
         labels = tuple(f"p{i}" for i in range(len(points)))
         n = len(points)
         support = tuple(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -272,21 +279,20 @@ class TestTrustedCoordinateModel:
                 MetricSpaceModel.from_table(labels, dist, support)
             assert str(info.value) == expected
             with pytest.raises(MetricModelError) as info:
-                MetricSpaceModel.from_coords(labels, points, support, backend)
+                MetricSpaceModel.from_coords(labels, points, support)
             assert str(info.value) == expected
             return
-        model = MetricSpaceModel.from_coords(labels, points, support, backend)
+        model = MetricSpaceModel.from_coords(labels, points, support)
         scanned = MetricSpaceModel.from_table(labels, model.dist, support)
         assert model.dist == scanned.dist == dist
         for i in range(n):
             for j in range(n):
                 assert model.distance(i, j) == scanned.distance(i, j) == dist[i][j]
         assert (model.rows, model.scale) == (scanned.rows, scanned.scale)
-        if backend == "table":
-            assert model == scanned and hash(model) == hash(scanned)
-        else:
-            assert model != scanned  # the linf model keeps its coordinates
-            assert MetricSpaceModel.from_coords(labels, points, support) == model
+        assert model != scanned  # the coordinate model keeps its coordinates
+        assert MetricSpaceModel.from_coords(labels, points, support) == model
+        assert MetricSpaceModel.from_table(labels, dist, support) == scanned
+        assert hash(MetricSpaceModel.from_table(labels, dist, support)) == hash(scanned)
 
     @settings(max_examples=200, deadline=None)
     @given(coordinate_points(), st.integers(1, 3), st.data())
