@@ -46,6 +46,14 @@ full space along a law's conditionals given the k-prefix by one integer
 step: ``_prefix_ratios`` divides the window law by the law's k-marginal
 at each charged prefix, and ``_limit_times`` multiplies the law by it.
 
+A point is its ``int`` code in its space (see ``measures``), and its
+k-prefix is the code floor-divided by the space's stride at k, which is
+the prefix's own code in the window space.  The schedule's prefixes,
+the ladder's ratios, the kernel tables' rows and the sampler's lookups
+are all keyed by these ints.  Sorted codes are the tuples in
+lexicographic order, so tables, draws and artifacts do not depend on
+the coding; check witnesses and errors name points by their tuples.
+
 Every window marginal and window infimum the construction and its
 checks read comes from one ``WindowTable`` per sequence: ``build_plan``
 builds it once and hands it to the schedule, the ladder and the
@@ -179,7 +187,8 @@ def index_space(count: int) -> ProductSpace:
 class CouplingPlan:
     """Coupling of a process-law sequence, stored as its mixture.
 
-    ``index_law`` is the law of the agreement index N on {1..M+1};
+    ``index_law`` is the law of the agreement index N on {1..M+1}, N = n
+    being the point with code n - 1;
     ``increment_laws[n-1]`` the full-space component drawn when N = n;
     ``residual_laws[n-1]`` the window law used for component n while
     N > n.  Where P(N = n) = 0, respectively P(N > n) = 0, the law is
@@ -252,12 +261,12 @@ class CouplingPlan:
         return self.sequence.horizon + 1
 
     def index_probability(self, n: int) -> Fraction:
-        return self.index_law[(n - 1,)]
+        return self.index_law[n - 1]
 
     def index_tail_probability(self, n: int) -> Fraction:
         """P(N > n)."""
         law = self.index_law
-        reached = sum(w for (m,), w in law.weights.items() if m < n)
+        reached = sum(w for m, w in law.weights.items() if m < n)
         return Fraction(law.denominator - reached, law.denominator)
 
     @cached_property
@@ -280,11 +289,11 @@ class CouplingSample:
     limit_point: Point
     member_points: tuple[Point, ...]
 
-    def agreement_holds(self, schedule: WindowSchedule) -> bool:
-        """Window prefixes of components with n >= N match the limit point."""
+    def agreement_holds(self, schedule: WindowSchedule, space: ProductSpace) -> bool:
+        """Window prefixes of components with n >= N match the limit point's in ``space``."""
         for n in range(self.index, len(self.member_points) + 1):
-            k = schedule.window(n)
-            if self.member_points[n - 1][:k] != self.limit_point[:k]:
+            stride = space.stride(schedule.window(n))
+            if self.member_points[n - 1] // stride != self.limit_point // stride:
                 return False
         return True
 
@@ -354,11 +363,12 @@ def extend_window_law(window_law: MassFunction, full_law: MassFunction) -> MassF
     k = window_law.space.width
     full_prefix = window_marginal(full_law, k).mass
     window_mass = window_law.mass
+    prefix = full_law.space.prefix
     out: dict[Point, Fraction] = {}
     for z, value in full_law.mass.items():
-        prefix_mass = window_mass.get(z[:k], ZERO)
+        prefix_mass = window_mass.get(prefix(z, k), ZERO)
         if prefix_mass > 0:
-            out[z] = prefix_mass * value / full_prefix[z[:k]]
+            out[z] = prefix_mass * value / full_prefix[prefix(z, k)]
     extended = MassFunction.from_masses(full_law.space, out)
     if extended.total_mass != window_law.total_mass:
         # only possible if some window mass sits on a zero-mass prefix
@@ -389,21 +399,25 @@ def _prefix_ratios(
 
     ``_limit_times`` turns them into the window law's extension along the
     law whose k-marginal is ``marginal``.  A prefix the marginal does not
-    charge raises ``KeyError(p)``.
+    charge raises ``KeyError`` naming the prefix as a tuple.
     """
     below = marginal.weights
     scale = marginal.denominator
-    return {p: (w * scale, denominator * below[p]) for p, w in weights.items()}
+    try:
+        return {p: (w * scale, denominator * below[p]) for p, w in weights.items()}
+    except KeyError as exc:
+        raise KeyError(marginal.space.decode(exc.args[0])) from None
 
 
 def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
     """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
     common = math.lcm(*{den for _, den in ratios.values()})
     factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
+    stride = law.space.stride(k)
     return MassFunction._derived(
         law.space,
         law.denominator * common,
-        {z: w * factors.get(z[:k], 0) for z, w in law.weights.items()},
+        {z: w * factors.get(z // stride, 0) for z, w in law.weights.items()},
     )
 
 
@@ -453,13 +467,15 @@ def build_ladder(
     ratios = _floor_ratios(seq, schedule, table)
     limit = seq.limit
     # running minimum of the floor densities, from the last index down
-    full = seq.space.width
-    last = schedule.windows[-1]
-    running = {z: ratios[-1].get(z[:last], (0, 1)) for z in limit.weights}
+    space = seq.space
+    full = space.width
+    last = space.stride(schedule.windows[-1])
+    running = {z: ratios[-1].get(z // last, (0, 1)) for z in limit.weights}
     envelopes = []
     for k, ratio in zip(reversed(schedule.windows), reversed(ratios)):
+        stride = space.stride(k)
         for z, (low, den) in running.items():
-            num, other = ratio.get(z[:k], (0, 1))
+            num, other = ratio.get(z // stride, (0, 1))
             if num * den < low * other:
                 running[z] = (num, other)
         envelopes.append(_limit_times(limit, full, running))
@@ -478,7 +494,7 @@ def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, i
     for n, (k, env, residual) in enumerate(
         zip(plan.schedule.windows, plan.envelopes, plan.residual_laws), start=1
     ):
-        tail -= index.weights.get((n - 1,), 0)
+        tail -= index.weights.get(n - 1, 0)
         marginal = window_marginal(env, k)
         if not tail:
             yield marginal.denominator, marginal.weights
@@ -502,7 +518,7 @@ def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
     index = plan.index_law
     space = plan.sequence.space
     steps = [
-        (index.weights.get((n - 1,), 0), plan.increment_laws[n - 1])
+        (index.weights.get(n - 1, 0), plan.increment_laws[n - 1])
         for n in range(1, plan.count + 1)
     ]
     scale = math.lcm(*(law.denominator for prob, law in steps if prob))
@@ -552,7 +568,7 @@ def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
     index_law = MassFunction(
         index_space(count),
         common,
-        {(n,): c - prev for n, (prev, c) in enumerate(itertools.pairwise([0, *cumulative]))},
+        {n: c - prev for n, (prev, c) in enumerate(itertools.pairwise([0, *cumulative]))},
     )
 
     # increment n is envelope n minus envelope n - 1, normalized by P(N = n);
@@ -635,13 +651,29 @@ def plan_exact_checks(
             witness = f"check raised {type(exc).__name__}: {exc}"
         checks.append(ExactCheck(name, witness is None, witness))
 
-    def mismatch(denominator: int, acc: Mapping[Point, int], law: MassFunction) -> Point | None:
-        """A point where acc / denominator and law differ."""
-        weights = law.weights
+    def mismatch(
+        denominator: int, acc: Mapping[Point, int], law: MassFunction
+    ) -> tuple[int, ...] | None:
+        """A point where acc / denominator and law differ, as a tuple.
+
+        The codes are compared first.  Where some differ, the witness is
+        the first differing point in the iteration order of the set of
+        both supports' tuples, so a report names the same point as
+        reports written when points were tuples, and report bytes stay
+        those of earlier releases.
+        """
+        weights, scale = law.weights, law.denominator
         for z in set(acc) | set(weights):
-            if acc.get(z, 0) * law.denominator != weights.get(z, 0) * denominator:
-                return z
-        return None
+            if acc.get(z, 0) * scale != weights.get(z, 0) * denominator:
+                break
+        else:
+            return None
+        decode, encode = law.space.decode, law.space.encode
+        return next(
+            point
+            for point in set(map(decode, acc)) | set(map(decode, weights))
+            if acc.get(encode(point), 0) * scale != weights.get(encode(point), 0) * denominator
+        )
 
     def schedule_monotone() -> str | None:
         for a, b in itertools.pairwise(schedule.windows):
@@ -665,11 +697,11 @@ def plan_exact_checks(
         ratios = _floor_ratios(seq, schedule, table)
         limit_weights = limit.weights
         for n, env in enumerate(plan.envelopes, start=1):
-            k, ratio = schedule.window(n), ratios[n - 1]
+            stride, ratio = seq.space.stride(schedule.window(n)), ratios[n - 1]
             for z, v in env.weights.items():
-                num, den = ratio.get(z[:k], (0, 1))
+                num, den = ratio.get(z // stride, (0, 1))
                 if v * den * limit.denominator > limit_weights.get(z, 0) * num * env.denominator:
-                    return f"envelope {n} exceeds floor {n} at {z}"
+                    return f"envelope {n} exceeds floor {n} at {seq.space.decode(z)}"
         return None
 
     def ladder_mass_bound() -> str | None:
@@ -700,7 +732,7 @@ def plan_exact_checks(
         for n, (increment, residual) in enumerate(
             zip(plan.increment_laws, plan.residual_laws), start=1
         ):
-            drawn = index.weights.get((n - 1,), 0)
+            drawn = index.weights.get(n - 1, 0)
             tail -= drawn
             if not drawn and increment.weights:
                 return f"increment law {n} has mass but P(N = {n}) = 0"
@@ -724,14 +756,15 @@ class KernelTable:
 
     ``points`` is the law's support in sorted order.  Sorting puts the
     points of each k-prefix next to each other, so ``slices`` maps each
-    prefix of positive mass to ``(lo, hi, total)``, its row being
+    k-prefix code of positive mass to ``(lo, hi, total)``, its row being
     ``points[lo:hi]``.  The row's law, the conditional given the prefix,
     is in canonical form its weights divided by their gcd over the sum
     ``total`` of those quotients; ``cumulative[lo:hi]`` holds their
     running sums, so one ``randrange(total)`` draw is distributed
     exactly.  Window 0 (the default) gives the law itself: a canonical
     probability law's weights have gcd 1, so its one slice ``()`` spans
-    the whole table with the law's denominator as its total.  Every
+    the whole table with the law's denominator as its total, at the
+    unit space's one point, code 0.  Every
     draw of the sampler reads one of these tables.
     """
 
@@ -741,9 +774,10 @@ class KernelTable:
         if not law.is_probability:
             raise ValueError("can only sample probability laws")
         weights = law.weights
+        stride = law.space.stride(k)
         self.points = points = sorted(weights)
         ordered = [weights[z] for z in points]
-        prefixes = [z[:k] for z in points]
+        prefixes = [z // stride for z in points]
         starts = [i for i, (a, b) in enumerate(itertools.pairwise(prefixes), 1) if a != b]
         self.cumulative: list[int] = []
         self.slices: dict[Point, tuple[int, int, int]] = {}
@@ -753,7 +787,7 @@ class KernelTable:
             self.cumulative += itertools.accumulate([w // g for w in row])
             self.slices[prefixes[lo]] = (lo, hi, self.cumulative[-1])
 
-    def draw(self, rng: Random, prefix: Point = ()) -> Point:
+    def draw(self, rng: Random, prefix: Point = 0) -> Point:
         """One point of the conditional law given ``prefix``."""
         lo, hi, total = self.slices[prefix]
         return self.points[bisect_right(self.cumulative, rng.randrange(total), lo, hi)]
@@ -793,22 +827,27 @@ class CouplingSampler:
         self._index_table = tables.index
         self._increment_tables = tables.increments
         self._residual_tables = tables.residuals
-        # per component n: the window k_n, the residual table and kernel table n's parts
+        space = plan.sequence.space
+        # per component n: the stride of window k_n, the residual table and
+        # kernel table n's parts
         self._components = tuple(
-            (k, residual, kernel.slices, kernel.points, kernel.cumulative)
+            (space.stride(k), residual, kernel.slices, kernel.points, kernel.cumulative)
             for k, residual, kernel in zip(plan.schedule.windows, tables.residuals, tables.kernels)
         )
 
     def sample(self, rng: Random) -> CouplingSample:
-        index = self._index_table.draw(rng)[0] + 1
+        index = self._index_table.draw(rng) + 1
         limit_point = self._increment_tables[index - 1].draw(rng)
         members: list[Point] = []
-        for n, (k, residual, slices, points, cumulative) in enumerate(self._components, start=1):
-            prefix = residual.draw(rng) if n < index else limit_point[:k]
+        for n, (stride, residual, slices, points, cumulative) in enumerate(
+            self._components, start=1
+        ):
+            prefix = residual.draw(rng) if n < index else limit_point // stride
             row = slices.get(prefix)
             if row is None:
+                window = self.plan.sequence.space.window(self.plan.schedule.window(n))
                 raise InternalInvariantError(
-                    f"no kernel row for prefix {prefix!r} at index {n}"
+                    f"no kernel row for prefix {window.decode(prefix)!r} at index {n}"
                 )
             lo, hi, total = row
             members.append(points[bisect_right(cumulative, rng.randrange(total), lo, hi)])
@@ -867,7 +906,7 @@ def joint_support_size(plan: CouplingPlan) -> int:
         {prefix: hi - lo for prefix, (lo, hi, _) in table.slices.items()}
         for table in plan.draw_tables.kernels
     ]
-    windows = plan.schedule.windows
+    strides = [plan.sequence.space.stride(k) for k in plan.schedule.windows]
     tails = {
         n: sum(sizes[n - 1][prefix] for prefix in plan.residual_laws[n - 1].weights)
         for n in range(1, plan.count + 1)
@@ -880,7 +919,7 @@ def joint_support_size(plan: CouplingPlan) -> int:
         for z in plan.increment_laws[m - 1].weights:
             combos = 1
             for n in range(1, plan.count + 1):
-                combos *= sizes[n - 1][z[: windows[n - 1]]] if n >= m else tails[n]
+                combos *= sizes[n - 1][z // strides[n - 1]] if n >= m else tails[n]
             total += combos
     return total
 
@@ -904,7 +943,7 @@ class JointLaw:
     def index_marginal(self) -> MassFunction:
         acc: dict[Point, Fraction] = {}
         for (m, _, _), v in self.mass.items():
-            acc[(m - 1,)] = acc.get((m - 1,), ZERO) + v
+            acc[m - 1] = acc.get(m - 1, ZERO) + v
         return MassFunction.from_masses(self.plan.index_law.space, acc)
 
     def marginal_limit(self) -> MassFunction:
@@ -920,11 +959,12 @@ class JointLaw:
         return MassFunction.from_masses(self.plan.sequence.space, acc)
 
     def agreement_mass(self) -> Fraction:
+        prefix = self.plan.sequence.space.prefix
         windows = self.plan.schedule.windows
         total = ZERO
         for (m, z, pts), v in self.mass.items():
             if all(
-                pts[n - 1][: windows[n - 1]] == z[: windows[n - 1]]
+                prefix(pts[n - 1], windows[n - 1]) == prefix(z, windows[n - 1])
                 for n in range(m, len(pts) + 1)
             ):
                 total += v
@@ -945,7 +985,7 @@ def exact_joint_law(plan: CouplingPlan, cap: int = 1_000_000) -> JointLaw:
             f"joint support size {size} exceeds cap {cap}"
         )
     mixes = _tail_mixture_laws(plan)
-    windows = plan.schedule.windows
+    strides = [plan.sequence.space.stride(k) for k in plan.schedule.windows]
     entries: dict[tuple[int, Point, tuple[Point, ...]], Fraction] = {}
     for m in range(1, plan.count + 1):
         prob = plan.index_probability(m)
@@ -954,7 +994,7 @@ def exact_joint_law(plan: CouplingPlan, cap: int = 1_000_000) -> JointLaw:
         increment = plan.increment_laws[m - 1]
         for z, vz in increment.weights.items():
             component_laws = [
-                plan.kernels[n - 1][z[: windows[n - 1]]].law if n >= m else mixes[n]
+                plan.kernels[n - 1][z // strides[n - 1]].law if n >= m else mixes[n]
                 for n in range(1, plan.count + 1)
             ]
             base = prob.numerator * vz

@@ -1,7 +1,9 @@
 """JSON wire formats for every artifact the pipeline reads or writes.
 
 Rationals serialize as "num/den" strings and points as comma-joined
-coordinate symbols, so no float ever enters or leaves a file.  Dumps
+coordinate symbols, so no float ever enters or leaves a file; a point's
+label and its code convert through its space's ``format_point`` and
+``parse_point``.  Dumps
 are canonical (sorted keys, fixed separators), which makes artifacts
 byte-identical across runs with the same inputs and seed.
 """
@@ -27,7 +29,6 @@ from .engine import (
 from .measures import (
     Alphabet,
     MassFunction,
-    Point,
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
@@ -337,6 +338,10 @@ def model_from_doc(doc: dict) -> MetricSpaceModel:
             raise TypeError("points [] names no point")
         else:
             labels = doc["points"]
+            if len(labels) != len(coords):
+                raise TypeError(
+                    f"points holds {len(labels)} labels for {len(coords)} coordinate rows"
+                )
         return MetricSpaceModel.from_coords(labels, coords, support)
     dist = _rational_rows(doc["dist"], "dist")
     return MetricSpaceModel.from_table(_array(doc["points"], "points"), dist, support)

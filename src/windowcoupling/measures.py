@@ -14,9 +14,15 @@ that pays no gcd per operation and never a floating-point
 approximation.  ``MassFunction.mass`` and ``law[z]`` give the masses as
 ``fractions.Fraction`` values, built on each access.
 
-A point of a product space is a tuple of per-coordinate symbol indices;
-a time window of length ``k`` is the prefix of the first ``k``
-coordinates.  The last coordinate of a full space is the terminal one
+A point of a product space is one ``int``, the mixed-radix code of its
+tuple of per-coordinate symbol indices (``ProductSpace``); a time
+window of length ``k`` is the prefix of the first ``k`` coordinates,
+and a point's k-prefix is its code floor-divided by the space's stride
+at ``k``, which is the prefix's own code in the window space.  Integer
+order is the tuples' lexicographic order.  Tuples enter only at the
+checking constructor, ``from_masses`` and ``law[z]``, where they are
+encoded once, and labels only at ``format_point`` and ``parse_point``.
+The last coordinate of a full space is the terminal one
 (it carries the metric-space point in the Skorohod pipeline), but the
 calculus here treats all coordinates uniformly and windows may extend
 over the whole space.
@@ -26,16 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-Point = tuple[int, ...]
-
-# the only coordinate type whose points ``ProductSpace.format_point`` serves
-# from its label map; a point equal to a stored key but holding floats or
-# bools is validated afresh
-_PLAIN_INT = frozenset((int,))
+# a point of a product space: its code, see ``ProductSpace``
+Point = int
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,20 +85,36 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Finite ordered product of coordinate alphabets.
+    """Finite ordered product of coordinate alphabets, its points coded as ints.
+
+    A point is its mixed-radix index: the tuple ``(i_0, ..., i_{w-1})``
+    of per-coordinate symbol indices has the code
+    ``sum_j i_j * stride(j + 1)``, where ``stride(k)`` is the number of
+    points of the coordinates from ``k`` on, so coordinate 0 is the most
+    significant digit.  The codes are ``range(size())`` and their order
+    is the tuples' lexicographic order.  The k-prefix of a point is
+    ``z // stride(k)``, which is the prefix's own code in the window-k
+    space.  ``encode`` and ``decode`` convert between codes and tuples.
 
     The empty product (width 0) is the unit space whose only point is
-    the empty tuple; it is the codomain of length-0 window marginals.
-    ``format_point`` keeps the label of each distinct point it has
-    formatted, so a point is validated and joined once per space;
-    ``parse_point`` keeps the point of each distinct label it has parsed,
-    so a label is split and checked once per space.
+    the empty tuple, code 0; it is the codomain of length-0 window
+    marginals.  ``window(k)`` builds each window space once.
+    ``format_point`` keeps the label of each code it has formatted and
+    ``parse_point`` the code of each label it has parsed (and the label of
+    that code), so a label is joined or split and checked once per space.
     """
 
     coordinates: tuple[Alphabet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_sizes", tuple(len(a) for a in self.coordinates))
+        sizes = tuple(len(a) for a in self.coordinates)
+        strides = [1]
+        for size in reversed(sizes):
+            strides.append(strides[-1] * size)
+        strides.reverse()
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_windows", {})
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "_points", {})
 
@@ -106,52 +123,84 @@ class ProductSpace:
         return len(self.coordinates)
 
     def size(self) -> int:
-        n = 1
-        for alphabet in self.coordinates:
-            n *= len(alphabet)
-        return n
+        return self._strides[0]  # type: ignore[attr-defined]
 
     def check_window(self, k: int) -> None:
-        if not 0 <= k <= self.width:
+        if not 0 <= k <= len(self.coordinates):
             raise WindowRangeError(
                 f"window length {k} out of range 0..{self.width}"
             )
 
     def window(self, k: int) -> "ProductSpace":
-        self.check_window(k)
-        return ProductSpace(self.coordinates[:k])
+        windows = self._windows  # type: ignore[attr-defined]
+        space = windows.get(k)
+        if space is None:
+            self.check_window(k)
+            space = windows[k] = (
+                self if k == self.width else ProductSpace(self.coordinates[:k])
+            )
+        return space
 
-    def points(self) -> Iterator[Point]:
-        return _cartesian(*(range(len(a)) for a in self.coordinates))
+    def stride(self, k: int) -> int:
+        """The number of points sharing one k-prefix: the divisor of ``prefix``."""
+        self.check_window(k)
+        return self._strides[k]  # type: ignore[attr-defined]
+
+    def prefix(self, point: Point, k: int) -> Point:
+        """The k-prefix of a point, as a point of the window-k space."""
+        return point // self.stride(k)
+
+    def points(self) -> range:
+        return range(self.size())
 
     def __contains__(self, point: object) -> bool:
+        return type(point) is int and 0 <= point < self.size()
+
+    def encode(self, point: object) -> Point:
+        """The code of a tuple (or other sequence) of symbol indices.
+
+        Each index must be an ``int`` (a bool counts as one) within its
+        alphabet, and there must be one per coordinate; otherwise
+        ``ValueError`` names the point as a tuple.
+        """
+        pt = point if type(point) is tuple else tuple(point)  # type: ignore[arg-type]
         sizes = self._sizes  # type: ignore[attr-defined]
-        if not isinstance(point, tuple) or len(point) != len(sizes):
-            return False
-        for i, size in zip(point, sizes):
+        if len(pt) != len(sizes):
+            raise ValueError(f"point {pt!r} outside the space")
+        code = 0
+        for i, size in zip(pt, sizes):
             if not (isinstance(i, int) and 0 <= i < size):
-                return False
-        return True
+                raise ValueError(f"point {pt!r} outside the space")
+            code = code * size + i
+        return code
 
-    def format_point(self, point: Point) -> str:
-        if type(point) is tuple and _PLAIN_INT.issuperset(map(type, point)):
-            labels = self._labels  # type: ignore[attr-defined]
-            label = labels.get(point)
-            if label is None:
-                label = labels[point] = self._join(point)
-            return label
-        return self._join(point)
-
-    def _join(self, point: Point) -> str:
+    def decode(self, point: Point) -> tuple[int, ...]:
+        """The tuple of symbol indices of a code."""
         if point not in self:
             raise ValueError(f"point {point!r} outside the space")
-        return ",".join([a.symbols[i] for i, a in zip(point, self.coordinates)])
+        digits = []
+        for size in reversed(self._sizes):  # type: ignore[attr-defined]
+            point, i = divmod(point, size)
+            digits.append(i)
+        return tuple(reversed(digits))
+
+    def format_point(self, point: Point) -> str:
+        labels = self._labels  # type: ignore[attr-defined]
+        label = labels.get(point) if type(point) is int else None
+        if label is None:
+            indices = self.decode(point)
+            label = labels[point] = ",".join(
+                [a.symbols[i] for i, a in zip(indices, self.coordinates)]
+            )
+        return label
 
     def parse_point(self, text: str) -> Point:
         points = self._points  # type: ignore[attr-defined]
         point = points.get(text)
         if point is None:
             point = points[text] = self._split(text)
+            # a label that parses is its point's label, symbol for symbol
+            self._labels[point] = text  # type: ignore[attr-defined]
         return point
 
     def _split(self, text: str) -> Point:
@@ -163,7 +212,10 @@ class ProductSpace:
             raise ValueError(
                 f"point {text!r} has {len(labels)} coordinates, expected {self.width}"
             )
-        return tuple([a.index(s) for s, a in zip(labels, self.coordinates)])
+        code = 0
+        for s, a, size in zip(labels, self.coordinates, self._sizes):  # type: ignore[attr-defined]
+            code = code * size + a.index(s)
+        return code
 
 
 @dataclass(frozen=True)
@@ -172,20 +224,23 @@ class MassFunction:
 
     The mass at ``z`` is ``weights[z] / denominator``: one positive
     integer denominator per law and a positive integer weight per
-    support point.  The constructor is the checking constructor, for
-    every law that comes from outside input (a document, a caller):
-    each point must lie in the space (a non-tuple key is converted to a
-    tuple), each weight must be a non-negative ``int`` and the weights
-    must sum to at most the denominator; zero weights are dropped and
-    then the denominator and weights are divided by their gcd.  The
-    stored form is therefore canonical (the denominator is the lcm of
-    the reduced denominators of the masses), so two mass functions are
-    equal exactly when they have the same space and the same support
-    with the same masses.  ``_derived`` builds the same canonical form
-    for a law whose points come from a law on the space, or are
-    k-prefixes of such points, without the per-point checks.
+    support point, keyed by the point's code in ``space``.  The
+    constructor is the checking constructor, for every law that comes
+    from outside input (a document, a caller): each key must be a code
+    of the space, or a tuple (or other sequence) of symbol indices,
+    which is encoded once; each weight must be a non-negative ``int``
+    and the weights must sum to at most the denominator; zero weights
+    are dropped and then the denominator and weights are divided by
+    their gcd.  The stored form is therefore canonical (the denominator
+    is the lcm of the reduced denominators of the masses), so two mass
+    functions are equal exactly when they have the same space and the
+    same support with the same masses.  ``_derived`` builds the same
+    canonical form for a law whose points come from a law on the space,
+    or are k-prefixes of such points, without the per-point checks.
     ``from_masses`` builds a law from rational masses.  ``mass`` and
-    ``law[z]`` are read-only ``Fraction`` views, built on each access.
+    ``law[z]`` are read-only ``Fraction`` views, built on each access;
+    ``law[z]`` takes a code or a tuple.  Error messages name points as
+    tuples.
     """
 
     space: ProductSpace
@@ -197,16 +252,25 @@ class MassFunction:
         denominator = self.denominator
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator {denominator!r} must be a positive integer")
+        given = self.weights
+        size = space.size()
         clean: dict[Point, int] = {}
         total = 0
-        for point, weight in self.weights.items():
-            pt = point if type(point) is tuple else tuple(point)
-            if pt not in space:
-                raise ValueError(f"point {pt!r} outside the space")
+        for point, weight in given.items():
+            if type(point) is int and 0 <= point < size:
+                pt = point
+            elif type(point) is int:
+                raise ValueError(f"point {point!r} outside the space")
+            else:
+                pt = space.encode(point)
+                if pt in given:
+                    raise ValueError(f"point {space.decode(pt)!r} given twice")
             if type(weight) is not int:
-                raise TypeError(f"weight {weight!r} at {pt!r} is not an int")
+                raise TypeError(f"weight {weight!r} at {_shown(space, point)!r} is not an int")
             if weight < 0:
-                raise ValueError(f"negative mass {Fraction(weight, denominator)} at {pt!r}")
+                raise ValueError(
+                    f"negative mass {Fraction(weight, denominator)} at {_shown(space, point)!r}"
+                )
             if weight:
                 clean[pt] = weight
                 total += weight
@@ -230,9 +294,9 @@ class MassFunction:
         """The law ``weights / denominator`` whose points are known to lie in ``space``.
 
         For laws derived from laws already on ``space``: each key is a
-        point tuple of such a law, or a k-prefix of one on the k-window
-        space, and each weight an ``int``.  Zero weights are dropped and
-        the form is reduced as by the constructor; a non-positive
+        point of such a law, or a k-prefix of one on the k-window space,
+        and each weight an ``int``.  Zero weights are dropped and the
+        form is reduced as by the constructor; a non-positive
         denominator, a negative weight or a total above one is handed
         to the checking constructor, which raises its own error.
         """
@@ -246,17 +310,18 @@ class MassFunction:
         return law
 
     @classmethod
-    def from_masses(cls, space: ProductSpace, masses: Mapping[Point, object]) -> "MassFunction":
+    def from_masses(cls, space: ProductSpace, masses: Mapping[object, object]) -> "MassFunction":
         """The law with the given masses: Fractions, ints or strings that ``Fraction`` reads.
 
-        Entries are read through ``masses.items()``, and two keys that
-        convert to equal points are rejected.  The masses are scaled to
-        integer weights over the lcm of their denominators and validated
-        by the constructor.
+        Keys are codes or tuples of symbol indices, as for the
+        constructor.  Entries are read through ``masses.items()``, and
+        two keys that convert to equal tuples are rejected before any
+        point is checked.  The masses are scaled to integer weights over
+        the lcm of their denominators and validated by the constructor.
         """
-        points: dict[Point, object] = {}
+        points: dict[object, object] = {}
         for point, value in masses.items():
-            pt = point if type(point) is tuple else tuple(point)
+            pt = point if type(point) in (int, tuple) else tuple(point)  # type: ignore[arg-type]
             if pt in points:
                 raise ValueError(f"point {pt!r} given twice")
             points[pt] = value
@@ -282,8 +347,8 @@ class MassFunction:
     def is_probability(self) -> bool:
         return sum(self.weights.values()) == self.denominator
 
-    def __getitem__(self, point: Point) -> Fraction:
-        key = point if type(point) is tuple else tuple(point)
+    def __getitem__(self, point: object) -> Fraction:
+        key = point if type(point) is int else self.space.encode(point)
         return Fraction(self.weights.get(key, 0), self.denominator)
 
     def support(self) -> list[Point]:
@@ -298,12 +363,17 @@ class MassFunction:
         )
 
     @classmethod
-    def point_mass(cls, space: ProductSpace, point: Point) -> "MassFunction":
-        return cls(space, 1, {tuple(point): 1})
+    def point_mass(cls, space: ProductSpace, point: object) -> "MassFunction":
+        return cls(space, 1, {point if type(point) is int else space.encode(point): 1})
 
     @classmethod
     def uniform(cls, space: ProductSpace) -> "MassFunction":
         return cls(space, space.size(), dict.fromkeys(space.points(), 1))
+
+
+def _shown(space: ProductSpace, point: object) -> tuple:
+    """A constructor key as error messages name it: the tuple given, or the code decoded."""
+    return space.decode(point) if type(point) is int else tuple(point)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -361,12 +431,12 @@ def window_marginal(law: MassFunction, k: int) -> MassFunction:
     """Exact pushforward of a law onto its first ``k`` coordinates.
 
     Total mass is preserved; ``k = 0`` gives the whole mass on the
-    empty tuple.
+    unit space's one point.
     """
-    law.space.check_window(k)
+    stride = law.space.stride(k)
     sums: dict[Point, int] = {}
     for point, weight in law.weights.items():
-        key = point[:k]
+        key = point // stride
         sums[key] = sums.get(key, 0) + weight
     return MassFunction._derived(law.space.window(k), law.denominator, sums)
 
@@ -489,13 +559,14 @@ def total_variation(p: MassFunction, q: MassFunction) -> Fraction:
     return Fraction(gap, 2 * pd * qd)
 
 
-def conditional_given_prefix(law: MassFunction, prefix: Point) -> MassFunction:
-    """The conditional of ``law`` on the cylinder fixing a window prefix."""
-    k = len(prefix)
-    law.space.check_window(k)
-    group = {z: w for z, w in law.weights.items() if z[:k] == prefix}
+def conditional_given_prefix(law: MassFunction, prefix: Point, k: int) -> MassFunction:
+    """The conditional of ``law`` on the cylinder of the k-prefix ``prefix``."""
+    stride = law.space.stride(k)
+    group = {z: w for z, w in law.weights.items() if z // stride == prefix}
     if not group:
-        raise ValueError(f"conditioning on zero-mass prefix {prefix!r}")
+        raise ValueError(
+            f"conditioning on zero-mass prefix {law.space.window(k).decode(prefix)!r}"
+        )
     return MassFunction._derived(law.space, sum(group.values()), group)
 
 
@@ -506,12 +577,11 @@ def prefix_conditionals(law: MassFunction, k: int) -> dict[Point, MassFunction]:
     the whole support per prefix; each group's weights over their sum
     are its conditional.
     """
-    law.space.check_window(k)
+    stride = law.space.stride(k)
     groups: dict[Point, dict[Point, int]] = {}
     for z, w in law.weights.items():
-        groups.setdefault(z[:k], {})[z] = w
+        groups.setdefault(z // stride, {})[z] = w
     return {
         prefix: MassFunction._derived(law.space, sum(group.values()), group)
         for prefix, group in groups.items()
     }
-

@@ -2,7 +2,7 @@
 
 A law on a finite metric model is a ``MassFunction`` on the model's
 point space, the one-coordinate space whose symbols are the point
-labels, so point i is the point ``(i,)``; a ``LawSequence`` binds a
+labels, so point i is the point with code ``i``; a ``LawSequence`` binds a
 ``ProcessSequenceSpec`` on that space to its model.
 
 Pipeline: certify a nested family of continuity partitions with cell
@@ -67,8 +67,8 @@ class MetricSpaceModel:
     ``rows`` is the distance table scaled by ``scale``, the lcm of its
     denominators, so d(i, j) = rows[i][j] / scale.  ``space`` is the
     point space, built once: one coordinate whose alphabet is the
-    labels, which validates them, so point i is the point ``(i,)`` of
-    every law on the model.
+    labels, which validates them, so point i is the point with code
+    ``i`` of every law on the model.
 
     A distance table is outside input: every metric check
     (self-distance, symmetry, positivity, the triangle inequality) runs
@@ -273,7 +273,7 @@ def weight_of(law: MassFunction, indices: Iterable[int]) -> int:
 
     The mass of the set is this weight over ``law.denominator``.
     """
-    return sum(law.weights.get((i,), 0) for i in indices)
+    return sum(law.weights.get(i, 0) for i in indices)
 
 
 def continuity_radius(
@@ -290,7 +290,7 @@ def continuity_radius(
     if proposed <= 0:
         raise ValueError("proposed radius must be positive")
     row = model.rows[center]
-    realized = {row[j] for (j,) in law.weights}
+    realized = {row[j] for j in law.weights}
     # a scaled distance d is the proposed radius p/q iff d * q == p * scale
     scaled, rest = divmod(proposed.numerator * model.scale, proposed.denominator)
     if rest or scaled not in realized:
@@ -523,7 +523,7 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
                 # every support point has positive weight
                 scaled, rest = divmod(radius.numerator * scale, radius.denominator)
                 row = model.rows[center]
-                if not rest and any(row[j] == scaled for (j,) in law.weights):
+                if not rest and any(row[j] == scaled for j in law.weights):
                     witness = (
                         f"cell {cell.path}: sphere around {model.labels[center]}"
                         f" radius {radius} has positive mass"
@@ -554,9 +554,9 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
 
     Coordinate k carries the level-k child index (nesting makes the
     digits well defined); the terminal coordinate carries the point
-    itself, so decoding is a projection.  The pushforward is a
-    relabelling: each law keeps its denominator and point i's weight
-    moves to the digit point of i.
+    itself, so decoding is a projection: the last digit of the code.
+    The pushforward is a relabelling: each law keeps its denominator and
+    point i's weight moves to the digit point of i.
     """
     model = seq.model
     coordinates = [
@@ -566,11 +566,10 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
     coordinates.append(Alphabet(model.labels))
     space = ProductSpace(tuple(coordinates))
 
-    def encode(i: int) -> Point:
-        return tuple(d - 1 for d in tree.paths[i]) + (i,)
+    digits = [space.encode((*(d - 1 for d in path), i)) for i, path in enumerate(tree.paths)]
 
     def push(law: MassFunction) -> MassFunction:
-        weights = {encode(i): w for (i,), w in law.weights.items()}
+        weights = {digits[i]: w for i, w in law.weights.items()}
         return MassFunction(space, law.denominator, weights)
 
     laws = seq.sequence
@@ -600,8 +599,8 @@ class SkorohodCoupling:
         return jsonio.document_sha256(jsonio.law_sequence_to_doc(self.laws))
 
     def decode(self, z: Point) -> int:
-        """Model point index carried by a digit-space point."""
-        return z[-1]
+        """Model point index carried by a digit-space point: its terminal coordinate."""
+        return z % len(self.model.labels)
 
     def distance_bound(self, n: int) -> Fraction | None:
         """Guaranteed bound on d(X_n, X) once N <= n; None when unconstrained."""

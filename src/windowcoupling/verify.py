@@ -182,17 +182,17 @@ def mc_agreement(
 
     agreement_failures = 0
     distance_failures = 0
-    index_counts: dict[tuple[int, ...], int] = {}
-    point_counts: dict[tuple[int, ...], int] = {}
+    index_counts: dict[int, int] = {}
+    point_counts: dict[int, int] = {}
     i = 0
     try:
         sampler = plan.sampler
         for i in range(samples):
             rng = streams.stream(seed, "sample", i)
             draw = sampler.sample(rng)
-            if not draw.agreement_holds(plan.schedule):
+            if not draw.agreement_holds(plan.schedule, plan.sequence.space):
                 agreement_failures += 1
-            index_counts[(draw.index - 1,)] = index_counts.get((draw.index - 1,), 0) + 1
+            index_counts[draw.index - 1] = index_counts.get(draw.index - 1, 0) + 1
             point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1
             if coupling is not None:
                 decoded = decode_sample(coupling, draw)
@@ -390,7 +390,7 @@ def random_law_sequence(
 
     def pmf(indices: list[int]) -> MassFunction:
         values = random_rational_pmf(rng, len(indices), max_weight)
-        return MassFunction.from_masses(space, {(i,): v for i, v in zip(indices, values)})
+        return MassFunction.from_masses(space, dict(zip(indices, values)))
 
     everything = list(range(model.size))
     members = tuple(pmf(everything) for _ in range(count))

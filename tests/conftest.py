@@ -61,3 +61,8 @@ def line_laws(line_model):
     uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
     start = MassFunction.from_masses(space, {(0,): F(1)})
     return LawSequence(line_model, ProcessSequenceSpec(space, (start,), uniform, TailRule(1)))
+
+
+def tuple_mass(law):
+    """A law's masses keyed by the tuples of its points' symbol indices, in support order."""
+    return {law.space.decode(z): v for z, v in law.mass.items()}

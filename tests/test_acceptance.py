@@ -91,7 +91,7 @@ def test_agreement_event(generated_plans):
         rng = streams.stream(ROOT_SEED, "agreement", i)
         for _ in range(SAMPLES_PER_PLAN):
             draw = sampler.sample(rng)
-            assert draw.agreement_holds(plan.schedule), f"plan {i}"
+            assert draw.agreement_holds(plan.schedule, plan.sequence.space), f"plan {i}"
             total += 1
     print(
         f"\nACCEPTANCE PASS: agreement event held in all {total} samples"
@@ -158,7 +158,7 @@ def test_skorohod_distance_guarantee(generated_couplings):
             for z, v in digit_marginal.mass.items():
                 idx = coupling.decode(z)
                 decoded[idx] = decoded.get(idx, F(0)) + v
-            target_masses = {j: v for (j,), v in target.mass.items()}
+            target_masses = dict(target.mass)
             assert decoded == target_masses, f"model {i}, law {n}: decoded marginal"
     print(
         f"\nACCEPTANCE PASS: distance guarantee in all {total} samples on"

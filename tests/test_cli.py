@@ -670,6 +670,20 @@ class TestMalformedMetricSpec:
             f"error: {skorohod_file}: symbol 'x9' not in alphabet of 3 symbols\n"
         )
 
+    def test_fewer_labels_than_coordinate_rows_names_the_field(
+        self, tmp_path, skorohod_file, capsys
+    ):
+        doc = json.loads(skorohod_file.read_text())
+        doc["model"]["points"] = doc["model"]["points"][:2]
+        skorohod_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["skorohod", "--spec", str(skorohod_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {skorohod_file}: malformed spec field 'model':"
+            " points holds 2 labels for 3 coordinate rows\n"
+        )
+        assert not (out / "tree.json").exists()
+
 
 class TestMalformedReport:
     @pytest.mark.parametrize(

@@ -53,6 +53,7 @@ from windowcoupling.verify import (
     random_metric_model,
     random_process_spec,
 )
+from conftest import tuple_mass
 
 
 def binary_sequence(member_masses, limit_masses, count=None):
@@ -150,7 +151,7 @@ class TestExtension:
         q = MassFunction.uniform(pair_space)
         window = MassFunction.from_masses(pair_space.window(1), {(0,): F(1, 4), (1,): F(1, 2)})
         got = extend_window_law(window, q)
-        assert got.mass == {
+        assert tuple_mass(got) == {
             (0, 0): F(1, 8),
             (0, 1): F(1, 8),
             (1, 0): F(1, 4),
@@ -198,7 +199,7 @@ class TestIntegerExtension:
         )
         masses = {z: rng.choice((0, 0, 1, 2, 5)) for z in space.points()}
         if not any(masses.values()):
-            masses[next(space.points())] = 1
+            masses[space.points()[0]] = 1
         total = sum(masses.values()) + rng.choice((0, 0, 3))  # some laws are sub-probabilities
         law = MassFunction.from_masses(space, {z: F(m, total) for z, m in masses.items() if m})
         k = rng.randint(0, space.width)
@@ -213,7 +214,7 @@ class TestIntegerExtension:
         window = MassFunction.from_masses(pair_space.window(1), {(0,): F(1, 2), (1,): F(1, 4)})
         with pytest.raises(KeyError) as info:
             engine._prefix_ratios(window.denominator, window.weights, window_marginal(law, 1))
-        assert info.value.args == ((1,),)
+        assert info.value.args == ((1,),)  # the prefix's code 1, named as its tuple
 
 
 def floors_of(seq, schedule):
@@ -249,9 +250,9 @@ class TestLadder:
         schedule = build_schedule(skewed_sequence)
         envelopes = build_ladder(skewed_sequence, schedule)
         floors = floors_of(skewed_sequence, schedule)
-        assert floor_ratios(skewed_sequence, floors)[0] == {(0,): F(1, 2), (1,): F(1)}
+        assert floor_ratios(skewed_sequence, floors)[0] == {0: F(1, 2), 1: F(1)}
         assert_envelopes_are_minimal_ratios(skewed_sequence, schedule, envelopes)
-        assert envelopes[0].mass == {(0,): F(1, 4), (1,): F(1, 2)}
+        assert envelopes[0].mass == {0: F(1, 4), 1: F(1, 2)}
         assert envelopes[1] == skewed_sequence.limit
         gap = 1 - envelopes[0].total_mass
         assert gap == F(1, 4) <= F(1, 2 ** 0)
@@ -285,7 +286,7 @@ class TestLadder:
 class TestPlan:
     def test_constant_sequence_couples_immediately(self, constant_sequence):
         plan = build_plan(constant_sequence)
-        assert plan.index_law.mass == {(0,): F(1)}
+        assert plan.index_law.mass == {0: F(1)}
         assert plan.increment_laws[0] == constant_sequence.limit
         assert plan.index_tail_probability(1) == 0
         # the never-drawn residual is the empty law on the window space
@@ -295,9 +296,9 @@ class TestPlan:
         plan = build_plan(skewed_sequence)
         assert plan.index_probability(1) == F(3, 4)
         assert plan.index_probability(2) == F(1, 4)
-        assert plan.increment_laws[0].mass == {(0,): F(1, 3), (1,): F(2, 3)}
-        assert plan.increment_laws[1].mass == {(0,): F(1)}
-        assert plan.residual_laws[0].mass == {(1,): F(1)}
+        assert plan.increment_laws[0].mass == {0: F(1, 3), 1: F(2, 3)}
+        assert plan.increment_laws[1].mass == {0: F(1)}
+        assert plan.residual_laws[0].mass == {1: F(1)}
 
     def test_weighted_increments_rebuild_limit(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -332,7 +333,7 @@ class TestPlan:
             member_window = window_marginal(member, plan.schedule.window(n))
             assert set(rows) == set(member_window.mass)
             for prefix, row in rows.items():
-                assert row.law == conditional_given_prefix(member, prefix)
+                assert row.law == conditional_given_prefix(member, prefix, plan.schedule.window(n))
 
     def test_audit_is_the_seven_identities_then_never_drawn_laws(self, skewed_sequence):
         names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
@@ -373,6 +374,26 @@ class TestPlan:
             " member law at (0,)",
         }
 
+    def test_moved_increment_mass_on_a_width_2_space_names_tuples(self, pair_space):
+        # the schedule is (2, 2), so the window mixture is checked on full
+        # points; the witnesses decode the points' codes to their tuples
+        member = MassFunction.from_masses(
+            pair_space, {(0, 0): F(1, 8), (0, 1): F(1, 4), (1, 0): F(3, 8), (1, 1): F(1, 4)}
+        )
+        limit = MassFunction.uniform(pair_space)
+        plan = build_plan(ProcessSequenceSpec(pair_space, (member,), limit, TailRule(1)))
+        assert plan.schedule.windows == (2, 2)
+        moved = MassFunction.from_masses(pair_space, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
+        bad_plan = replace(plan, increment_laws=(moved,) + plan.increment_laws[1:])
+        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
+        assert failed == {
+            "ladder-below-floor": "envelope 1 exceeds floor 1 at (1, 0)",
+            "mixture-reconstructs-limit": "weighted increment laws differ from the"
+            " limit law at (0, 1)",
+            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
+            " member law at (0, 1)",
+        }
+
     def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         late = MassFunction.from_masses(plan.index_law.space, {(0,): F(1, 4), (2,): F(3, 4)})
@@ -388,7 +409,7 @@ class TestPlan:
         # N = 1 draw the limit point a, a prefix of member mass zero
         seq = binary_sequence([(0, 1)], (F(1, 2), F(1, 2)))
         plan = build_plan(seq)
-        assert set(plan.kernels[0]) == {(1,)}
+        assert set(plan.kernels[0]) == {1}
         first, second = plan.increment_laws
         bad_plan = replace(plan, increment_laws=(second, first))
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
@@ -432,7 +453,7 @@ class TestSampling:
         plan = build_plan(two_member_sequence)
         rng = random.Random(123)
         for _ in range(2000):
-            assert sample(plan, rng).agreement_holds(plan.schedule)
+            assert sample(plan, rng).agreement_holds(plan.schedule, plan.sequence.space)
 
     def test_empirical_member_marginal_within_3_sigma(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
@@ -456,7 +477,7 @@ class TestSampling:
         seq = binary_sequence([(1, 0)], (F(1, 2), F(1, 2)))
         plan = build_plan(seq)
         assert plan.schedule.windows == (1, 1)
-        assert set(plan.kernels[0]) == {(0,)}
+        assert set(plan.kernels[0]) == {0}
         moved = MassFunction.from_masses(plan.residual_laws[0].space, {(1,): F(1)})
         sampler = CouplingSampler(replace(plan, residual_laws=(moved, plan.residual_laws[1])))
         rng = random.Random(0)
@@ -486,7 +507,7 @@ class TestKernelTable:
         assert set(table.slices) == set(window_marginal(member, k).weights)
         for prefix, (lo, hi, total) in table.slices.items():
             # the reference row: the conditional law's sorted points and running sums
-            row = conditional_given_prefix(member, prefix)
+            row = conditional_given_prefix(member, prefix, k)
             points = sorted(row.weights)
             cumulative = list(itertools.accumulate(row.weights[z] for z in points))
             assert table.points[lo:hi] == points
@@ -511,22 +532,22 @@ class TestKernelTable:
         space = ProductSpace((Alphabet(("a", "b")), Alphabet(("x", "y"))))
         member = MassFunction(space, 10, {(0, 0): 2, (0, 1): 4, (1, 0): 1, (1, 1): 3})
         table = KernelTable(member, 1)
-        assert table.points == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert table.points == [0, 1, 2, 3]  # the codes of (0, 0), (0, 1), (1, 0), (1, 1)
         assert table.cumulative == [1, 3, 1, 4]
-        assert table.slices == {(0,): (0, 2, 3), (1,): (2, 4, 4)}
+        assert table.slices == {0: (0, 2, 3), 1: (2, 4, 4)}
         self.assert_slices_draw_rows(member, 1, table, seeds=range(200))
         rng = random.Random(0)
-        draws = Counter(slice_draw(table, (0,), rng) for _ in range(3000))
-        assert set(draws) == {(0, 0), (0, 1)}
-        assert 800 < draws[(0, 0)] < 1200  # mass 1/3
+        draws = Counter(slice_draw(table, 0, rng) for _ in range(3000))
+        assert set(draws) == {0, 1}
+        assert 800 < draws[0] < 1200  # mass 1/3
 
     def test_full_and_empty_windows(self):
         space = ProductSpace((Alphabet(("a", "b")), Alphabet(("x", "y"))))
         member = MassFunction(space, 6, {(1, 1): 3, (0, 1): 2, (1, 0): 1})
-        assert KernelTable(member, 0).slices == {(): (0, 3, 6)}
+        assert KernelTable(member, 0).slices == {0: (0, 3, 6)}
         full = KernelTable(member, 2)
         assert full.cumulative == [1, 1, 1]
-        assert full.slices == {(0, 1): (0, 1, 1), (1, 0): (1, 2, 1), (1, 1): (2, 3, 1)}
+        assert full.slices == {1: (0, 1, 1), 2: (1, 2, 1), 3: (2, 3, 1)}
         for k in (0, 2):
             self.assert_slices_draw_rows(member, k, KernelTable(member, k))
 
@@ -544,7 +565,7 @@ class TestKernelTable:
             space, scale * sum(weights), {z: scale * w for z, w in zip(points, weights)}
         )
         table = KernelTable(law)
-        assert table.slices == {(): (0, len(law.weights), law.denominator)}
+        assert table.slices == {0: (0, len(law.weights), law.denominator)}
         assert table.points == sorted(law.weights)
         assert table.cumulative == list(
             itertools.accumulate(law.weights[z] for z in sorted(law.weights))
@@ -692,7 +713,7 @@ class TestDerivedLaws:
                 for k in range(seq.space.width + 1):
                     conditionals = measures.prefix_conditionals(member, k)
                     laws += conditionals.values()
-                    laws += (conditional_given_prefix(member, p) for p in conditionals)
+                    laws += (conditional_given_prefix(member, p, k) for p in conditionals)
                 laws.append(member.scaled(F(2, 3)))
             for p in (plan, loaded):
                 laws += (*p.ladder.floors, *p.ladder.envelopes, *mixture_envelopes(p))
@@ -712,7 +733,8 @@ class TestDerivedLaws:
         plan = build_plan(two_member_sequence)
         laws = list(plan.increment_laws)
         assert plan.index_probability(1)
-        weights = {z + (0,) * (space.width - len(z)): w for z, w in laws[0].weights.items()}
+        pad = (0,) * (space.width - 1)
+        weights = {space.encode((z, *pad)): w for z, w in laws[0].weights.items()}
         laws[0] = MassFunction(space, laws[0].denominator, weights)
         checks = plan_exact_checks(replace(plan, increment_laws=tuple(laws)))
         witness = "check raised SpaceMismatchError: increment law 1 lives on a different space"

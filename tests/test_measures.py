@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction as F
@@ -27,6 +28,8 @@ from windowcoupling import (
 )
 from windowcoupling.engine import KernelTable, extended_floors
 from windowcoupling.measures import ZERO, prefix_conditionals
+
+from conftest import tuple_mass
 
 
 @st.composite
@@ -85,7 +88,9 @@ class TestAlphabet:
 class TestProductSpace:
     def test_size_and_points(self, pair_space):
         assert pair_space.size() == 4
-        assert sorted(pair_space.points()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert pair_space.points() == range(4)
+        tuples = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert list(map(pair_space.decode, pair_space.points())) == tuples
 
     def test_window_range(self, pair_space):
         assert pair_space.window(0).width == 0
@@ -96,29 +101,34 @@ class TestProductSpace:
             pair_space.window(-1)
 
     def test_unit_space_has_one_point(self, pair_space):
-        assert list(pair_space.window(0).points()) == [()]
+        assert list(pair_space.window(0).points()) == [0]
+        assert pair_space.window(0).decode(0) == ()
 
     def test_point_formatting_round_trip(self, pair_space):
-        assert pair_space.format_point((0, 1)) == "a,y"
-        assert pair_space.parse_point("a,y") == (0, 1)
+        assert pair_space.format_point(pair_space.encode((0, 1))) == "a,y"
+        assert pair_space.parse_point("a,y") == pair_space.encode((0, 1)) == 1
         unit = pair_space.window(0)
-        assert unit.format_point(()) == ""
-        assert unit.parse_point("") == ()
+        assert unit.format_point(unit.encode(())) == ""
+        assert unit.parse_point("") == 0
 
     @pytest.mark.parametrize("point", [(2, 0), (0, -1), (0,), (0, 1, 0), ("a", 0), [0, 1]])
     def test_format_point_outside_the_space(self, pair_space, point):
+        # a tuple is not a code; all but the list [0, 1] are outside as tuples too
         with pytest.raises(ValueError, match="outside the space"):
             pair_space.format_point(point)
+        if point != [0, 1]:
+            with pytest.raises(ValueError, match="outside the space"):
+                pair_space.encode(point)
 
     def test_label_map_keeps_every_check(self, pair_space):
         labels = [pair_space.format_point(z) for z in pair_space.points()]
         assert labels == ["a,x", "a,y", "b,x", "b,y"]
-        assert pair_space.format_point((1, 0)) is labels[2]  # joined once
-        for point in [(1.0, 0), [0, 1], (2, 0), (0, -1), (0,), (0, 1, 0)]:
+        assert pair_space.format_point(2) is labels[2]  # joined once
+        for point in [1.0, True, -1, 4, (1, 0), "1", None]:
             with pytest.raises(ValueError, match="outside the space"):
                 pair_space.format_point(point)
-        assert pair_space.format_point((True, False)) == "b,x"
-        assert pair_space.format_point((True, 0)) == "b,x"
+        assert pair_space.format_point(pair_space.encode((True, False))) == "b,x"
+        assert pair_space.format_point(pair_space.encode((True, 0))) == "b,x"
 
     def test_parse_point_unknown_symbol(self, pair_space):
         with pytest.raises(ValueError) as info:
@@ -135,7 +145,7 @@ class TestProductSpace:
             assert pair_space.parse_point(pair_space.format_point(z)) == z
         first = pair_space.parse_point("b,x")
         assert pair_space.parse_point("b,x") is first  # served from the label map
-        assert pair_space.window(1).parse_point("b") == (1,)  # one map per space
+        assert pair_space.window(1).parse_point("b") == 1  # one map per space
         for _ in range(2):  # a failed parse is not kept
             with pytest.raises(ValueError) as info:
                 pair_space.parse_point("a,z")
@@ -144,13 +154,33 @@ class TestProductSpace:
                 with pytest.raises(ValueError, match="coordinates, expected 2"):
                     pair_space.parse_point(text)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(1, 4), min_size=0, max_size=4), st.randoms(use_true_random=False))
+    def test_codes_are_the_mixed_radix_index_of_the_tuples(self, sizes, rng):
+        space = ProductSpace(tuple(Alphabet(tuple("abcd"[:size])) for size in sizes))
+        tuples = list(itertools.product(*(range(size) for size in sizes)))
+        # points() enumerates the tuples in lexicographic (cartesian) order
+        assert [space.decode(z) for z in space.points()] == tuples
+        for t in tuples:
+            assert space.decode(space.encode(t)) == t
+        shuffled = tuples[:]
+        rng.shuffle(shuffled)
+        codes = [space.encode(t) for t in shuffled]
+        assert [space.decode(z) for z in sorted(codes)] == sorted(shuffled)
+        for z in space.points():
+            for k in range(space.width + 1):
+                assert space.prefix(z, k) == space.window(k).encode(space.decode(z)[:k])
+
     def test_membership(self, pair_space):
-        assert (1, 1) in pair_space
-        assert (True, 0) in pair_space  # bool is an int subclass
-        assert (2, 0) not in pair_space
-        assert (0, 1.0) not in pair_space
-        assert [0, 1] not in pair_space
-        assert (0,) not in pair_space
+        assert 3 in pair_space and 0 in pair_space
+        for point in [4, -1, 1.0, True, (1, 1), "1"]:  # codes only: no bool, no tuple
+            assert point not in pair_space
+        assert pair_space.encode((1, 1)) == 3
+        assert pair_space.encode((True, 0)) == 2  # bool is an int subclass
+        for point in [(2, 0), (0, 1.0), (1.0, 0), (0,)]:
+            with pytest.raises(ValueError, match="outside the space"):
+                pair_space.encode(point)
+        assert pair_space.encode([0, 1]) == 1
 
 
 def reference_mass_function(space, mass):
@@ -165,11 +195,14 @@ def reference_mass_function(space, mass):
         if pt in seen:
             raise ValueError(f"point {pt!r} given twice")
         seen.add(pt)
+    sizes = [len(a) for a in space.coordinates]
     clean = {}
     total = ZERO
     for point, value in mass.items():
         pt = tuple(point)
-        if pt not in space:
+        if len(pt) != len(sizes) or not all(
+            isinstance(i, int) and 0 <= i < n for i, n in zip(pt, sizes)
+        ):
             raise ValueError(f"point {pt!r} outside the space")
         val = F(value)
         if val < 0:
@@ -240,7 +273,7 @@ class TestMassFunction:
 
         def construct():
             law = MassFunction.from_masses(space, mass)
-            return law.mass, law.total_mass
+            return tuple_mass(law), law.total_mass
 
         assert outcome(construct) == outcome(lambda: reference_mass_function(space, mass))
 
@@ -250,7 +283,7 @@ class TestMassFunction:
         """On points of the space, ``_derived`` builds or refuses exactly as the constructor does."""
         space = data.draw(spaces())
         k = data.draw(st.integers(0, space.width))
-        points = sorted({z[:k] for z in space.points()})
+        points = sorted({space.prefix(z, k) for z in space.points()})
         chosen = data.draw(st.lists(st.sampled_from(points), unique=True, max_size=6))
         weights = {z: data.draw(st.integers(-2, 9)) for z in chosen}
         denominator = data.draw(st.integers(-1, 24))
@@ -274,7 +307,7 @@ class TestMassFunction:
 
     def test_drops_zero_entries(self, binary_space):
         law = MassFunction.from_masses(binary_space, {(0,): F(1), (1,): F(0)})
-        assert law.mass == {(0,): F(1)}
+        assert law.mass == {0: F(1)}
         assert law.is_probability
 
     def test_rejects_negative(self, binary_space):
@@ -299,12 +332,12 @@ class TestWindowMarginal:
     def test_uniform_pair_first_coordinate(self, pair_space):
         law = MassFunction.uniform(pair_space)
         got = window_marginal(law, 1)
-        assert got.mass == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert got.mass == {0: F(1, 2), 1: F(1, 2)}
 
     def test_window_zero_is_total_mass_on_empty_tuple(self, pair_space):
         law = MassFunction.uniform(pair_space)
         got = window_marginal(law, 0)
-        assert got.mass == {(): F(1)}
+        assert tuple_mass(got) == {(): F(1)}
 
     def test_mixed_law_matches_direct_summation(self, pair_space):
         law = MassFunction.from_masses(
@@ -313,10 +346,10 @@ class TestWindowMarginal:
         # independent oracle: group masses by prefix
         expected = defaultdict(F)
         for z, v in law.mass.items():
-            expected[z[:1]] += v
+            expected[pair_space.prefix(z, 1)] += v
         got = window_marginal(law, 1)
         assert got.mass == dict(expected)
-        assert got.mass == {(0,): F(1, 2), (1,): F(1, 2)}
+        assert tuple_mass(got) == {(0,): F(1, 2), (1,): F(1, 2)}
 
     def test_out_of_range(self, pair_space):
         with pytest.raises(WindowRangeError):
@@ -329,7 +362,8 @@ class TestWindowMarginal:
         k = data.draw(st.integers(0, space.width))
         expected = {}
         for z, v in law.mass.items():
-            expected[z[:k]] = expected.get(z[:k], ZERO) + v
+            p = space.prefix(z, k)
+            expected[p] = expected.get(p, ZERO) + v
         got = window_marginal(law, k)
         assert list(got.mass.items()) == list(expected.items())
         assert got.total_mass == law.total_mass
@@ -381,11 +415,12 @@ def mixed_sequences(draw):
     return ProcessSequenceSpec(space, tuple(laws[:-1]), laws[-1], TailRule(count))
 
 
-def fraction_marginal(mass, k):
-    """Window marginal of a Fraction mass map, one addition at a time."""
+def fraction_marginal(space, mass, k):
+    """Window marginal of a Fraction mass map on ``space``, one addition at a time."""
     out = {}
     for z, v in mass.items():
-        out[z[:k]] = out.get(z[:k], ZERO) + v
+        p = space.prefix(z, k)
+        out[p] = out.get(p, ZERO) + v
     return out
 
 
@@ -414,7 +449,7 @@ class TestIntegerForm:
         scaled = {z: w * scale for z, w in law.weights.items()}
         assert MassFunction(space, law.denominator * scale, scaled) == law
         if law.is_probability:
-            assert KernelTable(law).slices == {(): (0, len(law.weights), law.denominator)}
+            assert KernelTable(law).slices == {0: (0, len(law.weights), law.denominator)}
 
     @settings(max_examples=100)
     @given(st.data())
@@ -423,7 +458,7 @@ class TestIntegerForm:
         masses = data.draw(mixed_masses(space, data.draw(st.booleans())))
         law = MassFunction.from_masses(space, masses)
         for k in range(space.width + 1):
-            expected = {p: v for p, v in fraction_marginal(masses, k).items() if v}
+            expected = {p: v for p, v in fraction_marginal(space, masses, k).items() if v}
             assert list(window_marginal(law, k).mass.items()) == list(expected.items())
 
     @settings(max_examples=60, deadline=None)
@@ -433,7 +468,7 @@ class TestIntegerForm:
         for n in range(1, seq.horizon + 3):
             member = seq.member(n)
             for k in range(seq.space.width + 1):
-                expected = fraction_marginal(member.mass, k)
+                expected = fraction_marginal(seq.space, member.mass, k)
                 assert table.marginal(n, k).mass == {p: v for p, v in expected.items() if v}
                 assert table.infimum(n, k) == window_infimum(seq, n, k)
                 grouped = prefix_conditionals(member, k)
@@ -442,7 +477,7 @@ class TestIntegerForm:
                     assert conditional.mass == {
                         z: v / expected[prefix]
                         for z, v in member.mass.items()
-                        if z[:k] == prefix
+                        if seq.space.prefix(z, k) == prefix
                     }
         schedule = build_schedule(seq, table)
         envelopes = build_ladder(seq, schedule, table)
@@ -464,7 +499,7 @@ class TestWindowInfimum:
     def test_two_member_example(self, two_member_sequence):
         # min over {1/4, 1/3, 1/2} and {3/4, 2/3, 1/2}
         got = window_infimum(two_member_sequence, 1, 1)
-        assert got.mass == {(0,): F(1, 4), (1,): F(1, 2)}
+        assert got.mass == {0: F(1, 4), 1: F(1, 2)}
 
     def test_past_tail_equals_limit(self, two_member_sequence):
         got = window_infimum(two_member_sequence, 3, 1)
@@ -576,13 +611,13 @@ class TestConditioning:
         law = MassFunction.from_masses(
             pair_space, {(0, 0): F(1, 3), (0, 1): F(1, 6), (1, 0): F(1, 2)}
         )
-        got = conditional_given_prefix(law, (0,))
-        assert got.mass == {(0, 0): F(2, 3), (0, 1): F(1, 3)}
+        got = conditional_given_prefix(law, 0, 1)
+        assert tuple_mass(got) == {(0, 0): F(2, 3), (0, 1): F(1, 3)}
 
     def test_zero_mass_prefix_rejected(self, pair_space):
         law = MassFunction.from_masses(pair_space, {(0, 0): F(1)})
         with pytest.raises(ValueError, match="zero-mass"):
-            conditional_given_prefix(law, (1,))
+            conditional_given_prefix(law, 1, 1)
 
     @given(st.data())
     def test_prefix_conditionals_match_one_by_one(self, data):
@@ -592,7 +627,7 @@ class TestConditioning:
         grouped = prefix_conditionals(law, k)
         assert set(grouped) == set(window_marginal(law, k).mass)
         for prefix, conditional in grouped.items():
-            assert conditional == conditional_given_prefix(law, prefix)
+            assert conditional == conditional_given_prefix(law, prefix, k)
 
 
 class TestProcessSequenceSpec:

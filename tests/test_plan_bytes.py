@@ -52,8 +52,8 @@ def samples_sha256(plan, seed: int = 0, count: int = 200) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
-def uniform_on_cylinder(space, prefix) -> MassFunction:
-    extensions = [z for z in space.points() if z[: len(prefix)] == prefix]
+def uniform_on_cylinder(space, prefix, k) -> MassFunction:
+    extensions = [z for z in space.points() if space.prefix(z, k) == prefix]
     return MassFunction.from_masses(space, {z: F(1, len(extensions)) for z in extensions})
 
 
@@ -127,9 +127,9 @@ def v1_doc(plan) -> dict:
             if prefix in rows:
                 source, law = "member", rows[prefix].law
             elif limit_window[prefix] > 0:
-                source, law = "limit", conditional_given_prefix(limit, prefix)
+                source, law = "limit", conditional_given_prefix(limit, prefix, k)
             else:
-                source, law = "uniform", uniform_on_cylinder(space, prefix)
+                source, law = "uniform", uniform_on_cylinder(space, prefix, k)
             entries[window.format_point(prefix)] = {
                 "source": source,
                 "mass": jsonio.law_to_doc(law),

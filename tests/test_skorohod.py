@@ -29,6 +29,7 @@ from windowcoupling import (
 )
 from windowcoupling.skorohod import _max_metric_rows
 from windowcoupling.verify import random_law_sequence, random_metric_model
+from conftest import tuple_mass
 
 
 class TestMetricSpaceModel:
@@ -189,7 +190,7 @@ class TestMetricValidation:
 
 def reference_continuity_radius(model, center, proposed, law):
     """continuity_radius on the Fraction table: realized distances as a set of Fractions."""
-    realized = {model.dist[center][j] for (j,) in law.weights}
+    realized = {model.dist[center][j] for j in law.weights}
     if proposed not in realized:
         return proposed
     below = [d for d in realized if d < proposed]
@@ -358,7 +359,7 @@ class TestContinuityRadius:
             r = continuity_radius(line_model, 0, proposed, line_laws.sequence.limit)
             assert 0 < r <= proposed
             realized = {
-                line_model.distance(0, j) for (j,) in line_laws.sequence.limit.weights
+                line_model.distance(0, j) for j in line_laws.sequence.limit.weights
             }
             assert r not in realized
 
@@ -447,7 +448,7 @@ def reference_sphere_witness(tree):
     for level in tree.levels:
         for cell in level:
             for center, radius in cell.certificate:
-                sphere = [j for (j,) in law.weights if model.distance(center, j) == radius]
+                sphere = [j for j in law.weights if model.distance(center, j) == radius]
                 if sum(law[(j,)] for j in sphere) != 0:
                     return (
                         f"cell {cell.path}: sphere around {model.labels[center]}"
@@ -483,7 +484,7 @@ class TestCertificateSpheres:
             if not spheres:
                 continue
             center, radius = rng.choice(spheres)
-            hit = rng.choice([j for (j,) in laws.sequence.limit.support()])
+            hit = rng.choice(laws.sequence.limit.support())
             bad = with_sphere_radius(tree, (center, radius), (center, model.distance(center, hit)))
             check = {c.name: c for c in tree_exact_checks(bad)}["certificate-spheres-mass-zero"]
             assert not check.passed, trial
@@ -502,8 +503,8 @@ class TestDigitize:
             (2, 1, 1): F(1, 3),
             (3, 1, 2): F(1, 3),
         }
-        assert seq.limit.mass == expected
-        assert seq.member(1).mass == {(1, 1, 0): F(1)}
+        assert tuple_mass(seq.limit) == expected
+        assert tuple_mass(seq.member(1)) == {(1, 1, 0): F(1)}
 
     def test_window_marginals_match_cell_masses(self, line_model, line_laws):
         tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
