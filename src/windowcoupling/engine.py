@@ -72,6 +72,10 @@ denominator each (see ``measures``), so the ladder, the mixture and the
 checks add, scale and cross-multiply integers; plan construction
 verifies the paper's identities and refuses to return an inconsistent
 plan.
+
+Every exact check is a witness function run by ``run_checks``: the plan
+checks here, the partition-tree checks of ``skorohod`` and the marginal
+check of ``verify``.
 """
 from __future__ import annotations
 
@@ -82,7 +86,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .measures import (
     ONE,
@@ -113,6 +117,22 @@ class ExactCheck(NamedTuple):
     name: str
     passed: bool
     witness: str | None
+
+
+def run_checks(*checks: tuple[str, Callable[[], str | None]]) -> list[ExactCheck]:
+    """Each named witness function run as an exact check, in the order given.
+
+    A witness of None passes.  An exception raised while checking, as on
+    corrupted data, is the witness of its own check alone.
+    """
+    results = []
+    for name, witness_of in checks:
+        try:
+            witness = witness_of()
+        except Exception as exc:  # corrupted data may break check arithmetic
+            witness = f"check raised {type(exc).__name__}: {exc}"
+        results.append(ExactCheck(name, witness is None, witness))
+    return results
 
 
 class DeficitEntry(NamedTuple):
@@ -200,7 +220,8 @@ class CouplingPlan:
     ``kernels[n-1]`` maps each k_n-prefix of positive mass under member
     n to its extension row as a law, has no other keys, and is read
     only by ``exact_joint_law``;
-    ``envelopes`` are the partial sums of the mixture; ``ladder`` holds
+    ``envelopes`` are the partial sums of the mixture and
+    ``window_mixtures`` the laws of the components' prefixes; ``ladder`` holds
     the floors and the envelopes; ``sampler`` is the plan's exact
     sampler; ``spec_sha256`` is the hash of the sequence's document that
     reports record.
@@ -248,6 +269,11 @@ class CouplingPlan:
     def envelopes(self) -> tuple[MassFunction, ...]:
         """Envelope n as the partial sum of P(N = m) * increment_m over m <= n."""
         return mixture_envelopes(self)
+
+    @cached_property
+    def window_mixtures(self) -> tuple[tuple[int, Mapping[Point, int]], ...]:
+        """Per component n, the law of its k_n-prefix (``_window_mixtures``)."""
+        return tuple(_window_mixtures(self))
 
     @cached_property
     def ladder(self) -> MeasureLadder:
@@ -345,8 +371,6 @@ def build_schedule(
         running = min(running, cap)
         windows.append(running)
     windows.reverse()
-    if windows[-1] != seq.space.width:
-        raise InternalInvariantError("schedule does not reach the full window")
     return WindowSchedule(tuple(windows), seq.horizon)
 
 
@@ -629,12 +653,11 @@ def plan_exact_checks(
     mixture, since residual masses are non-negative.  Those identities
     read increment n only where P(N = n) > 0 and residual n only where
     P(N > n) > 0, so the last check requires every other stored law,
-    never drawn, to be empty.  Each check runs in isolation: an
-    exception raised while checking a corrupted plan is reported as a
-    failure of that check rather than aborting the audit.
-    ``table`` is the window table of ``plan.sequence``; without one, it
-    is built here.  Masses are compared by cross-multiplying integer
-    weights.
+    never drawn, to be empty.  The checks are witness functions run by
+    ``run_checks``, so an exception raised while checking a corrupted
+    plan fails that check alone.  ``table`` is the window table of
+    ``plan.sequence``; without one, it is built here.  Masses are
+    compared by cross-multiplying integer weights.
     """
     seq = plan.sequence
     if table is None:
@@ -642,14 +665,6 @@ def plan_exact_checks(
     schedule = plan.schedule
     full = seq.space.width
     limit = seq.limit
-    checks: list[ExactCheck] = []
-
-    def run(name: str, fn) -> None:
-        try:
-            witness = fn()
-        except Exception as exc:  # corrupted data may break check arithmetic
-            witness = f"check raised {type(exc).__name__}: {exc}"
-        checks.append(ExactCheck(name, witness is None, witness))
 
     def mismatch(
         denominator: int, acc: Mapping[Point, int], law: MassFunction
@@ -720,7 +735,7 @@ def plan_exact_checks(
         return None
 
     def window_mixture_reconstructs_members() -> str | None:
-        for n, (k, mixture) in enumerate(zip(schedule.windows, _window_mixtures(plan)), start=1):
+        for n, (k, mixture) in enumerate(zip(schedule.windows, plan.window_mixtures), start=1):
             bad = mismatch(*mixture, table.marginal(n, k))
             if bad is not None:
                 return f"n={n}: window mixture misses the member law at {bad}"
@@ -740,15 +755,16 @@ def plan_exact_checks(
                 return f"residual law {n} has mass but P(N > {n}) = 0"
         return None
 
-    run("schedule-monotone", schedule_monotone)
-    run("schedule-reaches-full-window", schedule_full)
-    run("window-deficit-certificates", deficit_certificates)
-    run("ladder-below-floor", ladder_below_floor)
-    run("ladder-mass-bound", ladder_mass_bound)
-    run("mixture-reconstructs-limit", mixture_reconstructs_limit)
-    run("window-mixture-reconstructs-members", window_mixture_reconstructs_members)
-    run("never-drawn-laws-empty", never_drawn_laws_empty)
-    return checks
+    return run_checks(
+        ("schedule-monotone", schedule_monotone),
+        ("schedule-reaches-full-window", schedule_full),
+        ("window-deficit-certificates", deficit_certificates),
+        ("ladder-below-floor", ladder_below_floor),
+        ("ladder-mass-bound", ladder_mass_bound),
+        ("mixture-reconstructs-limit", mixture_reconstructs_limit),
+        ("window-mixture-reconstructs-members", window_mixture_reconstructs_members),
+        ("never-drawn-laws-empty", never_drawn_laws_empty),
+    )
 
 
 class KernelTable:
@@ -886,7 +902,7 @@ def coupling_marginals(
     member n; the limit point's law is the last envelope.  These are
     the marginals of ``exact_joint_law``.
     """
-    mixtures = zip(plan.schedule.windows, _window_mixtures(plan))
+    mixtures = zip(plan.schedule.windows, plan.window_mixtures)
     members = tuple(
         _extended(plan.sequence.member(n), k, *mixture)
         for n, (k, mixture) in enumerate(mixtures, start=1)

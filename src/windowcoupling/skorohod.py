@@ -18,7 +18,9 @@ One metric model, given either by an explicit rational distance table
 or by rational coordinates under the max-metric.  Either way the
 partition is built from the distances alone: ball radii dodge the
 finitely many realized distances, so every sphere has limit mass zero
-and the certificates hold in any ambient topology.
+and the certificates hold in any ambient topology.  The tree's
+invariants are witness functions that ``tree_exact_checks`` hands to
+the engine's one check runner, ``run_checks``.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .engine import (
     CouplingSample,
     ExactCheck,
     build_plan,
+    run_checks,
     sample as sample_plan,
 )
 from .measures import (
@@ -429,124 +432,105 @@ def build_partition_tree(
 
 
 def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
-    """All partition invariants as exact pass/fail results."""
+    """All partition invariants as exact pass/fail results, run by ``run_checks``."""
     model = tree.model
     law = tree.law
-    checks: list[ExactCheck] = []
-
-    def add(name: str, witness: str | None) -> None:
-        checks.append(ExactCheck(name, witness is None, witness))
-
-    witness = None
-    everything = set(range(model.size))
-    for k, level in enumerate(tree.levels, start=1):
-        seen: set[int] = set()
-        for cell in level:
-            overlap = seen & set(cell.members)
-            if overlap:
-                witness = f"level {k}: point {min(overlap)} in two cells"
-                break
-            seen.update(cell.members)
-        if witness:
-            break
-        if seen != everything:
-            witness = f"level {k}: cells miss point {min(everything - seen)}"
-            break
-    add("partition-disjoint-cover", witness)
-
-    witness = None
-    for k in range(1, tree.depth):
-        children: dict[tuple[int, ...], set[int]] = {}
-        for cell in tree.levels[k]:
-            children.setdefault(cell.path[:-1], set()).update(cell.members)
-        for cell in tree.levels[k - 1]:
-            if children.get(cell.path, set()) != set(cell.members):
-                witness = f"level {k} cell {cell.path}: children do not rebuild it"
-                break
-        if witness:
-            break
-    add("partition-nested", witness)
-
-    witness = None
     scale = model.scale
-    for k, level in enumerate(tree.levels, start=1):
-        for cell in level:
-            if cell.is_covering:
+
+    def disjoint_cover() -> str | None:
+        everything = set(range(model.size))
+        for k, level in enumerate(tree.levels, start=1):
+            seen: set[int] = set()
+            for cell in level:
+                overlap = seen & set(cell.members)
+                if overlap:
+                    return f"level {k}: point {min(overlap)} in two cells"
+                seen.update(cell.members)
+            if seen != everything:
+                return f"level {k}: cells miss point {min(everything - seen)}"
+        return None
+
+    def nested() -> str | None:
+        for k in range(1, tree.depth):
+            children: dict[tuple[int, ...], set[int]] = {}
+            for cell in tree.levels[k]:
+                children.setdefault(cell.path[:-1], set()).update(cell.members)
+            for cell in tree.levels[k - 1]:
+                if children.get(cell.path, set()) != set(cell.members):
+                    return f"level {k} cell {cell.path}: children do not rebuild it"
+        return None
+
+    def covering_diameter() -> str | None:
+        for k, level in enumerate(tree.levels, start=1):
+            for cell in level:
+                if not cell.is_covering:
+                    continue
                 actual = _diameter(model, cell.members)
                 recorded = cell.diameter
                 if actual * recorded.denominator != recorded.numerator * scale:
-                    witness = f"cell {cell.path}: recorded diameter is wrong"
-                    break
+                    return f"cell {cell.path}: recorded diameter is wrong"
                 if actual * k >= scale:  # actual / scale >= 1 / k
-                    witness = (
+                    return (
                         f"cell {cell.path}: diameter {Fraction(actual, scale)} >= {Fraction(1, k)}"
                     )
-                    break
-        if witness:
-            break
-    add("covering-cells-diameter", witness)
+        return None
 
-    witness = None
-    support = set(model.support_indices())
-    for k, level in enumerate(tree.levels, start=1):
-        covered: set[int] = set()
-        for cell in level:
-            if cell.is_covering:
-                covered.update(cell.members)
-        if not support <= covered:
-            witness = f"level {k}: support point {min(support - covered)} uncovered"
-            break
-    add("covering-cells-cover-support", witness)
+    def covering_support() -> str | None:
+        support = set(model.support_indices())
+        for k, level in enumerate(tree.levels, start=1):
+            covered: set[int] = set()
+            for cell in level:
+                if cell.is_covering:
+                    covered.update(cell.members)
+            if not support <= covered:
+                return f"level {k}: support point {min(support - covered)} uncovered"
+        return None
 
-    witness = None
-    for level in tree.levels:
-        for cell in level:
-            if not cell.is_covering and weight_of(law, cell.members) != 0:
-                witness = f"residual cell {cell.path} has positive limit mass"
-                break
-        if witness:
-            break
-    add("residual-cells-mass-zero", witness)
+    def residual_mass_zero() -> str | None:
+        for level in tree.levels:
+            for cell in level:
+                if not cell.is_covering and weight_of(law, cell.members) != 0:
+                    return f"residual cell {cell.path} has positive limit mass"
+        return None
 
-    # every cell repeats its ancestors' spheres: check each distinct one at
-    # its first occurrence, which is where a failing sphere is reported
-    witness = None
-    checked: set[tuple[int, int, int]] = set()
-    for level in tree.levels:
-        for cell in level:
-            for center, radius in cell.certificate:
-                key = (center, radius.numerator, radius.denominator)
-                if key in checked:
-                    continue
-                checked.add(key)
-                # the sphere holds the points at scaled distance p * scale / q;
-                # every support point has positive weight
-                scaled, rest = divmod(radius.numerator * scale, radius.denominator)
-                row = model.rows[center]
-                if not rest and any(row[j] == scaled for j in law.weights):
-                    witness = (
-                        f"cell {cell.path}: sphere around {model.labels[center]}"
-                        f" radius {radius} has positive mass"
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    add("certificate-spheres-mass-zero", witness)
+    def spheres_mass_zero() -> str | None:
+        # every cell repeats its ancestors' spheres: check each distinct one at
+        # its first occurrence, which is where a failing sphere is reported
+        checked: set[tuple[int, int, int]] = set()
+        for level in tree.levels:
+            for cell in level:
+                for center, radius in cell.certificate:
+                    key = (center, radius.numerator, radius.denominator)
+                    if key in checked:
+                        continue
+                    checked.add(key)
+                    # the sphere holds the points at scaled distance p * scale / q;
+                    # every support point has positive weight
+                    scaled, rest = divmod(radius.numerator * scale, radius.denominator)
+                    row = model.rows[center]
+                    if not rest and any(row[j] == scaled for j in law.weights):
+                        return (
+                            f"cell {cell.path}: sphere around {model.labels[center]}"
+                            f" radius {radius} has positive mass"
+                        )
+        return None
 
-    witness = None
-    for i, path in enumerate(tree.paths):
-        for k in range(1, tree.depth + 1):
-            cell = tree.cell_at(path[:k])
-            if i not in cell.members:
-                witness = f"point {model.labels[i]}: recorded path misses level {k}"
-                break
-        if witness:
-            break
-    add("point-paths-consistent", witness)
+    def paths_consistent() -> str | None:
+        for i, path in enumerate(tree.paths):
+            for k in range(1, tree.depth + 1):
+                if i not in tree.cell_at(path[:k]).members:
+                    return f"point {model.labels[i]}: recorded path misses level {k}"
+        return None
 
-    return checks
+    return run_checks(
+        ("partition-disjoint-cover", disjoint_cover),
+        ("partition-nested", nested),
+        ("covering-cells-diameter", covering_diameter),
+        ("covering-cells-cover-support", covering_support),
+        ("residual-cells-mass-zero", residual_mass_zero),
+        ("certificate-spheres-mass-zero", spheres_mass_zero),
+        ("point-paths-consistent", paths_consistent),
+    )
 
 
 def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
@@ -583,13 +567,19 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
 
 @dataclass(frozen=True)
 class SkorohodCoupling:
-    """Coupling of metric-space laws via their digit processes."""
+    """Coupling of metric-space laws via the plan of their digit processes."""
 
-    model: MetricSpaceModel
     laws: LawSequence
     tree: PartitionTree
-    digit_sequence: ProcessSequenceSpec
     plan: CouplingPlan
+
+    @property
+    def model(self) -> MetricSpaceModel:
+        return self.laws.model
+
+    @property
+    def digit_sequence(self) -> ProcessSequenceSpec:
+        return self.plan.sequence
 
     @cached_property
     def spec_sha256(self) -> str:
@@ -624,9 +614,7 @@ def build_skorohod_coupling(
     if seq.model is not model and seq.model != model:
         raise ValueError("law sequence is bound to a different model")
     tree = build_partition_tree(model, seq.sequence.limit, depth)
-    digit_sequence = digitize(seq, tree)
-    plan = build_plan(digit_sequence)
-    return SkorohodCoupling(model, seq, tree, digit_sequence, plan)
+    return SkorohodCoupling(seq, tree, build_plan(digitize(seq, tree)))
 
 
 def decode_sample(coupling: SkorohodCoupling, base: CouplingSample) -> SkorohodSample:

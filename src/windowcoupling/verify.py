@@ -4,6 +4,11 @@ Exact invariants are audited by rational arithmetic and either pass or
 fail with a pointwise witness; among them, ``joint_law_marginals``
 compares the coupling's exact marginals, each component's window
 mixture extended along its member at any size, with the input laws.
+Every exact check is run by the engine's ``run_checks``.  ``audit_plan``
+and ``audit_skorohod`` share one audit body: the plan checks, then a
+metric coupling's tree checks.  It, ``certify`` and ``mc_agreement``
+split their target into its plan and coupling in one place, ``_split``.
+
 Monte Carlo suites guard the sampler implementation only: agreement
 and distance guarantees hold surely by construction, so any violation
 is a bug, while the empirical-versus-exact law comparisons record their
@@ -28,6 +33,7 @@ from .engine import (
     deficit_entries,
     joint_support_size,
     plan_exact_checks,
+    run_checks,
 )
 from .measures import (
     Alphabet,
@@ -36,6 +42,7 @@ from .measures import (
     ProductSpace,
     TailRule,
     WindowTable,
+    total_variation,
 )
 from .skorohod import (
     LawSequence,
@@ -108,40 +115,42 @@ def _provenance(target: CouplingPlan | SkorohodCoupling, seed: int | None) -> di
     return {"spec_sha256": target.spec_sha256, "seed": seed, "version": __version__}
 
 
-def audit_plan(plan: CouplingPlan) -> VerificationReport:
-    """Run every exact invariant of the coupling construction."""
+def _split(
+    target: CouplingPlan | SkorohodCoupling,
+) -> tuple[CouplingPlan, SkorohodCoupling | None]:
+    """The target's plan, and the target itself when it is a metric coupling."""
+    if isinstance(target, SkorohodCoupling):
+        return target.plan, target
+    return target, None
+
+
+def _audit(target: CouplingPlan | SkorohodCoupling) -> VerificationReport:
+    """The plan checks, a coupling's tree checks and the deficit trace, from one window table."""
+    plan, coupling = _split(target)
     table = WindowTable(plan.sequence)
+    checks = plan_exact_checks(plan, table)
+    if coupling is not None:
+        checks += tree_exact_checks(coupling.tree)
     return VerificationReport(
-        exact_checks=tuple(plan_exact_checks(plan, table)),
+        exact_checks=tuple(checks),
         mc_checks=(),
         deficit_trace=tuple(deficit_entries(plan, table)),
-        provenance=_provenance(plan, None),
+        provenance=_provenance(target, None),
     )
+
+
+def audit_plan(plan: CouplingPlan) -> VerificationReport:
+    """Run every exact invariant of the coupling construction."""
+    return _audit(plan)
 
 
 def audit_skorohod(coupling: SkorohodCoupling) -> VerificationReport:
     """Exact plan invariants plus partition-tree invariants."""
-    table = WindowTable(coupling.plan.sequence)
-    return VerificationReport(
-        exact_checks=tuple(plan_exact_checks(coupling.plan, table))
-        + tuple(tree_exact_checks(coupling.tree)),
-        mc_checks=(),
-        deficit_trace=tuple(deficit_entries(coupling.plan, table)),
-        provenance=_provenance(coupling, None),
-    )
-
-
-def _empirical_tv(counts: dict, law: MassFunction, samples: int) -> Fraction:
-    weights, denominator = law.weights, law.denominator
-    gap = sum(
-        abs(counts.get(z, 0) * denominator - weights.get(z, 0) * samples)
-        for z in set(counts) | set(weights)
-    )
-    return Fraction(gap, 2 * samples * denominator)
+    return _audit(coupling)
 
 
 def _tv_check(name: str, counts: dict, law: MassFunction, samples: int) -> McCheck:
-    tv = _empirical_tv(counts, law, samples)
+    tv = total_variation(MassFunction._derived(law.space, samples, counts), law)
     size = len(law.weights)
     threshold = 3 * math.sqrt(size / samples)
     note = f"TV {float(tv):.6f} vs threshold 3*sqrt({size}/{samples}) = {threshold:.6f}"
@@ -172,12 +181,7 @@ def mc_agreement(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if isinstance(target, SkorohodCoupling):
-        plan = target.plan
-        coupling: SkorohodCoupling | None = target
-    else:
-        plan = target
-        coupling = None
+    plan, coupling = _split(target)
     provenance = _provenance(target, seed)
 
     agreement_failures = 0
@@ -252,21 +256,17 @@ def joint_law_marginals(plan: CouplingPlan) -> ExactCheck:
     exception as its witness.
     """
     seq = plan.sequence
-    try:
+
+    def marginals_differ() -> str | None:
         members, limit = coupling_marginals(plan)
-        witness = next(
-            (
-                f"component {n} marginal differs"
-                for n, law in enumerate(members, start=1)
-                if law != seq.member(n)
-            ),
-            None,
-        )
-        if witness is None and limit != seq.limit:
-            witness = "limit marginal differs"
-    except Exception as exc:  # corrupted data may break the arithmetic
-        witness = f"check raised {type(exc).__name__}: {exc}"
-    return ExactCheck("joint-law-marginals", witness is None, witness)
+        for n, law in enumerate(members, start=1):
+            if law != seq.member(n):
+                return f"component {n} marginal differs"
+        if limit != seq.limit:
+            return "limit marginal differs"
+        return None
+
+    return run_checks(("joint-law-marginals", marginals_differ))[0]
 
 
 def certify(
@@ -277,13 +277,8 @@ def certify(
     The exact audit, then the exact marginal check, then the Monte Carlo
     guard of ``mc_agreement``.
     """
-    if isinstance(target, SkorohodCoupling):
-        audit = audit_skorohod(target)
-        plan = target.plan
-    else:
-        audit = audit_plan(target)
-        plan = target
-    marginals = joint_law_marginals(plan)
+    audit = _audit(target)
+    marginals = joint_law_marginals(_split(target)[0])
     mc = mc_agreement(target, samples, seed)
     return VerificationReport(
         exact_checks=audit.exact_checks + (marginals,),

@@ -432,6 +432,71 @@ class TestPartitionTree:
         assert not check.passed
         assert check.witness == witness
 
+    # the depth-2 line tree: level 1 is (1,): (), (2,): (0,), (3,): (1,),
+    # (4,): (2,), and each level-1 cell (c,) has the children (c, 1), the
+    # residual, and (c, 2), which keeps its members
+    @pytest.mark.parametrize(
+        "changes, name, witness",
+        [
+            ({(3, 2): (0, 1)}, "partition-disjoint-cover", "level 2: point 0 in two cells"),
+            ({(4, 2): ()}, "partition-disjoint-cover", "level 2: cells miss point 2"),
+            (
+                {(3, 2): (2,), (4, 2): (1,)},
+                "partition-nested",
+                "level 1 cell (3,): children do not rebuild it",
+            ),
+            (
+                {(4, 1): (2,), (4, 2): ()},
+                "covering-cells-cover-support",
+                "level 2: support point 2 uncovered",
+            ),
+            (
+                {(4, 1): (2,), (4, 2): ()},
+                "residual-cells-mass-zero",
+                "residual cell (4, 1) has positive limit mass",
+            ),
+            ({(3,): ()}, "point-paths-consistent", "point x1: recorded path misses level 1"),
+        ],
+        ids=[
+            "point-in-two-cells",
+            "point-in-no-cell",
+            "children-swap-points",
+            "support-point-in-a-residual",
+            "residual-with-mass",
+            "path-through-a-cell-without-the-point",
+        ],
+    )
+    def test_corrupted_tree_witness(self, line_model, line_laws, changes, name, witness):
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
+        levels = tuple(
+            tuple(
+                dataclasses.replace(cell, members=changes[cell.path])
+                if cell.path in changes
+                else cell
+                for cell in level
+            )
+            for level in tree.levels
+        )
+        bad = dataclasses.replace(tree, levels=levels)
+        check = {c.name: c for c in tree_exact_checks(bad)}[name]
+        assert not check.passed
+        assert check.witness == witness
+
+    def test_a_check_that_raises_fails_alone(self, line_model, line_laws):
+        tree = build_partition_tree(line_model, line_laws.sequence.limit, 2)
+        # a sphere around a point the model does not have, at a radius that
+        # is a whole number of the model's distance units, so the check
+        # reads the center's row
+        level1 = tuple(
+            dataclasses.replace(cell, certificate=((7, F(1, 2)),)) if cell.path == (2,) else cell
+            for cell in tree.levels[0]
+        )
+        bad = dataclasses.replace(tree, levels=(level1, tree.levels[1]))
+        failed = [(c.name, c.witness) for c in tree_exact_checks(bad) if not c.passed]
+        assert failed == [
+            ("certificate-spheres-mass-zero", "check raised IndexError: tuple index out of range")
+        ]
+
     def test_random_trees_pass_all_checks(self):
         rng = random.Random(7)
         for trial in range(20):
@@ -519,6 +584,13 @@ class TestDigitize:
 
 
 class TestSkorohodCoupling:
+    def test_stores_the_laws_tree_and_plan_only(self, line_model, line_laws):
+        coupling = build_skorohod_coupling(line_model, line_laws, 2)
+        assert [f.name for f in dataclasses.fields(coupling)] == ["laws", "tree", "plan"]
+        assert coupling.model is line_laws.model
+        assert coupling.digit_sequence is coupling.plan.sequence
+        assert coupling.digit_sequence == digitize(line_laws, coupling.tree)
+
     def test_constant_laws_couple_exactly(self, line_model):
         space = line_model.space
         uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})

@@ -180,6 +180,19 @@ class TestOncePerPlan:
         assert certify(plan, 50, seed=1).all_passed
         assert calls == [plan]
 
+    def test_certify_builds_the_window_mixtures_once(self, monkeypatch, two_member_sequence):
+        plan = reloaded(build_plan(two_member_sequence))
+        calls = []
+        original = engine._window_mixtures
+
+        def counting(target):
+            calls.append(target)
+            return original(target)
+
+        monkeypatch.setattr(engine, "_window_mixtures", counting)
+        assert certify(plan, 50, seed=1).all_passed
+        assert calls == [plan]
+
     def test_reports_of_one_plan_serialize_the_sequence_once(
         self, monkeypatch, two_member_sequence
     ):
