@@ -10,9 +10,10 @@ this module materializes the coupling in four stages:
    the running lower envelopes, whose density against the limit law is
    the minimum of the floor densities from index n on and whose masses
    telescope to one (``envelopes``);
-3. the mixture decomposition: the law of the agreement index N, the
-   envelope increment laws (full-space components) and the residual
-   window laws used while N has not been reached;
+3. the mixture decomposition, derived from the envelopes: the law of
+   the agreement index N, the envelope increment laws (full-space
+   components) and the residual window laws used while N has not been
+   reached;
 4. an exact sampler, which extends each window prefix to a full point
    by the member's conditional law given that prefix, drawn from one
    sorted table per member in which every prefix's row is a contiguous
@@ -22,24 +23,24 @@ this module materializes the coupling in four stages:
    extended along the member; and, for small instances, brute-force
    enumeration of the whole joint law as an independent oracle.
 
-A plan stores only the mixture: the index law, the increment laws and
-the residual laws, besides the sequence and the schedule.  Increment n
-is drawn only on {N = n} and residual n only on {N > n}; where that
-event has probability 0 the stored law is the empty law, which the
-sampler never tables and the audit requires to stay empty.  The rest is
-derived, once per plan and only when read.  The ladder is a
-construction step: envelope n is the partial sum
-``sum_{m <= n} P(N = m) * increment_m`` and floor n the table's window
-infimum extended along the limit law; building a plan needs only the
-envelopes, so the floors are built only when ``CouplingPlan.ladder`` is
-read.  Kernel row n at a prefix is member n's conditional law given
-that prefix.  Component n's prefix always has positive mass under
-member n: while N > n it is drawn from the residual law, which sits
-below the member's window marginal, and from N on it is the limit
-point's, drawn from the N-th envelope, which every later member
-dominates on its window.  Sorting member n's support makes each row a
-slice of one ``KernelTable`` per member, built once per plan; only the
-joint-law oracle builds the rows as laws (``CouplingPlan.kernels``).
+A plan stores only the envelope densities r_1..r_M, besides the
+sequence and the schedule: r_n(z) = min_{n <= i <= M} inf_i|k_i / L|k_i
+at z's k_i-prefixes, the density of envelope n against the limit law L.
+The schedule does not decrease, so r_n is a function of z's
+k_M-prefix.  Everything else is derived from them, once per plan and
+only when read, on one path (``CouplingPlan``): envelope n is L times
+r_n, envelope M + 1 is L, and the mixture follows from the envelopes.
+Floor n is the table's window infimum extended along the limit law;
+building a plan needs only the densities, so the floors are built only
+when ``CouplingPlan.ladder`` is read.  Kernel row n at a prefix is
+member n's conditional law given that prefix.  Component n's prefix
+always has positive mass under member n: while N > n it is drawn from
+the residual law, which sits below the member's window marginal, and
+from N on it is the limit point's, drawn from the N-th envelope, which
+every later member dominates on its window.  Sorting member n's support
+makes each row a slice of one ``KernelTable`` per member, built once per
+plan; only the joint-law oracle builds the rows as laws
+(``CouplingPlan.kernels``).
 
 Floors, tail mixtures and exact marginals extend a window law to the
 full space along a law's conditionals given the k-prefix by one integer
@@ -68,10 +69,10 @@ time; they are the reference the table and the extension are tested
 against.
 
 Every quantity is an exact rational.  Laws are integer weights over one
-denominator each (see ``measures``), so the ladder, the mixture and the
-checks add, scale and cross-multiply integers; plan construction
-verifies the paper's identities and refuses to return an inconsistent
-plan.
+denominator each (see ``measures``) and densities are integer ratios,
+so the ladder, the mixture and the checks add, scale and
+cross-multiply integers; plan construction verifies the paper's
+identities and refuses to return an inconsistent plan.
 
 Every exact check is a witness function run by ``run_checks``: the plan
 checks here, the partition-tree checks of ``skorohod`` and the marginal
@@ -96,7 +97,6 @@ from .measures import (
     Point,
     ProcessSequenceSpec,
     ProductSpace,
-    SpaceMismatchError,
     WindowTable,
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
     prefix_conditionals,
@@ -168,8 +168,8 @@ class MeasureLadder:
     limit's support.  Envelopes are pointwise non-decreasing and the
     last one equals the limit law exactly.  A plan does not store it
     and derives it on demand (``CouplingPlan.ladder``); ``build_ladder``
-    computes only the envelopes from the sequence, which is all that
-    building a plan reads.
+    computes only the envelopes' densities from the sequence, which is
+    all that a plan stores.
     """
 
     floors: tuple[MassFunction, ...]
@@ -198,40 +198,110 @@ class KernelRow:
     law: MassFunction
 
 
-def index_space(count: int) -> ProductSpace:
-    """The space of the agreement index N: one coordinate with the labels 1..count."""
-    return ProductSpace((Alphabet(tuple(str(n) for n in range(1, count + 1))),))
+# A ratio is a (numerator, denominator) pair of ints with a positive
+# denominator; ratios are compared by cross-multiplication.
+Ratio = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """Coupling of a process-law sequence, stored as its mixture.
+    """Coupling of a process-law sequence, stored as its envelope densities.
 
-    ``index_law`` is the law of the agreement index N on {1..M+1}, N = n
-    being the point with code n - 1;
-    ``increment_laws[n-1]`` the full-space component drawn when N = n;
-    ``residual_laws[n-1]`` the window law used for component n while
-    N > n.  Where P(N = n) = 0, respectively P(N > n) = 0, the law is
-    never drawn and is the empty law on its space.  These are all a
-    plan stores besides the sequence and the schedule.  The derived
-    data is built on first use and kept with the plan: ``draw_tables``
-    holds every table a draw reads, one kernel table per component among
-    them, and every ``CouplingSampler`` of the plan shares it;
-    ``kernels[n-1]`` maps each k_n-prefix of positive mass under member
-    n to its extension row as a law, has no other keys, and is read
-    only by ``exact_joint_law``;
-    ``envelopes`` are the partial sums of the mixture and
-    ``window_mixtures`` the laws of the components' prefixes; ``ladder`` holds
-    the floors and the envelopes; ``sampler`` is the plan's exact
-    sampler; ``spec_sha256`` is the hash of the sequence's document that
-    reports record.
+    ``densities[n-1]``, for n = 1..M, maps each k_M-prefix code p
+    (k_M = ``schedule.windows[-2]``) to r_n(p), the density of envelope
+    n against the limit law L, as a ratio; a prefix without an entry has
+    density 0.  These are all a plan stores besides the sequence and the
+    schedule.  Everything else is derived on first read and kept with
+    the plan, on the one path that ``build_plan`` and a loaded document
+    share; N = n is the index law's point with code n - 1, and a law
+    drawn only on an event of probability 0 is the empty law.
+
+    The derived laws are laws exactly when the audit passes
+    (``plan_exact_checks``).  ``densities-non-decreasing`` requires
+    0 <= r_1 <= ... <= r_M <= 1, so every increment E_n - E_{n-1} is
+    non-negative with total P(N = n), hence empty where P(N = n) = 0.
+    ``ladder-below-floor`` requires E_n <= floor n, whose k_n-marginal
+    is inf_n|k_n <= P_n|k_n, so every residual P_n|k_n - E_n|k_n is
+    non-negative with total P(N > n), hence empty where P(N > n) = 0.
+    The mixture then rebuilds the limit, since E_{M+1} = L, and window
+    mixture n, E_n|k_n + P(N > n) * residual n, is P_n|k_n.  Deriving
+    lazily lets a corrupted document load and fail the audit with a
+    witness; a law that comes out negative raises when it is read.
+
+    ``draw_tables`` holds every table a draw reads, and every
+    ``CouplingSampler`` of the plan shares it; ``kernels[n-1]`` maps each
+    k_n-prefix of positive mass under member n to its extension row as
+    a law and is read only by ``exact_joint_law``; ``spec_sha256`` is the
+    hash of the sequence's document that reports record.
     """
 
     sequence: ProcessSequenceSpec
     schedule: WindowSchedule
-    index_law: MassFunction
-    increment_laws: tuple[MassFunction, ...]
-    residual_laws: tuple[MassFunction, ...]
+    densities: tuple[Mapping[Point, Ratio], ...]
+
+    @cached_property
+    def envelopes(self) -> tuple[MassFunction, ...]:
+        """E_n = L times r_n at each point's k_M-prefix for n = 1..M, then L itself."""
+        limit = self.sequence.limit
+        k = self.schedule.windows[-2]
+        return (*(_limit_times(limit, k, density) for density in self.densities), limit)
+
+    @cached_property
+    def envelope_windows(self) -> tuple[MassFunction, ...]:
+        """E_n|k_n: the limit's k_M-marginal times r_n, marginalized to k_n; then L."""
+        last = self.schedule.windows[-2]
+        limit = window_marginal(self.sequence.limit, last)
+        pairs = zip(self.schedule.windows, self.densities)
+        envelopes = (window_marginal(_limit_times(limit, last, r), k) for k, r in pairs)
+        return (*envelopes, self.sequence.limit)
+
+    @cached_property
+    def index_cumulative(self) -> tuple[Fraction, ...]:
+        """P(N <= n) for n = 1..M+1: the masses of the envelopes."""
+        return tuple(env.total_mass for env in self.envelope_windows)
+
+    @cached_property
+    def index_law(self) -> MassFunction:
+        """P(N = n) = P(N <= n) - P(N <= n - 1) on one coordinate with the labels 1..M+1."""
+        space = ProductSpace((Alphabet(tuple(str(n) for n in range(1, self.count + 1))),))
+        steps = itertools.pairwise((ZERO, *self.index_cumulative))
+        return MassFunction.from_masses(space, {n: c - prev for n, (prev, c) in enumerate(steps)})
+
+    @cached_property
+    def increment_laws(self) -> tuple[MassFunction, ...]:
+        """E_n - E_{n-1}, L times r_n - r_{n-1} at each point's k_M-prefix, over P(N = n).
+
+        r_0 is 0, and r_{M+1} is 1 at every prefix the limit charges; where
+        r_n equals r_{n-1} the increment is the empty law.
+        """
+        limit = self.sequence.limit
+        last = self.schedule.windows[-2]
+        top = dict.fromkeys(window_marginal(limit, last).weights, (1, 1))
+        laws = []
+        for lower, upper in itertools.pairwise(({}, *self.densities, top)):
+            steps = {}
+            for p in upper.keys() | lower.keys():
+                (a, b), (c, d) = upper.get(p, (0, 1)), lower.get(p, (0, 1))
+                if num := a * d - c * b:
+                    steps[p] = (num, b * d)
+            if steps:
+                laws.append(_normalized(limit.space, *_limit_weights(limit, last, steps)))
+            else:
+                laws.append(MassFunction(limit.space, 1, {}))
+        return tuple(laws)
+
+    @cached_property
+    def residual_laws(self) -> tuple[MassFunction, ...]:
+        """P_n|k_n - E_n|k_n over its mass P(N > n), and the empty law where P(N > n) = 0."""
+        space = self.sequence.space
+        return tuple(
+            _normalized_excess(window_marginal(self.sequence.member(n), k), env)
+            if reached != 1
+            else MassFunction(space.window(k), 1, {})
+            for n, (k, env, reached) in enumerate(
+                zip(self.schedule.windows, self.envelope_windows, self.index_cumulative), 1
+            )
+        )
 
     @cached_property
     def kernels(self) -> tuple[dict[Point, KernelRow], ...]:
@@ -266,18 +336,13 @@ class CouplingPlan:
         )
 
     @cached_property
-    def envelopes(self) -> tuple[MassFunction, ...]:
-        """Envelope n as the partial sum of P(N = m) * increment_m over m <= n."""
-        return mixture_envelopes(self)
-
-    @cached_property
     def window_mixtures(self) -> tuple[tuple[int, Mapping[Point, int]], ...]:
         """Per component n, the law of its k_n-prefix (``_window_mixtures``)."""
         return tuple(_window_mixtures(self))
 
     @cached_property
     def ladder(self) -> MeasureLadder:
-        """Floors from the sequence's window infima, envelopes from the mixture."""
+        """Floors from the sequence's window infima, envelopes from the densities."""
         floors = extended_floors(self.sequence, self.schedule, WindowTable(self.sequence))
         return MeasureLadder(floors, self.envelopes)
 
@@ -291,9 +356,7 @@ class CouplingPlan:
 
     def index_tail_probability(self, n: int) -> Fraction:
         """P(N > n)."""
-        law = self.index_law
-        reached = sum(w for m, w in law.weights.items() if m < n)
-        return Fraction(law.denominator - reached, law.denominator)
+        return ONE - self.index_cumulative[n - 1]
 
     @cached_property
     def sampler(self) -> "CouplingSampler":
@@ -411,11 +474,6 @@ def extended_floor(
     )
 
 
-# A ratio is a (numerator, denominator) pair of ints with a positive
-# denominator; ratios are compared by cross-multiplication.
-Ratio = tuple[int, int]
-
-
 def _prefix_ratios(
     denominator: int, weights: Mapping[Point, int], marginal: MassFunction
 ) -> dict[Point, Ratio]:
@@ -433,16 +491,21 @@ def _prefix_ratios(
         raise KeyError(marginal.space.decode(exc.args[0])) from None
 
 
-def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
-    """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
+def _limit_weights(
+    law: MassFunction, k: int, ratios: Mapping[Point, Ratio]
+) -> tuple[int, dict[Point, int]]:
+    """law(z) * ratios[z|k], 0 at a prefix without a ratio, as one denominator and weights."""
     common = math.lcm(*{den for _, den in ratios.values()})
     factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
     stride = law.space.stride(k)
-    return MassFunction._derived(
-        law.space,
-        law.denominator * common,
-        {z: w * factors.get(z // stride, 0) for z, w in law.weights.items()},
-    )
+    return law.denominator * common, {
+        z: w * factors.get(z // stride, 0) for z, w in law.weights.items()
+    }
+
+
+def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
+    """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
+    return MassFunction._derived(law.space, *_limit_weights(law, k, ratios))
 
 
 def _floor_ratios(
@@ -478,33 +541,35 @@ def build_ladder(
     seq: ProcessSequenceSpec,
     schedule: WindowSchedule,
     table: WindowTable | None = None,
-) -> tuple[MassFunction, ...]:
-    """The envelopes, from the running minima of the floor densities.
+) -> tuple[dict[Point, Ratio], ...]:
+    """The envelope densities r_1..r_M, the running minima of the floor densities.
 
-    The density of floor n against the limit law is its prefix ratio,
-    so envelope n is the limit law times the minimum over i >= n of the
-    ratios at the point's k_i-prefix, a missing ratio reading as 0.  The
-    floors themselves are not built (see ``extended_floors``).
+    The density of floor n against the limit law is its prefix ratio at
+    k_n, so r_n at a k_M-prefix p is the minimum over n <= i <= M of the
+    ratios at p's k_i-prefixes, a missing ratio reading as 0; the ratio
+    of index M + 1 is 1 wherever the limit charges.  Each map holds the
+    limit's charged k_M-prefixes of positive density, each ratio
+    reduced.  The floors themselves are not built (see
+    ``extended_floors``).
     """
     if table is None:
         table = WindowTable(seq)
     ratios = _floor_ratios(seq, schedule, table)
-    limit = seq.limit
-    # running minimum of the floor densities, from the last index down
-    space = seq.space
-    full = space.width
-    last = space.stride(schedule.windows[-1])
-    running = {z: ratios[-1].get(z // last, (0, 1)) for z in limit.weights}
-    envelopes = []
-    for k, ratio in zip(reversed(schedule.windows), reversed(ratios)):
-        stride = space.stride(k)
-        for z, (low, den) in running.items():
-            num, other = ratio.get(z // stride, (0, 1))
+    last = schedule.windows[-2]
+    window = seq.space.window(last)
+    # running minimum of the floor densities, from index M down
+    running = dict.fromkeys(table.marginal(seq.horizon + 1, last).weights, (1, 1))
+    densities = []
+    for k, ratio in zip(reversed(schedule.windows[:-1]), reversed(ratios[:-1])):
+        stride = window.stride(k)
+        for p, (low, den) in running.items():
+            num, other = ratio.get(p // stride, (0, 1))
             if num * den < low * other:
-                running[z] = (num, other)
-        envelopes.append(_limit_times(limit, full, running))
-    envelopes.reverse()
-    return tuple(envelopes)
+                common = math.gcd(num, other)
+                running[p] = (num // common, other // common)
+        densities.append({p: r for p, r in running.items() if r[0]})
+    densities.reverse()
+    return tuple(densities)
 
 
 def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, int]]]:
@@ -513,67 +578,50 @@ def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, i
     This is the law of component n's prefix, as a denominator and
     weights, neither validated nor reduced.
     """
-    index = plan.index_law
-    tail = index.denominator  # P(N > n) over the index law's denominator
-    for n, (k, env, residual) in enumerate(
-        zip(plan.schedule.windows, plan.envelopes, plan.residual_laws), start=1
+    for marginal, reached, residual in zip(
+        plan.envelope_windows, plan.index_cumulative, plan.residual_laws
     ):
-        tail -= index.weights.get(n - 1, 0)
-        marginal = window_marginal(env, k)
+        tail = ONE - reached
         if not tail:
             yield marginal.denominator, marginal.weights
             continue
-        scale = index.denominator * residual.denominator
+        scale = tail.denominator * residual.denominator
         common = math.lcm(marginal.denominator, scale)
-        up, factor = common // marginal.denominator, tail * (common // scale)
+        up, factor = common // marginal.denominator, tail.numerator * (common // scale)
         acc = {p: w * up for p, w in marginal.weights.items()}
         for p, w in residual.weights.items():
             acc[p] = acc.get(p, 0) + factor * w
         yield common, acc
 
 
-def mixture_envelopes(plan: CouplingPlan) -> tuple[MassFunction, ...]:
-    """Envelope n as the partial sum of P(N = m) * increment_m over m <= n.
+def _normalized(space: ProductSpace, denominator: int, weights: dict[Point, int]) -> MassFunction:
+    """The measure ``weights / denominator`` over its total mass; the empty law where that is 0.
 
-    An increment law that is drawn must live on the sequence's space,
-    which puts every envelope point there; one on another space raises
-    ``SpaceMismatchError``.
+    A measure that is negative anywhere is no law: ValueError names the
+    point and the mass there.
     """
-    index = plan.index_law
-    space = plan.sequence.space
-    steps = [
-        (index.weights.get(n - 1, 0), plan.increment_laws[n - 1])
-        for n in range(1, plan.count + 1)
-    ]
-    scale = math.lcm(*(law.denominator for prob, law in steps if prob))
-    acc: dict[Point, int] = {}
-    envelopes = []
-    for n, (prob, law) in enumerate(steps, start=1):
-        if prob:
-            if law.space != space:
-                raise SpaceMismatchError(f"increment law {n} lives on a different space")
-            factor = prob * (scale // law.denominator)
-            for z, w in law.weights.items():
-                acc[z] = acc.get(z, 0) + factor * w
-        envelopes.append(MassFunction._derived(space, index.denominator * scale, acc))
-    return tuple(envelopes)
+    if min(weights.values(), default=0) < 0:
+        z, w = next((z, w) for z, w in weights.items() if w < 0)
+        raise ValueError(f"negative mass {Fraction(w, denominator)} at {space.decode(z)}")
+    total = sum(weights.values())
+    if not total:
+        return MassFunction(space, 1, {})
+    return MassFunction._derived(space, total, weights)
 
 
 def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction:
-    """(upper - lower) / its total mass, on upper's support; the empty law when that mass is 0."""
+    """(upper - lower) / its total mass (``_normalized``)."""
     common = math.lcm(upper.denominator, lower.denominator)
     upper_scale = common // upper.denominator
     lower_scale = common // lower.denominator
     low = lower.weights
     excess = {z: w * upper_scale - low.get(z, 0) * lower_scale for z, w in upper.weights.items()}
-    total = sum(excess.values())
-    if not total:
-        return MassFunction(upper.space, 1, {})
-    return MassFunction._derived(upper.space, total, excess)
+    excess.update((z, -w * lower_scale) for z, w in low.items() if z not in excess)
+    return _normalized(upper.space, common, excess)
 
 
 def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
-    """Assemble the schedule, the ladder and from it the mixture laws.
+    """Assemble the schedule and the envelope densities; the mixture is derived from them.
 
     The plan's identities are re-checked by exact arithmetic, and a
     failure raises InternalInvariantError rather than returning a bad
@@ -581,39 +629,7 @@ def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
     """
     table = WindowTable(seq)
     schedule = build_schedule(seq, table)
-    envelopes = build_ladder(seq, schedule, table)
-    count = seq.horizon + 1
-
-    # P(N <= n) is the mass of envelope n; all over one common denominator
-    common = math.lcm(*(env.denominator for env in envelopes))
-    cumulative = [
-        sum(env.weights.values()) * (common // env.denominator) for env in envelopes
-    ]
-    index_law = MassFunction(
-        index_space(count),
-        common,
-        {n: c - prev for n, (prev, c) in enumerate(itertools.pairwise([0, *cumulative]))},
-    )
-
-    # increment n is envelope n minus envelope n - 1, normalized by P(N = n);
-    # residual n is member n's window law minus envelope n's, normalized by
-    # P(N > n): each difference has exactly that mass, and is the empty law,
-    # never drawn, where that probability is 0
-    increments: list[MassFunction] = []
-    residuals: list[MassFunction] = []
-    previous = MassFunction(seq.space, 1, {})
-    for n, (k, env) in enumerate(zip(schedule.windows, envelopes), start=1):
-        increments.append(_normalized_excess(env, previous))
-        residuals.append(_normalized_excess(table.marginal(n, k), window_marginal(env, k)))
-        previous = env
-
-    plan = CouplingPlan(
-        sequence=seq,
-        schedule=schedule,
-        index_law=index_law,
-        increment_laws=tuple(increments),
-        residual_laws=tuple(residuals),
-    )
+    plan = CouplingPlan(seq, schedule, build_ladder(seq, schedule, table))
     failures = [c for c in plan_exact_checks(plan, table) if not c.passed]
     if failures:
         raise InternalInvariantError(
@@ -645,50 +661,24 @@ def plan_exact_checks(
     """The paper's identities for a plan, as exact pass/fail results.
 
     Used both by plan construction (which refuses to return a failing
-    plan) and by the audit report.  The envelopes are the partial sums
-    of the stored mixture (``CouplingPlan.envelopes``), so the ladder's
-    monotonicity, the index law's masses and the increment
-    normalization hold by definition and are not checked; residual
-    normalization and member-window domination follow from the window
-    mixture, since residual masses are non-negative.  Those identities
-    read increment n only where P(N = n) > 0 and residual n only where
-    P(N > n) > 0, so the last check requires every other stored law,
-    never drawn, to be empty.  The checks are witness functions run by
+    plan) and by the audit report.  A plan stores only its densities,
+    so the checks are on the schedule and on the densities, per
+    k_M-prefix: ``densities-non-decreasing`` and ``ladder-below-floor``
+    make every derived law a law, ``ladder-mass-bound`` bounds
+    P(N > n), and every other identity of the mixture holds by its
+    derivation (see ``CouplingPlan``).  A density at a prefix the limit
+    law does not charge, which the derivation never reads, fails
+    ``ladder-below-floor``.  The checks are witness functions run by
     ``run_checks``, so an exception raised while checking a corrupted
     plan fails that check alone.  ``table`` is the window table of
-    ``plan.sequence``; without one, it is built here.  Masses are
-    compared by cross-multiplying integer weights.
+    ``plan.sequence``; without one, it is built here.  Ratios are
+    compared by cross-multiplying integers.
     """
     seq = plan.sequence
     if table is None:
         table = WindowTable(seq)
     schedule = plan.schedule
     full = seq.space.width
-    limit = seq.limit
-
-    def mismatch(
-        denominator: int, acc: Mapping[Point, int], law: MassFunction
-    ) -> tuple[int, ...] | None:
-        """A point where acc / denominator and law differ, as a tuple.
-
-        The codes are compared first.  Where some differ, the witness is
-        the first differing point in the iteration order of the set of
-        both supports' tuples, so a report names the same point as
-        reports written when points were tuples, and report bytes stay
-        those of earlier releases.
-        """
-        weights, scale = law.weights, law.denominator
-        for z in set(acc) | set(weights):
-            if acc.get(z, 0) * scale != weights.get(z, 0) * denominator:
-                break
-        else:
-            return None
-        decode, encode = law.space.decode, law.space.encode
-        return next(
-            point
-            for point in set(map(decode, acc)) | set(map(decode, weights))
-            if acc.get(encode(point), 0) * scale != weights.get(encode(point), 0) * denominator
-        )
 
     def schedule_monotone() -> str | None:
         for a, b in itertools.pairwise(schedule.windows):
@@ -707,63 +697,54 @@ def plan_exact_checks(
                 return f"n={entry.index}: deficit {entry.deficit} > {entry.bound}"
         return None
 
+    def densities_non_decreasing() -> str | None:
+        # 0 <= r_n(p) <= r_{n+1}(p), a missing density reading as 0 and r_{M+1} as 1
+        window = seq.space.window(schedule.windows[-2])
+        above = (*plan.densities[1:], None)
+        for n, (density, upper) in enumerate(zip(plan.densities, above), start=1):
+            for p, (num, den) in density.items():
+                top, bottom = (1, 1) if upper is None else upper.get(p, (0, 1))
+                if num < 0 or num * bottom > top * den:
+                    return (
+                        f"n={n}: density {Fraction(num, den)} at {window.decode(p)} is not"
+                        f" between 0 and density {n + 1}'s {Fraction(top, bottom)}"
+                    )
+        return None
+
     def ladder_below_floor() -> str | None:
-        # E_n(z) <= floor_n(z) = L(z) * ratio_n(z|k), cross-multiplied
+        # r_n(p) <= ratio_n(p|k_n) at every stored prefix p, which the limit charges
+        last = schedule.windows[-2]
+        window = seq.space.window(last)
+        charged = table.marginal(seq.horizon + 1, last).weights
         ratios = _floor_ratios(seq, schedule, table)
-        limit_weights = limit.weights
-        for n, env in enumerate(plan.envelopes, start=1):
-            stride, ratio = seq.space.stride(schedule.window(n)), ratios[n - 1]
-            for z, v in env.weights.items():
-                num, den = ratio.get(z // stride, (0, 1))
-                if v * den * limit.denominator > limit_weights.get(z, 0) * num * env.denominator:
-                    return f"envelope {n} exceeds floor {n} at {seq.space.decode(z)}"
+        for n, (k, density) in enumerate(zip(schedule.windows, plan.densities), start=1):
+            stride, ratio = window.stride(k), ratios[n - 1]
+            for p, (num, den) in density.items():
+                if p not in charged:
+                    return (
+                        f"density {n} at {window.decode(p)},"
+                        " a prefix the limit law does not charge"
+                    )
+                low, other = ratio.get(p // stride, (0, 1))
+                if num * other > low * den:
+                    return f"envelope {n} exceeds floor {n} at {window.decode(p)}"
         return None
 
     def ladder_mass_bound() -> str | None:
-        for n, env in enumerate(plan.envelopes, start=1):
-            gap = ONE - env.total_mass
+        for n, reached in enumerate(plan.index_cumulative, start=1):
+            gap = ONE - reached
             bound = Fraction(1, 2 ** (n - 1))
             if gap > bound:
                 return f"n={n}: envelope mass gap {gap} > {bound}"
-        return None
-
-    def mixture_reconstructs_limit() -> str | None:
-        last = plan.envelopes[-1]
-        bad = mismatch(last.denominator, last.weights, limit)
-        if bad is not None:
-            return f"weighted increment laws differ from the limit law at {bad}"
-        return None
-
-    def window_mixture_reconstructs_members() -> str | None:
-        for n, (k, mixture) in enumerate(zip(schedule.windows, plan.window_mixtures), start=1):
-            bad = mismatch(*mixture, table.marginal(n, k))
-            if bad is not None:
-                return f"n={n}: window mixture misses the member law at {bad}"
-        return None
-
-    def never_drawn_laws_empty() -> str | None:
-        index = plan.index_law
-        tail = index.denominator  # P(N > n) over the index law's denominator
-        for n, (increment, residual) in enumerate(
-            zip(plan.increment_laws, plan.residual_laws), start=1
-        ):
-            drawn = index.weights.get(n - 1, 0)
-            tail -= drawn
-            if not drawn and increment.weights:
-                return f"increment law {n} has mass but P(N = {n}) = 0"
-            if not tail and residual.weights:
-                return f"residual law {n} has mass but P(N > {n}) = 0"
         return None
 
     return run_checks(
         ("schedule-monotone", schedule_monotone),
         ("schedule-reaches-full-window", schedule_full),
         ("window-deficit-certificates", deficit_certificates),
+        ("densities-non-decreasing", densities_non_decreasing),
         ("ladder-below-floor", ladder_below_floor),
         ("ladder-mass-bound", ladder_mass_bound),
-        ("mixture-reconstructs-limit", mixture_reconstructs_limit),
-        ("window-mixture-reconstructs-members", window_mixture_reconstructs_members),
-        ("never-drawn-laws-empty", never_drawn_laws_empty),
     )
 
 
@@ -899,15 +880,27 @@ def coupling_marginals(
 
     Component n extends its k_n-prefix along member n's conditional, so
     its law is its window mixture (``_window_mixtures``) extended along
-    member n; the limit point's law is the last envelope.  These are
-    the marginals of ``exact_joint_law``.
+    member n; the limit point's law is the sum of P(N = n) times
+    increment n.  These are the marginals of ``exact_joint_law``.  The
+    increments are exactly the envelopes' differences or raise, so they
+    sum to the limit law on every plan whose mixture is made of laws.
     """
     mixtures = zip(plan.schedule.windows, plan.window_mixtures)
     members = tuple(
         _extended(plan.sequence.member(n), k, *mixture)
         for n, (k, mixture) in enumerate(mixtures, start=1)
     )
-    return members, plan.envelopes[-1]
+    index = plan.index_law
+    drawn = [
+        (index.weights[n], law) for n, law in enumerate(plan.increment_laws) if n in index.weights
+    ]
+    scale = math.lcm(*(law.denominator for _, law in drawn))
+    acc: dict[Point, int] = {}
+    for weight, law in drawn:
+        factor = weight * (scale // law.denominator)
+        for z, w in law.weights.items():
+            acc[z] = acc.get(z, 0) + factor * w
+    return members, MassFunction._derived(plan.sequence.space, index.denominator * scale, acc)
 
 
 def joint_support_size(plan: CouplingPlan) -> int:

@@ -16,7 +16,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .engine import (
     CouplingPlan,
@@ -24,11 +24,11 @@ from .engine import (
     DeficitEntry,
     ExactCheck,
     WindowSchedule,
-    index_space,
 )
 from .measures import (
     Alphabet,
     MassFunction,
+    Point,
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
@@ -117,15 +117,20 @@ def document_sha256(doc: Any) -> str:
 # -- laws and process sequences ---------------------------------------------
 
 
-def law_to_doc(law: MassFunction) -> dict:
-    """Each mass as ``"num/den"``, its weight and the denominator reduced by one gcd."""
-    label = law.space.format_point
-    denominator = law.denominator
+def _ratios_to_doc(space: ProductSpace, ratios: Iterable[tuple[Point, int, int]]) -> dict:
+    """Each (point, numerator, denominator) as ``label: "num/den"``, reduced by one gcd."""
+    label = space.format_point
     doc = {}
-    for z, w in law.weights.items():
-        common = math.gcd(w, denominator)
-        doc[label(z)] = f"{w // common}/{denominator // common}"
+    for z, num, den in ratios:
+        common = math.gcd(num, den)
+        doc[label(z)] = f"{num // common}/{den // common}"
     return doc
+
+
+def law_to_doc(law: MassFunction) -> dict:
+    """Each mass as ``"num/den"``, in lowest terms."""
+    denominator = law.denominator
+    return _ratios_to_doc(law.space, ((z, w, denominator) for z, w in law.weights.items()))
 
 
 def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:
@@ -212,16 +217,16 @@ def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
 
 # -- coupling plans -----------------------------------------------------------
 
-# Format 4 stores only what the sampler draws from: the index law, the
-# increment laws and the residual laws.  The ladder and the kernel rows
-# are derived from them and from the sequence (see ``CouplingPlan``).  A
-# law the sampler never draws (increment n where P(N = n) = 0, residual
-# n where P(N > n) = 0) is the empty law ``{}``; format 3 stored the
-# limit law and the member's window law there instead.
-PLAN_FORMAT = 4
+# Format 5 stores only the envelope densities besides the sequence and
+# the schedule: per index n = 1..M, each k_M-prefix's density r_n of
+# envelope n against the limit law, zero densities left out.  The index,
+# increment and residual laws that format 4 stored are derived from them
+# (see ``CouplingPlan``).
+PLAN_FORMAT = 5
 
 
 def plan_to_doc(plan: CouplingPlan) -> dict:
+    window = plan.sequence.space.window(plan.schedule.windows[-2])
     return {
         "format": PLAN_FORMAT,
         "sequence": sequence_to_doc(plan.sequence),
@@ -229,9 +234,10 @@ def plan_to_doc(plan: CouplingPlan) -> dict:
             "windows": list(plan.schedule.windows),
             "horizon": plan.schedule.horizon,
         },
-        "index_law": law_to_doc(plan.index_law),
-        "increment_laws": [law_to_doc(v) for v in plan.increment_laws],
-        "residual_laws": [law_to_doc(w) for w in plan.residual_laws],
+        "densities": [
+            _ratios_to_doc(window, ((p, num, den) for p, (num, den) in density.items()))
+            for density in plan.densities
+        ],
     }
 
 
@@ -239,10 +245,11 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     """Rebuild a plan without re-validating invariants.
 
     Loading is intentionally permissive so that a corrupted artifact can
-    be reconstructed and then failed by the audit with a witness.  Only
-    plan format 4 is read; any other document, a field of the wrong
-    shape and a law list whose length is not the number of components
-    raise ValueError.
+    be reconstructed and then failed by the audit with a witness; the
+    derived laws are built only when read.  Only plan format 5 is read;
+    any other document, a field of the wrong shape, a window outside the
+    space's width, a zero denominator and a density list whose length is
+    not the horizon raise ValueError.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -252,8 +259,6 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         )
     with _doc_field("plan", "sequence"):
         seq = sequence_from_doc(doc["sequence"])
-    space = seq.space
-    count = seq.horizon + 1
     with _doc_field("plan", "schedule"):
         schedule = WindowSchedule(
             tuple(_integer(k, "window") for k in _array(doc["schedule"]["windows"], "windows")),
@@ -263,28 +268,20 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         raise ValueError(
             f"plan schedule horizon {schedule.horizon} != sequence horizon {seq.horizon}"
         )
-    with _doc_field("plan", "index_law"):
-        index_law = law_from_doc(index_space(count), doc["index_law"])
-    with _doc_field("plan", "increment_laws"):
-        increment_laws = tuple(law_from_doc(space, v) for v in doc["increment_laws"])
-    with _doc_field("plan", "residual_laws"):
-        residual_laws = tuple(
-            law_from_doc(space.window(schedule.windows[n]), w)
-            for n, w in enumerate(doc["residual_laws"])
+    for k in schedule.windows:
+        seq.space.check_window(k)
+    with _doc_field("plan", "densities"):
+        parse = seq.space.window(schedule.windows[-2]).parse_point
+        densities = tuple(
+            {parse(key): parse_ratio(value) for key, value in density.items()}
+            for density in _array(doc["densities"], "densities")
         )
-    for name, laws in (("increment_laws", increment_laws), ("residual_laws", residual_laws)):
-        if len(laws) != count:
-            raise ValueError(
-                f"plan field {name!r} must hold one law per component ({count}),"
-                f" found {len(laws)}"
-            )
-    return CouplingPlan(
-        sequence=seq,
-        schedule=schedule,
-        index_law=index_law,
-        increment_laws=increment_laws,
-        residual_laws=residual_laws,
-    )
+    if len(densities) != seq.horizon:
+        raise ValueError(
+            f"plan field 'densities' must hold one map per index 1..{seq.horizon},"
+            f" found {len(densities)}"
+        )
+    return CouplingPlan(sequence=seq, schedule=schedule, densities=densities)
 
 
 def sample_record(plan: CouplingPlan, draw: CouplingSample, seed: int) -> dict:

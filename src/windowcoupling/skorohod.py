@@ -97,6 +97,8 @@ class MetricSpaceModel:
         coords: tuple[tuple[Fraction, ...], ...] | None = None,
     ) -> None:
         """A model of the table ``dist``, or, when ``coords`` is given, of their max-metric."""
+        if dist is not None and coords is not None:
+            raise MetricModelError("a model gives coords or dist, not both")
         # the fields go straight into the instance dict, as the frozen
         # dataclass's own __init__ would; a table fills the cached ``dist``
         vars(self).update(labels=labels, separable_support=separable_support, coords=coords)
@@ -446,6 +448,8 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
                 if overlap:
                     return f"level {k}: point {min(overlap)} in two cells"
                 seen.update(cell.members)
+            if seen - everything:
+                return f"level {k}: point {min(seen - everything)} outside the model"
             if seen != everything:
                 return f"level {k}: cells miss point {min(everything - seen)}"
         return None

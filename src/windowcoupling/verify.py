@@ -251,9 +251,9 @@ def joint_law_marginals(plan: CouplingPlan) -> ExactCheck:
 
     The marginals come from ``coupling_marginals``, so no joint law is
     enumerated, no kernel row is built and the check runs at any size.
-    A plan that breaks the computation, such as a limit point on a
-    prefix the member does not charge, fails the check with the
-    exception as its witness.
+    They read every law the sampler draws, so densities that derive no
+    law, such as an envelope above a member on its window, fail the
+    check with the derivation's error as its witness.
     """
     seq = plan.sequence
 

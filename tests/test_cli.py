@@ -36,7 +36,7 @@ class TestBuild:
         out = tmp_path / "plan.json"
         assert main(["build", "--spec", str(sequence_file), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["index_law"] == {"1": "1/1"}
+        assert doc["densities"] == [{"a": "1/1", "b": "1/1"}]
         assert doc["schedule"]["windows"] == [1, 1]
 
     def test_missing_input_is_exit_2(self, tmp_path):
@@ -101,21 +101,20 @@ class TestVerify:
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        point = next(iter(doc["increment_laws"][0]))
-        doc["increment_laws"][0][point] = "1/1000"
+        doc["densities"][0]["a"] = "1/1"
         plan_path.write_text(json.dumps(doc))
         code = main(["verify", "--plan", str(plan_path), "--samples", "50"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL mixture-reconstructs-limit: weighted increment laws differ" in out
+        assert "FAIL ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in out
 
 
 def corrupt_index_law(doc):
-    doc["index_law"]["2"] = "1/7"  # total 25/28
+    doc["densities"][0]["a"] = "2/1"  # P(N = 2) = -1/2
 
 
-def empty_first_residual(doc):
-    doc["residual_laws"][0] = {}
+def negative_first_residual(doc):
+    doc["densities"][0]["a"] = "3/4"  # envelope 1 is 3/8 at a, the member 1/4
 
 
 class TestUnsampleablePlans:
@@ -125,7 +124,7 @@ class TestUnsampleablePlans:
     before drawing, because they fail the exact audit too.
     """
 
-    @pytest.fixture(params=[corrupt_index_law, empty_first_residual])
+    @pytest.fixture(params=[corrupt_index_law, negative_first_residual])
     def bad_plan(self, request, tmp_path, skewed_file, capsys):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
@@ -159,12 +158,12 @@ class TestUnsampleablePlans:
 
 
 def test_sample_refuses_a_plan_that_fails_the_audit(tmp_path, skewed_file, capsys):
-    # with the two increment laws swapped every draw succeeds, but the
+    # with envelope 1 raised to the limit every draw succeeds, but the
     # samples no longer have the member's law
     plan_path = tmp_path / "plan.json"
     main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
     doc = json.loads(plan_path.read_text())
-    doc["increment_laws"].reverse()
+    doc["densities"][0]["a"] = "1/1"
     plan_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
@@ -177,29 +176,37 @@ def test_sample_refuses_a_plan_that_fails_the_audit(tmp_path, skewed_file, capsy
     assert not out.exists()
 
 
-def test_sample_refuses_a_filled_never_drawn_law(tmp_path, skewed_file, capsys):
-    # P(N > 2) = 0, so the last residual law is never drawn and stored
-    # empty; the audit requires it to stay empty, and the sampler never
-    # tables it
+def test_sample_refuses_a_density_the_limit_does_not_charge(tmp_path, capsys):
+    # the limit is a point mass on a; a density on b is never read, since
+    # envelope 1 is the limit times the density, but the audit refuses it
+    spec = tmp_path / "point.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "space": [["a", "b"]],
+                "members": [{"a": "1/2", "b": "1/2"}],
+                "limit": {"a": "1/1"},
+                "tail": {"eventually_equal": 1},
+            }
+        )
+    )
     plan_path = tmp_path / "plan.json"
-    main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+    main(["build", "--spec", str(spec), "--out", str(plan_path)])
     doc = json.loads(plan_path.read_text())
-    assert doc["residual_laws"][-1] == {}
-    doc["residual_laws"][-1] = {"a": "1/4"}
+    assert doc["densities"] == [{"a": "1/2"}]
+    doc["densities"][0]["b"] = "1/2"
     plan_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL never-drawn-laws-empty: residual law 2 has mass but P(N > 2) = 0" in out
+    witness = "density 1 at (1,), a prefix the limit law does not charge"
+    assert f"FAIL ladder-below-floor: {witness}" in out
     assert "FAIL sampler-runs" not in out
     samples = tmp_path / "samples.jsonl"
     assert main(["sample", "--plan", str(plan_path), "--out", str(samples)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
-    assert (
-        "no samples drawn: never-drawn-laws-empty: residual law 2 has mass but P(N > 2) = 0"
-        in err
-    )
+    assert f"no samples drawn: ladder-below-floor: {witness}" in err
     assert not samples.exists()
 
 
@@ -215,18 +222,24 @@ def as_format_3(doc):
     doc["format"] = 3
 
 
+def as_format_4(doc):
+    doc["format"] = 4
+
+
 def without_format(doc):
     del doc["format"]
 
 
 class TestPlanFormat:
-    @pytest.mark.parametrize("edit", [as_format_1, as_format_2, as_format_3, without_format])
+    @pytest.mark.parametrize(
+        "edit", [as_format_1, as_format_2, as_format_3, as_format_4, without_format]
+    )
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_other_formats_are_exit_2(self, tmp_path, skewed_file, capsys, edit, command):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        assert doc["format"] == 4
+        assert doc["format"] == 5
         edit(doc)
         plan_path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -239,16 +252,16 @@ class TestPlanFormat:
         assert not out.exists()
 
 
-def increment_laws_not_a_list(doc):
-    doc["increment_laws"] = 5
+def densities_not_a_list(doc):
+    doc["densities"] = 5
 
 
-def more_residual_laws_than_windows(doc):
-    doc["residual_laws"] = doc["residual_laws"] * (len(doc["schedule"]["windows"]) + 1)
+def more_densities_than_indices(doc):
+    doc["densities"] = doc["densities"] * len(doc["schedule"]["windows"])
 
 
-def one_increment_law_too_few(doc):
-    doc["increment_laws"].pop()
+def one_density_too_few(doc):
+    doc["densities"].pop()
 
 
 def schedule_one_index_longer(doc):
@@ -258,9 +271,9 @@ def schedule_one_index_longer(doc):
 
 # plan edit -> what its one error line must say
 PLAN_EDITS = {
-    increment_laws_not_a_list: "malformed plan field 'increment_laws'",
-    more_residual_laws_than_windows: "malformed plan field 'residual_laws'",
-    one_increment_law_too_few: "'increment_laws' must hold one law per component",
+    densities_not_a_list: "malformed plan field 'densities'",
+    more_densities_than_indices: "'densities' must hold one map per index 1..1, found 2",
+    one_density_too_few: "'densities' must hold one map per index 1..1, found 0",
     schedule_one_index_longer: "plan schedule horizon 2 != sequence horizon 1",
 }
 
@@ -459,9 +472,9 @@ def zero_denominator_coordinate(doc):
     doc["model"]["coords"][1][0] = "1/0"
 
 
-def zero_denominator_increment(doc):
-    law = doc["increment_laws"][0]
-    law[next(iter(law))] = "1/0"
+def zero_denominator_density(doc):
+    density = doc["densities"][0]
+    density[next(iter(density))] = "1/0"
 
 
 def zero_denominator_deficit(doc):
@@ -485,8 +498,8 @@ class TestZeroDenominator:
         [
             (["build", "--spec", "{spec}"], "spec", zero_denominator_member),
             (["skorohod", "--spec", "{line}"], "line", zero_denominator_coordinate),
-            (["verify", "--plan", "{plan}"], "plan", zero_denominator_increment),
-            (["sample", "--plan", "{plan}"], "plan", zero_denominator_increment),
+            (["verify", "--plan", "{plan}"], "plan", zero_denominator_density),
+            (["sample", "--plan", "{plan}"], "plan", zero_denominator_density),
             (["report", "{report}"], "report", zero_denominator_deficit),
         ],
         ids=["build", "skorohod", "verify", "sample", "report"],

@@ -38,12 +38,12 @@ from windowcoupling import (
 from windowcoupling import engine, jsonio, measures
 from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
+    CouplingPlan,
     InternalInvariantError,
     KernelTable,
     coupling_marginals,
     extended_floors,
     largest_feasible_windows,
-    mixture_envelopes,
     plan_exact_checks,
 )
 from windowcoupling.verify import (
@@ -226,6 +226,16 @@ def floor_ratios(seq, floors):
     return [{z: floor[z] / q for z, q in seq.limit.mass.items()} for floor in floors]
 
 
+def envelopes_of(seq, schedule):
+    """The envelopes of the densities that ``build_ladder`` computes."""
+    return CouplingPlan(seq, schedule, build_ladder(seq, schedule)).envelopes
+
+
+def with_densities(plan, *densities):
+    """The plan with its densities replaced, as a document edited to hold them would load."""
+    return replace(plan, densities=densities)
+
+
 def assert_envelopes_are_minimal_ratios(seq, schedule, envelopes):
     """envelope(n)[z] == limit[z] * min over i >= n of floor_i[z] / limit[z]."""
     ratios = floor_ratios(seq, floors_of(seq, schedule))
@@ -239,7 +249,8 @@ def assert_envelopes_are_minimal_ratios(seq, schedule, envelopes):
 class TestLadder:
     def test_constant_sequence_ladder_is_limit(self, constant_sequence):
         schedule = build_schedule(constant_sequence)
-        envelopes = build_ladder(constant_sequence, schedule)
+        assert build_ladder(constant_sequence, schedule) == ({0: (1, 1), 1: (1, 1)},)
+        envelopes = envelopes_of(constant_sequence, schedule)
         for ratios in floor_ratios(constant_sequence, floors_of(constant_sequence, schedule)):
             assert set(ratios.values()) == {F(1)}
         assert_envelopes_are_minimal_ratios(constant_sequence, schedule, envelopes)
@@ -248,7 +259,8 @@ class TestLadder:
 
     def test_worked_example(self, skewed_sequence):
         schedule = build_schedule(skewed_sequence)
-        envelopes = build_ladder(skewed_sequence, schedule)
+        assert build_ladder(skewed_sequence, schedule) == ({0: (1, 2), 1: (1, 1)},)
+        envelopes = envelopes_of(skewed_sequence, schedule)
         floors = floors_of(skewed_sequence, schedule)
         assert floor_ratios(skewed_sequence, floors)[0] == {0: F(1, 2), 1: F(1)}
         assert_envelopes_are_minimal_ratios(skewed_sequence, schedule, envelopes)
@@ -262,30 +274,33 @@ class TestLadder:
     def test_random_envelopes_are_minimal_ratios(self, seed):
         seq = random_process_spec(random.Random(seed))
         schedule = build_schedule(seq)
-        assert_envelopes_are_minimal_ratios(seq, schedule, build_ladder(seq, schedule))
+        assert_envelopes_are_minimal_ratios(seq, schedule, envelopes_of(seq, schedule))
 
     def test_build_plan_builds_no_floor(self, monkeypatch, two_member_sequence):
         # every floor and every envelope is one limit-times-ratio measure;
-        # a plan's build makes only the envelopes, its ladder the floors
+        # a plan's build makes only the envelopes' k_M-marginals, and its
+        # ladder the floors and the full-space envelopes
         built = []
         limit_times = engine._limit_times
 
-        def counted(limit, k, ratios):
-            built.append(k)
-            return limit_times(limit, k, ratios)
+        def counted(law, k, ratios):
+            built.append((law.space.width, k))
+            return limit_times(law, k, ratios)
 
         monkeypatch.setattr(engine, "_limit_times", counted)
         plan = build_plan(two_member_sequence)
-        full = two_member_sequence.space.width
-        assert built == [full] * plan.count
+        last, full = plan.schedule.windows[-2], two_member_sequence.space.width
+        assert built == [(last, last)] * len(plan.densities)
         built.clear()
         assert len(plan.ladder.floors) == plan.count
-        assert built == list(plan.schedule.windows)
+        floors = [(full, k) for k in plan.schedule.windows]
+        assert built == floors + [(full, last)] * len(plan.densities)
 
 
 class TestPlan:
     def test_constant_sequence_couples_immediately(self, constant_sequence):
         plan = build_plan(constant_sequence)
+        assert plan.densities == ({0: (1, 1), 1: (1, 1)},)
         assert plan.index_law.mass == {0: F(1)}
         assert plan.increment_laws[0] == constant_sequence.limit
         assert plan.index_tail_probability(1) == 0
@@ -335,108 +350,136 @@ class TestPlan:
             for prefix, row in rows.items():
                 assert row.law == conditional_given_prefix(member, prefix, plan.schedule.window(n))
 
-    def test_audit_is_the_seven_identities_then_never_drawn_laws(self, skewed_sequence):
+    def test_audit_checks_the_schedule_then_the_densities(self, skewed_sequence):
         names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
         assert names == [
             "schedule-monotone",
             "schedule-reaches-full-window",
             "window-deficit-certificates",
+            "densities-non-decreasing",
             "ladder-below-floor",
             "ladder-mass-bound",
-            "mixture-reconstructs-limit",
-            "window-mixture-reconstructs-members",
-            "never-drawn-laws-empty",
         ]
 
     def test_moved_increment_mass_detected(self, skewed_sequence):
+        # P(N = 1) = 3/4, so increment 1 = (2/3, 1/3) is envelope 1 = (1/2, 1/4)
+        # against the uniform limit: density 1 at a, above the floor's 1/2
         plan = build_plan(skewed_sequence)
         moved = MassFunction.from_masses(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
-        bad_plan = replace(plan, increment_laws=(moved,) + plan.increment_laws[1:])
+        bad_plan = with_densities(plan, {0: (1, 1), 1: (1, 2)})
+        assert bad_plan.increment_laws[0] == moved
+        assert bad_plan.index_law == plan.index_law
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {
-            "ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)",
-            "mixture-reconstructs-limit": "weighted increment laws differ from the"
-            " limit law at (0,)",
-            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
-            " member law at (0,)",
-        }
+        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
 
     def test_index_mass_moved_between_values_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
-        index_law = MassFunction.from_masses(plan.index_law.space, {(0,): F(1, 2), (1,): F(1, 2)})
-        bad_plan = replace(plan, index_law=index_law)
-        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {
-            "ladder-below-floor": "envelope 2 exceeds floor 2 at (0,)",
-            "mixture-reconstructs-limit": "weighted increment laws differ from the"
-            " limit law at (0,)",
-            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
-            " member law at (0,)",
-        }
+        # all of N = 2's mass moved onto N = 1: envelope 1 is the limit
+        to_first = with_densities(plan, {0: (1, 1), 1: (1, 1)})
+        assert to_first.index_law.mass == {0: F(1)}
+        failed = {c.name: c.witness for c in plan_exact_checks(to_first) if not c.passed}
+        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
+        # N = 1's mass moved halfway onto N = 2 only lowers envelope 1,
+        # which is still a coupling's
+        to_second = with_densities(plan, {0: (1, 3), 1: (2, 3)})
+        assert to_second.index_law.mass == {0: F(1, 2), 1: F(1, 2)}
+        assert to_second.increment_laws[0] == plan.increment_laws[0]
+        assert all(c.passed for c in plan_exact_checks(to_second))
+        assert joint_law_marginals(to_second).passed
 
     def test_moved_increment_mass_on_a_width_2_space_names_tuples(self, pair_space):
-        # the schedule is (2, 2), so the window mixture is checked on full
-        # points; the witnesses decode the points' codes to their tuples
+        # the schedule is (2, 2), so the densities are keyed by full points;
+        # the witnesses decode the points' codes to their tuples
         member = MassFunction.from_masses(
             pair_space, {(0, 0): F(1, 8), (0, 1): F(1, 4), (1, 0): F(3, 8), (1, 1): F(1, 4)}
         )
         limit = MassFunction.uniform(pair_space)
         plan = build_plan(ProcessSequenceSpec(pair_space, (member,), limit, TailRule(1)))
         assert plan.schedule.windows == (2, 2)
+        assert plan.index_probability(1) == F(7, 8)
+        # increment 1 moved onto (1, 0) and (1, 1), with P(N = 1) kept
         moved = MassFunction.from_masses(pair_space, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
-        bad_plan = replace(plan, increment_laws=(moved,) + plan.increment_laws[1:])
+        bad_plan = with_densities(plan, {2: (7, 4), 3: (7, 4)})
+        assert bad_plan.envelopes[0] == moved.scaled(F(7, 8))
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
         assert failed == {
+            "densities-non-decreasing": "n=1: density 7/4 at (1, 0) is not between 0"
+            " and density 2's 1",
             "ladder-below-floor": "envelope 1 exceeds floor 1 at (1, 0)",
-            "mixture-reconstructs-limit": "weighted increment laws differ from the"
-            " limit law at (0, 1)",
-            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
-            " member law at (0, 1)",
         }
 
     def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        late = MassFunction.from_masses(plan.index_law.space, {(0,): F(1, 4), (2,): F(3, 4)})
-        failed = {
-            c.name: c.witness
-            for c in plan_exact_checks(replace(plan, index_law=late))
-            if not c.passed
-        }
-        assert failed["ladder-mass-bound"] == "n=2: envelope mass gap 3/4 > 1/2"
+        charged = window_marginal(two_member_sequence.limit, plan.schedule.windows[-2]).weights
+        quarter = dict.fromkeys(charged, (1, 4))
+        late = with_densities(plan, quarter, quarter)
+        assert late.index_law.mass == {0: F(1, 4), 2: F(3, 4)}
+        failed = {c.name: c.witness for c in plan_exact_checks(late) if not c.passed}
+        assert failed == {"ladder-mass-bound": "n=2: envelope mass gap 3/4 > 1/2"}
 
     def test_limit_point_on_zero_mass_prefix_detected(self):
-        # the member is a point mass on b; swapping the increments makes
-        # N = 1 draw the limit point a, a prefix of member mass zero
+        # the member is a point mass on b; density 1 on a swaps the two
+        # increments, so N = 1 draws the limit point a, a prefix of member
+        # mass zero
         seq = binary_sequence([(0, 1)], (F(1, 2), F(1, 2)))
         plan = build_plan(seq)
         assert set(plan.kernels[0]) == {1}
-        first, second = plan.increment_laws
-        bad_plan = replace(plan, increment_laws=(second, first))
+        assert plan.densities == ({1: (1, 1)},)
+        bad_plan = with_densities(plan, {0: (1, 1)})
+        assert bad_plan.increment_laws == plan.increment_laws[::-1]
         failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {
-            "ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)",
-            "window-mixture-reconstructs-members": "n=1: window mixture misses the"
-            " member law at (0,)",
-        }
+        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
-        # the last envelope is the full partial sum; lower it through its
-        # last increment
+        # the last density raised above 1 lifts envelope M above the limit
         plan = build_plan(two_member_sequence)
-        last = plan.increment_laws[-1]
-        z = next(iter(last.mass))
-        lowered = MassFunction.from_masses(last.space, {**last.mass, z: last.mass[z] / 2})
-        bad_plan = replace(plan, increment_laws=plan.increment_laws[:-1] + (lowered,))
+        last = dict(plan.densities[-1])
+        p = next(iter(last))
+        last[p] = (2, 1)
+        bad_plan = with_densities(plan, *plan.densities[:-1], last)
         failed = [c for c in plan_exact_checks(bad_plan) if not c.passed]
-        assert "mixture-reconstructs-limit" in {c.name for c in failed}
+        assert "densities-non-decreasing" in {c.name for c in failed}
         assert all(c.witness for c in failed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_derived_mixture_identities(self, seed):
+        # the identities that the audit no longer checks, because the
+        # mixture is derived from the densities; the laws are read from a
+        # loaded document, as ``verify`` reads them
+        seq = random_process_spec(random.Random(seed))
+        plan = jsonio.plan_from_doc(jsonio.plan_to_doc(build_plan(seq)))
+        space = seq.space
+        # the weighted increments rebuild the limit law
+        acc = {}
+        for n, law in enumerate(plan.increment_laws, start=1):
+            for z, v in law.mass.items():
+                acc[z] = acc.get(z, 0) + plan.index_probability(n) * v
+        assert MassFunction.from_masses(space, acc) == seq.limit
+        for n, k in enumerate(plan.schedule.windows, start=1):
+            member = window_marginal(seq.member(n), k).mass
+            envelope = window_marginal(plan.envelopes[n - 1], k).mass
+            tail = plan.index_tail_probability(n)
+            # every residual is non-negative: the envelope sits below the member
+            assert all(v <= member.get(p, 0) for p, v in envelope.items())
+            # the window mixture rebuilds the member's window law
+            mixture = dict(envelope)
+            for p, v in plan.residual_laws[n - 1].mass.items():
+                mixture[p] = mixture.get(p, 0) + tail * v
+            assert {p: v for p, v in mixture.items() if v} == member
+            # a law the sampler never draws is empty
+            if plan.index_probability(n) == 0:
+                assert not plan.increment_laws[n - 1].weights
+            if tail == 0:
+                assert not plan.residual_laws[n - 1].weights
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**9))
     def test_derived_ladder_is_the_built_ladder(self, seed):
         seq = random_process_spec(random.Random(seed))
         plan = build_plan(seq)
-        assert plan.ladder.envelopes == build_ladder(seq, plan.schedule)
+        assert plan.densities == build_ladder(seq, plan.schedule)
+        assert_envelopes_are_minimal_ratios(seq, plan.schedule, plan.ladder.envelopes)
         assert plan.ladder.floors == floors_of(seq, plan.schedule)
 
 
@@ -479,7 +522,10 @@ class TestSampling:
         assert plan.schedule.windows == (1, 1)
         assert set(plan.kernels[0]) == {0}
         moved = MassFunction.from_masses(plan.residual_laws[0].space, {(1,): F(1)})
-        sampler = CouplingSampler(replace(plan, residual_laws=(moved, plan.residual_laws[1])))
+        # no densities derive this residual law, so it is put in the plan's cache
+        bad_plan = replace(plan)
+        vars(bad_plan)["residual_laws"] = (moved, plan.residual_laws[1])
+        sampler = CouplingSampler(bad_plan)
         rng = random.Random(0)
         with pytest.raises(InternalInvariantError, match=r"no kernel row for prefix \(1,\) at index 1"):
             for _ in range(100):
@@ -716,35 +762,10 @@ class TestDerivedLaws:
                     laws += (conditional_given_prefix(member, p, k) for p in conditionals)
                 laws.append(member.scaled(F(2, 3)))
             for p in (plan, loaded):
-                laws += (*p.ladder.floors, *p.ladder.envelopes, *mixture_envelopes(p))
+                laws += (*p.ladder.floors, *p.ladder.envelopes, *p.envelopes)
                 laws += (*p.increment_laws, *p.residual_laws, *coupling_marginals(p)[0])
                 laws += engine._tail_mixture_laws(p).values()
                 laws += (row.law for rows in p.kernels for row in rows.values())
         assert made
         for law in (*made, *laws):
             assert_checked(law)
-
-    @pytest.mark.parametrize(
-        "space",
-        [ProductSpace((Alphabet(("x", "y")),)), ProductSpace((Alphabet(("a", "b")),) * 2)],
-        ids=["same-shape", "wider"],
-    )
-    def test_foreign_space_increment_fails_with_witness(self, two_member_sequence, space):
-        plan = build_plan(two_member_sequence)
-        laws = list(plan.increment_laws)
-        assert plan.index_probability(1)
-        pad = (0,) * (space.width - 1)
-        weights = {space.encode((z, *pad)): w for z, w in laws[0].weights.items()}
-        laws[0] = MassFunction(space, laws[0].denominator, weights)
-        checks = plan_exact_checks(replace(plan, increment_laws=tuple(laws)))
-        witness = "check raised SpaceMismatchError: increment law 1 lives on a different space"
-        failed = {c.name: c.witness for c in checks if not c.passed}
-        assert failed == dict.fromkeys(
-            [
-                "ladder-below-floor",
-                "ladder-mass-bound",
-                "mixture-reconstructs-limit",
-                "window-mixture-reconstructs-members",
-            ],
-            witness,
-        )

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,7 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio, streams
 from windowcoupling.engine import plan_exact_checks
-from windowcoupling.verify import random_law_sequence, random_metric_model
+from windowcoupling.verify import random_law_sequence, random_metric_model, random_process_spec
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -122,19 +123,21 @@ class TestSequenceDocs:
 
 
 class TestPlanDocs:
-    def test_format_4_stores_only_the_mixture(self, two_member_sequence):
+    def test_format_5_stores_only_the_densities(self, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
-        assert doc["format"] == 4
-        assert set(doc) == {
-            "format",
-            "sequence",
-            "schedule",
-            "index_law",
-            "increment_laws",
-            "residual_laws",
-        }
-        # P(N > M + 1) = 0: the last residual law is never drawn
-        assert doc["residual_laws"][-1] == {}
+        assert doc["format"] == 5
+        assert set(doc) == {"format", "sequence", "schedule", "densities"}
+        # r_1 and r_2 per k_2-prefix, reduced; envelope 3 is the limit itself
+        assert doc["densities"] == [{"a": "1/2", "b": "1/1"}, {"a": "2/3", "b": "1/1"}]
+
+    def test_densities_are_reduced_and_zero_free(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            plan = build_plan(random_process_spec(rng))
+            for density in jsonio.plan_to_doc(plan)["densities"]:
+                for value in density.values():
+                    num, den = map(int, value.split("/"))
+                    assert num > 0 and math.gcd(num, den) == 1
 
     def test_round_trip_preserves_everything(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -146,15 +149,14 @@ class TestPlanDocs:
     def test_loading_skips_validation(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         doc = jsonio.plan_to_doc(plan)
-        point = next(iter(doc["increment_laws"][0]))
-        doc["increment_laws"][0][point] = "1/1000"
+        doc["densities"][0]["a"] = "2/1"
         loaded = jsonio.plan_from_doc(doc)  # must not raise
         assert not audit_plan(loaded).all_exact_passed
 
     def test_law_count_must_match_the_components(self, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
-        doc["increment_laws"].pop()
-        with pytest.raises(ValueError, match="'increment_laws' must hold one law per"):
+        doc["densities"].pop()
+        with pytest.raises(ValueError, match="'densities' must hold one map per index 1..2, found"):
             jsonio.plan_from_doc(doc)
 
     def test_sampling_a_loaded_plan_reproduces_draws(self, two_member_sequence):

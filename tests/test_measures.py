@@ -26,7 +26,7 @@ from windowcoupling import (
     window_infimum,
     window_marginal,
 )
-from windowcoupling.engine import KernelTable, extended_floors
+from windowcoupling.engine import CouplingPlan, KernelTable, extended_floors
 from windowcoupling.measures import ZERO, prefix_conditionals
 
 from conftest import tuple_mass
@@ -480,7 +480,7 @@ class TestIntegerForm:
                         if seq.space.prefix(z, k) == prefix
                     }
         schedule = build_schedule(seq, table)
-        envelopes = build_ladder(seq, schedule, table)
+        envelopes = CouplingPlan(seq, schedule, build_ladder(seq, schedule, table)).envelopes
         limit = seq.limit.mass
         floors = [extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)]
         assert extended_floors(seq, schedule, table) == tuple(floors)

@@ -5,12 +5,15 @@ deliberate.  The format-1 plan hashes were computed from the plain
 reference construction, before the build path became table-driven.
 Format 2 drops only data that format 1 derived or that the sampler
 never reads, format 3 drops the ladder and the kernel rows, which
-format 2 stored but which follow from the rest, and format 4 writes the
-empty law in place of every mixture law the sampler never draws.
-``v3_doc`` puts the format-3 fillers back into a format-4 plan,
-``v2_doc`` adds the derived ladder and kernel rows to that, and
-``v1_doc`` builds on it; they must reproduce the format-3, format-2 and
-format-1 bytes exactly.  Sample bytes are the same in every format.
+format 2 stored but which follow from the rest, format 4 writes the
+empty law in place of every mixture law the sampler never draws, and
+format 5 stores the envelope densities in place of the mixture laws,
+which are derived from them.  ``v4_doc`` writes the derived mixture
+laws in place of the densities, ``v3_doc`` puts the format-3 fillers
+back into that, ``v2_doc`` adds the derived ladder and kernel rows, and
+``v1_doc`` builds on it; they must reproduce the format-4, format-3,
+format-2 and format-1 bytes exactly.  Sample bytes are the same in every
+format.
 """
 import hashlib
 import random
@@ -57,6 +60,17 @@ def uniform_on_cylinder(space, prefix, k) -> MassFunction:
     return MassFunction.from_masses(space, {z: F(1, len(extensions)) for z in extensions})
 
 
+def v4_doc(plan) -> dict:
+    """The format-4 document of a plan: its mixture laws in place of its densities."""
+    doc = jsonio.plan_to_doc(plan)
+    del doc["densities"]
+    doc["format"] = 4
+    doc["index_law"] = jsonio.law_to_doc(plan.index_law)
+    doc["increment_laws"] = [jsonio.law_to_doc(v) for v in plan.increment_laws]
+    doc["residual_laws"] = [jsonio.law_to_doc(w) for w in plan.residual_laws]
+    return doc
+
+
 def v3_doc(plan) -> dict:
     """The format-3 document of a plan.
 
@@ -64,7 +78,7 @@ def v3_doc(plan) -> dict:
     member n's window law as residual n where P(N > n) = 0, where format
     4 stores the empty law.
     """
-    doc = jsonio.plan_to_doc(plan)
+    doc = v4_doc(plan)
     doc["format"] = 3
     seq = plan.sequence
     for n in range(1, plan.count + 1):
@@ -139,7 +153,7 @@ def v1_doc(plan) -> dict:
     return doc
 
 
-# seed -> (schedule, format-1 to format-4 plan sha256, audit report sha256)
+# seed -> (schedule, format-1 to format-5 plan sha256, audit report sha256)
 ENUMERABLE = {
     0: (
         (0, 0, 0, 2),
@@ -147,7 +161,8 @@ ENUMERABLE = {
         "974ac6696e64fa40badb4b013d1b9c7a9c9fe5f122e97381c11fab2c8030b7c8",
         "a2418eee23df1c8536e833271858fae579639e1002da5288fd9437043202cb5a",
         "6dd10129eb047eeb8c5c5150f458e01e4ab20eb7c1019a22ee34deb13e79383f",
-        "7c5ce101611c3bd08fa794bb617d0f0ec4b7577e6024e0cdacca019210f32788",
+        "860084d77541f593e56c0c30956d85388bbdc50f9dfb239a14e3202a47c6391e",
+        "c738b1df0e0ecec95be6e1305a82ed356abb62af5f615da86ebe73a3619ce0c5",
     ),
     3: (
         (0, 0, 1),
@@ -155,7 +170,8 @@ ENUMERABLE = {
         "17b2eccd52396aa755a6b5768706e775d882f14dbdd840be58b7b5a85bc03a8d",
         "af5841eb812a9f27e5c4a9e5a1955e8a1b2b6e7fdc362d1df7a47ae94fb013f4",
         "7e4d18cf484a7082f96ec061b9fa8850f032ca680dfda47f37792698d7176b0c",
-        "3812da1b1cc4970204fcb200e3bfac79f89949a9701e340de2981e8d44ad243e",
+        "9ae54b75fe00dd61d0b3afa8029379dcba74e095abd58cce2b8790c30516a0bb",
+        "adba19d2d1c0e36e1e76e5f8f9eec60e78e180c21471f920f28f2665522a7b9d",
     ),
     12: (
         (1, 1, 1, 2),
@@ -163,7 +179,8 @@ ENUMERABLE = {
         "64a77f6d5702ced8c305b6af98a74cc02d3b2aad6c7f2751a78ba7f2d0cd33c1",
         "aaa7dadf5c350e6336bf07fb8a8815b2c8e5b578b445e6a2c416b4f08e4a27d4",
         "587b296e9b557438d699e0ec1982b1c54c80b82c75a57c9e16fb2419b55208e2",
-        "bc60d9d756f818c20db335fd132674be528a7cccf6d7a4b17edd6cbec9907c88",
+        "0b77ce2ed94add99fd67b639828387a1e321ff0dc7d02666fccea72d3d143f5d",
+        "2e81ebaed64eed2f6fa08106d040884c953dc386417efc08f788a0bcd304dd3d",
     ),
     26: (
         (1, 1, 1, 1, 3),
@@ -171,7 +188,8 @@ ENUMERABLE = {
         "b73e911fb8fcf3c98316b4360024a4c0259686a20bd1f40c6bd2e2d9845470aa",
         "97161f9e9da129e5df06d3f3d13c1982a1759d36131de875655b1aad382898d7",
         "2220dd318f3a3030c5801c1d432d5d1bf71d16f21d3775c1960527cb68dc89b8",
-        "6a6da73c3ded97ec514fe1bca65ba738f82821624cf01de258f7db6c73c55e65",
+        "b14ec6847d3f201784d3fc89a1da0ba1f211c480599579cbd4a92ffac3343791",
+        "529fabd16b867270fb093488b0e0028b638895c4d1391974327ab5841d791fcc",
     ),
     35: (
         (2, 2, 2, 3),
@@ -179,7 +197,8 @@ ENUMERABLE = {
         "5b8467234ac09d541b096b2cea0944c41412555e89accc328aa659574a24da29",
         "3404011b9e9dad1ab7d79fdf15391d8ebe5b1da07d3e9af44ee1cb0ed139c706",
         "93fe1328500c269db382dc66a436aaf3bba43101944bc7e3392c4fbe7192019c",
-        "620a789384688610c5f5f2f39b784e0ba59f1ec74163b014f096540ffe4e3dae",
+        "d50c80c03335fb05d4390f197e535ade1f1e3d1765e1ce031152eb17c57c32a1",
+        "a421352af4c58ebd6358deecddfa640aba135beb4f5ff32a084c98965f867bc0",
     ),
 }
 
@@ -198,10 +217,11 @@ SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d
 
 @pytest.mark.parametrize("seed", sorted(ENUMERABLE))
 def test_enumerable_plan_bytes(seed):
-    windows, v1_sha, v2_sha, v3_sha, v4_sha, report_sha = ENUMERABLE[seed]
+    windows, v1_sha, v2_sha, v3_sha, v4_sha, v5_sha, report_sha = ENUMERABLE[seed]
     _, plan = random_enumerable_plan(random.Random(seed))
     assert plan.schedule.windows == windows
-    assert sha256(jsonio.plan_to_doc(plan)) == v4_sha
+    assert sha256(jsonio.plan_to_doc(plan)) == v5_sha
+    assert sha256(v4_doc(plan)) == v4_sha
     assert sha256(v3_doc(plan)) == v3_sha
     assert sha256(v2_doc(plan)) == v2_sha
     assert sha256(v1_doc(plan)) == v1_sha
@@ -269,6 +289,10 @@ def test_skorohod_plan_bytes():
     assert coupling.plan.schedule.windows == (0, 0, 3)
     assert (
         sha256(jsonio.plan_to_doc(coupling.plan))
+        == "1b200398710687d24cadceea32273f83feac59eebfe0980f2a27078c73b00c17"
+    )
+    assert (
+        sha256(v4_doc(coupling.plan))
         == "d8255a38199117884a5b564a87ea5df65202f602478675ad0be2e83e82e02b29"
     )
     assert (
@@ -285,7 +309,7 @@ def test_skorohod_plan_bytes():
     )
     assert (
         sha256(jsonio.report_to_doc(audit_skorohod(coupling)))
-        == "d465d29096aa7e7e027aee5cee7e33f11c63335bfc20193db7272c2ff46742fb"
+        == "551957de9f46fc575623b12abf0ba58ca90ac67648ecad231c4a15aa6636c51f"
     )
 
 
@@ -336,5 +360,5 @@ def test_jittered_lattice_tree_and_report_bytes():
         "89164df424e1f13a0779aba61cd1038bac22c1bbf7029773b0f1b46cdaf4b17a"
     )
     assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
-        "868b18b91d5191cf162c84efc08f6ebdcf02dcd74b2a418960f08c4c67011ec0"
+        "2aebd5a161dd5cb52a848a6bda51db8eaf331bba7677e4b79acac7b8e1a2adb6"
     )

@@ -1,11 +1,11 @@
-"""One mutation of a valid format-4 plan document, run through the CLI.
+"""One mutation of a valid format-5 plan document, run through the CLI.
 
-Each case changes one thing in a plan document: scales one mass (to
-zero, a half, double, a negative value or "2/1"), drops a law or a
-window from a list, lowers or raises one schedule window, swaps two
-increment laws, writes a "1/0" mass, or writes a probability law (the
-format-3 filler) into a slot the sampler never draws from.  Then it
-runs ``verify`` and ``sample`` on the result:
+Each case changes one thing in a plan document: scales one density or
+one mass of the sequence (to zero, a half, double, a negative value or
+"2/1"), drops a density map, a member or a window from a list, lowers
+or raises one schedule window, swaps two density maps, writes a "1/0"
+value, or adds a density at a k_M-prefix the limit law does not charge.
+Then it runs ``verify`` and ``sample`` on the result:
 
 - ``verify`` exits 1 with a FAIL line that names a witness, or exits 2
   with exactly one ``error:`` line.  It may exit 0 only when the mutated
@@ -18,8 +18,13 @@ runs ``verify`` and ``sample`` on the result:
   that fails one gives exit 1 with exactly one ``error:`` line, naming
   the first failing check and its witness; a plan that does not load
   gives exit 2 with exactly one ``error:`` line.
-- A filled never-drawn slot makes both commands exit 1 naming
-  ``never-drawn-laws-empty``.
+- Two swapped density maps make both commands exit 1 naming
+  ``densities-non-decreasing``.
+- A density at a prefix the limit does not charge is never read by the
+  derivation, so the plan loads and its draws still have the right law;
+  both commands exit 1, and ``verify`` names ``ladder-below-floor``.
+  It is a well-shaped document that breaks an invariant, so it fails a
+  check rather than exiting 2.
 
 No case may end in an exception.
 """
@@ -39,11 +44,13 @@ from windowcoupling import audit_plan, exact_joint_law, jsonio, window_marginal
 from windowcoupling.cli import main
 from windowcoupling.verify import random_enumerable_plan
 
-# small plans, all but the first with two to four values of N, windows
-# that widen, and joint supports of at most 159 points
+# small plans, all but the first with two to four values of N and joint
+# supports of at most 159 points; all but the last have windows that
+# widen, and the last (three values of N, windows (3, 3, 3)) has two
+# 3-prefixes that its limit law does not charge
 BASE_DOCS = [
     jsonio.plan_to_doc(random_enumerable_plan(random.Random(seed))[1])
-    for seed in (0, 12, 24, 35, 50, 107, 133, 193)
+    for seed in (0, 12, 24, 35, 50, 107, 133, 193, 252)
 ]
 
 FACTORS = (F(0), F(1, 2), F(2), F(-1))
@@ -51,38 +58,27 @@ FAIL_LINE = re.compile(r"^  FAIL [\w-]+: \S", re.MULTILINE)
 MARGINALS_LINE = re.compile(r"^  (PASS|FAIL) joint-law-marginals", re.MULTILINE)
 
 
-def mass_locations(doc: dict) -> list[tuple[dict, str]]:
-    """Every (law document, point key) pair of the plan, sequence included."""
+def value_locations(doc: dict) -> list[tuple[dict, str]]:
+    """Every (map, key) pair of a density or a mass of the plan, sequence included."""
     seq = doc["sequence"]
-    laws = [
-        doc["index_law"],
-        *doc["increment_laws"],
-        *doc["residual_laws"],
-        *seq["members"],
-        seq["limit"],
-    ]
-    return [(law, key) for law in laws for key in law]
+    maps = [*doc["densities"], *seq["members"], seq["limit"]]
+    return [(values, key) for values in maps for key in values]
 
 
-def scale_mass(doc: dict, draw) -> None:
-    law, key = draw(st.sampled_from(mass_locations(doc)))
+def scale_value(doc: dict, draw) -> None:
+    values, key = draw(st.sampled_from(value_locations(doc)))
     factor = draw(st.sampled_from(FACTORS + (None,)))
-    law[key] = "2/1" if factor is None else jsonio.fraction_to_str(F(law[key]) * factor)
+    values[key] = "2/1" if factor is None else jsonio.fraction_to_str(F(values[key]) * factor)
 
 
 def zero_denominator(doc: dict, draw) -> None:
-    law, key = draw(st.sampled_from(mass_locations(doc)))
-    law[key] = "1/0"
+    values, key = draw(st.sampled_from(value_locations(doc)))
+    values[key] = "1/0"
 
 
 def drop_entry(doc: dict, draw) -> None:
-    lists = [
-        doc["increment_laws"],
-        doc["residual_laws"],
-        doc["sequence"]["members"],
-        doc["schedule"]["windows"],
-    ]
-    entries = draw(st.sampled_from(lists))
+    lists = [doc["densities"], doc["sequence"]["members"], doc["schedule"]["windows"]]
+    entries = draw(st.sampled_from([entries for entries in lists if entries]))
     del entries[draw(st.integers(0, len(entries) - 1))]
 
 
@@ -92,36 +88,40 @@ def shift_window(doc: dict, draw) -> None:
     windows[n] += draw(st.sampled_from((-1, 1)))
 
 
-def swap_increments(doc: dict, draw) -> None:
-    laws = doc["increment_laws"]
+def swap_densities(doc: dict, draw) -> None:
+    maps = doc["densities"]
     pairs = [
-        (i, j) for i in range(len(laws)) for j in range(i + 1, len(laws)) if laws[i] != laws[j]
+        (i, j) for i in range(len(maps)) for j in range(i + 1, len(maps)) if maps[i] != maps[j]
     ]
     assume(pairs)
     i, j = draw(st.sampled_from(pairs))
-    laws[i], laws[j] = laws[j], laws[i]
+    maps[i], maps[j] = maps[j], maps[i]
 
 
-def fill_never_drawn(doc: dict, draw) -> None:
+def uncharged_prefixes(doc: dict) -> list[str]:
+    """Labels of the k_M-prefixes that the plan's limit law does not charge."""
     plan = jsonio.plan_from_doc(doc)
-    seq = plan.sequence
-    slots = [("increment_laws", n) for n in range(plan.count) if not doc["increment_laws"][n]]
-    slots += [("residual_laws", n) for n in range(plan.count) if not doc["residual_laws"][n]]
-    name, n = draw(st.sampled_from(slots))
-    if name == "increment_laws":
-        law = seq.limit
-    else:
-        law = window_marginal(seq.member(n + 1), plan.schedule.windows[n])
-    doc[name][n] = jsonio.law_to_doc(law)
+    k = plan.schedule.windows[-2]
+    window = plan.sequence.space.window(k)
+    charged = window_marginal(plan.sequence.limit, k).weights
+    return [window.format_point(p) for p in window.points() if p not in charged]
+
+
+def off_support_density(doc: dict, draw) -> None:
+    prefixes = uncharged_prefixes(doc)
+    assume(prefixes)
+    label = draw(st.sampled_from(prefixes))
+    density = draw(st.sampled_from(doc["densities"]))
+    density[label] = draw(st.sampled_from(("1/2", "1/1")))
 
 
 MUTATIONS = (
-    scale_mass,
+    scale_value,
     zero_denominator,
     drop_entry,
     shift_window,
-    swap_increments,
-    fill_never_drawn,
+    swap_densities,
+    off_support_density,
 )
 
 
@@ -182,8 +182,12 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
 
         code, out, err = run_cli(["verify", "--plan", str(plan), "--samples", "30"])
         assert "Traceback" not in err
-        if mutation is fill_never_drawn:
-            assert code == 1 and "  FAIL never-drawn-laws-empty: " in out, (code, out)
+        if mutation is swap_densities:
+            assert code == 1 and "  FAIL densities-non-decreasing: " in out, (code, out)
+        if mutation is off_support_density:
+            witness = re.search(r"^  FAIL ladder-below-floor: (.*)$", out, re.MULTILINE)
+            assert code == 1 and witness, (code, out)
+            assert witness.group(1).endswith("a prefix the limit law does not charge"), out
         if code == 0:
             assert is_coupling(doc), "verify passed a plan that is not a coupling"
         elif code == 1:
@@ -202,8 +206,8 @@ def test_mutated_plan_fails_cleanly(base, mutation, data):
         assert code in (0, 1, 2)
         if code:
             assert error_lines(err) == 1, (code, err)
-        if mutation is fill_never_drawn:
-            assert code == 1 and "no samples drawn: never-drawn-laws-empty: " in err, err
+        if mutation is swap_densities:
+            assert code == 1 and "no samples drawn: densities-non-decreasing: " in err, err
         failed = exact_failures(doc)
         if failed is None:
             assert code == 2, (code, err)

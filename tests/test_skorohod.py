@@ -70,6 +70,14 @@ class TestMetricSpaceModel:
         with pytest.raises(MetricModelError, match="label"):
             MetricSpaceModel.from_table(("a,b",), ((F(0),),))
 
+    def test_rejects_a_table_and_coordinates_together(self):
+        # the table's distances 0..5 are not the coordinates' 0..1
+        table = tuple(tuple(F(abs(i - j)) for j in range(6)) for i in range(6))
+        coords = tuple((F(i, 5),) for i in range(6))
+        labels = tuple(f"p{i}" for i in range(6))
+        with pytest.raises(MetricModelError, match="^a model gives coords or dist, not both$"):
+            MetricSpaceModel(labels, table, (True,) * 6, coords)
+
 
 def reference_metric_error(labels, dist):
     """The metric checks run directly on the entries, as Fraction loops.
@@ -440,6 +448,7 @@ class TestPartitionTree:
         [
             ({(3, 2): (0, 1)}, "partition-disjoint-cover", "level 2: point 0 in two cells"),
             ({(4, 2): ()}, "partition-disjoint-cover", "level 2: cells miss point 2"),
+            ({(2,): (0, 7)}, "partition-disjoint-cover", "level 1: point 7 outside the model"),
             (
                 {(3, 2): (2,), (4, 2): (1,)},
                 "partition-nested",
@@ -460,6 +469,7 @@ class TestPartitionTree:
         ids=[
             "point-in-two-cells",
             "point-in-no-cell",
+            "point-outside-the-model",
             "children-swap-points",
             "support-point-in-a-residual",
             "residual-with-mass",

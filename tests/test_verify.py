@@ -13,6 +13,7 @@ from windowcoupling import (
     build_plan,
     build_skorohod_coupling,
     mc_agreement,
+    window_marginal,
 )
 from windowcoupling import engine, jsonio
 from windowcoupling.verify import (
@@ -35,19 +36,24 @@ class TestAuditPlan:
         assert report.provenance["seed"] is None
 
     def test_worked_example_reconstruction_exact(self, skewed_sequence):
-        report = audit_plan(build_plan(skewed_sequence))
+        plan = build_plan(skewed_sequence)
+        report = audit_plan(plan)
         names = {c.name for c in report.exact_checks}
-        assert "window-mixture-reconstructs-members" in names
+        assert "densities-non-decreasing" in names
         assert report.all_exact_passed
+        for n, (k, (denominator, weights)) in enumerate(
+            zip(plan.schedule.windows, plan.window_mixtures), start=1
+        ):
+            member = window_marginal(skewed_sequence.member(n), k)
+            assert MassFunction(member.space, denominator, dict(weights)) == member
 
     def test_corrupted_plan_fails_with_witness(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        # move the mass of N = 2 onto N = 1
+        # move the mass of N = 2 onto N = 1: envelope 1 becomes envelope 2
         first, second, third = (plan.index_probability(n) for n in (1, 2, 3))
-        moved = MassFunction.from_masses(
-            plan.index_law.space, {(0,): first + second, (2,): third}
-        )
-        report = audit_plan(replace(plan, index_law=moved))
+        moved = replace(plan, densities=(plan.densities[1], plan.densities[1]))
+        assert moved.index_law.mass == {0: first + second, 2: third}
+        report = audit_plan(moved)
         assert not report.all_exact_passed
         failed = [c for c in report.exact_checks if not c.passed]
         assert any(c.name == "ladder-below-floor" for c in failed)
@@ -55,13 +61,18 @@ class TestAuditPlan:
 
     def test_audit_never_raises_on_corrupt_plans(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        # one increment law too few: the envelope sums index past the end,
-        # which must surface as failures, not exceptions
-        bad = replace(plan, increment_laws=plan.increment_laws[:-1])
+        # a negative density makes envelope 1 a negative measure, which the
+        # mass bound cannot build; that must surface as failures, not
+        # exceptions
+        first = {**plan.densities[0], 0: (-1, 2)}
+        bad = replace(plan, densities=(first, plan.densities[1]))
         report = audit_plan(bad)
-        assert not report.all_exact_passed
-        failed = [c for c in report.exact_checks if not c.passed]
-        assert all("IndexError" in c.witness for c in failed)
+        failed = {c.name: c.witness for c in report.exact_checks if not c.passed}
+        assert failed == {
+            "densities-non-decreasing": "n=1: density -1/2 at (0,) is not between 0"
+            " and density 2's 2/3",
+            "ladder-mass-bound": "check raised ValueError: negative mass -1/4 at (0,)",
+        }
 
 
 class TestMcAgreement:
@@ -102,14 +113,15 @@ class TestMcAgreement:
     def test_unsampleable_plan_gives_one_failing_check(self, line_model, line_laws):
         coupling = build_skorohod_coupling(line_model, line_laws, 2)
         plan = coupling.plan
-        short = plan.index_law.scaled(F(25, 28))
-        broken = replace(coupling, plan=replace(plan, index_law=short))
+        # density 2 on the whole limit support gives envelope 1 mass 2
+        doubled = {p: (2, 1) for p in plan.densities[0]}
+        broken = replace(coupling, plan=replace(plan, densities=(doubled,)))
         for checks in (
             mc_agreement(broken, 30, seed=1).mc_checks,
             mc_agreement(broken.plan, 30, seed=1).mc_checks,
         ):
             assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
-            assert "ValueError: can only sample probability laws" in checks[0].note
+            assert "ValueError: total mass 2 exceeds 1" in checks[0].note
 
 
 class TestJointLawMarginals:
@@ -117,23 +129,28 @@ class TestJointLawMarginals:
         coupling = build_skorohod_coupling(line_model, line_laws, 2)
         assert joint_law_marginals(coupling.plan) == ("joint-law-marginals", True, None)
 
-    def test_swapped_increments_fail_with_witness(self, skewed_sequence):
+    def test_full_first_envelope_fails_with_witness(self, skewed_sequence):
+        # envelope 1 is the limit, so N = 1 surely and component 1 draws
+        # the limit's law, not the member's
         plan = build_plan(skewed_sequence)
-        swapped = replace(plan, increment_laws=plan.increment_laws[::-1])
-        check = joint_law_marginals(swapped)
+        full = replace(plan, densities=({0: (1, 1), 1: (1, 1)},))
+        assert full.index_law.mass == {0: F(1)}
+        check = joint_law_marginals(full)
         assert not check.passed
         assert check.witness == "component 1 marginal differs"
 
     def test_prefix_without_kernel_row_fails_with_witness(self, binary_space):
-        # member 1 puts no mass on "b", so component 1 has no row at (1,)
+        # member 1 puts no mass on "b", so component 1 has no row at (1,);
+        # envelope 1 on b makes residual 1, the member minus it, negative there
         member = MassFunction.from_masses(binary_space, {(0,): F(1)})
         limit = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
         plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
         on_b = MassFunction.point_mass(binary_space, (1,))
-        bad = replace(plan, increment_laws=(on_b,) + plan.increment_laws[1:])
+        bad = replace(plan, densities=({1: (1, 1)},))
+        assert bad.increment_laws[0] == on_b
         check = joint_law_marginals(bad)
         assert not check.passed
-        assert check.witness == "check raised KeyError: (1,)"
+        assert check.witness == "check raised ValueError: negative mass -1/2 at (1,)"
 
     def test_builds_no_kernel_rows(self, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
@@ -170,15 +187,16 @@ class TestOncePerPlan:
     def test_certify_builds_the_envelopes_once(self, monkeypatch, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
         calls = []
-        original = engine.mixture_envelopes
+        original = engine._limit_times
 
-        def counting(target):
-            calls.append(target)
-            return original(target)
+        def counting(law, k, ratios):
+            calls.append(ratios)
+            return original(law, k, ratios)
 
-        monkeypatch.setattr(engine, "mixture_envelopes", counting)
+        monkeypatch.setattr(engine, "_limit_times", counting)
         assert certify(plan, 50, seed=1).all_passed
-        assert calls == [plan]
+        # one envelope per density; the other calls extend window laws
+        assert [r for r in calls if any(r is d for d in plan.densities)] == list(plan.densities)
 
     def test_certify_builds_the_window_mixtures_once(self, monkeypatch, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
