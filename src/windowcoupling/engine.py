@@ -59,9 +59,12 @@ Every window marginal and window infimum the construction and its
 checks read comes from one ``WindowTable`` per sequence: ``build_plan``
 builds it once and hands it to the schedule, the ladder and the
 validation, and ``plan_exact_checks`` builds its own when it is given a
-loaded plan.  The tail rule makes density convergence automatic (from
-index M + 1 on only the limit law remains), so no convergence scan
-runs.
+loaded plan.  The table computes an infimum only when it is read, and
+the schedule scan reads index n only at windows between k_n and
+k_{n+1}, so no infimum wider than the schedule can use is computed;
+the ladder and the checks read each index at its scheduled window.
+The tail rule makes density convergence automatic (from index M + 1 on
+only the limit law remains), so no convergence scan runs.
 
 ``window_infimum``, ``window_deficit``, ``extend_window_law`` and
 ``extended_floor`` compute the same quantities one ``Fraction`` at a
@@ -400,6 +403,9 @@ def largest_feasible_windows(
     The deficit is non-decreasing in the window length, so scanning from
     the full width down finds the maximum; window 0 always has deficit 0.
     ``table`` is the sequence's window table when the caller has one.
+    This reads the infimum of every index at every window down to its
+    cap; ``build_schedule`` reads fewer and finds the same schedule, so
+    this is the reference it is tested against.
     """
     if table is None:
         table = WindowTable(seq)
@@ -426,12 +432,22 @@ def build_schedule(
     dead-end when a later bound tightens faster than its deficit shrinks.
     From index M + 1 on only the limit law remains, so its deficit is 0
     in every window and the schedule always reaches the full width.
+
+    The scan walks n = M + 1 down to 1 and lowers one running window
+    while its deficit at n exceeds 2**-n.  Since the deficit does not
+    decrease in the window length and window 0 has deficit 0, it stops
+    at the smaller of the running window and index n's largest feasible
+    window, which is that running minimum (``largest_feasible_windows``)
+    without reading any window wider than the schedule can use.
     """
-    caps = largest_feasible_windows(seq, table)
+    if table is None:
+        table = WindowTable(seq)
+    running = seq.space.width
     windows: list[int] = []
-    running = caps[-1]
-    for cap in reversed(caps):
-        running = min(running, cap)
+    for n in range(seq.horizon + 1, 0, -1):
+        bound = Fraction(1, 2**n)
+        while table.deficit(n, running) > bound:
+            running -= 1
         windows.append(running)
     windows.reverse()
     return WindowSchedule(tuple(windows), seq.horizon)

@@ -98,7 +98,44 @@ def parse_fraction(text: Any) -> Fraction:
 
 
 def canonical_dumps(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, from C-encoded pieces.
+
+    CPython encodes in C only without ``indent``.  So each flat object,
+    whose keys and values are all strings (every law and density map),
+    is written by one C-encoded call that carries the indentation in its
+    item separator, and every other object or array is written item by
+    item, its keys and scalars C-encoded.  Object keys must be strings,
+    as in every document the package writes.
+    """
+    out: list[str] = []
+    _write_indented(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_indented(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` as ``canonical_dumps`` writes it at the indentation ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        if set(map(type, value)) == set(map(type, value.values())) == {str}:
+            flat = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+            out += "{", inner, flat[1:-1], newline, "}"
+            return
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out += separator, json.encoder.encode_basestring_ascii(key), ": "
+            _write_indented(item, inner, out)
+            separator = "," + inner
+        out += newline, "}"
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_indented(item, inner, out)
+            separator = "," + inner
+        out += newline, "]"
+    else:
+        out.append(json.dumps(value))
 
 
 # json.dumps builds an encoder per call when given options; one sample

@@ -471,18 +471,22 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
 
 
 class WindowTable:
-    """Every window marginal and window infimum of one sequence, each computed once.
+    """Every window marginal of one sequence, and the window infima that are read.
 
     Index n = 1..M names the members and n = M + 1 the limit law; by the
     tail rule every later index is the limit too.  Each law's k-window
-    marginal is its (k+1)-window marginal truncated by one coordinate.
-    The infima of window k come from one backward sweep: the infimum
-    from M + 1 is the limit marginal, and the infimum from n is the
-    pointwise minimum of P_n|k and the infimum from n + 1, taken over
-    the support of the latter, with both weights scaled to the lcm of
-    the two denominators.  ``marginal`` and ``infimum`` return what
-    ``window_marginal`` and ``window_infimum`` would, at the cost of a
-    lookup.
+    marginal is its (k+1)-window marginal truncated by one coordinate,
+    all computed at construction.  The infima of window k come from a
+    backward sweep, filled on demand: the infimum from M + 1 is the
+    limit marginal, and the infimum from n is the pointwise minimum of
+    P_n|k and the infimum from n + 1, taken over the support of the
+    latter, with both weights scaled to the lcm of the two denominators.
+    A read of the infimum from n at window k extends that window's sweep
+    down to n, if it has not reached n yet, so each infimum is computed
+    at most once and only the windows and indices read are computed at
+    all; the result does not depend on the order of the reads.
+    ``marginal`` and ``infimum`` return what ``window_marginal`` and
+    ``window_infimum`` would.
     """
 
     def __init__(self, seq: ProcessSequenceSpec) -> None:
@@ -495,22 +499,8 @@ class WindowTable:
                 levels.append(window_marginal(levels[-1], k))
             levels.reverse()
             self._marginals.append(levels)
-        self._infima = [[law] for law in self._marginals[-1]]
-        for k, column in enumerate(self._infima):
-            for levels in reversed(self._marginals[:-1]):
-                later = column[-1]
-                member = levels[k]
-                common = math.lcm(later.denominator, member.denominator)
-                later_scale = common // later.denominator
-                member_scale = common // member.denominator
-                weights = member.weights
-                out: dict[Point, int] = {}
-                for point, weight in later.weights.items():
-                    m = min(weights.get(point, 0) * member_scale, weight * later_scale)
-                    if m:
-                        out[point] = m
-                column.append(MassFunction._derived(later.space, common, out))
-            column.reverse()
+        # per window k, the infima from M + 1, M, ... down to the lowest index read
+        self._sweeps = [[law] for law in self._marginals[-1]]
 
     def _locate(self, n: int, k: int) -> int:
         if n < 1:
@@ -525,7 +515,22 @@ class WindowTable:
     def infimum(self, n: int, k: int) -> MassFunction:
         """The k-window infimum over indices >= n."""
         row = self._locate(n, k)
-        return self._infima[k][row]
+        sweep = self._sweeps[k]
+        last = self.sequence.horizon
+        while len(sweep) <= last - row:
+            later = sweep[-1]
+            member = self._marginals[last - len(sweep)][k]
+            common = math.lcm(later.denominator, member.denominator)
+            later_scale = common // later.denominator
+            member_scale = common // member.denominator
+            weights = member.weights
+            out: dict[Point, int] = {}
+            for point, weight in later.weights.items():
+                m = min(weights.get(point, 0) * member_scale, weight * later_scale)
+                if m:
+                    out[point] = m
+            sweep.append(MassFunction._derived(later.space, common, out))
+        return sweep[last - row]
 
     def deficit(self, n: int, k: int) -> Fraction:
         """Mass missing from the k-window infimum starting at index n."""

@@ -460,6 +460,25 @@ class TestJsonValueTypes:
         assert not out.exists()
 
 
+class TestEmbeddedSequence:
+    """A plan's sequence is input and is checked as input, so a broken member exits 2, not 1."""
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_member_mass_off_one_exits_2(self, tmp_path, skewed_file, capsys, command):
+        plan_path = tmp_path / "plan.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        doc = json.loads(plan_path.read_text())
+        assert doc["sequence"]["members"][0] == {"a": "1/4", "b": "3/4"}
+        doc["sequence"]["members"][0]["a"] = "1/8"
+        plan_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {plan_path}: law 0 has total mass 7/8, not 1\n"
+        assert not out.exists()
+
+
 def one_error_line(err: str) -> bool:
     return "Traceback" not in err and len([line for line in err.splitlines() if "error:" in line]) == 1
 

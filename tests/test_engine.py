@@ -137,6 +137,75 @@ class TestSchedule:
         assert list(build_schedule(seq).windows) == windows
         assert list(build_schedule(seq, table).windows) == windows
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["random", "enumerable", "widening"]))
+    def test_scan_is_the_running_minimum_and_reads_no_wider_window(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "random":
+            seq = random_process_spec(rng)
+        elif kind == "enumerable":
+            seq, _ = random_enumerable_plan(rng)
+        else:
+            seq = widening_sequence(rng, rng.randint(3, 4))
+        caps = largest_feasible_windows(seq)
+        table = RecordingTable(seq)
+        windows = build_schedule(seq, table).windows
+        assert list(windows) == [min(caps[i:]) for i in range(len(caps))]
+        # index n is read only between k_n and k_{n+1}, index M + 1 at the full width
+        upper = (*windows[1:], seq.space.width)
+        assert table.reads
+        for n, k in table.reads:
+            assert windows[n - 1] <= k <= upper[n - 1]
+
+
+class RecordingTable(WindowTable):
+    """A window table that records each (n, k) whose infimum is read."""
+
+    def __init__(self, seq):
+        super().__init__(seq)
+        self.reads = []
+
+    def infimum(self, n, k):
+        self.reads.append((n, k))
+        return super().infimum(n, k)
+
+
+def widening_sequence(rng, width, letters=3, members=8, max_weight=20):
+    """Member n keeps the limit's marginal on its first f(n) coordinates and redraws the rest.
+
+    f is non-decreasing and strictly between 0 and the width, and every
+    law has full support, so the schedule passes through intermediate
+    windows instead of jumping from 0 to the full width.
+    """
+    space = ProductSpace(tuple(Alphabet(tuple("abc"[:letters])) for _ in range(width)))
+    points = list(itertools.product(range(letters), repeat=width))
+
+    def weights():
+        return {z: rng.randint(1, max_weight) for z in points}
+
+    def prefix_sums(masses, k):
+        sums = {}
+        for z, v in masses.items():
+            sums[z[:k]] = sums.get(z[:k], 0) + v
+        return sums
+
+    raw = weights()
+    total = sum(raw.values())
+    limit = {z: F(w, total) for z, w in raw.items()}
+    laws = []
+    for n in range(1, members + 1):
+        k = 1 + ((width - 1) * n) // (members + 1)
+        kept, suffix = prefix_sums(limit, k), weights()
+        suffix_total = prefix_sums(suffix, k)
+        laws.append(
+            MassFunction.from_masses(
+                space, {z: kept[z[:k]] * F(suffix[z], suffix_total[z[:k]]) for z in points}
+            )
+        )
+    return ProcessSequenceSpec(
+        space, tuple(laws), MassFunction.from_masses(space, limit), TailRule(members)
+    )
+
 
 def deficit_entries_for(seq):
     return deficit_entries(build_plan(seq))

@@ -298,7 +298,31 @@ class TestReports:
         assert doc["all_passed"] is True
 
 
+# strings with non-ASCII letters, astral characters, quotes, backslashes
+# and control characters, which the encoder escapes
+JSON_TEXT = st.text(st.sampled_from(["a", "b", "é", "ß", "☃", "\U0001f600", '"', "\\",
+                                     "\n", "\t", "\x00", "\x1f", "\x7f", "/", " "]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)
+        # a flat object, whose keys and values are all strings
+        | st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
 class TestDeterminism:
+    @given(JSON_VALUES)
+    @example({})
+    @example([[], {}, ()])
+    @example({"a": {"b": [{}]}, "c": {"d": "e", "é": "\x00"}})
+    def test_canonical_dumps_is_the_indented_sorted_dump(self, value):
+        assert jsonio.canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
     def test_canonical_dumps_stable(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         a = jsonio.canonical_dumps(jsonio.plan_to_doc(plan))
