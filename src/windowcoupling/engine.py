@@ -23,17 +23,17 @@ this module materializes the coupling in four stages:
    extended along the member; and, for small instances, brute-force
    enumeration of the whole joint law as an independent oracle.
 
-A plan stores only the envelope densities r_1..r_M, besides the
-sequence and the schedule: r_n(z) = min_{n <= i <= M} inf_i|k_i / L|k_i
-at z's k_i-prefixes, the density of envelope n against the limit law L.
-The schedule does not decrease, so r_n is a function of z's
-k_M-prefix.  Everything else is derived from them, once per plan and
-only when read, on one path (``CouplingPlan``): envelope n is L times
-r_n, envelope M + 1 is L, and the mixture follows from the envelopes.
-Floor n is the table's window infimum extended along the limit law;
-building a plan needs only the densities, so the floors are built only
-when ``CouplingPlan.ladder`` is read.  Kernel row n at a prefix is
-member n's conditional law given that prefix.  Component n's prefix
+A plan stores only the sequence and the schedule.  Everything else is
+derived from them, once per plan and only when read, on one path
+(``CouplingPlan``).  The envelope densities come first:
+r_n(z) = min_{n <= i <= M} inf_i|k_i / L|k_i at z's k_i-prefixes, the
+density of envelope n against the limit law L (``build_ladder``).  The
+schedule does not decrease, so r_n is a function of z's k_M-prefix.
+Envelope n is L times r_n, envelope M + 1 is L, and the mixture follows
+from the envelopes.  Floor n is the table's window infimum extended
+along the limit law; a plan needs only the densities, so the floors are
+built only when ``CouplingPlan.ladder`` is read.  Kernel row n at a
+prefix is member n's conditional law given that prefix.  Component n's prefix
 always has positive mass under member n: while N > n it is drawn from
 the residual law, which sits below the member's window marginal, and
 from N on it is the limit point's, drawn from the N-th envelope, which
@@ -56,13 +56,13 @@ lexicographic order, so tables, draws and artifacts do not depend on
 the coding; check witnesses and errors name points by their tuples.
 
 Every window marginal and window infimum the construction and its
-checks read comes from one ``WindowTable`` per sequence: ``build_plan``
-builds it once and hands it to the schedule, the ladder and the
-validation, and ``plan_exact_checks`` builds its own when it is given a
-loaded plan.  The table computes an infimum only when it is read, and
-the schedule scan reads index n only at windows between k_n and
-k_{n+1}, so no infimum wider than the schedule can use is computed;
-the ladder and the checks read each index at its scheduled window.
+checks read comes from the sequence's one ``WindowTable``
+(``ProcessSequenceSpec.window_table``), so a built plan and a loaded
+one each fill one table, which its audit reads too.  The table computes
+a marginal or an infimum only when it is read, and the schedule scan
+reads index n only at windows between k_n and k_{n+1}, so no infimum
+wider than the schedule can use is computed; the densities and the
+checks read each index at its scheduled window.
 The tail rule makes density convergence automatic (from index M + 1 on
 only the limit law remains), so no convergence scan runs.
 
@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .measures import (
     ONE,
@@ -100,7 +100,6 @@ from .measures import (
     Point,
     ProcessSequenceSpec,
     ProductSpace,
-    WindowTable,
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
     prefix_conditionals,
     window_infimum,
@@ -150,11 +149,6 @@ class WindowSchedule:
     """Non-decreasing window lengths k_1..k_{M+1}, ending at the full width."""
 
     windows: tuple[int, ...]
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if len(self.windows) != self.horizon + 1:
-            raise ValueError("schedule must have horizon + 1 entries")
 
     def window(self, n: int) -> int:
         return self.windows[n - 1]
@@ -171,8 +165,8 @@ class MeasureLadder:
     limit's support.  Envelopes are pointwise non-decreasing and the
     last one equals the limit law exactly.  A plan does not store it
     and derives it on demand (``CouplingPlan.ladder``); ``build_ladder``
-    computes only the envelopes' densities from the sequence, which is
-    all that a plan stores.
+    computes only the envelopes' densities, which is all that the
+    mixture needs.
     """
 
     floors: tuple[MassFunction, ...]
@@ -208,28 +202,32 @@ Ratio = tuple[int, int]
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """Coupling of a process-law sequence, stored as its envelope densities.
+    """Coupling of a process-law sequence: the sequence and its window schedule.
 
-    ``densities[n-1]``, for n = 1..M, maps each k_M-prefix code p
-    (k_M = ``schedule.windows[-2]``) to r_n(p), the density of envelope
-    n against the limit law L, as a ratio; a prefix without an entry has
-    density 0.  These are all a plan stores besides the sequence and the
-    schedule.  Everything else is derived on first read and kept with
-    the plan, on the one path that ``build_plan`` and a loaded document
-    share; N = n is the index law's point with code n - 1, and a law
-    drawn only on an event of probability 0 is the empty law.
+    These are all a plan stores.  Everything else is derived on first
+    read and kept with the plan, on the one path that ``build_plan`` and
+    a loaded document share.  ``densities[n-1]``, for n = 1..M, maps
+    each k_M-prefix code p (k_M = ``schedule.windows[-2]``) that the
+    limit law L charges to r_n(p), the density of envelope n against L,
+    as a reduced ratio; a prefix without an entry has density 0.  They
+    are ``build_ladder``'s running minima of the floor ratios.  N = n is
+    the index law's point with code n - 1, and a law drawn only on an
+    event of probability 0 is the empty law.
 
-    The derived laws are laws exactly when the audit passes
-    (``plan_exact_checks``).  ``densities-non-decreasing`` requires
-    0 <= r_1 <= ... <= r_M <= 1, so every increment E_n - E_{n-1} is
-    non-negative with total P(N = n), hence empty where P(N = n) = 0.
-    ``ladder-below-floor`` requires E_n <= floor n, whose k_n-marginal
-    is inf_n|k_n <= P_n|k_n, so every residual P_n|k_n - E_n|k_n is
-    non-negative with total P(N > n), hence empty where P(N > n) = 0.
-    The mixture then rebuilds the limit, since E_{M+1} = L, and window
-    mixture n, E_n|k_n + P(N > n) * residual n, is P_n|k_n.  Deriving
-    lazily lets a corrupted document load and fail the audit with a
-    witness; a law that comes out negative raises when it is read.
+    On a non-decreasing schedule every derived law is a law by
+    construction.  The running minimum gives 0 <= r_n <= r_{n+1} <= 1,
+    r_{M+1} being 1 on the limit's support, so every increment
+    E_n - E_{n-1} is non-negative with total P(N = n), hence empty where
+    P(N = n) = 0.  It also gives r_n(p) <= the floor ratio of index n at
+    p|k_n, so E_n <= floor n, whose k_n-marginal is inf_n|k_n <= P_n|k_n;
+    every residual P_n|k_n - E_n|k_n is then non-negative with total
+    P(N > n), hence empty where P(N > n) = 0.  The mixture rebuilds the
+    limit, since E_{M+1} = L, and window mixture n,
+    E_n|k_n + P(N > n) * residual n, is P_n|k_n.  So the audit
+    (``plan_exact_checks``) checks only the schedule and the mass bound.
+    A decreasing schedule still loads and fails ``schedule-monotone``;
+    where some k_n exceeds k_M the derivation raises, and the checks
+    that read a derived law report that as their witness.
 
     ``draw_tables`` holds every table a draw reads, and every
     ``CouplingSampler`` of the plan shares it; ``kernels[n-1]`` maps each
@@ -240,7 +238,11 @@ class CouplingPlan:
 
     sequence: ProcessSequenceSpec
     schedule: WindowSchedule
-    densities: tuple[Mapping[Point, Ratio], ...]
+
+    @cached_property
+    def densities(self) -> tuple[Mapping[Point, Ratio], ...]:
+        """The envelope densities r_1..r_M (``build_ladder``)."""
+        return build_ladder(self.sequence, self.schedule)
 
     @cached_property
     def envelopes(self) -> tuple[MassFunction, ...]:
@@ -253,7 +255,7 @@ class CouplingPlan:
     def envelope_windows(self) -> tuple[MassFunction, ...]:
         """E_n|k_n: the limit's k_M-marginal times r_n, marginalized to k_n; then L."""
         last = self.schedule.windows[-2]
-        limit = window_marginal(self.sequence.limit, last)
+        limit = self.sequence.window_table.marginal(self.count, last)
         pairs = zip(self.schedule.windows, self.densities)
         envelopes = (window_marginal(_limit_times(limit, last, r), k) for k, r in pairs)
         return (*envelopes, self.sequence.limit)
@@ -279,7 +281,7 @@ class CouplingPlan:
         """
         limit = self.sequence.limit
         last = self.schedule.windows[-2]
-        top = dict.fromkeys(window_marginal(limit, last).weights, (1, 1))
+        top = dict.fromkeys(self.sequence.window_table.marginal(self.count, last).weights, (1, 1))
         laws = []
         for lower, upper in itertools.pairwise(({}, *self.densities, top)):
             steps = {}
@@ -297,8 +299,9 @@ class CouplingPlan:
     def residual_laws(self) -> tuple[MassFunction, ...]:
         """P_n|k_n - E_n|k_n over its mass P(N > n), and the empty law where P(N > n) = 0."""
         space = self.sequence.space
+        table = self.sequence.window_table
         return tuple(
-            _normalized_excess(window_marginal(self.sequence.member(n), k), env)
+            _normalized_excess(table.marginal(n, k), env)
             if reached != 1
             else MassFunction(space.window(k), 1, {})
             for n, (k, env, reached) in enumerate(
@@ -346,7 +349,7 @@ class CouplingPlan:
     @cached_property
     def ladder(self) -> MeasureLadder:
         """Floors from the sequence's window infima, envelopes from the densities."""
-        floors = extended_floors(self.sequence, self.schedule, WindowTable(self.sequence))
+        floors = extended_floors(self.sequence, self.schedule)
         return MeasureLadder(floors, self.envelopes)
 
     @property
@@ -395,20 +398,16 @@ def window_deficit(seq: ProcessSequenceSpec, n: int, k: int) -> Fraction:
     return ONE - window_infimum(seq, n, k).total_mass
 
 
-def largest_feasible_windows(
-    seq: ProcessSequenceSpec, table: WindowTable | None = None
-) -> list[int]:
+def largest_feasible_windows(seq: ProcessSequenceSpec) -> list[int]:
     """Per index n, the largest window whose deficit is at most 2**-n.
 
     The deficit is non-decreasing in the window length, so scanning from
     the full width down finds the maximum; window 0 always has deficit 0.
-    ``table`` is the sequence's window table when the caller has one.
     This reads the infimum of every index at every window down to its
     cap; ``build_schedule`` reads fewer and finds the same schedule, so
     this is the reference it is tested against.
     """
-    if table is None:
-        table = WindowTable(seq)
+    table = seq.window_table
     full = seq.space.width
     caps: list[int] = []
     for n in range(1, seq.horizon + 2):
@@ -420,9 +419,7 @@ def largest_feasible_windows(
     return caps
 
 
-def build_schedule(
-    seq: ProcessSequenceSpec, table: WindowTable | None = None
-) -> WindowSchedule:
+def build_schedule(seq: ProcessSequenceSpec) -> WindowSchedule:
     """The pointwise-largest non-decreasing schedule meeting all deficit bounds.
 
     Taking the running minimum of the per-index largest feasible windows
@@ -440,8 +437,7 @@ def build_schedule(
     window, which is that running minimum (``largest_feasible_windows``)
     without reading any window wider than the schedule can use.
     """
-    if table is None:
-        table = WindowTable(seq)
+    table = seq.window_table
     running = seq.space.width
     windows: list[int] = []
     for n in range(seq.horizon + 1, 0, -1):
@@ -450,7 +446,7 @@ def build_schedule(
             running -= 1
         windows.append(running)
     windows.reverse()
-    return WindowSchedule(tuple(windows), seq.horizon)
+    return WindowSchedule(tuple(windows))
 
 
 def extend_window_law(window_law: MassFunction, full_law: MassFunction) -> MassFunction:
@@ -524,18 +520,17 @@ def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> Ma
     return MassFunction._derived(law.space, *_limit_weights(law, k, ratios))
 
 
-def _floor_ratios(
-    seq: ProcessSequenceSpec, schedule: WindowSchedule, table: WindowTable
-) -> list[dict[Point, Ratio]]:
-    """Per index n, the ratio inf_n|k(p) / L|k(p) at each prefix p the infimum charges.
+def _floor_ratios(seq: ProcessSequenceSpec, windows: Sequence[int]) -> list[dict[Point, Ratio]]:
+    """Per index n = 1, 2, ..., the ratio inf_n|k(p) / L|k(p) at each prefix p the infimum charges.
 
-    k is the scheduled window k_n and L the limit law.  Floor n is the
+    k is the window ``windows[n-1]`` and L the limit law.  Floor n is the
     limit law times this ratio at each point's prefix, and 0 where the
     prefix has no ratio.
     """
+    table = seq.window_table
     ratios = []
     limit_index = seq.horizon + 1
-    for n, k in enumerate(schedule.windows, start=1):
+    for n, k in enumerate(windows, start=1):
         infimum = table.infimum(n, k)
         ratios.append(
             _prefix_ratios(infimum.denominator, infimum.weights, table.marginal(limit_index, k))
@@ -544,19 +539,17 @@ def _floor_ratios(
 
 
 def extended_floors(
-    seq: ProcessSequenceSpec, schedule: WindowSchedule, table: WindowTable
+    seq: ProcessSequenceSpec, schedule: WindowSchedule
 ) -> tuple[MassFunction, ...]:
     """Every scheduled window infimum, extended to the full space along the limit law."""
     return tuple(
         _limit_times(seq.limit, k, ratios)
-        for k, ratios in zip(schedule.windows, _floor_ratios(seq, schedule, table))
+        for k, ratios in zip(schedule.windows, _floor_ratios(seq, schedule.windows))
     )
 
 
 def build_ladder(
-    seq: ProcessSequenceSpec,
-    schedule: WindowSchedule,
-    table: WindowTable | None = None,
+    seq: ProcessSequenceSpec, schedule: WindowSchedule
 ) -> tuple[dict[Point, Ratio], ...]:
     """The envelope densities r_1..r_M, the running minima of the floor densities.
 
@@ -565,18 +558,22 @@ def build_ladder(
     ratios at p's k_i-prefixes, a missing ratio reading as 0; the ratio
     of index M + 1 is 1 wherever the limit charges.  Each map holds the
     limit's charged k_M-prefixes of positive density, each ratio
-    reduced.  The floors themselves are not built (see
-    ``extended_floors``).
+    reduced.  The minimum starts at 1 and only falls, index by index
+    from M down, so 0 <= r_1 <= ... <= r_M <= 1 at every prefix and r_n
+    never exceeds floor ratio n: this is why ``CouplingPlan`` needs no
+    audit of the densities.  A window k_n wider than k_M, which only a
+    decreasing schedule has, raises WindowRangeError.  Every law is read
+    from the sequence's window table; the floors themselves are not built
+    (see ``extended_floors``).
     """
-    if table is None:
-        table = WindowTable(seq)
-    ratios = _floor_ratios(seq, schedule, table)
+    table = seq.window_table
+    ratios = _floor_ratios(seq, schedule.windows[:-1])
     last = schedule.windows[-2]
     window = seq.space.window(last)
     # running minimum of the floor densities, from index M down
     running = dict.fromkeys(table.marginal(seq.horizon + 1, last).weights, (1, 1))
     densities = []
-    for k, ratio in zip(reversed(schedule.windows[:-1]), reversed(ratios[:-1])):
+    for k, ratio in zip(reversed(schedule.windows[:-1]), reversed(ratios)):
         stride = window.stride(k)
         for p, (low, den) in running.items():
             num, other = ratio.get(p // stride, (0, 1))
@@ -637,16 +634,14 @@ def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction
 
 
 def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
-    """Assemble the schedule and the envelope densities; the mixture is derived from them.
+    """Schedule the windows; the densities and the mixture are derived from them.
 
     The plan's identities are re-checked by exact arithmetic, and a
     failure raises InternalInvariantError rather than returning a bad
     plan.
     """
-    table = WindowTable(seq)
-    schedule = build_schedule(seq, table)
-    plan = CouplingPlan(seq, schedule, build_ladder(seq, schedule, table))
-    failures = [c for c in plan_exact_checks(plan, table) if not c.passed]
+    plan = CouplingPlan(seq, build_schedule(seq))
+    failures = [c for c in plan_exact_checks(plan) if not c.passed]
     if failures:
         raise InternalInvariantError(
             "plan invariants violated: "
@@ -655,11 +650,8 @@ def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
     return plan
 
 
-def deficit_entries(
-    plan: CouplingPlan, table: WindowTable | None = None
-) -> list[DeficitEntry]:
-    if table is None:
-        table = WindowTable(plan.sequence)
+def deficit_entries(plan: CouplingPlan) -> list[DeficitEntry]:
+    table = plan.sequence.window_table
     return [
         DeficitEntry(
             n,
@@ -671,30 +663,23 @@ def deficit_entries(
     ]
 
 
-def plan_exact_checks(
-    plan: CouplingPlan, table: WindowTable | None = None
-) -> list[ExactCheck]:
+def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
     """The paper's identities for a plan, as exact pass/fail results.
 
     Used both by plan construction (which refuses to return a failing
-    plan) and by the audit report.  A plan stores only its densities,
-    so the checks are on the schedule and on the densities, per
-    k_M-prefix: ``densities-non-decreasing`` and ``ladder-below-floor``
-    make every derived law a law, ``ladder-mass-bound`` bounds
-    P(N > n), and every other identity of the mixture holds by its
-    derivation (see ``CouplingPlan``).  A density at a prefix the limit
-    law does not charge, which the derivation never reads, fails
-    ``ladder-below-floor``.  The checks are witness functions run by
-    ``run_checks``, so an exception raised while checking a corrupted
-    plan fails that check alone.  ``table`` is the window table of
-    ``plan.sequence``; without one, it is built here.  Ratios are
-    compared by cross-multiplying integers.
+    plan) and by the audit report.  A plan stores only its sequence and
+    its schedule, so the checks are on the schedule: it does not
+    decrease, it reaches the full window, each window meets its deficit
+    bound, and the derived envelopes bound P(N > n) by 2**-(n-1).  Every
+    other identity of the mixture holds by its derivation on a
+    non-decreasing schedule (see ``CouplingPlan``).  The checks are
+    witness functions run by ``run_checks``, so an exception raised
+    while checking, as when a decreasing schedule's densities cannot be
+    derived, fails that check alone.  Every law is read from the
+    sequence's window table.
     """
-    seq = plan.sequence
-    if table is None:
-        table = WindowTable(seq)
     schedule = plan.schedule
-    full = seq.space.width
+    full = plan.sequence.space.width
 
     def schedule_monotone() -> str | None:
         for a, b in itertools.pairwise(schedule.windows):
@@ -708,42 +693,9 @@ def plan_exact_checks(
         return None
 
     def deficit_certificates() -> str | None:
-        for entry in deficit_entries(plan, table):
+        for entry in deficit_entries(plan):
             if entry.deficit > entry.bound:
                 return f"n={entry.index}: deficit {entry.deficit} > {entry.bound}"
-        return None
-
-    def densities_non_decreasing() -> str | None:
-        # 0 <= r_n(p) <= r_{n+1}(p), a missing density reading as 0 and r_{M+1} as 1
-        window = seq.space.window(schedule.windows[-2])
-        above = (*plan.densities[1:], None)
-        for n, (density, upper) in enumerate(zip(plan.densities, above), start=1):
-            for p, (num, den) in density.items():
-                top, bottom = (1, 1) if upper is None else upper.get(p, (0, 1))
-                if num < 0 or num * bottom > top * den:
-                    return (
-                        f"n={n}: density {Fraction(num, den)} at {window.decode(p)} is not"
-                        f" between 0 and density {n + 1}'s {Fraction(top, bottom)}"
-                    )
-        return None
-
-    def ladder_below_floor() -> str | None:
-        # r_n(p) <= ratio_n(p|k_n) at every stored prefix p, which the limit charges
-        last = schedule.windows[-2]
-        window = seq.space.window(last)
-        charged = table.marginal(seq.horizon + 1, last).weights
-        ratios = _floor_ratios(seq, schedule, table)
-        for n, (k, density) in enumerate(zip(schedule.windows, plan.densities), start=1):
-            stride, ratio = window.stride(k), ratios[n - 1]
-            for p, (num, den) in density.items():
-                if p not in charged:
-                    return (
-                        f"density {n} at {window.decode(p)},"
-                        " a prefix the limit law does not charge"
-                    )
-                low, other = ratio.get(p // stride, (0, 1))
-                if num * other > low * den:
-                    return f"envelope {n} exceeds floor {n} at {window.decode(p)}"
         return None
 
     def ladder_mass_bound() -> str | None:
@@ -758,8 +710,6 @@ def plan_exact_checks(
         ("schedule-monotone", schedule_monotone),
         ("schedule-reaches-full-window", schedule_full),
         ("window-deficit-certificates", deficit_certificates),
-        ("densities-non-decreasing", densities_non_decreasing),
-        ("ladder-below-floor", ladder_below_floor),
         ("ladder-mass-bound", ladder_mass_bound),
     )
 

@@ -6,6 +6,11 @@ label and its code convert through its space's ``format_point`` and
 ``parse_point``.  Dumps
 are canonical (sorted keys, fixed separators), which makes artifacts
 byte-identical across runs with the same inputs and seed.
+
+A plan document holds its format, its sequence and its window list,
+and nothing that can be derived from them: the envelope densities and
+the mixture laws are derived when the loaded plan is first read, on the
+path a built plan takes (see ``CouplingPlan``).
 """
 from __future__ import annotations
 
@@ -200,6 +205,13 @@ def _integer(value: Any, name: str) -> int:
     return value
 
 
+def _object(value: Any, name: str) -> dict:
+    """A JSON object as read; an array of pairs, which ``dict`` would accept, raises TypeError."""
+    if type(value) is not dict:
+        raise TypeError(f"{name} {value!r} is not an object")
+    return value
+
+
 def _boolean(value: Any, name: str) -> bool:
     """A JSON boolean as read; a string such as ``"no"`` or a number raises TypeError."""
     if type(value) is not bool:
@@ -254,27 +266,18 @@ def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
 
 # -- coupling plans -----------------------------------------------------------
 
-# Format 5 stores only the envelope densities besides the sequence and
-# the schedule: per index n = 1..M, each k_M-prefix's density r_n of
-# envelope n against the limit law, zero densities left out.  The index,
-# increment and residual laws that format 4 stored are derived from them
-# (see ``CouplingPlan``).
-PLAN_FORMAT = 5
+# Format 6 stores the sequence and the schedule's window list, and
+# nothing else: the envelope densities that format 5 stored, and the
+# mixture laws that format 4 stored, are derived from them (see
+# ``CouplingPlan``), and the horizon is the sequence's tail index.
+PLAN_FORMAT = 6
 
 
 def plan_to_doc(plan: CouplingPlan) -> dict:
-    window = plan.sequence.space.window(plan.schedule.windows[-2])
     return {
         "format": PLAN_FORMAT,
         "sequence": sequence_to_doc(plan.sequence),
-        "schedule": {
-            "windows": list(plan.schedule.windows),
-            "horizon": plan.schedule.horizon,
-        },
-        "densities": [
-            _ratios_to_doc(window, ((p, num, den) for p, (num, den) in density.items()))
-            for density in plan.densities
-        ],
+        "schedule": list(plan.schedule.windows),
     }
 
 
@@ -283,10 +286,10 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
 
     Loading is intentionally permissive so that a corrupted artifact can
     be reconstructed and then failed by the audit with a witness; the
-    derived laws are built only when read.  Only plan format 5 is read;
+    derived laws are built only when read.  Only plan format 6 is read;
     any other document, a field of the wrong shape, a window outside the
-    space's width, a zero denominator and a density list whose length is
-    not the horizon raise ValueError.
+    space's width and a window list that does not hold one window per
+    index 1..M + 1 raise ValueError.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -297,28 +300,15 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     with _doc_field("plan", "sequence"):
         seq = sequence_from_doc(doc["sequence"])
     with _doc_field("plan", "schedule"):
-        schedule = WindowSchedule(
-            tuple(_integer(k, "window") for k in _array(doc["schedule"]["windows"], "windows")),
-            _integer(doc["schedule"]["horizon"], "horizon"),
-        )
-    if schedule.horizon != seq.horizon:
+        windows = tuple(_integer(k, "window") for k in _array(doc["schedule"], "windows"))
+    if len(windows) != seq.horizon + 1:
         raise ValueError(
-            f"plan schedule horizon {schedule.horizon} != sequence horizon {seq.horizon}"
+            f"plan field 'schedule' must hold one window per index 1..{seq.horizon + 1},"
+            f" found {len(windows)}"
         )
-    for k in schedule.windows:
+    for k in windows:
         seq.space.check_window(k)
-    with _doc_field("plan", "densities"):
-        parse = seq.space.window(schedule.windows[-2]).parse_point
-        densities = tuple(
-            {parse(key): parse_ratio(value) for key, value in density.items()}
-            for density in _array(doc["densities"], "densities")
-        )
-    if len(densities) != seq.horizon:
-        raise ValueError(
-            f"plan field 'densities' must hold one map per index 1..{seq.horizon},"
-            f" found {len(densities)}"
-        )
-    return CouplingPlan(sequence=seq, schedule=schedule, densities=densities)
+    return CouplingPlan(sequence=seq, schedule=WindowSchedule(windows))
 
 
 def sample_record(plan: CouplingPlan, draw: CouplingSample, seed: int) -> dict:
@@ -491,7 +481,7 @@ def report_from_doc(doc: dict):
             for e in doc["deficit_trace"]
         )
     with _doc_field("report", "provenance"):
-        provenance = dict(doc["provenance"])
+        provenance = _object(doc["provenance"], "provenance")
     return VerificationReport(
         exact_checks=exact_checks,
         mc_checks=mc_checks,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -421,6 +422,11 @@ class ProcessSequenceSpec:
             raise ValueError(f"member index {n} must be at least 1")
         return self.members[n - 1] if n <= self.horizon else self.limit
 
+    @cached_property
+    def window_table(self) -> "WindowTable":
+        """The sequence's one ``WindowTable``, kept with it once read."""
+        return WindowTable(self)
+
 
 class DensityConvergence(NamedTuple):
     converges: bool
@@ -471,55 +477,67 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
 
 
 class WindowTable:
-    """Every window marginal of one sequence, and the window infima that are read.
+    """The window marginals and window infima of one sequence that are read.
 
     Index n = 1..M names the members and n = M + 1 the limit law; by the
-    tail rule every later index is the limit too.  Each law's k-window
-    marginal is its (k+1)-window marginal truncated by one coordinate,
-    all computed at construction.  The infima of window k come from a
-    backward sweep, filled on demand: the infimum from M + 1 is the
-    limit marginal, and the infimum from n is the pointwise minimum of
-    P_n|k and the infimum from n + 1, taken over the support of the
-    latter, with both weights scaled to the lcm of the two denominators.
+    tail rule every later index is the limit too.  Each sequence has one
+    table, ``ProcessSequenceSpec.window_table``, which the schedule, the
+    envelope densities, the floors and the audit all read.  Nothing is
+    computed at construction.  A law's k-window marginal is computed on
+    its first read, from the narrowest of its wider marginals computed so
+    far (the law itself at the full width); every law of a sequence is a
+    probability law, so its window-0 marginal is the unit mass and costs
+    nothing.  The infima of window k come from a backward sweep, filled
+    on demand: the infimum from M + 1 is the limit marginal, and the
+    infimum from n is the pointwise minimum of P_n|k and the infimum from
+    n + 1, taken over the support of the latter, with both weights scaled
+    to the lcm of the two denominators.
     A read of the infimum from n at window k extends that window's sweep
-    down to n, if it has not reached n yet, so each infimum is computed
-    at most once and only the windows and indices read are computed at
-    all; the result does not depend on the order of the reads.
+    down to n, if it has not reached n yet, so each marginal and infimum
+    is computed at most once and only the windows and indices read are
+    computed at all; the results do not depend on the order of the reads.
     ``marginal`` and ``infimum`` return what ``window_marginal`` and
     ``window_infimum`` would.
     """
 
     def __init__(self, seq: ProcessSequenceSpec) -> None:
-        self.sequence = seq
+        # the space and the horizon, not the sequence, which keeps the table
+        self._space = seq.space
+        self._horizon = seq.horizon
         width = seq.space.width
-        self._marginals: list[list[MassFunction]] = []
-        for law in (*seq.members, seq.limit):
-            levels = [law]
-            for k in range(width - 1, -1, -1):
-                levels.append(window_marginal(levels[-1], k))
-            levels.reverse()
-            self._marginals.append(levels)
-        # per window k, the infima from M + 1, M, ... down to the lowest index read
-        self._sweeps = [[law] for law in self._marginals[-1]]
+        unit = MassFunction(seq.space.window(0), 1, {0: 1})
+        # per law, its window marginals computed so far, keyed by window
+        self._marginals = [{0: unit, width: law} for law in (*seq.members, seq.limit)]
+        # per window k read, the infima from M + 1, M, ... down to the lowest index read
+        self._sweeps: dict[int, list[MassFunction]] = {}
 
     def _locate(self, n: int, k: int) -> int:
         if n < 1:
             raise ValueError(f"start index {n} must be at least 1")
-        self.sequence.space.check_window(k)
-        return min(n, self.sequence.horizon + 1) - 1
+        self._space.check_window(k)
+        return min(n, self._horizon + 1) - 1
+
+    def _marginal(self, row: int, k: int) -> MassFunction:
+        levels = self._marginals[row]
+        law = levels.get(k)
+        if law is None:
+            law = levels[k] = window_marginal(levels[min(j for j in levels if j > k)], k)
+        return law
 
     def marginal(self, n: int, k: int) -> MassFunction:
         """The k-window marginal of the n-th law of the sequence."""
-        return self._marginals[self._locate(n, k)][k]
+        return self._marginal(self._locate(n, k), k)
 
     def infimum(self, n: int, k: int) -> MassFunction:
         """The k-window infimum over indices >= n."""
         row = self._locate(n, k)
-        sweep = self._sweeps[k]
-        last = self.sequence.horizon
+        last = self._horizon
+        sweep = self._sweeps.get(k)
+        if sweep is None:
+            sweep = self._sweeps[k] = [self._marginal(last, k)]
         while len(sweep) <= last - row:
             later = sweep[-1]
-            member = self._marginals[last - len(sweep)][k]
+            member = self._marginal(last - len(sweep), k)
             common = math.lcm(later.denominator, member.denominator)
             later_scale = common // later.denominator
             member_scale = common // member.denominator

@@ -41,7 +41,6 @@ from .measures import (
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
-    WindowTable,
     total_variation,
 )
 from .skorohod import (
@@ -125,16 +124,19 @@ def _split(
 
 
 def _audit(target: CouplingPlan | SkorohodCoupling) -> VerificationReport:
-    """The plan checks, a coupling's tree checks and the deficit trace, from one window table."""
+    """The plan checks, a coupling's tree checks and the deficit trace.
+
+    The plan checks and the deficit trace read the sequence's one window
+    table, which a loaded plan has already filled to derive its densities.
+    """
     plan, coupling = _split(target)
-    table = WindowTable(plan.sequence)
-    checks = plan_exact_checks(plan, table)
+    checks = plan_exact_checks(plan)
     if coupling is not None:
         checks += tree_exact_checks(coupling.tree)
     return VerificationReport(
         exact_checks=tuple(checks),
         mc_checks=(),
-        deficit_trace=tuple(deficit_entries(plan, table)),
+        deficit_trace=tuple(deficit_entries(plan)),
         provenance=_provenance(target, None),
     )
 

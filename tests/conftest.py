@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -66,3 +68,47 @@ def line_laws(line_model):
 def tuple_mass(law):
     """A law's masses keyed by the tuples of its points' symbol indices, in support order."""
     return {law.space.decode(z): v for z, v in law.mass.items()}
+
+
+def with_densities(plan, *densities):
+    """A copy of the plan with the given densities put in its cache, as no schedule derives them."""
+    copy = replace(plan)
+    vars(copy)["densities"] = densities
+    return copy
+
+
+def widening_sequence(rng, width, letters=3, members=8, max_weight=20):
+    """Member n keeps the limit's marginal on its first f(n) coordinates and redraws the rest.
+
+    f is non-decreasing and strictly between 0 and the width, and every
+    law has full support, so the schedule passes through intermediate
+    windows instead of jumping from 0 to the full width.
+    """
+    space = ProductSpace(tuple(Alphabet(tuple("abc"[:letters])) for _ in range(width)))
+    points = list(itertools.product(range(letters), repeat=width))
+
+    def weights():
+        return {z: rng.randint(1, max_weight) for z in points}
+
+    def prefix_sums(masses, k):
+        sums = {}
+        for z, v in masses.items():
+            sums[z[:k]] = sums.get(z[:k], 0) + v
+        return sums
+
+    raw = weights()
+    total = sum(raw.values())
+    limit = {z: F(w, total) for z, w in raw.items()}
+    laws = []
+    for n in range(1, members + 1):
+        k = 1 + ((width - 1) * n) // (members + 1)
+        kept, suffix = prefix_sums(limit, k), weights()
+        suffix_total = prefix_sums(suffix, k)
+        laws.append(
+            MassFunction.from_masses(
+                space, {z: kept[z[:k]] * F(suffix[z], suffix_total[z[:k]]) for z in points}
+            )
+        )
+    return ProcessSequenceSpec(
+        space, tuple(laws), MassFunction.from_masses(space, limit), TailRule(members)
+    )

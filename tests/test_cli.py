@@ -25,6 +25,13 @@ def skewed_file(tmp_path, skewed_sequence):
 
 
 @pytest.fixture
+def two_member_file(tmp_path, two_member_sequence):
+    path = tmp_path / "pair.json"
+    path.write_text(jsonio.canonical_dumps(jsonio.sequence_to_doc(two_member_sequence)))
+    return path
+
+
+@pytest.fixture
 def skorohod_file(tmp_path, line_laws):
     path = tmp_path / "line.json"
     path.write_text(jsonio.canonical_dumps(jsonio.law_sequence_to_doc(line_laws)))
@@ -36,8 +43,8 @@ class TestBuild:
         out = tmp_path / "plan.json"
         assert main(["build", "--spec", str(sequence_file), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["densities"] == [{"a": "1/1", "b": "1/1"}]
-        assert doc["schedule"]["windows"] == [1, 1]
+        assert set(doc) == {"format", "sequence", "schedule"}
+        assert doc["schedule"] == [1, 1]
 
     def test_missing_input_is_exit_2(self, tmp_path):
         out = tmp_path / "plan.json"
@@ -97,24 +104,22 @@ class TestVerify:
             "name": "joint-law-marginals", "passed": True, "witness": None
         }
 
-    def test_corrupted_plan_fails_naming_the_check(self, tmp_path, skewed_file, capsys):
+    def test_corrupted_plan_fails_naming_the_check(self, tmp_path, two_member_file, capsys):
+        # member 2 moved onto a is still a law, but window 1 no longer meets index 1's bound
         plan_path = tmp_path / "plan.json"
-        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        main(["build", "--spec", str(two_member_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        doc["densities"][0]["a"] = "1/1"
+        doc["sequence"]["members"][1] = {"a": "1/1"}
         plan_path.write_text(json.dumps(doc))
         code = main(["verify", "--plan", str(plan_path), "--samples", "50"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in out
+        assert "FAIL window-deficit-certificates: n=1: deficit 3/4 > 1/2" in out
 
 
 def corrupt_index_law(doc):
-    doc["densities"][0]["a"] = "2/1"  # P(N = 2) = -1/2
-
-
-def negative_first_residual(doc):
-    doc["densities"][0]["a"] = "3/4"  # envelope 1 is 3/8 at a, the member 1/4
+    # window 1 is wider than k_M = 0, so no density, hence no index law, derives
+    doc["schedule"] = [1, 0, 1]
 
 
 class TestUnsampleablePlans:
@@ -124,10 +129,10 @@ class TestUnsampleablePlans:
     before drawing, because they fail the exact audit too.
     """
 
-    @pytest.fixture(params=[corrupt_index_law, negative_first_residual])
-    def bad_plan(self, request, tmp_path, skewed_file, capsys):
+    @pytest.fixture(params=[corrupt_index_law])
+    def bad_plan(self, request, tmp_path, two_member_file, capsys):
         plan_path = tmp_path / "plan.json"
-        main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
+        main(["build", "--spec", str(two_member_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
         request.param(doc)
         plan_path.write_text(json.dumps(doc))
@@ -158,56 +163,28 @@ class TestUnsampleablePlans:
 
 
 def test_sample_refuses_a_plan_that_fails_the_audit(tmp_path, skewed_file, capsys):
-    # with envelope 1 raised to the limit every draw succeeds, but the
-    # samples no longer have the member's law
+    # with the final window lowered to 0 every draw succeeds, but the
+    # components no longer agree with the limit on the full window
     plan_path = tmp_path / "plan.json"
     main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
     doc = json.loads(plan_path.read_text())
-    doc["densities"][0]["a"] = "1/1"
-    plan_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
-    assert "FAIL ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in capsys.readouterr().out
-    out = tmp_path / "samples.jsonl"
-    assert main(["sample", "--plan", str(plan_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1
-    assert "no samples drawn: ladder-below-floor: envelope 1 exceeds floor 1 at (0,)" in err
-    assert not out.exists()
-
-
-def test_sample_refuses_a_density_the_limit_does_not_charge(tmp_path, capsys):
-    # the limit is a point mass on a; a density on b is never read, since
-    # envelope 1 is the limit times the density, but the audit refuses it
-    spec = tmp_path / "point.json"
-    spec.write_text(
-        json.dumps(
-            {
-                "space": [["a", "b"]],
-                "members": [{"a": "1/2", "b": "1/2"}],
-                "limit": {"a": "1/1"},
-                "tail": {"eventually_equal": 1},
-            }
-        )
-    )
-    plan_path = tmp_path / "plan.json"
-    main(["build", "--spec", str(spec), "--out", str(plan_path)])
-    doc = json.loads(plan_path.read_text())
-    assert doc["densities"] == [{"a": "1/2"}]
-    doc["densities"][0]["b"] = "1/2"
+    doc["schedule"] = [1, 0]
     plan_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--plan", str(plan_path), "--samples", "20"]) == 1
     out = capsys.readouterr().out
-    witness = "density 1 at (1,), a prefix the limit law does not charge"
-    assert f"FAIL ladder-below-floor: {witness}" in out
+    assert "FAIL schedule-monotone: window drops from 1 to 0" in out
+    assert "FAIL schedule-reaches-full-window: final window 0 != width 1" in out
     assert "FAIL sampler-runs" not in out
-    samples = tmp_path / "samples.jsonl"
-    assert main(["sample", "--plan", str(plan_path), "--out", str(samples)]) == 1
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--plan", str(plan_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
-    assert f"no samples drawn: ladder-below-floor: {witness}" in err
-    assert not samples.exists()
+    assert (
+        "no samples drawn: schedule-monotone: window drops from 1 to 0"
+        " (and 1 more failing checks)" in err
+    )
+    assert not out.exists()
 
 
 def as_format_1(doc):
@@ -226,55 +203,44 @@ def as_format_4(doc):
     doc["format"] = 4
 
 
+def as_format_5(doc):
+    doc["format"] = 5
+
+
 def without_format(doc):
     del doc["format"]
 
 
 class TestPlanFormat:
     @pytest.mark.parametrize(
-        "edit", [as_format_1, as_format_2, as_format_3, as_format_4, without_format]
+        "edit", [as_format_1, as_format_2, as_format_3, as_format_4, as_format_5, without_format]
     )
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_other_formats_are_exit_2(self, tmp_path, skewed_file, capsys, edit, command):
         plan_path = tmp_path / "plan.json"
         main(["build", "--spec", str(skewed_file), "--out", str(plan_path)])
         doc = json.loads(plan_path.read_text())
-        assert doc["format"] == 5
+        assert doc["format"] == 6
         edit(doc)
+        found = doc.get("format", "(missing)")
         plan_path.write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "out.json"
         assert main([command, "--plan", str(plan_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
-        assert "unsupported plan format" in err
+        assert f"unsupported plan format {found};" in err
         assert "rebuild the plan from its spec" in err
         assert not out.exists()
 
 
-def densities_not_a_list(doc):
-    doc["densities"] = 5
-
-
-def more_densities_than_indices(doc):
-    doc["densities"] = doc["densities"] * len(doc["schedule"]["windows"])
-
-
-def one_density_too_few(doc):
-    doc["densities"].pop()
-
-
 def schedule_one_index_longer(doc):
-    doc["schedule"]["horizon"] += 1
-    doc["schedule"]["windows"].append(doc["schedule"]["windows"][-1])
+    doc["schedule"].append(doc["schedule"][-1])
 
 
 # plan edit -> what its one error line must say
 PLAN_EDITS = {
-    densities_not_a_list: "malformed plan field 'densities'",
-    more_densities_than_indices: "'densities' must hold one map per index 1..1, found 2",
-    one_density_too_few: "'densities' must hold one map per index 1..1, found 0",
-    schedule_one_index_longer: "plan schedule horizon 2 != sequence horizon 1",
+    schedule_one_index_longer: "'schedule' must hold one window per index 1..2, found 3",
 }
 
 
@@ -412,20 +378,20 @@ SPEC_TYPE_EDITS = {
 
 
 def window_with_fraction(doc):
-    doc["schedule"]["windows"][0] += 0.5
+    doc["schedule"][0] += 0.5
 
 
-def boolean_horizon(doc):
-    doc["schedule"]["horizon"] = True
+def boolean_window(doc):
+    doc["schedule"][0] = True
 
 
 def windows_as_string(doc):
-    doc["schedule"]["windows"] = "11"
+    doc["schedule"] = "11"
 
 
 PLAN_TYPE_EDITS = {
     window_with_fraction: "malformed plan field 'schedule': window 1.5 is not an integer",
-    boolean_horizon: "malformed plan field 'schedule': horizon True is not an integer",
+    boolean_window: "malformed plan field 'schedule': window True is not an integer",
     windows_as_string: "malformed plan field 'schedule': windows '11' is not an array",
 }
 
@@ -491,9 +457,8 @@ def zero_denominator_coordinate(doc):
     doc["model"]["coords"][1][0] = "1/0"
 
 
-def zero_denominator_density(doc):
-    density = doc["densities"][0]
-    density[next(iter(density))] = "1/0"
+def zero_denominator_plan_mass(doc):
+    doc["sequence"]["members"][0]["a"] = "1/0"
 
 
 def zero_denominator_deficit(doc):
@@ -517,8 +482,8 @@ class TestZeroDenominator:
         [
             (["build", "--spec", "{spec}"], "spec", zero_denominator_member),
             (["skorohod", "--spec", "{line}"], "line", zero_denominator_coordinate),
-            (["verify", "--plan", "{plan}"], "plan", zero_denominator_density),
-            (["sample", "--plan", "{plan}"], "plan", zero_denominator_density),
+            (["verify", "--plan", "{plan}"], "plan", zero_denominator_plan_mass),
+            (["sample", "--plan", "{plan}"], "plan", zero_denominator_plan_mass),
             (["report", "{report}"], "report", zero_denominator_deficit),
         ],
         ids=["build", "skorohod", "verify", "sample", "report"],
@@ -546,7 +511,7 @@ def overlong_tail(doc):
 
 
 def overlong_window(doc):
-    doc["schedule"]["windows"][0] = OVERLONG
+    doc["schedule"][0] = OVERLONG
 
 
 class TestOverlongInteger:
@@ -771,6 +736,30 @@ class TestMalformedReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {report}: malformed report field '{field}': {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [[[1, "x"], ["a", "y"]], [["seed", 5]], "seed", None],
+        ids=["mixed-pairs", "pairs", "string", "null"],
+    )
+    def test_provenance_must_be_an_object(self, tmp_path, skewed_file, capsys, provenance):
+        # an array of pairs is not read as an object, nor sorted as one
+        plan = tmp_path / "plan.json"
+        report = tmp_path / "report.json"
+        main(["build", "--spec", str(skewed_file), "--out", str(plan)])
+        main(["verify", "--plan", str(plan), "--samples", "20", "--out", str(report)])
+        doc = json.loads(report.read_text())
+        doc["provenance"] = provenance
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {report}: malformed report field 'provenance':"
+            f" provenance {provenance!r} is not an object\n"
+        )
 
 
 class TestSample:

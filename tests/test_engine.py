@@ -53,7 +53,7 @@ from windowcoupling.verify import (
     random_metric_model,
     random_process_spec,
 )
-from conftest import tuple_mass
+from conftest import tuple_mass, widening_sequence, with_densities
 
 
 def binary_sequence(member_masses, limit_masses, count=None):
@@ -131,11 +131,9 @@ class TestSchedule:
             for n in range(1, seq.horizon + 2)
         ]
         windows = [min(caps[i:]) for i in range(len(caps))]
-        table = WindowTable(seq)
-        assert largest_feasible_windows(seq) == caps
-        assert largest_feasible_windows(seq, table) == caps
+        # the scan fills the sequence's table first, then the reference reads it
         assert list(build_schedule(seq).windows) == windows
-        assert list(build_schedule(seq, table).windows) == windows
+        assert largest_feasible_windows(seq) == caps
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.sampled_from(["random", "enumerable", "widening"]))
@@ -148,8 +146,9 @@ class TestSchedule:
         else:
             seq = widening_sequence(rng, rng.randint(3, 4))
         caps = largest_feasible_windows(seq)
-        table = RecordingTable(seq)
-        windows = build_schedule(seq, table).windows
+        seq = replace(seq)  # the same laws with no table yet
+        table = vars(seq)["window_table"] = RecordingTable(seq)
+        windows = build_schedule(seq).windows
         assert list(windows) == [min(caps[i:]) for i in range(len(caps))]
         # index n is read only between k_n and k_{n+1}, index M + 1 at the full width
         upper = (*windows[1:], seq.space.width)
@@ -168,43 +167,6 @@ class RecordingTable(WindowTable):
     def infimum(self, n, k):
         self.reads.append((n, k))
         return super().infimum(n, k)
-
-
-def widening_sequence(rng, width, letters=3, members=8, max_weight=20):
-    """Member n keeps the limit's marginal on its first f(n) coordinates and redraws the rest.
-
-    f is non-decreasing and strictly between 0 and the width, and every
-    law has full support, so the schedule passes through intermediate
-    windows instead of jumping from 0 to the full width.
-    """
-    space = ProductSpace(tuple(Alphabet(tuple("abc"[:letters])) for _ in range(width)))
-    points = list(itertools.product(range(letters), repeat=width))
-
-    def weights():
-        return {z: rng.randint(1, max_weight) for z in points}
-
-    def prefix_sums(masses, k):
-        sums = {}
-        for z, v in masses.items():
-            sums[z[:k]] = sums.get(z[:k], 0) + v
-        return sums
-
-    raw = weights()
-    total = sum(raw.values())
-    limit = {z: F(w, total) for z, w in raw.items()}
-    laws = []
-    for n in range(1, members + 1):
-        k = 1 + ((width - 1) * n) // (members + 1)
-        kept, suffix = prefix_sums(limit, k), weights()
-        suffix_total = prefix_sums(suffix, k)
-        laws.append(
-            MassFunction.from_masses(
-                space, {z: kept[z[:k]] * F(suffix[z], suffix_total[z[:k]]) for z in points}
-            )
-        )
-    return ProcessSequenceSpec(
-        space, tuple(laws), MassFunction.from_masses(space, limit), TailRule(members)
-    )
 
 
 def deficit_entries_for(seq):
@@ -287,7 +249,7 @@ class TestIntegerExtension:
 
 
 def floors_of(seq, schedule):
-    return extended_floors(seq, schedule, WindowTable(seq))
+    return extended_floors(seq, schedule)
 
 
 def floor_ratios(seq, floors):
@@ -297,12 +259,13 @@ def floor_ratios(seq, floors):
 
 def envelopes_of(seq, schedule):
     """The envelopes of the densities that ``build_ladder`` computes."""
-    return CouplingPlan(seq, schedule, build_ladder(seq, schedule)).envelopes
+    return CouplingPlan(seq, schedule).envelopes
 
 
-def with_densities(plan, *densities):
-    """The plan with its densities replaced, as a document edited to hold them would load."""
-    return replace(plan, densities=densities)
+def certified_failures(plan):
+    """Each failing check of ``verify``'s exact audit, by name: the plan checks and the marginals."""
+    checks = [*plan_exact_checks(plan), joint_law_marginals(plan)]
+    return {c.name: c.witness for c in checks if not c.passed}
 
 
 def assert_envelopes_are_minimal_ratios(seq, schedule, envelopes):
@@ -420,34 +383,36 @@ class TestPlan:
                 assert row.law == conditional_given_prefix(member, prefix, plan.schedule.window(n))
 
     def test_audit_checks_the_schedule_then_the_densities(self, skewed_sequence):
+        # the densities are derived, so only their masses are left to check
         names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
         assert names == [
             "schedule-monotone",
             "schedule-reaches-full-window",
             "window-deficit-certificates",
-            "densities-non-decreasing",
-            "ladder-below-floor",
             "ladder-mass-bound",
         ]
 
     def test_moved_increment_mass_detected(self, skewed_sequence):
         # P(N = 1) = 3/4, so increment 1 = (2/3, 1/3) is envelope 1 = (1/2, 1/4)
-        # against the uniform limit: density 1 at a, above the floor's 1/2
+        # against the uniform limit: density 1 at a, above the floor's 1/2,
+        # so residual 1 is negative at a
         plan = build_plan(skewed_sequence)
         moved = MassFunction.from_masses(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
         bad_plan = with_densities(plan, {0: (1, 1), 1: (1, 2)})
         assert bad_plan.increment_laws[0] == moved
         assert bad_plan.index_law == plan.index_law
-        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
+        assert certified_failures(bad_plan) == {
+            "joint-law-marginals": "check raised ValueError: negative mass -1/4 at (0,)"
+        }
 
     def test_index_mass_moved_between_values_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
         # all of N = 2's mass moved onto N = 1: envelope 1 is the limit
         to_first = with_densities(plan, {0: (1, 1), 1: (1, 1)})
         assert to_first.index_law.mass == {0: F(1)}
-        failed = {c.name: c.witness for c in plan_exact_checks(to_first) if not c.passed}
-        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
+        assert certified_failures(to_first) == {
+            "joint-law-marginals": "component 1 marginal differs"
+        }
         # N = 1's mass moved halfway onto N = 2 only lowers envelope 1,
         # which is still a coupling's
         to_second = with_densities(plan, {0: (1, 3), 1: (2, 3)})
@@ -470,11 +435,8 @@ class TestPlan:
         moved = MassFunction.from_masses(pair_space, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
         bad_plan = with_densities(plan, {2: (7, 4), 3: (7, 4)})
         assert bad_plan.envelopes[0] == moved.scaled(F(7, 8))
-        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {
-            "densities-non-decreasing": "n=1: density 7/4 at (1, 0) is not between 0"
-            " and density 2's 1",
-            "ladder-below-floor": "envelope 1 exceeds floor 1 at (1, 0)",
+        assert certified_failures(bad_plan) == {
+            "joint-law-marginals": "check raised ValueError: negative mass -1/16 at (1, 0)"
         }
 
     def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
@@ -485,6 +447,8 @@ class TestPlan:
         assert late.index_law.mass == {0: F(1, 4), 2: F(3, 4)}
         failed = {c.name: c.witness for c in plan_exact_checks(late) if not c.passed}
         assert failed == {"ladder-mass-bound": "n=2: envelope mass gap 3/4 > 1/2"}
+        # a late agreement is still a coupling, so only the bound fails
+        assert joint_law_marginals(late).passed
 
     def test_limit_point_on_zero_mass_prefix_detected(self):
         # the member is a point mass on b; density 1 on a swaps the two
@@ -496,8 +460,9 @@ class TestPlan:
         assert plan.densities == ({1: (1, 1)},)
         bad_plan = with_densities(plan, {0: (1, 1)})
         assert bad_plan.increment_laws == plan.increment_laws[::-1]
-        failed = {c.name: c.witness for c in plan_exact_checks(bad_plan) if not c.passed}
-        assert failed == {"ladder-below-floor": "envelope 1 exceeds floor 1 at (0,)"}
+        assert certified_failures(bad_plan) == {
+            "joint-law-marginals": "check raised ValueError: negative mass -1/2 at (0,)"
+        }
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
         # the last density raised above 1 lifts envelope M above the limit
@@ -506,9 +471,11 @@ class TestPlan:
         p = next(iter(last))
         last[p] = (2, 1)
         bad_plan = with_densities(plan, *plan.densities[:-1], last)
-        failed = [c for c in plan_exact_checks(bad_plan) if not c.passed]
-        assert "densities-non-decreasing" in {c.name for c in failed}
-        assert all(c.witness for c in failed)
+        witness = "check raised ValueError: total mass 3/2 exceeds 1"
+        assert certified_failures(bad_plan) == {
+            "ladder-mass-bound": witness,
+            "joint-law-marginals": witness,
+        }
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))

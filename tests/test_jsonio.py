@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windowcoupling import (
@@ -19,8 +19,15 @@ from windowcoupling import (
     sample,
 )
 from windowcoupling import jsonio, streams
-from windowcoupling.engine import plan_exact_checks
-from windowcoupling.verify import random_law_sequence, random_metric_model, random_process_spec
+from windowcoupling.engine import build_ladder, plan_exact_checks
+from windowcoupling.measures import window_infimum, window_marginal
+from windowcoupling.verify import (
+    random_enumerable_plan,
+    random_law_sequence,
+    random_metric_model,
+    random_process_spec,
+)
+from conftest import widening_sequence
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -123,21 +130,47 @@ class TestSequenceDocs:
 
 
 class TestPlanDocs:
-    def test_format_5_stores_only_the_densities(self, two_member_sequence):
-        doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
-        assert doc["format"] == 5
-        assert set(doc) == {"format", "sequence", "schedule", "densities"}
-        # r_1 and r_2 per k_2-prefix, reduced; envelope 3 is the limit itself
-        assert doc["densities"] == [{"a": "1/2", "b": "1/1"}, {"a": "2/3", "b": "1/1"}]
+    def test_format_6_stores_the_sequence_and_the_windows(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        doc = jsonio.plan_to_doc(plan)
+        assert doc == {
+            "format": 6,
+            "sequence": jsonio.sequence_to_doc(two_member_sequence),
+            "schedule": [1, 1, 1],
+        }
+        # r_1 and r_2 per k_2-prefix, derived on load; envelope 3 is the limit itself
+        assert jsonio.plan_from_doc(doc).densities == ({0: (1, 2), 1: (1, 1)}, {0: (2, 3), 1: (1, 1)})
 
-    def test_densities_are_reduced_and_zero_free(self):
-        rng = random.Random(4)
-        for _ in range(30):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["random", "enumerable", "widening"]))
+    def test_densities_are_reduced_and_zero_free(self, seed, kind):
+        # what the running minimum of ``build_ladder`` gives by construction,
+        # and what a format-5 audit checked of stored densities
+        rng = random.Random(seed)
+        if kind == "random":
             plan = build_plan(random_process_spec(rng))
-            for density in jsonio.plan_to_doc(plan)["densities"]:
-                for value in density.values():
-                    num, den = map(int, value.split("/"))
-                    assert num > 0 and math.gcd(num, den) == 1
+        elif kind == "enumerable":
+            _, plan = random_enumerable_plan(rng)
+        else:
+            plan = build_plan(widening_sequence(rng, rng.randint(3, 4)))
+        seq, windows = plan.sequence, plan.schedule.windows
+        densities = build_ladder(seq, plan.schedule)
+        assert jsonio.plan_from_doc(jsonio.plan_to_doc(plan)).densities == densities
+        assert plan.densities == densities and len(densities) == seq.horizon
+        last = windows[-2]
+        window = seq.space.window(last)
+        charged = window_marginal(seq.limit, last).weights
+        for n, (k, density) in enumerate(zip(windows, densities), start=1):
+            infimum = window_infimum(seq, n, k)
+            limit = window_marginal(seq.limit, k)
+            upper = densities[n] if n < seq.horizon else dict.fromkeys(charged, (1, 1))
+            assert set(density) <= set(charged)
+            for p, (num, den) in density.items():
+                assert num > 0 and den > 0 and math.gcd(num, den) == 1
+                r = F(num, den)
+                assert r <= F(*upper[p])
+                prefix = window.prefix(p, k)
+                assert r <= infimum[prefix] / limit[prefix]
 
     def test_round_trip_preserves_everything(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -149,14 +182,14 @@ class TestPlanDocs:
     def test_loading_skips_validation(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         doc = jsonio.plan_to_doc(plan)
-        doc["densities"][0]["a"] = "2/1"
+        doc["schedule"] = [1, 0, 1]
         loaded = jsonio.plan_from_doc(doc)  # must not raise
         assert not audit_plan(loaded).all_exact_passed
 
     def test_law_count_must_match_the_components(self, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
-        doc["densities"].pop()
-        with pytest.raises(ValueError, match="'densities' must hold one map per index 1..2, found"):
+        doc["schedule"].pop()
+        with pytest.raises(ValueError, match="'schedule' must hold one window per index 1..3, found 2"):
             jsonio.plan_from_doc(doc)
 
     def test_sampling_a_loaded_plan_reproduces_draws(self, two_member_sequence):

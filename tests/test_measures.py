@@ -16,7 +16,6 @@ from windowcoupling import (
     TailRule,
     WindowRangeError,
     WindowTable,
-    build_ladder,
     build_schedule,
     conditional_given_prefix,
     density_convergence,
@@ -27,6 +26,7 @@ from windowcoupling import (
     window_marginal,
 )
 from windowcoupling.engine import CouplingPlan, KernelTable, extended_floors
+from windowcoupling import measures
 from windowcoupling.measures import ZERO, prefix_conditionals
 
 from conftest import tuple_mass
@@ -464,7 +464,7 @@ class TestIntegerForm:
     @settings(max_examples=60, deadline=None)
     @given(mixed_sequences())
     def test_table_conditionals_and_ladder_match_fraction_references(self, seq):
-        table = WindowTable(seq)
+        table = seq.window_table
         for n in range(1, seq.horizon + 3):
             member = seq.member(n)
             for k in range(seq.space.width + 1):
@@ -479,11 +479,11 @@ class TestIntegerForm:
                         for z, v in member.mass.items()
                         if seq.space.prefix(z, k) == prefix
                     }
-        schedule = build_schedule(seq, table)
-        envelopes = CouplingPlan(seq, schedule, build_ladder(seq, schedule, table)).envelopes
+        schedule = build_schedule(seq)
+        envelopes = CouplingPlan(seq, schedule).envelopes
         limit = seq.limit.mass
         floors = [extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)]
-        assert extended_floors(seq, schedule, table) == tuple(floors)
+        assert extended_floors(seq, schedule) == tuple(floors)
         for n, env in enumerate(envelopes, start=1):
             expected = {
                 z: q * min(floor[z] / q for floor in floors[n - 1 :]) for z, q in limit.items()
@@ -529,7 +529,7 @@ class TestWindowTable:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_direct_functions(self, data):
-        # the infima are filled on first read, so read them in a random order
+        # the marginals and infima are filled on first read, so read them in a random order
         seq = data.draw(sequences())
         entries = [(n, k) for n in range(1, seq.horizon + 3) for k in range(seq.space.width + 1)]
         table = WindowTable(seq)
@@ -537,6 +537,28 @@ class TestWindowTable:
             assert table.marginal(n, k) == window_marginal(seq.member(n), k)
             assert table.infimum(n, k) == window_infimum(seq, n, k)
             assert table.deficit(n, k) == window_deficit(seq, n, k)
+
+    def test_marginals_are_computed_when_read_from_the_narrowest_wider_one(self, monkeypatch):
+        space = ProductSpace((Alphabet(("a", "b")),) * 3)
+        member = MassFunction.from_masses(space, {z: F(z + 1, 36) for z in space.points()})
+        seq = ProcessSequenceSpec(space, (member,), MassFunction.uniform(space), TailRule(1))
+        truncations = []  # (width of the law truncated, window)
+        marginal = measures.window_marginal
+
+        def recorded(law, k):
+            truncations.append((law.space.width, k))
+            return marginal(law, k)
+
+        monkeypatch.setattr(measures, "window_marginal", recorded)
+        table = seq.window_table
+        assert table is seq.window_table and not truncations
+        table.infimum(1, 2)  # the limit's and the member's window-2 marginals
+        assert truncations == [(3, 2), (3, 2)]
+        table.infimum(1, 1)  # each from its window-2 marginal
+        assert truncations[2:] == [(2, 1), (2, 1)]
+        # a probability law's window-0 marginal is the unit mass, truncated from nothing
+        assert table.infimum(1, 0) == MassFunction(space.window(0), 1, {0: 1})
+        assert table.marginal(2, 3) is seq.limit and len(truncations) == 4
 
     def test_rejects_bad_indices(self, two_member_sequence):
         table = WindowTable(two_member_sequence)

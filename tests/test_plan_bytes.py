@@ -8,12 +8,14 @@ never reads, format 3 drops the ladder and the kernel rows, which
 format 2 stored but which follow from the rest, format 4 writes the
 empty law in place of every mixture law the sampler never draws, and
 format 5 stores the envelope densities in place of the mixture laws,
-which are derived from them.  ``v4_doc`` writes the derived mixture
-laws in place of the densities, ``v3_doc`` puts the format-3 fillers
-back into that, ``v2_doc`` adds the derived ladder and kernel rows, and
-``v1_doc`` builds on it; they must reproduce the format-4, format-3,
-format-2 and format-1 bytes exactly.  Sample bytes are the same in every
-format.
+which are derived from them, and format 6 stores only the sequence and
+the window list, from which the densities are derived.  ``v5_doc``
+writes the derived densities and the schedule's horizon, ``v4_doc``
+writes the derived mixture laws in place of the densities, ``v3_doc``
+puts the format-3 fillers back into that, ``v2_doc`` adds the derived
+ladder and kernel rows, and ``v1_doc`` builds on it; they must reproduce
+the format-5, format-4, format-3, format-2 and format-1 bytes exactly.
+Sample bytes are the same in every format.
 """
 import hashlib
 import random
@@ -60,9 +62,22 @@ def uniform_on_cylinder(space, prefix, k) -> MassFunction:
     return MassFunction.from_masses(space, {z: F(1, len(extensions)) for z in extensions})
 
 
+def v5_doc(plan) -> dict:
+    """The format-5 document of a plan: its densities, and a schedule object with its horizon."""
+    doc = jsonio.plan_to_doc(plan)
+    doc["format"] = 5
+    doc["schedule"] = {"windows": list(plan.schedule.windows), "horizon": plan.sequence.horizon}
+    window = plan.sequence.space.window(plan.schedule.windows[-2])
+    doc["densities"] = [
+        {window.format_point(p): f"{num}/{den}" for p, (num, den) in density.items()}
+        for density in plan.densities
+    ]
+    return doc
+
+
 def v4_doc(plan) -> dict:
     """The format-4 document of a plan: its mixture laws in place of its densities."""
-    doc = jsonio.plan_to_doc(plan)
+    doc = v5_doc(plan)
     del doc["densities"]
     doc["format"] = 4
     doc["index_law"] = jsonio.law_to_doc(plan.index_law)
@@ -153,7 +168,7 @@ def v1_doc(plan) -> dict:
     return doc
 
 
-# seed -> (schedule, format-1 to format-5 plan sha256, audit report sha256)
+# seed -> (schedule, format-1 to format-6 plan sha256, audit report sha256)
 ENUMERABLE = {
     0: (
         (0, 0, 0, 2),
@@ -162,7 +177,8 @@ ENUMERABLE = {
         "a2418eee23df1c8536e833271858fae579639e1002da5288fd9437043202cb5a",
         "6dd10129eb047eeb8c5c5150f458e01e4ab20eb7c1019a22ee34deb13e79383f",
         "860084d77541f593e56c0c30956d85388bbdc50f9dfb239a14e3202a47c6391e",
-        "c738b1df0e0ecec95be6e1305a82ed356abb62af5f615da86ebe73a3619ce0c5",
+        "b8be70e13b7b6bc43c2d5f7ce9d5d147af97c52ced53bff4078e70cd37fcd308",
+        "a3f4c5750485e36dd595d1532ed0b48886ce3dedc1710fb7590f1445b5027629",
     ),
     3: (
         (0, 0, 1),
@@ -171,7 +187,8 @@ ENUMERABLE = {
         "af5841eb812a9f27e5c4a9e5a1955e8a1b2b6e7fdc362d1df7a47ae94fb013f4",
         "7e4d18cf484a7082f96ec061b9fa8850f032ca680dfda47f37792698d7176b0c",
         "9ae54b75fe00dd61d0b3afa8029379dcba74e095abd58cce2b8790c30516a0bb",
-        "adba19d2d1c0e36e1e76e5f8f9eec60e78e180c21471f920f28f2665522a7b9d",
+        "735f70adefb5df96a649b14bf1db5ec1ee9d9dc288a15a1189da01813176d863",
+        "fb0f78075dc8ab2194f0f81da0e47727f61428528846219887f8d2860efb9e23",
     ),
     12: (
         (1, 1, 1, 2),
@@ -180,7 +197,8 @@ ENUMERABLE = {
         "aaa7dadf5c350e6336bf07fb8a8815b2c8e5b578b445e6a2c416b4f08e4a27d4",
         "587b296e9b557438d699e0ec1982b1c54c80b82c75a57c9e16fb2419b55208e2",
         "0b77ce2ed94add99fd67b639828387a1e321ff0dc7d02666fccea72d3d143f5d",
-        "2e81ebaed64eed2f6fa08106d040884c953dc386417efc08f788a0bcd304dd3d",
+        "cf9ffe5070dbb58572123cf8ff2202943256c1ae95b4e58c84de8a861e6848eb",
+        "eefd745cc266b4a9d8b73f25df0ab0d7d3f635ab87d5cf973e48cd1bde37eb0a",
     ),
     26: (
         (1, 1, 1, 1, 3),
@@ -189,7 +207,8 @@ ENUMERABLE = {
         "97161f9e9da129e5df06d3f3d13c1982a1759d36131de875655b1aad382898d7",
         "2220dd318f3a3030c5801c1d432d5d1bf71d16f21d3775c1960527cb68dc89b8",
         "b14ec6847d3f201784d3fc89a1da0ba1f211c480599579cbd4a92ffac3343791",
-        "529fabd16b867270fb093488b0e0028b638895c4d1391974327ab5841d791fcc",
+        "a10aee872ee6901965366c3615b921ae8b97efecf1e67a4e64613abb0dff0f4c",
+        "85ee9a6aa1dbc5a87281aea01a05aef3b4f0dc0b1f0b166cbd63c87df57b2706",
     ),
     35: (
         (2, 2, 2, 3),
@@ -198,7 +217,8 @@ ENUMERABLE = {
         "3404011b9e9dad1ab7d79fdf15391d8ebe5b1da07d3e9af44ee1cb0ed139c706",
         "93fe1328500c269db382dc66a436aaf3bba43101944bc7e3392c4fbe7192019c",
         "d50c80c03335fb05d4390f197e535ade1f1e3d1765e1ce031152eb17c57c32a1",
-        "a421352af4c58ebd6358deecddfa640aba135beb4f5ff32a084c98965f867bc0",
+        "a84ed36e9bad8c9bdaaedf96046260de194b8cbee4265b8212390a8ffb0e2144",
+        "2eb99eed5ef30446ed32a7cdec15147d516edebc37436c6bb0a411afc6f6018e",
     ),
 }
 
@@ -217,10 +237,11 @@ SKOROHOD_SAMPLES = "e414cbc753bd94b42496a2b50c67d66ab3ed44832dd39060473f915bac7d
 
 @pytest.mark.parametrize("seed", sorted(ENUMERABLE))
 def test_enumerable_plan_bytes(seed):
-    windows, v1_sha, v2_sha, v3_sha, v4_sha, v5_sha, report_sha = ENUMERABLE[seed]
+    windows, v1_sha, v2_sha, v3_sha, v4_sha, v5_sha, v6_sha, report_sha = ENUMERABLE[seed]
     _, plan = random_enumerable_plan(random.Random(seed))
     assert plan.schedule.windows == windows
-    assert sha256(jsonio.plan_to_doc(plan)) == v5_sha
+    assert sha256(jsonio.plan_to_doc(plan)) == v6_sha
+    assert sha256(v5_doc(plan)) == v5_sha
     assert sha256(v4_doc(plan)) == v4_sha
     assert sha256(v3_doc(plan)) == v3_sha
     assert sha256(v2_doc(plan)) == v2_sha
@@ -289,6 +310,10 @@ def test_skorohod_plan_bytes():
     assert coupling.plan.schedule.windows == (0, 0, 3)
     assert (
         sha256(jsonio.plan_to_doc(coupling.plan))
+        == "ba4a6bd2cc97dbd910eabc44bd6644f8469b03672c3dd0f760602f5410ad97d6"
+    )
+    assert (
+        sha256(v5_doc(coupling.plan))
         == "1b200398710687d24cadceea32273f83feac59eebfe0980f2a27078c73b00c17"
     )
     assert (
@@ -309,7 +334,7 @@ def test_skorohod_plan_bytes():
     )
     assert (
         sha256(jsonio.report_to_doc(audit_skorohod(coupling)))
-        == "551957de9f46fc575623b12abf0ba58ca90ac67648ecad231c4a15aa6636c51f"
+        == "8308731272c74bdd6e750824c94c1cfa3caec1aec68e44371bfb9e0491dd3fda"
     )
 
 
@@ -360,5 +385,5 @@ def test_jittered_lattice_tree_and_report_bytes():
         "89164df424e1f13a0779aba61cd1038bac22c1bbf7029773b0f1b46cdaf4b17a"
     )
     assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
-        "2aebd5a161dd5cb52a848a6bda51db8eaf331bba7677e4b79acac7b8e1a2adb6"
+        "852a7622519403d54b5b55f51722d8d99f769408f0785160e79d6946fc3e1c33"
     )

@@ -25,6 +25,7 @@ from windowcoupling.verify import (
     random_process_spec,
     random_rational_pmf,
 )
+from conftest import with_densities
 
 
 class TestAuditPlan:
@@ -39,7 +40,7 @@ class TestAuditPlan:
         plan = build_plan(skewed_sequence)
         report = audit_plan(plan)
         names = {c.name for c in report.exact_checks}
-        assert "densities-non-decreasing" in names
+        assert "ladder-mass-bound" in names
         assert report.all_exact_passed
         for n, (k, (denominator, weights)) in enumerate(
             zip(plan.schedule.windows, plan.window_mixtures), start=1
@@ -51,13 +52,15 @@ class TestAuditPlan:
         plan = build_plan(two_member_sequence)
         # move the mass of N = 2 onto N = 1: envelope 1 becomes envelope 2
         first, second, third = (plan.index_probability(n) for n in (1, 2, 3))
-        moved = replace(plan, densities=(plan.densities[1], plan.densities[1]))
+        moved = with_densities(plan, plan.densities[1], plan.densities[1])
         assert moved.index_law.mass == {0: first + second, 2: third}
-        report = audit_plan(moved)
-        assert not report.all_exact_passed
-        failed = [c for c in report.exact_checks if not c.passed]
-        assert any(c.name == "ladder-below-floor" for c in failed)
-        assert all(c.witness for c in failed)
+        # the plan checks pass; residual 2 is negative, which the marginals find
+        assert audit_plan(moved).all_exact_passed
+        report = certify(moved, 20, seed=0)
+        failed = {c.name: c.witness for c in report.exact_checks if not c.passed}
+        assert failed == {
+            "joint-law-marginals": "check raised ValueError: negative mass -1/12 at (0,)"
+        }
 
     def test_audit_never_raises_on_corrupt_plans(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
@@ -65,12 +68,10 @@ class TestAuditPlan:
         # mass bound cannot build; that must surface as failures, not
         # exceptions
         first = {**plan.densities[0], 0: (-1, 2)}
-        bad = replace(plan, densities=(first, plan.densities[1]))
+        bad = with_densities(plan, first, plan.densities[1])
         report = audit_plan(bad)
         failed = {c.name: c.witness for c in report.exact_checks if not c.passed}
         assert failed == {
-            "densities-non-decreasing": "n=1: density -1/2 at (0,) is not between 0"
-            " and density 2's 2/3",
             "ladder-mass-bound": "check raised ValueError: negative mass -1/4 at (0,)",
         }
 
@@ -115,7 +116,7 @@ class TestMcAgreement:
         plan = coupling.plan
         # density 2 on the whole limit support gives envelope 1 mass 2
         doubled = {p: (2, 1) for p in plan.densities[0]}
-        broken = replace(coupling, plan=replace(plan, densities=(doubled,)))
+        broken = replace(coupling, plan=with_densities(plan, doubled))
         for checks in (
             mc_agreement(broken, 30, seed=1).mc_checks,
             mc_agreement(broken.plan, 30, seed=1).mc_checks,
@@ -133,7 +134,7 @@ class TestJointLawMarginals:
         # envelope 1 is the limit, so N = 1 surely and component 1 draws
         # the limit's law, not the member's
         plan = build_plan(skewed_sequence)
-        full = replace(plan, densities=({0: (1, 1), 1: (1, 1)},))
+        full = with_densities(plan, {0: (1, 1), 1: (1, 1)})
         assert full.index_law.mass == {0: F(1)}
         check = joint_law_marginals(full)
         assert not check.passed
@@ -146,7 +147,7 @@ class TestJointLawMarginals:
         limit = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
         plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
         on_b = MassFunction.point_mass(binary_space, (1,))
-        bad = replace(plan, densities=({1: (1, 1)},))
+        bad = with_densities(plan, {1: (1, 1)})
         assert bad.increment_laws[0] == on_b
         check = joint_law_marginals(bad)
         assert not check.passed
@@ -252,7 +253,7 @@ class TestAuditSkorohod:
         report = audit_skorohod(coupling)
         names = {c.name for c in report.exact_checks}
         assert "partition-disjoint-cover" in names
-        assert "ladder-below-floor" in names
+        assert "ladder-mass-bound" in names
         assert report.all_exact_passed
 
 
