@@ -7,9 +7,8 @@ this module materializes the coupling in four stages:
    certified below ``2**-n``;
 2. a ladder of sub-probability measures: window infima extended to the
    full space along the limit law's conditional kernel (``floors``) and
-   the running lower envelopes, whose density against the limit law is
-   the minimum of the floor densities from index n on and whose masses
-   telescope to one (``envelopes``);
+   the lower envelopes, the pointwise minima of the floors from index n
+   on, whose masses telescope to one (``envelopes``);
 3. the mixture decomposition, derived from the envelopes: the law of
    the agreement index N, the envelope increment laws (full-space
    components) and the residual window laws used while N has not been
@@ -25,14 +24,15 @@ this module materializes the coupling in four stages:
 
 A plan stores only the sequence and the schedule.  Everything else is
 derived from them, once per plan and only when read, on one path
-(``CouplingPlan``).  The envelope densities come first:
-r_n(z) = min_{n <= i <= M} inf_i|k_i / L|k_i at z's k_i-prefixes, the
-density of envelope n against the limit law L (``build_ladder``).  The
-schedule does not decrease, so r_n is a function of z's k_M-prefix.
-Envelope n is L times r_n, envelope M + 1 is L, and the mixture follows
-from the envelopes.  Floor n is the table's window infimum extended
-along the limit law; a plan needs only the densities, so the floors are
-built only when ``CouplingPlan.ladder`` is read.  Kernel row n at a
+(``CouplingPlan``).  The envelopes come first, as laws on the k_M
+window: floor n is the table's window infimum inf_n|k_n extended along
+the limit law L, and envelope n is the pointwise minimum of the floors
+from index n on.  The schedule does not decrease, so each of these is
+its k_M-marginal extended along L, and ``build_ladder`` sweeps the
+k_M-marginals from E_{M+1}|k_M = L|k_M down, by the pointwise minimum
+with which the window table sweeps its infima.  The mixture follows
+from the envelopes; only ``CouplingPlan.ladder`` extends the floors and
+the envelopes to the full space.  Kernel row n at a
 prefix is member n's conditional law given that prefix.  Component n's prefix
 always has positive mass under member n: while N > n it is drawn from
 the residual law, which sits below the member's window marginal, and
@@ -42,15 +42,15 @@ makes each row a slice of one ``KernelTable`` per member, built once per
 plan; only the joint-law oracle builds the rows as laws
 (``CouplingPlan.kernels``).
 
-Floors, tail mixtures and exact marginals extend a window law to the
-full space along a law's conditionals given the k-prefix by one integer
-step: ``_prefix_ratios`` divides the window law by the law's k-marginal
-at each charged prefix, and ``_limit_times`` multiplies the law by it.
+Floors, envelopes, increments, tail mixtures and exact marginals extend
+a window law along a law's conditionals given the k-prefix by one
+integer step, ``_extended``, which reads the law's k-marginal from the
+sequence's window table.
 
 A point is its ``int`` code in its space (see ``measures``), and its
 k-prefix is the code floor-divided by the space's stride at k, which is
 the prefix's own code in the window space.  The schedule's prefixes,
-the ladder's ratios, the kernel tables' rows and the sampler's lookups
+the envelopes, the kernel tables' rows and the sampler's lookups
 are all keyed by these ints.  Sorted codes are the tuples in
 lexicographic order, so tables, draws and artifacts do not depend on
 the coding; check witnesses and errors name points by their tuples.
@@ -61,7 +61,7 @@ checks read comes from the sequence's one ``WindowTable``
 one each fill one table, which its audit reads too.  The table computes
 a marginal or an infimum only when it is read, and the schedule scan
 reads index n only at windows between k_n and k_{n+1}, so no infimum
-wider than the schedule can use is computed; the densities and the
+wider than the schedule can use is computed; the envelopes and the
 checks read each index at its scheduled window.
 The tail rule makes density convergence automatic (from index M + 1 on
 only the limit law remains), so no convergence scan runs.
@@ -72,9 +72,8 @@ time; they are the reference the table and the extension are tested
 against.
 
 Every quantity is an exact rational.  Laws are integer weights over one
-denominator each (see ``measures``) and densities are integer ratios,
-so the ladder, the mixture and the checks add, scale and
-cross-multiply integers; plan construction verifies the paper's
+denominator each (see ``measures``), so the ladder, the mixture and the
+checks add, scale and compare integers; plan construction verifies the paper's
 identities and refuses to return an inconsistent plan.
 
 Every exact check is a witness function run by ``run_checks``: the plan
@@ -90,7 +89,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .measures import (
     ONE,
@@ -101,6 +100,7 @@ from .measures import (
     ProcessSequenceSpec,
     ProductSpace,
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
+    pointwise_minimum,
     prefix_conditionals,
     window_infimum,
     window_marginal,
@@ -159,14 +159,13 @@ class MeasureLadder:
     """The measure ladder underlying the mixture decomposition.
 
     ``floors[n-1]`` is the window infimum at the scheduled window,
-    extended to the full space; ``envelopes[n-1]`` the measure whose
-    density with respect to the limit law is the minimum, over indices
-    i >= n, of the floor densities ``floors[i-1][z] / limit[z]`` on the
-    limit's support.  Envelopes are pointwise non-decreasing and the
-    last one equals the limit law exactly.  A plan does not store it
-    and derives it on demand (``CouplingPlan.ladder``); ``build_ladder``
-    computes only the envelopes' densities, which is all that the
-    mixture needs.
+    extended to the full space along the limit law; ``envelopes[n-1]``
+    is the pointwise minimum of the floors from index n on.  Envelopes
+    are pointwise non-decreasing and the last one equals the limit law
+    exactly.  A plan does not store it and derives it on demand
+    (``CouplingPlan.ladder``) by extending its k_M-window laws: the
+    floors' window infima and the envelopes' k_M-marginals
+    (``build_ladder``), which are all that the mixture needs.
     """
 
     floors: tuple[MassFunction, ...]
@@ -195,39 +194,34 @@ class KernelRow:
     law: MassFunction
 
 
-# A ratio is a (numerator, denominator) pair of ints with a positive
-# denominator; ratios are compared by cross-multiplication.
-Ratio = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class CouplingPlan:
     """Coupling of a process-law sequence: the sequence and its window schedule.
 
     These are all a plan stores.  Everything else is derived on first
     read and kept with the plan, on the one path that ``build_plan`` and
-    a loaded document share.  ``densities[n-1]``, for n = 1..M, maps
-    each k_M-prefix code p (k_M = ``schedule.windows[-2]``) that the
-    limit law L charges to r_n(p), the density of envelope n against L,
-    as a reduced ratio; a prefix without an entry has density 0.  They
-    are ``build_ladder``'s running minima of the floor ratios.  N = n is
-    the index law's point with code n - 1, and a law drawn only on an
-    event of probability 0 is the empty law.
+    a loaded document share.  ``envelopes[n-1]``, for n = 1..M + 1, is
+    E_n|k_M, envelope n's marginal on the k_M window
+    (k_M = ``schedule.windows[-2]``): ``build_ladder``'s sweep for
+    n <= M, and L|k_M, the limit law's, for n = M + 1.  Envelope n is
+    E_n|k_M extended along L.  N = n is the index law's point with code
+    n - 1, and a law drawn only on an event of probability 0 is the
+    empty law.
 
     On a non-decreasing schedule every derived law is a law by
-    construction.  The running minimum gives 0 <= r_n <= r_{n+1} <= 1,
-    r_{M+1} being 1 on the limit's support, so every increment
-    E_n - E_{n-1} is non-negative with total P(N = n), hence empty where
-    P(N = n) = 0.  It also gives r_n(p) <= the floor ratio of index n at
-    p|k_n, so E_n <= floor n, whose k_n-marginal is inf_n|k_n <= P_n|k_n;
-    every residual P_n|k_n - E_n|k_n is then non-negative with total
-    P(N > n), hence empty where P(N > n) = 0.  The mixture rebuilds the
-    limit, since E_{M+1} = L, and window mixture n,
-    E_n|k_n + P(N > n) * residual n, is P_n|k_n.  So the audit
-    (``plan_exact_checks``) checks only the schedule and the mass bound.
-    A decreasing schedule still loads and fails ``schedule-monotone``;
-    where some k_n exceeds k_M the derivation raises, and the checks
-    that read a derived law report that as their witness.
+    construction.  The sweep gives E_1|k_M <= ... <= E_M|k_M <= L|k_M,
+    so every increment E_n - E_{n-1} is non-negative with total
+    P(N = n), hence empty where P(N = n) = 0.  It also gives
+    E_n|k_M <= F_n, floor n's k_M-marginal, whose k_n-marginal is
+    inf_n|k_n <= P_n|k_n; every residual P_n|k_n - E_n|k_n is then
+    non-negative with total P(N > n), hence empty where P(N > n) = 0.
+    The mixture rebuilds the limit, since E_{M+1} = L, and window
+    mixture n, E_n|k_n + P(N > n) * residual n, is P_n|k_n.  So the
+    audit (``plan_exact_checks``) checks only the schedule and the mass
+    bound.  A decreasing schedule still loads and fails
+    ``schedule-monotone``; where some k_n exceeds k_M the derivation
+    raises, and the checks that read a derived law report that as their
+    witness.
 
     ``draw_tables`` holds every table a draw reads, and every
     ``CouplingSampler`` of the plan shares it; ``kernels[n-1]`` maps each
@@ -240,30 +234,22 @@ class CouplingPlan:
     schedule: WindowSchedule
 
     @cached_property
-    def densities(self) -> tuple[Mapping[Point, Ratio], ...]:
-        """The envelope densities r_1..r_M (``build_ladder``)."""
-        return build_ladder(self.sequence, self.schedule)
-
-    @cached_property
     def envelopes(self) -> tuple[MassFunction, ...]:
-        """E_n = L times r_n at each point's k_M-prefix for n = 1..M, then L itself."""
-        limit = self.sequence.limit
-        k = self.schedule.windows[-2]
-        return (*(_limit_times(limit, k, density) for density in self.densities), limit)
+        """E_n|k_M for n = 1..M (``build_ladder``), then L|k_M."""
+        last = self.schedule.windows[-2]
+        limit = self.sequence.window_table.marginal(self.count, last)
+        return (*build_ladder(self.sequence, self.schedule), limit)
 
     @cached_property
     def envelope_windows(self) -> tuple[MassFunction, ...]:
-        """E_n|k_n: the limit's k_M-marginal times r_n, marginalized to k_n; then L."""
-        last = self.schedule.windows[-2]
-        limit = self.sequence.window_table.marginal(self.count, last)
-        pairs = zip(self.schedule.windows, self.densities)
-        envelopes = (window_marginal(_limit_times(limit, last, r), k) for k, r in pairs)
-        return (*envelopes, self.sequence.limit)
+        """E_n|k_n: each E_n|k_M marginalized to k_n; then L."""
+        pairs = zip(self.schedule.windows, self.envelopes[:-1])
+        return (*(window_marginal(env, k) for k, env in pairs), self.sequence.limit)
 
     @cached_property
     def index_cumulative(self) -> tuple[Fraction, ...]:
         """P(N <= n) for n = 1..M+1: the masses of the envelopes."""
-        return tuple(env.total_mass for env in self.envelope_windows)
+        return tuple(env.total_mass for env in self.envelopes)
 
     @cached_property
     def index_law(self) -> MassFunction:
@@ -274,25 +260,18 @@ class CouplingPlan:
 
     @cached_property
     def increment_laws(self) -> tuple[MassFunction, ...]:
-        """E_n - E_{n-1}, L times r_n - r_{n-1} at each point's k_M-prefix, over P(N = n).
+        """(E_n - E_{n-1}) / P(N = n): E_n|k_M - E_{n-1}|k_M normalized, extended along L.
 
-        r_0 is 0, and r_{M+1} is 1 at every prefix the limit charges; where
-        r_n equals r_{n-1} the increment is the empty law.
+        E_0 is the zero measure; where E_n equals E_{n-1} the increment is
+        the empty law, and nothing is extended.
         """
         limit = self.sequence.limit
-        last = self.schedule.windows[-2]
-        top = dict.fromkeys(self.sequence.window_table.marginal(self.count, last).weights, (1, 1))
+        top = self.envelopes[-1]
+        empty = MassFunction(limit.space, 1, {})
         laws = []
-        for lower, upper in itertools.pairwise(({}, *self.densities, top)):
-            steps = {}
-            for p in upper.keys() | lower.keys():
-                (a, b), (c, d) = upper.get(p, (0, 1)), lower.get(p, (0, 1))
-                if num := a * d - c * b:
-                    steps[p] = (num, b * d)
-            if steps:
-                laws.append(_normalized(limit.space, *_limit_weights(limit, last, steps)))
-            else:
-                laws.append(MassFunction(limit.space, 1, {}))
+        for lower, upper in itertools.pairwise((MassFunction(top.space, 1, {}), *self.envelopes)):
+            excess = _normalized_excess(upper, lower)
+            laws.append(_extended(limit, top, excess) if excess.weights else empty)
         return tuple(laws)
 
     @cached_property
@@ -342,15 +321,17 @@ class CouplingPlan:
         )
 
     @cached_property
-    def window_mixtures(self) -> tuple[tuple[int, Mapping[Point, int]], ...]:
+    def window_mixtures(self) -> tuple[MassFunction, ...]:
         """Per component n, the law of its k_n-prefix (``_window_mixtures``)."""
         return tuple(_window_mixtures(self))
 
     @cached_property
     def ladder(self) -> MeasureLadder:
-        """Floors from the sequence's window infima, envelopes from the densities."""
+        """The floors, and each E_n|k_M extended along the limit law."""
         floors = extended_floors(self.sequence, self.schedule)
-        return MeasureLadder(floors, self.envelopes)
+        limit, top = self.sequence.limit, self.envelopes[-1]
+        envelopes = (*(_extended(limit, top, env) for env in self.envelopes[:-1]), limit)
+        return MeasureLadder(floors, envelopes)
 
     @property
     def count(self) -> int:
@@ -486,117 +467,82 @@ def extended_floor(
     )
 
 
-def _prefix_ratios(
-    denominator: int, weights: Mapping[Point, int], marginal: MassFunction
-) -> dict[Point, Ratio]:
-    """window(p) / marginal(p) at each prefix p the window law ``weights / denominator`` charges.
+def _extended(law: MassFunction, marginal: MassFunction, window_law: MassFunction) -> MassFunction:
+    """law(z) * window(z|k) / marginal(z|k), where ``marginal`` is law's k-marginal.
 
-    ``_limit_times`` turns them into the window law's extension along the
-    law whose k-marginal is ``marginal``.  A prefix the marginal does not
-    charge raises ``KeyError`` naming the prefix as a tuple.
+    This is the window law, of width k, extended along law's conditionals
+    given the k-prefix; it is 0 above a prefix the window law does not
+    charge, and law itself where the window law is the marginal.  A
+    prefix that the window law charges and the marginal does not raises
+    ``KeyError`` naming the prefix as a tuple.
     """
+    stride = law.space.stride(window_law.space.width)
+    if window_law is marginal:
+        return law
     below = marginal.weights
-    scale = marginal.denominator
     try:
-        return {p: (w * scale, denominator * below[p]) for p, w in weights.items()}
+        common = math.lcm(*(below[p] for p in window_law.weights))
     except KeyError as exc:
         raise KeyError(marginal.space.decode(exc.args[0])) from None
-
-
-def _limit_weights(
-    law: MassFunction, k: int, ratios: Mapping[Point, Ratio]
-) -> tuple[int, dict[Point, int]]:
-    """law(z) * ratios[z|k], 0 at a prefix without a ratio, as one denominator and weights."""
-    common = math.lcm(*{den for _, den in ratios.values()})
-    factors = {key: num * (common // den) for key, (num, den) in ratios.items()}
-    stride = law.space.stride(k)
-    return law.denominator * common, {
-        z: w * factors.get(z // stride, 0) for z, w in law.weights.items()
-    }
-
-
-def _limit_times(law: MassFunction, k: int, ratios: Mapping[Point, Ratio]) -> MassFunction:
-    """The measure law(z) * ratios[z|k], 0 at a prefix without a ratio, over one denominator."""
-    return MassFunction._derived(law.space, *_limit_weights(law, k, ratios))
-
-
-def _floor_ratios(seq: ProcessSequenceSpec, windows: Sequence[int]) -> list[dict[Point, Ratio]]:
-    """Per index n = 1, 2, ..., the ratio inf_n|k(p) / L|k(p) at each prefix p the infimum charges.
-
-    k is the window ``windows[n-1]`` and L the limit law.  Floor n is the
-    limit law times this ratio at each point's prefix, and 0 where the
-    prefix has no ratio.
-    """
-    table = seq.window_table
-    ratios = []
-    limit_index = seq.horizon + 1
-    for n, k in enumerate(windows, start=1):
-        infimum = table.infimum(n, k)
-        ratios.append(
-            _prefix_ratios(infimum.denominator, infimum.weights, table.marginal(limit_index, k))
-        )
-    return ratios
+    scale = marginal.denominator * common
+    factors = {p: w * (scale // below[p]) for p, w in window_law.weights.items()}
+    return MassFunction._derived(
+        law.space,
+        law.denominator * window_law.denominator * common,
+        {z: w * factors.get(z // stride, 0) for z, w in law.weights.items()},
+    )
 
 
 def extended_floors(
     seq: ProcessSequenceSpec, schedule: WindowSchedule
 ) -> tuple[MassFunction, ...]:
     """Every scheduled window infimum, extended to the full space along the limit law."""
+    table = seq.window_table
+    limit_index = seq.horizon + 1
     return tuple(
-        _limit_times(seq.limit, k, ratios)
-        for k, ratios in zip(schedule.windows, _floor_ratios(seq, schedule.windows))
+        _extended(seq.limit, table.marginal(limit_index, k), table.infimum(n, k))
+        for n, k in enumerate(schedule.windows, start=1)
     )
 
 
-def build_ladder(
-    seq: ProcessSequenceSpec, schedule: WindowSchedule
-) -> tuple[dict[Point, Ratio], ...]:
-    """The envelope densities r_1..r_M, the running minima of the floor densities.
+def build_ladder(seq: ProcessSequenceSpec, schedule: WindowSchedule) -> tuple[MassFunction, ...]:
+    """The envelopes' k_M-marginals E_1|k_M..E_M|k_M, swept from index M down.
 
-    The density of floor n against the limit law is its prefix ratio at
-    k_n, so r_n at a k_M-prefix p is the minimum over n <= i <= M of the
-    ratios at p's k_i-prefixes, a missing ratio reading as 0; the ratio
-    of index M + 1 is 1 wherever the limit charges.  Each map holds the
-    limit's charged k_M-prefixes of positive density, each ratio
-    reduced.  The minimum starts at 1 and only falls, index by index
-    from M down, so 0 <= r_1 <= ... <= r_M <= 1 at every prefix and r_n
-    never exceeds floor ratio n: this is why ``CouplingPlan`` needs no
-    audit of the densities.  A window k_n wider than k_M, which only a
-    decreasing schedule has, raises WindowRangeError.  Every law is read
-    from the sequence's window table; the floors themselves are not built
-    (see ``extended_floors``).
+    F_n, floor n's k_M-marginal, is the window infimum inf_n|k_n
+    extended along L|k_M, the limit law's k_M-marginal.  The sweep starts
+    from L|k_M and takes E_n|k_M = min(E_{n+1}|k_M, F_n) by
+    ``pointwise_minimum``, the step that sweeps the window table's
+    infima.  So E_1|k_M <= ... <= E_M|k_M <= L|k_M and E_n|k_M <= F_n at
+    every prefix: this is why ``CouplingPlan`` needs no audit of the
+    envelopes.  A window k_n wider than k_M, which only a decreasing
+    schedule has, raises WindowRangeError.  Every law is read from the
+    sequence's window table, and none is extended to the full space (see
+    ``extended_floors``).
     """
     table = seq.window_table
-    ratios = _floor_ratios(seq, schedule.windows[:-1])
-    last = schedule.windows[-2]
-    window = seq.space.window(last)
-    # running minimum of the floor densities, from index M down
-    running = dict.fromkeys(table.marginal(seq.horizon + 1, last).weights, (1, 1))
-    densities = []
-    for k, ratio in zip(reversed(schedule.windows[:-1]), reversed(ratios)):
-        stride = window.stride(k)
-        for p, (low, den) in running.items():
-            num, other = ratio.get(p // stride, (0, 1))
-            if num * den < low * other:
-                common = math.gcd(num, other)
-                running[p] = (num // common, other // common)
-        densities.append({p: r for p, r in running.items() if r[0]})
-    densities.reverse()
-    return tuple(densities)
+    limit_index = seq.horizon + 1
+    limit = running = table.marginal(limit_index, schedule.windows[-2])
+    envelopes = []
+    for n in range(seq.horizon, 0, -1):
+        k = schedule.window(n)
+        floor = _extended(limit, table.marginal(limit_index, k), table.infimum(n, k))
+        running = pointwise_minimum(running, floor)
+        envelopes.append(running)
+    envelopes.reverse()
+    return tuple(envelopes)
 
 
-def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, int]]]:
+def _window_mixtures(plan: CouplingPlan) -> Iterator[MassFunction]:
     """Per component n, envelope n's k_n-marginal plus P(N > n) times residual n.
 
-    This is the law of component n's prefix, as a denominator and
-    weights, neither validated nor reduced.
+    This is the law of component n's prefix.
     """
     for marginal, reached, residual in zip(
         plan.envelope_windows, plan.index_cumulative, plan.residual_laws
     ):
         tail = ONE - reached
         if not tail:
-            yield marginal.denominator, marginal.weights
+            yield marginal
             continue
         scale = tail.denominator * residual.denominator
         common = math.lcm(marginal.denominator, scale)
@@ -604,7 +550,7 @@ def _window_mixtures(plan: CouplingPlan) -> Iterator[tuple[int, Mapping[Point, i
         acc = {p: w * up for p, w in marginal.weights.items()}
         for p, w in residual.weights.items():
             acc[p] = acc.get(p, 0) + factor * w
-        yield common, acc
+        yield MassFunction._derived(marginal.space, common, acc)
 
 
 def _normalized(space: ProductSpace, denominator: int, weights: dict[Point, int]) -> MassFunction:
@@ -634,7 +580,7 @@ def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction
 
 
 def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
-    """Schedule the windows; the densities and the mixture are derived from them.
+    """Schedule the windows; the envelopes and the mixture are derived from them.
 
     The plan's identities are re-checked by exact arithmetic, and a
     failure raises InternalInvariantError rather than returning a bad
@@ -674,7 +620,7 @@ def plan_exact_checks(plan: CouplingPlan) -> list[ExactCheck]:
     other identity of the mixture holds by its derivation on a
     non-decreasing schedule (see ``CouplingPlan``).  The checks are
     witness functions run by ``run_checks``, so an exception raised
-    while checking, as when a decreasing schedule's densities cannot be
+    while checking, as when a decreasing schedule's envelopes cannot be
     derived, fails that check alone.  Every law is read from the
     sequence's window table.
     """
@@ -822,18 +768,12 @@ def sample(plan: CouplingPlan, rng: Random) -> CouplingSample:
     return plan.sampler.sample(rng)
 
 
-def _extended(
-    law: MassFunction, k: int, denominator: int, weights: Mapping[Point, int]
-) -> MassFunction:
-    """The window law ``weights / denominator`` extended along law's conditionals given z|k."""
-    return _limit_times(law, k, _prefix_ratios(denominator, weights, window_marginal(law, k)))
-
-
 def _tail_mixture_laws(plan: CouplingPlan) -> dict[int, MassFunction]:
     """Per component n with P(N > n) > 0, its law on that event: residual n extended."""
+    table = plan.sequence.window_table
     laws = zip(plan.schedule.windows, plan.residual_laws)
     return {
-        n: _extended(plan.sequence.member(n), k, residual.denominator, residual.weights)
+        n: _extended(plan.sequence.member(n), table.marginal(n, k), residual)
         for n, (k, residual) in enumerate(laws, start=1)
         if plan.index_tail_probability(n)
     }
@@ -851,9 +791,10 @@ def coupling_marginals(
     increments are exactly the envelopes' differences or raise, so they
     sum to the limit law on every plan whose mixture is made of laws.
     """
+    table = plan.sequence.window_table
     mixtures = zip(plan.schedule.windows, plan.window_mixtures)
     members = tuple(
-        _extended(plan.sequence.member(n), k, *mixture)
+        _extended(plan.sequence.member(n), table.marginal(n, k), mixture)
         for n, (k, mixture) in enumerate(mixtures, start=1)
     )
     index = plan.index_law

@@ -8,8 +8,8 @@ are canonical (sorted keys, fixed separators), which makes artifacts
 byte-identical across runs with the same inputs and seed.
 
 A plan document holds its format, its sequence and its window list,
-and nothing that can be derived from them: the envelope densities and
-the mixture laws are derived when the loaded plan is first read, on the
+and nothing that can be derived from them: the envelopes and the
+mixture laws are derived when the loaded plan is first read, on the
 path a built plan takes (see ``CouplingPlan``).
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .engine import (
     CouplingPlan,
@@ -33,7 +33,6 @@ from .engine import (
 from .measures import (
     Alphabet,
     MassFunction,
-    Point,
     ProcessSequenceSpec,
     ProductSpace,
     TailRule,
@@ -106,7 +105,7 @@ def canonical_dumps(doc: Any) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, from C-encoded pieces.
 
     CPython encodes in C only without ``indent``.  So each flat object,
-    whose keys and values are all strings (every law and density map),
+    whose keys and values are all strings (every law),
     is written by one C-encoded call that carries the indentation in its
     item separator, and every other object or array is written item by
     item, its keys and scalars C-encoded.  Object keys must be strings,
@@ -159,20 +158,15 @@ def document_sha256(doc: Any) -> str:
 # -- laws and process sequences ---------------------------------------------
 
 
-def _ratios_to_doc(space: ProductSpace, ratios: Iterable[tuple[Point, int, int]]) -> dict:
-    """Each (point, numerator, denominator) as ``label: "num/den"``, reduced by one gcd."""
-    label = space.format_point
-    doc = {}
-    for z, num, den in ratios:
-        common = math.gcd(num, den)
-        doc[label(z)] = f"{num // common}/{den // common}"
-    return doc
-
-
 def law_to_doc(law: MassFunction) -> dict:
-    """Each mass as ``"num/den"``, in lowest terms."""
+    """Each mass as ``"num/den"``, in lowest terms: one gcd per mass."""
+    label = law.space.format_point
     denominator = law.denominator
-    return _ratios_to_doc(law.space, ((z, w, denominator) for z, w in law.weights.items()))
+    doc = {}
+    for z, w in law.weights.items():
+        common = math.gcd(w, denominator)
+        doc[label(z)] = f"{w // common}/{denominator // common}"
+    return doc
 
 
 def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:

@@ -437,14 +437,39 @@ def window_marginal(law: MassFunction, k: int) -> MassFunction:
     """Exact pushforward of a law onto its first ``k`` coordinates.
 
     Total mass is preserved; ``k = 0`` gives the whole mass on the
-    unit space's one point.
+    unit space's one point, and the full width gives the law itself.
     """
+    if k == law.space.width:
+        return law
     stride = law.space.stride(k)
     sums: dict[Point, int] = {}
     for point, weight in law.weights.items():
         key = point // stride
         sums[key] = sums.get(key, 0) + weight
     return MassFunction._derived(law.space.window(k), law.denominator, sums)
+
+
+def pointwise_minimum(first: MassFunction, second: MassFunction) -> MassFunction:
+    """min(first, second) at each point of first's support, as one law.
+
+    Both laws' weights are scaled to the lcm of the two denominators, so
+    the minimum compares integers; the result is reduced by ``_derived``.
+    Where second lies nowhere below first, the result is first itself.
+    """
+    common = math.lcm(first.denominator, second.denominator)
+    first_scale = common // first.denominator
+    second_scale = common // second.denominator
+    weights = second.weights
+    out: dict[Point, int] = {}
+    lowered = False
+    for point, weight in first.weights.items():
+        mine, other = weight * first_scale, weights.get(point, 0) * second_scale
+        if other < mine:
+            lowered = True
+            mine = other
+        if mine:
+            out[point] = mine
+    return MassFunction._derived(first.space, common, out) if lowered else first
 
 
 def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction:
@@ -482,16 +507,16 @@ class WindowTable:
     Index n = 1..M names the members and n = M + 1 the limit law; by the
     tail rule every later index is the limit too.  Each sequence has one
     table, ``ProcessSequenceSpec.window_table``, which the schedule, the
-    envelope densities, the floors and the audit all read.  Nothing is
-    computed at construction.  A law's k-window marginal is computed on
-    its first read, from the narrowest of its wider marginals computed so
-    far (the law itself at the full width); every law of a sequence is a
-    probability law, so its window-0 marginal is the unit mass and costs
-    nothing.  The infima of window k come from a backward sweep, filled
-    on demand: the infimum from M + 1 is the limit marginal, and the
-    infimum from n is the pointwise minimum of P_n|k and the infimum from
-    n + 1, taken over the support of the latter, with both weights scaled
-    to the lcm of the two denominators.
+    envelopes, the floors, the exact marginals and the audit all read.
+    Nothing is computed at construction.  A law's k-window marginal is
+    computed on its first read, from the narrowest of its wider marginals
+    computed so far (the law itself at the full width); every law of a
+    sequence is a probability law, so its window-0 marginal is the unit
+    mass and costs nothing.  The infima of window k come from a backward
+    sweep, filled on demand: the infimum from M + 1 is the limit
+    marginal, and the infimum from n is the ``pointwise_minimum`` of the
+    infimum from n + 1 and P_n|k, taken over the support of the former.
+    ``engine.build_ladder`` sweeps the envelopes with the same step.
     A read of the infimum from n at window k extends that window's sweep
     down to n, if it has not reached n yet, so each marginal and infimum
     is computed at most once and only the windows and indices read are
@@ -536,18 +561,7 @@ class WindowTable:
         if sweep is None:
             sweep = self._sweeps[k] = [self._marginal(last, k)]
         while len(sweep) <= last - row:
-            later = sweep[-1]
-            member = self._marginal(last - len(sweep), k)
-            common = math.lcm(later.denominator, member.denominator)
-            later_scale = common // later.denominator
-            member_scale = common // member.denominator
-            weights = member.weights
-            out: dict[Point, int] = {}
-            for point, weight in later.weights.items():
-                m = min(weights.get(point, 0) * member_scale, weight * later_scale)
-                if m:
-                    out[point] = m
-            sweep.append(MassFunction._derived(later.space, common, out))
+            sweep.append(pointwise_minimum(sweep[-1], self._marginal(last - len(sweep), k)))
         return sweep[last - row]
 
     def deficit(self, n: int, k: int) -> Fraction:

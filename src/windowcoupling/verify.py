@@ -127,7 +127,7 @@ def _audit(target: CouplingPlan | SkorohodCoupling) -> VerificationReport:
     """The plan checks, a coupling's tree checks and the deficit trace.
 
     The plan checks and the deficit trace read the sequence's one window
-    table, which a loaded plan has already filled to derive its densities.
+    table, which a loaded plan has already filled to derive its envelopes.
     """
     plan, coupling = _split(target)
     checks = plan_exact_checks(plan)
@@ -253,9 +253,10 @@ def joint_law_marginals(plan: CouplingPlan) -> ExactCheck:
 
     The marginals come from ``coupling_marginals``, so no joint law is
     enumerated, no kernel row is built and the check runs at any size.
-    They read every law the sampler draws, so densities that derive no
+    They read every law the sampler draws, so envelopes that derive no
     law, such as an envelope above a member on its window, fail the
-    check with the derivation's error as its witness.
+    check with the derivation's error as its witness.  Each member's
+    window marginal is read from the sequence's window table.
     """
     seq = plan.sequence
 

@@ -70,10 +70,19 @@ def tuple_mass(law):
     return {law.space.decode(z): v for z, v in law.mass.items()}
 
 
-def with_densities(plan, *densities):
-    """A copy of the plan with the given densities put in its cache, as no schedule derives them."""
+def with_envelopes(plan, *envelopes):
+    """A copy of the plan with E_1|k_M..E_M|k_M put in its cache, as no schedule derives them.
+
+    Each envelope is a law on the k_M window, or its masses keyed by
+    k_M-prefix codes; E_{M+1}|k_M stays the limit's L|k_M.
+    """
+    top = plan.envelopes[-1]
+    laws = (
+        e if isinstance(e, MassFunction) else MassFunction.from_masses(top.space, e)
+        for e in envelopes
+    )
     copy = replace(plan)
-    vars(copy)["densities"] = densities
+    vars(copy)["envelopes"] = (*laws, top)
     return copy
 
 

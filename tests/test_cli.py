@@ -118,7 +118,7 @@ class TestVerify:
 
 
 def corrupt_index_law(doc):
-    # window 1 is wider than k_M = 0, so no density, hence no index law, derives
+    # window 1 is wider than k_M = 0, so no envelope, hence no index law, derives
     doc["schedule"] = [1, 0, 1]
 
 

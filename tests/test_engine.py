@@ -53,7 +53,7 @@ from windowcoupling.verify import (
     random_metric_model,
     random_process_spec,
 )
-from conftest import tuple_mass, widening_sequence, with_densities
+from conftest import tuple_mass, widening_sequence, with_envelopes
 
 
 def binary_sequence(member_masses, limit_masses, count=None):
@@ -235,16 +235,14 @@ class TestIntegerExtension:
         law = MassFunction.from_masses(space, {z: F(m, total) for z, m in masses.items() if m})
         k = rng.randint(0, space.width)
         window = random_dominated_window(rng, law, k)
-        ratios = engine._prefix_ratios(
-            window.denominator, window.weights, window_marginal(law, k)
-        )
-        assert engine._limit_times(law, k, ratios) == extend_window_law(window, law)
+        got = engine._extended(law, window_marginal(law, k), window)
+        assert got == extend_window_law(window, law)
 
     def test_uncharged_prefix_raises_key_error_naming_it(self, pair_space):
         law = MassFunction.from_masses(pair_space, {(0, 0): F(1, 2), (0, 1): F(1, 2)})
         window = MassFunction.from_masses(pair_space.window(1), {(0,): F(1, 2), (1,): F(1, 4)})
         with pytest.raises(KeyError) as info:
-            engine._prefix_ratios(window.denominator, window.weights, window_marginal(law, 1))
+            engine._extended(law, window_marginal(law, 1), window)
         assert info.value.args == ((1,),)  # the prefix's code 1, named as its tuple
 
 
@@ -258,8 +256,8 @@ def floor_ratios(seq, floors):
 
 
 def envelopes_of(seq, schedule):
-    """The envelopes of the densities that ``build_ladder`` computes."""
-    return CouplingPlan(seq, schedule).envelopes
+    """The envelopes that ``build_ladder`` sweeps, extended to the full space."""
+    return CouplingPlan(seq, schedule).ladder.envelopes
 
 
 def certified_failures(plan):
@@ -281,7 +279,7 @@ def assert_envelopes_are_minimal_ratios(seq, schedule, envelopes):
 class TestLadder:
     def test_constant_sequence_ladder_is_limit(self, constant_sequence):
         schedule = build_schedule(constant_sequence)
-        assert build_ladder(constant_sequence, schedule) == ({0: (1, 1), 1: (1, 1)},)
+        assert build_ladder(constant_sequence, schedule) == (constant_sequence.limit,)
         envelopes = envelopes_of(constant_sequence, schedule)
         for ratios in floor_ratios(constant_sequence, floors_of(constant_sequence, schedule)):
             assert set(ratios.values()) == {F(1)}
@@ -291,7 +289,8 @@ class TestLadder:
 
     def test_worked_example(self, skewed_sequence):
         schedule = build_schedule(skewed_sequence)
-        assert build_ladder(skewed_sequence, schedule) == ({0: (1, 2), 1: (1, 1)},)
+        first = MassFunction.from_masses(skewed_sequence.space, {0: F(1, 4), 1: F(1, 2)})
+        assert build_ladder(skewed_sequence, schedule) == (first,)
         envelopes = envelopes_of(skewed_sequence, schedule)
         floors = floors_of(skewed_sequence, schedule)
         assert floor_ratios(skewed_sequence, floors)[0] == {0: F(1, 2), 1: F(1)}
@@ -308,31 +307,64 @@ class TestLadder:
         schedule = build_schedule(seq)
         assert_envelopes_are_minimal_ratios(seq, schedule, envelopes_of(seq, schedule))
 
-    def test_build_plan_builds_no_floor(self, monkeypatch, two_member_sequence):
-        # every floor and every envelope is one limit-times-ratio measure;
-        # a plan's build makes only the envelopes' k_M-marginals, and its
-        # ladder the floors and the full-space envelopes
-        built = []
-        limit_times = engine._limit_times
+    def test_build_extends_no_law_to_the_full_space(self, monkeypatch):
+        # a plan's build extends each window infimum to the k_M window only;
+        # its ladder extends the floors and the envelopes to the full space
+        seq = widening_sequence(random.Random(2), 4)
+        built = []  # (width extended to, width of the window law)
+        extended = engine._extended
 
-        def counted(law, k, ratios):
-            built.append((law.space.width, k))
-            return limit_times(law, k, ratios)
+        def counted(law, marginal, window_law):
+            built.append((law.space.width, window_law.space.width))
+            return extended(law, marginal, window_law)
 
-        monkeypatch.setattr(engine, "_limit_times", counted)
-        plan = build_plan(two_member_sequence)
-        last, full = plan.schedule.windows[-2], two_member_sequence.space.width
-        assert built == [(last, last)] * len(plan.densities)
+        monkeypatch.setattr(engine, "_extended", counted)
+        plan = build_plan(seq)
+        windows, full = plan.schedule.windows, seq.space.width
+        last = windows[-2]
+        assert last < full
+        assert built == [(last, k) for k in reversed(windows[:-1])]
         built.clear()
         assert len(plan.ladder.floors) == plan.count
-        floors = [(full, k) for k in plan.schedule.windows]
-        assert built == floors + [(full, last)] * len(plan.densities)
+        floors = [(full, k) for k in windows]
+        assert built == floors + [(full, last)] * seq.horizon
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(["random", "enumerable", "widening"]))
+    def test_envelopes_are_the_law_ladder(self, seed, kind):
+        # E_n|k_M is the minimum over i >= n of floor i's k_M-marginal, each
+        # floor from the Fraction reference; the sweep makes the envelopes a
+        # ladder below the limit and below their own floors
+        rng = random.Random(seed)
+        if kind == "random":
+            seq = random_process_spec(rng)
+        elif kind == "enumerable":
+            seq, _ = random_enumerable_plan(rng)
+        else:
+            seq = widening_sequence(rng, rng.randint(3, 4))
+        plan = build_plan(seq)
+        schedule = plan.schedule
+        last = schedule.windows[-2]
+        floors = [
+            window_marginal(extended_floor(seq, schedule, i), last).mass
+            for i in range(1, seq.horizon + 1)
+        ]
+        *envelopes, limit = plan.envelopes
+        assert limit == window_marginal(seq.limit, last) and len(envelopes) == seq.horizon
+        for n, env in enumerate(envelopes, start=1):
+            expected = {p: min(f.get(p, 0) for f in floors[n - 1 :]) for p in limit.weights}
+            assert env.mass == {p: v for p, v in expected.items() if v}
+            assert all(v <= floors[n - 1][p] for p, v in env.mass.items())
+        for lower, upper in itertools.pairwise(plan.envelopes):
+            assert all(v <= upper[p] for p, v in lower.mass.items())
+        assert jsonio.plan_from_doc(jsonio.plan_to_doc(plan)).envelopes == plan.envelopes
 
 
 class TestPlan:
     def test_constant_sequence_couples_immediately(self, constant_sequence):
         plan = build_plan(constant_sequence)
-        assert plan.densities == ({0: (1, 1), 1: (1, 1)},)
+        assert plan.envelopes == (constant_sequence.limit,) * 2
         assert plan.index_law.mass == {0: F(1)}
         assert plan.increment_laws[0] == constant_sequence.limit
         assert plan.index_tail_probability(1) == 0
@@ -382,8 +414,8 @@ class TestPlan:
             for prefix, row in rows.items():
                 assert row.law == conditional_given_prefix(member, prefix, plan.schedule.window(n))
 
-    def test_audit_checks_the_schedule_then_the_densities(self, skewed_sequence):
-        # the densities are derived, so only their masses are left to check
+    def test_audit_checks_the_schedule_then_the_envelopes(self, skewed_sequence):
+        # the envelopes are derived, so only their masses are left to check
         names = [c.name for c in plan_exact_checks(build_plan(skewed_sequence))]
         assert names == [
             "schedule-monotone",
@@ -398,7 +430,7 @@ class TestPlan:
         # so residual 1 is negative at a
         plan = build_plan(skewed_sequence)
         moved = MassFunction.from_masses(plan.sequence.space, {(0,): F(2, 3), (1,): F(1, 3)})
-        bad_plan = with_densities(plan, {0: (1, 1), 1: (1, 2)})
+        bad_plan = with_envelopes(plan, {0: F(1, 2), 1: F(1, 4)})
         assert bad_plan.increment_laws[0] == moved
         assert bad_plan.index_law == plan.index_law
         assert certified_failures(bad_plan) == {
@@ -408,21 +440,21 @@ class TestPlan:
     def test_index_mass_moved_between_values_detected(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
         # all of N = 2's mass moved onto N = 1: envelope 1 is the limit
-        to_first = with_densities(plan, {0: (1, 1), 1: (1, 1)})
+        to_first = with_envelopes(plan, {0: F(1, 2), 1: F(1, 2)})
         assert to_first.index_law.mass == {0: F(1)}
         assert certified_failures(to_first) == {
             "joint-law-marginals": "component 1 marginal differs"
         }
         # N = 1's mass moved halfway onto N = 2 only lowers envelope 1,
         # which is still a coupling's
-        to_second = with_densities(plan, {0: (1, 3), 1: (2, 3)})
+        to_second = with_envelopes(plan, {0: F(1, 6), 1: F(1, 3)})
         assert to_second.index_law.mass == {0: F(1, 2), 1: F(1, 2)}
         assert to_second.increment_laws[0] == plan.increment_laws[0]
         assert all(c.passed for c in plan_exact_checks(to_second))
         assert joint_law_marginals(to_second).passed
 
     def test_moved_increment_mass_on_a_width_2_space_names_tuples(self, pair_space):
-        # the schedule is (2, 2), so the densities are keyed by full points;
+        # the schedule is (2, 2), so the envelopes are laws on the full space;
         # the witnesses decode the points' codes to their tuples
         member = MassFunction.from_masses(
             pair_space, {(0, 0): F(1, 8), (0, 1): F(1, 4), (1, 0): F(3, 8), (1, 1): F(1, 4)}
@@ -433,7 +465,7 @@ class TestPlan:
         assert plan.index_probability(1) == F(7, 8)
         # increment 1 moved onto (1, 0) and (1, 1), with P(N = 1) kept
         moved = MassFunction.from_masses(pair_space, {(1, 0): F(1, 2), (1, 1): F(1, 2)})
-        bad_plan = with_densities(plan, {2: (7, 4), 3: (7, 4)})
+        bad_plan = with_envelopes(plan, {2: F(7, 16), 3: F(7, 16)})
         assert bad_plan.envelopes[0] == moved.scaled(F(7, 8))
         assert certified_failures(bad_plan) == {
             "joint-law-marginals": "check raised ValueError: negative mass -1/16 at (1, 0)"
@@ -441,9 +473,8 @@ class TestPlan:
 
     def test_late_agreement_breaks_the_mass_bound(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        charged = window_marginal(two_member_sequence.limit, plan.schedule.windows[-2]).weights
-        quarter = dict.fromkeys(charged, (1, 4))
-        late = with_densities(plan, quarter, quarter)
+        quarter = {p: v / 4 for p, v in plan.envelopes[-1].mass.items()}
+        late = with_envelopes(plan, quarter, quarter)
         assert late.index_law.mass == {0: F(1, 4), 2: F(3, 4)}
         failed = {c.name: c.witness for c in plan_exact_checks(late) if not c.passed}
         assert failed == {"ladder-mass-bound": "n=2: envelope mass gap 3/4 > 1/2"}
@@ -451,37 +482,35 @@ class TestPlan:
         assert joint_law_marginals(late).passed
 
     def test_limit_point_on_zero_mass_prefix_detected(self):
-        # the member is a point mass on b; density 1 on a swaps the two
-        # increments, so N = 1 draws the limit point a, a prefix of member
+        # the member is a point mass on b; envelope 1 on a, at the limit's
+        # mass there, swaps the two increments, so N = 1 draws the limit point a, a prefix of member
         # mass zero
         seq = binary_sequence([(0, 1)], (F(1, 2), F(1, 2)))
         plan = build_plan(seq)
         assert set(plan.kernels[0]) == {1}
-        assert plan.densities == ({1: (1, 1)},)
-        bad_plan = with_densities(plan, {0: (1, 1)})
+        assert plan.envelopes == (MassFunction.from_masses(seq.space, {1: F(1, 2)}), seq.limit)
+        bad_plan = with_envelopes(plan, {0: F(1, 2)})
         assert bad_plan.increment_laws == plan.increment_laws[::-1]
         assert certified_failures(bad_plan) == {
             "joint-law-marginals": "check raised ValueError: negative mass -1/2 at (0,)"
         }
 
     def test_corrupted_envelope_detected(self, two_member_sequence):
-        # the last density raised above 1 lifts envelope M above the limit
+        # envelope M lifted above the limit at a, with its mass kept at 1:
+        # the mass bound holds, but envelope M falls below envelope M - 1,
+        # (1/4, 1/2), at b, so increment M is negative there
         plan = build_plan(two_member_sequence)
-        last = dict(plan.densities[-1])
-        p = next(iter(last))
-        last[p] = (2, 1)
-        bad_plan = with_densities(plan, *plan.densities[:-1], last)
-        witness = "check raised ValueError: total mass 3/2 exceeds 1"
+        bad_plan = with_envelopes(plan, plan.envelopes[0], {0: F(3, 4), 1: F(1, 4)})
+        assert bad_plan.index_cumulative[-2:] == (1, 1)
         assert certified_failures(bad_plan) == {
-            "ladder-mass-bound": witness,
-            "joint-law-marginals": witness,
+            "joint-law-marginals": "check raised ValueError: negative mass -1/4 at (1,)"
         }
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
     def test_derived_mixture_identities(self, seed):
         # the identities that the audit no longer checks, because the
-        # mixture is derived from the densities; the laws are read from a
+        # mixture is derived from the envelopes; the laws are read from a
         # loaded document, as ``verify`` reads them
         seq = random_process_spec(random.Random(seed))
         plan = jsonio.plan_from_doc(jsonio.plan_to_doc(build_plan(seq)))
@@ -494,7 +523,7 @@ class TestPlan:
         assert MassFunction.from_masses(space, acc) == seq.limit
         for n, k in enumerate(plan.schedule.windows, start=1):
             member = window_marginal(seq.member(n), k).mass
-            envelope = window_marginal(plan.envelopes[n - 1], k).mass
+            envelope = window_marginal(plan.ladder.envelopes[n - 1], k).mass
             tail = plan.index_tail_probability(n)
             # every residual is non-negative: the envelope sits below the member
             assert all(v <= member.get(p, 0) for p, v in envelope.items())
@@ -514,7 +543,7 @@ class TestPlan:
     def test_derived_ladder_is_the_built_ladder(self, seed):
         seq = random_process_spec(random.Random(seed))
         plan = build_plan(seq)
-        assert plan.densities == build_ladder(seq, plan.schedule)
+        assert plan.envelopes[:-1] == build_ladder(seq, plan.schedule)
         assert_envelopes_are_minimal_ratios(seq, plan.schedule, plan.ladder.envelopes)
         assert plan.ladder.floors == floors_of(seq, plan.schedule)
 
@@ -558,7 +587,7 @@ class TestSampling:
         assert plan.schedule.windows == (1, 1)
         assert set(plan.kernels[0]) == {0}
         moved = MassFunction.from_masses(plan.residual_laws[0].space, {(1,): F(1)})
-        # no densities derive this residual law, so it is put in the plan's cache
+        # no envelopes derive this residual law, so it is put in the plan's cache
         bad_plan = replace(plan)
         vars(bad_plan)["residual_laws"] = (moved, plan.residual_laws[1])
         sampler = CouplingSampler(bad_plan)

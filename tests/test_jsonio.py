@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from windowcoupling import (
     LawSequence,
+    MassFunction,
     MetricSpaceModel,
     SpaceMismatchError,
     audit_plan,
@@ -19,15 +19,8 @@ from windowcoupling import (
     sample,
 )
 from windowcoupling import jsonio, streams
-from windowcoupling.engine import build_ladder, plan_exact_checks
-from windowcoupling.measures import window_infimum, window_marginal
-from windowcoupling.verify import (
-    random_enumerable_plan,
-    random_law_sequence,
-    random_metric_model,
-    random_process_spec,
-)
-from conftest import widening_sequence
+from windowcoupling.engine import plan_exact_checks
+from windowcoupling.verify import random_law_sequence, random_metric_model
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -138,39 +131,13 @@ class TestPlanDocs:
             "sequence": jsonio.sequence_to_doc(two_member_sequence),
             "schedule": [1, 1, 1],
         }
-        # r_1 and r_2 per k_2-prefix, derived on load; envelope 3 is the limit itself
-        assert jsonio.plan_from_doc(doc).densities == ({0: (1, 2), 1: (1, 1)}, {0: (2, 3), 1: (1, 1)})
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**9), st.sampled_from(["random", "enumerable", "widening"]))
-    def test_densities_are_reduced_and_zero_free(self, seed, kind):
-        # what the running minimum of ``build_ladder`` gives by construction,
-        # and what a format-5 audit checked of stored densities
-        rng = random.Random(seed)
-        if kind == "random":
-            plan = build_plan(random_process_spec(rng))
-        elif kind == "enumerable":
-            _, plan = random_enumerable_plan(rng)
-        else:
-            plan = build_plan(widening_sequence(rng, rng.randint(3, 4)))
-        seq, windows = plan.sequence, plan.schedule.windows
-        densities = build_ladder(seq, plan.schedule)
-        assert jsonio.plan_from_doc(jsonio.plan_to_doc(plan)).densities == densities
-        assert plan.densities == densities and len(densities) == seq.horizon
-        last = windows[-2]
-        window = seq.space.window(last)
-        charged = window_marginal(seq.limit, last).weights
-        for n, (k, density) in enumerate(zip(windows, densities), start=1):
-            infimum = window_infimum(seq, n, k)
-            limit = window_marginal(seq.limit, k)
-            upper = densities[n] if n < seq.horizon else dict.fromkeys(charged, (1, 1))
-            assert set(density) <= set(charged)
-            for p, (num, den) in density.items():
-                assert num > 0 and den > 0 and math.gcd(num, den) == 1
-                r = F(num, den)
-                assert r <= F(*upper[p])
-                prefix = window.prefix(p, k)
-                assert r <= infimum[prefix] / limit[prefix]
+        # E_1|k_2 and E_2|k_2, derived on load; envelope 3 is the limit itself
+        space = two_member_sequence.space
+        assert jsonio.plan_from_doc(doc).envelopes == (
+            MassFunction.from_masses(space, {0: F(1, 4), 1: F(1, 2)}),
+            MassFunction.from_masses(space, {0: F(1, 3), 1: F(1, 2)}),
+            two_member_sequence.limit,
+        )
 
     def test_round_trip_preserves_everything(self, two_member_sequence):
         plan = build_plan(two_member_sequence)

@@ -27,7 +27,7 @@ from windowcoupling import (
 )
 from windowcoupling.engine import CouplingPlan, KernelTable, extended_floors
 from windowcoupling import measures
-from windowcoupling.measures import ZERO, prefix_conditionals
+from windowcoupling.measures import ZERO, pointwise_minimum, prefix_conditionals
 
 from conftest import tuple_mass
 
@@ -355,6 +355,13 @@ class TestWindowMarginal:
         with pytest.raises(WindowRangeError):
             window_marginal(MassFunction.uniform(pair_space), 3)
 
+    def test_full_width_is_the_law_itself(self, pair_space):
+        # as ``ProductSpace.window`` is the space itself at the full width
+        law = MassFunction.from_masses(pair_space, {(0, 1): F(1, 3), (1, 0): F(2, 3)})
+        assert window_marginal(law, 2) is law
+        window = window_marginal(law, 1)
+        assert window_marginal(window, 1) is window
+
     @given(st.data())
     def test_matches_fraction_summing_reference(self, data):
         space = data.draw(spaces())
@@ -480,7 +487,7 @@ class TestIntegerForm:
                         if seq.space.prefix(z, k) == prefix
                     }
         schedule = build_schedule(seq)
-        envelopes = CouplingPlan(seq, schedule).envelopes
+        envelopes = CouplingPlan(seq, schedule).ladder.envelopes
         limit = seq.limit.mass
         floors = [extended_floor(seq, schedule, n) for n in range(1, seq.horizon + 2)]
         assert extended_floors(seq, schedule) == tuple(floors)
@@ -489,6 +496,18 @@ class TestIntegerForm:
                 z: q * min(floor[z] / q for floor in floors[n - 1 :]) for z, q in limit.items()
             }
             assert env.mass == {z: v for z, v in expected.items() if v}
+
+
+class TestPointwiseMinimum:
+    def test_minimum_over_the_first_support(self, binary_space):
+        first = MassFunction.from_masses(binary_space, {0: F(1, 2), 1: F(1, 4)})
+        second = MassFunction.from_masses(binary_space, {1: F(1, 8)})
+        assert pointwise_minimum(first, second).mass == {1: F(1, 8)}
+        assert pointwise_minimum(second, first).mass == {1: F(1, 8)}
+
+    def test_first_itself_where_second_is_nowhere_below_it(self, binary_space):
+        first = MassFunction.from_masses(binary_space, {0: F(1, 2), 1: F(1, 4)})
+        assert pointwise_minimum(first, MassFunction.uniform(binary_space)) is first
 
 
 class TestWindowInfimum:

@@ -9,8 +9,9 @@ format 2 stored but which follow from the rest, format 4 writes the
 empty law in place of every mixture law the sampler never draws, and
 format 5 stores the envelope densities in place of the mixture laws,
 which are derived from them, and format 6 stores only the sequence and
-the window list, from which the densities are derived.  ``v5_doc``
-writes the derived densities and the schedule's horizon, ``v4_doc``
+the window list, from which the envelopes are derived.  ``v5_doc``
+writes the densities of the derived envelopes against the limit law
+and the schedule's horizon, ``v4_doc``
 writes the derived mixture laws in place of the densities, ``v3_doc``
 puts the format-3 fillers back into that, ``v2_doc`` adds the derived
 ladder and kernel rows, and ``v1_doc`` builds on it; they must reproduce
@@ -67,10 +68,12 @@ def v5_doc(plan) -> dict:
     doc = jsonio.plan_to_doc(plan)
     doc["format"] = 5
     doc["schedule"] = {"windows": list(plan.schedule.windows), "horizon": plan.sequence.horizon}
-    window = plan.sequence.space.window(plan.schedule.windows[-2])
+    # r_n(p) = E_n|k_M(p) / L|k_M(p) at each k_M-prefix p that envelope n charges
+    *envelopes, limit = plan.envelopes
+    label = limit.space.format_point
     doc["densities"] = [
-        {window.format_point(p): f"{num}/{den}" for p, (num, den) in density.items()}
-        for density in plan.densities
+        {label(p): jsonio.fraction_to_str(env[p] / limit[p]) for p in env.weights}
+        for env in envelopes
     ]
     return doc
 

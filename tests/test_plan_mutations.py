@@ -21,7 +21,7 @@ value.  Then it runs ``verify`` and ``sample`` on the result:
   the schedule decrease makes both commands exit 1 naming
   ``schedule-monotone``: the document is well shaped and breaks an
   invariant.  Where the drop leaves a window wider than k_M, the
-  densities cannot be derived, and the checks that read them report
+  envelopes cannot be derived, and the checks that read them report
   that as their witness.
 
 No case may end in an exception.
@@ -45,8 +45,8 @@ from windowcoupling.verify import random_enumerable_plan
 # small plans, all but the first with two to four values of N and joint
 # supports of at most 159 points; all but the last have windows that
 # widen, and the last (three values of N, windows (3, 3, 3)) has two
-# 3-prefixes that its limit law does not charge, so its densities leave
-# them out
+# 3-prefixes that its limit law does not charge, so its envelopes do
+# not charge them either
 BASE_DOCS = [
     jsonio.plan_to_doc(random_enumerable_plan(random.Random(seed))[1])
     for seed in (0, 12, 24, 35, 50, 107, 133, 193, 252)

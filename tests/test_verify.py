@@ -8,6 +8,7 @@ from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
     TailRule,
+    WindowSchedule,
     audit_plan,
     audit_skorohod,
     build_plan,
@@ -25,7 +26,7 @@ from windowcoupling.verify import (
     random_process_spec,
     random_rational_pmf,
 )
-from conftest import with_densities
+from conftest import widening_sequence, with_envelopes
 
 
 class TestAuditPlan:
@@ -42,17 +43,14 @@ class TestAuditPlan:
         names = {c.name for c in report.exact_checks}
         assert "ladder-mass-bound" in names
         assert report.all_exact_passed
-        for n, (k, (denominator, weights)) in enumerate(
-            zip(plan.schedule.windows, plan.window_mixtures), start=1
-        ):
-            member = window_marginal(skewed_sequence.member(n), k)
-            assert MassFunction(member.space, denominator, dict(weights)) == member
+        for n, (k, mixture) in enumerate(zip(plan.schedule.windows, plan.window_mixtures), start=1):
+            assert mixture == window_marginal(skewed_sequence.member(n), k)
 
     def test_corrupted_plan_fails_with_witness(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         # move the mass of N = 2 onto N = 1: envelope 1 becomes envelope 2
         first, second, third = (plan.index_probability(n) for n in (1, 2, 3))
-        moved = with_densities(plan, plan.densities[1], plan.densities[1])
+        moved = with_envelopes(plan, plan.envelopes[1], plan.envelopes[1])
         assert moved.index_law.mass == {0: first + second, 2: third}
         # the plan checks pass; residual 2 is negative, which the marginals find
         assert audit_plan(moved).all_exact_passed
@@ -64,15 +62,15 @@ class TestAuditPlan:
 
     def test_audit_never_raises_on_corrupt_plans(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
-        # a negative density makes envelope 1 a negative measure, which the
-        # mass bound cannot build; that must surface as failures, not
+        # window 1 is wider than k_2 = 0, so no envelope derives and the
+        # mass bound cannot read one; that must surface as failures, not
         # exceptions
-        first = {**plan.densities[0], 0: (-1, 2)}
-        bad = with_densities(plan, first, plan.densities[1])
+        bad = replace(plan, schedule=WindowSchedule((1, 0, 1)))
         report = audit_plan(bad)
         failed = {c.name: c.witness for c in report.exact_checks if not c.passed}
         assert failed == {
-            "ladder-mass-bound": "check raised ValueError: negative mass -1/4 at (0,)",
+            "schedule-monotone": "window drops from 1 to 0",
+            "ladder-mass-bound": "check raised WindowRangeError: window length 1 out of range 0..0",
         }
 
 
@@ -114,15 +112,20 @@ class TestMcAgreement:
     def test_unsampleable_plan_gives_one_failing_check(self, line_model, line_laws):
         coupling = build_skorohod_coupling(line_model, line_laws, 2)
         plan = coupling.plan
-        # density 2 on the whole limit support gives envelope 1 mass 2
-        doubled = {p: (2, 1) for p in plan.densities[0]}
-        broken = replace(coupling, plan=with_densities(plan, doubled))
+        # increment 1 halved is no probability law, so no sampling table is
+        # built for it
+        halved = replace(plan)
+        vars(halved)["increment_laws"] = (
+            plan.increment_laws[0].scaled(F(1, 2)),
+            *plan.increment_laws[1:],
+        )
+        broken = replace(coupling, plan=halved)
         for checks in (
             mc_agreement(broken, 30, seed=1).mc_checks,
             mc_agreement(broken.plan, 30, seed=1).mc_checks,
         ):
             assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
-            assert "ValueError: total mass 2 exceeds 1" in checks[0].note
+            assert "ValueError: can only sample probability laws" in checks[0].note
 
 
 class TestJointLawMarginals:
@@ -134,7 +137,7 @@ class TestJointLawMarginals:
         # envelope 1 is the limit, so N = 1 surely and component 1 draws
         # the limit's law, not the member's
         plan = build_plan(skewed_sequence)
-        full = with_densities(plan, {0: (1, 1), 1: (1, 1)})
+        full = with_envelopes(plan, skewed_sequence.limit)
         assert full.index_law.mass == {0: F(1)}
         check = joint_law_marginals(full)
         assert not check.passed
@@ -147,7 +150,7 @@ class TestJointLawMarginals:
         limit = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
         plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
         on_b = MassFunction.point_mass(binary_space, (1,))
-        bad = with_densities(plan, {1: (1, 1)})
+        bad = with_envelopes(plan, {1: F(1, 2)})
         assert bad.increment_laws[0] == on_b
         check = joint_law_marginals(bad)
         assert not check.passed
@@ -188,16 +191,35 @@ class TestOncePerPlan:
     def test_certify_builds_the_envelopes_once(self, monkeypatch, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
         calls = []
-        original = engine._limit_times
+        original = engine.build_ladder
 
-        def counting(law, k, ratios):
-            calls.append(ratios)
-            return original(law, k, ratios)
+        def counting(seq, schedule):
+            calls.append((seq, schedule))
+            return original(seq, schedule)
 
-        monkeypatch.setattr(engine, "_limit_times", counting)
+        monkeypatch.setattr(engine, "build_ladder", counting)
         assert certify(plan, 50, seed=1).all_passed
-        # one envelope per density; the other calls extend window laws
-        assert [r for r in calls if any(r is d for d in plan.densities)] == list(plan.densities)
+        assert calls == [(plan.sequence, plan.schedule)]
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_certify_reads_the_laws_window_marginals_from_the_table(self, monkeypatch, width):
+        # the exact marginals extend each window law along the member's
+        # window marginal, which the table already holds; only derived laws
+        # such as the envelopes are marginalized outside it
+        plan = reloaded(build_plan(widening_sequence(random.Random(width), width)))
+        seq = plan.sequence
+        laws = (*seq.members, seq.limit)
+        marginalized = []
+        original = engine.window_marginal
+
+        def recorded(law, k):
+            marginalized.append(law)
+            return original(law, k)
+
+        monkeypatch.setattr(engine, "window_marginal", recorded)
+        assert certify(plan, 50, seed=1).all_passed
+        assert marginalized
+        assert not [law for law in marginalized if any(law is member for member in laws)]
 
     def test_certify_builds_the_window_mixtures_once(self, monkeypatch, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
