@@ -42,10 +42,15 @@ makes each row a slice of one ``KernelTable`` per member, built once per
 plan; only the joint-law oracle builds the rows as laws
 (``CouplingPlan.kernels``).
 
-Floors, envelopes, increments, tail mixtures and exact marginals extend
-a window law along a law's conditionals given the k-prefix by one
-integer step, ``_extended``, which reads the law's k-marginal from the
-sequence's window table.
+Every derived law comes from four operations: ``window_marginal``,
+``pointwise_minimum`` and ``weighted_sum`` of ``measures``, and one
+integer step here, ``_extended``, which extends a window law along a
+law's conditionals given the k-prefix, reading the law's k-marginal
+from the sequence's window table.  The envelopes are swept by pointwise
+minima; the increments and the residuals are differences of laws
+(weighted sums) over their masses; the exact marginals' window mixtures
+and limit law are weighted sums; floors, envelopes, increments, tail
+mixtures and exact marginals are extended.
 
 A point is its ``int`` code in its space (see ``measures``), and its
 k-prefix is the code floor-divided by the space's stride at k, which is
@@ -89,7 +94,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .measures import (
     ONE,
@@ -102,6 +107,7 @@ from .measures import (
     density_convergence,  # noqa: F401  (perfbench/tracer.py wraps it here)
     pointwise_minimum,
     prefix_conditionals,
+    weighted_sum,
     window_infimum,
     window_marginal,
 )
@@ -171,12 +177,6 @@ class MeasureLadder:
     floors: tuple[MassFunction, ...]
     envelopes: tuple[MassFunction, ...]
 
-    def envelope(self, n: int) -> MassFunction:
-        """The n-th envelope; n = 0 gives the zero measure."""
-        if n == 0:
-            return MassFunction(self.envelopes[0].space, 1, {})
-        return self.envelopes[n - 1]
-
 
 @dataclass(frozen=True)
 class KernelRow:
@@ -216,12 +216,13 @@ class CouplingPlan:
     inf_n|k_n <= P_n|k_n; every residual P_n|k_n - E_n|k_n is then
     non-negative with total P(N > n), hence empty where P(N > n) = 0.
     The mixture rebuilds the limit, since E_{M+1} = L, and window
-    mixture n, E_n|k_n + P(N > n) * residual n, is P_n|k_n.  So the
-    audit (``plan_exact_checks``) checks only the schedule and the mass
-    bound.  A decreasing schedule still loads and fails
-    ``schedule-monotone``; where some k_n exceeds k_M the derivation
-    raises, and the checks that read a derived law report that as their
-    witness.
+    mixture n, E_n|k_n + P(N > n) * residual n, is P_n|k_n.  The plan
+    keeps neither sum: ``coupling_marginals`` takes each by
+    ``weighted_sum`` when it runs.  So the audit (``plan_exact_checks``)
+    checks only the schedule and the mass bound.  A decreasing schedule
+    still loads and fails ``schedule-monotone``; where some k_n exceeds
+    k_M the derivation raises, and the checks that read a derived law
+    report that as their witness.
 
     ``draw_tables`` holds every table a draw reads, and every
     ``CouplingSampler`` of the plan shares it; ``kernels[n-1]`` maps each
@@ -319,11 +320,6 @@ class CouplingPlan:
                 for n, k in enumerate(self.schedule.windows, start=1)
             ),
         )
-
-    @cached_property
-    def window_mixtures(self) -> tuple[MassFunction, ...]:
-        """Per component n, the law of its k_n-prefix (``_window_mixtures``)."""
-        return tuple(_window_mixtures(self))
 
     @cached_property
     def ladder(self) -> MeasureLadder:
@@ -532,51 +528,13 @@ def build_ladder(seq: ProcessSequenceSpec, schedule: WindowSchedule) -> tuple[Ma
     return tuple(envelopes)
 
 
-def _window_mixtures(plan: CouplingPlan) -> Iterator[MassFunction]:
-    """Per component n, envelope n's k_n-marginal plus P(N > n) times residual n.
-
-    This is the law of component n's prefix.
-    """
-    for marginal, reached, residual in zip(
-        plan.envelope_windows, plan.index_cumulative, plan.residual_laws
-    ):
-        tail = ONE - reached
-        if not tail:
-            yield marginal
-            continue
-        scale = tail.denominator * residual.denominator
-        common = math.lcm(marginal.denominator, scale)
-        up, factor = common // marginal.denominator, tail.numerator * (common // scale)
-        acc = {p: w * up for p, w in marginal.weights.items()}
-        for p, w in residual.weights.items():
-            acc[p] = acc.get(p, 0) + factor * w
-        yield MassFunction._derived(marginal.space, common, acc)
-
-
-def _normalized(space: ProductSpace, denominator: int, weights: dict[Point, int]) -> MassFunction:
-    """The measure ``weights / denominator`` over its total mass; the empty law where that is 0.
-
-    A measure that is negative anywhere is no law: ValueError names the
-    point and the mass there.
-    """
-    if min(weights.values(), default=0) < 0:
-        z, w = next((z, w) for z, w in weights.items() if w < 0)
-        raise ValueError(f"negative mass {Fraction(w, denominator)} at {space.decode(z)}")
-    total = sum(weights.values())
-    if not total:
-        return MassFunction(space, 1, {})
-    return MassFunction._derived(space, total, weights)
-
-
 def _normalized_excess(upper: MassFunction, lower: MassFunction) -> MassFunction:
-    """(upper - lower) / its total mass (``_normalized``)."""
-    common = math.lcm(upper.denominator, lower.denominator)
-    upper_scale = common // upper.denominator
-    lower_scale = common // lower.denominator
-    low = lower.weights
-    excess = {z: w * upper_scale - low.get(z, 0) * lower_scale for z, w in upper.weights.items()}
-    excess.update((z, -w * lower_scale) for z, w in low.items() if z not in excess)
-    return _normalized(upper.space, common, excess)
+    """upper - lower (``weighted_sum``) over its mass; the empty law where that is 0."""
+    excess = weighted_sum(upper.space, ((1, upper), (-1, lower)))
+    total = sum(excess.weights.values())
+    if not total:
+        return MassFunction(upper.space, 1, {})
+    return MassFunction._derived(upper.space, total, excess.weights)
 
 
 def build_plan(seq: ProcessSequenceSpec) -> CouplingPlan:
@@ -735,7 +693,6 @@ class CouplingSampler:
         tables = plan.draw_tables
         self._index_table = tables.index
         self._increment_tables = tables.increments
-        self._residual_tables = tables.residuals
         space = plan.sequence.space
         # per component n: the stride of window k_n, the residual table and
         # kernel table n's parts
@@ -784,30 +741,30 @@ def coupling_marginals(
 ) -> tuple[tuple[MassFunction, ...], MassFunction]:
     """The exact law of every component and of the limit point, unenumerated.
 
-    Component n extends its k_n-prefix along member n's conditional, so
-    its law is its window mixture (``_window_mixtures``) extended along
-    member n; the limit point's law is the sum of P(N = n) times
+    Component n's k_n-prefix has the window mixture E_n|k_n +
+    P(N > n) * residual n (``weighted_sum``), which is E_n|k_n itself
+    where P(N > n) = 0: the last component's is then the limit law, which
+    ``_extended`` returns as it is.  Component n extends its prefix along
+    member n's conditional, so its law is the window mixture extended
+    along member n.  The limit point's law is the sum of P(N = n) times
     increment n.  These are the marginals of ``exact_joint_law``.  The
     increments are exactly the envelopes' differences or raise, so they
     sum to the limit law on every plan whose mixture is made of laws.
     """
     table = plan.sequence.window_table
-    mixtures = zip(plan.schedule.windows, plan.window_mixtures)
-    members = tuple(
-        _extended(plan.sequence.member(n), table.marginal(n, k), mixture)
-        for n, (k, mixture) in enumerate(mixtures, start=1)
+    members = []
+    for n, (k, envelope, residual) in enumerate(
+        zip(plan.schedule.windows, plan.envelope_windows, plan.residual_laws), start=1
+    ):
+        tail = plan.index_tail_probability(n)
+        terms = ((1, envelope), (tail, residual))
+        mixture = weighted_sum(envelope.space, terms) if tail else envelope
+        members.append(_extended(plan.sequence.member(n), table.marginal(n, k), mixture))
+    limit = weighted_sum(
+        plan.sequence.space,
+        ((plan.index_probability(n), law) for n, law in enumerate(plan.increment_laws, start=1)),
     )
-    index = plan.index_law
-    drawn = [
-        (index.weights[n], law) for n, law in enumerate(plan.increment_laws) if n in index.weights
-    ]
-    scale = math.lcm(*(law.denominator for _, law in drawn))
-    acc: dict[Point, int] = {}
-    for weight, law in drawn:
-        factor = weight * (scale // law.denominator)
-        for z, w in law.weights.items():
-            acc[z] = acc.get(z, 0) + factor * w
-    return members, MassFunction._derived(plan.sequence.space, index.denominator * scale, acc)
+    return tuple(members), limit
 
 
 def joint_support_size(plan: CouplingPlan) -> int:
@@ -856,23 +813,22 @@ class JointLaw:
     def total_mass(self) -> Fraction:
         return sum(self.mass.values(), ZERO)
 
-    def index_marginal(self) -> MassFunction:
+    def _marginal(self, space: ProductSpace, point_of: Callable[[tuple], Point]) -> MassFunction:
+        """The law on ``space`` of ``point_of(entry)``, summed one ``Fraction`` at a time."""
         acc: dict[Point, Fraction] = {}
-        for (m, _, _), v in self.mass.items():
-            acc[m - 1] = acc.get(m - 1, ZERO) + v
-        return MassFunction.from_masses(self.plan.index_law.space, acc)
+        for entry, v in self.mass.items():
+            z = point_of(entry)
+            acc[z] = acc.get(z, ZERO) + v
+        return MassFunction.from_masses(space, acc)
+
+    def index_marginal(self) -> MassFunction:
+        return self._marginal(self.plan.index_law.space, lambda entry: entry[0] - 1)
 
     def marginal_limit(self) -> MassFunction:
-        acc: dict[Point, Fraction] = {}
-        for (_, z, _), v in self.mass.items():
-            acc[z] = acc.get(z, ZERO) + v
-        return MassFunction.from_masses(self.plan.sequence.space, acc)
+        return self._marginal(self.plan.sequence.space, lambda entry: entry[1])
 
     def marginal_member(self, n: int) -> MassFunction:
-        acc: dict[Point, Fraction] = {}
-        for (_, _, pts), v in self.mass.items():
-            acc[pts[n - 1]] = acc.get(pts[n - 1], ZERO) + v
-        return MassFunction.from_masses(self.plan.sequence.space, acc)
+        return self._marginal(self.plan.sequence.space, lambda entry: entry[2][n - 1])
 
     def agreement_mass(self) -> Fraction:
         prefix = self.plan.sequence.space.prefix

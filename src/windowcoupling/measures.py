@@ -5,14 +5,17 @@ relative to counting measure.  A law is stored as one positive integer
 ``denominator`` and a positive integer weight per support point, the
 mass at ``z`` being ``weights[z] / denominator``, in canonical form: the
 denominator is the lcm of the reduced denominators of the masses, which
-is the same as ``gcd(denominator, *weights) == 1``.  Marginals, infima,
-conditionals and mixtures are integer sums over one common denominator,
-and comparisons between laws are cross-multiplications, so every
-identity downstream (deficit certificates, envelopes below their
-floors, mixture reconstructions) is an exact equality or inequality
-that pays no gcd per operation and never a floating-point
-approximation.  ``MassFunction.mass`` and ``law[z]`` give the masses as
-``fractions.Fraction`` values, built on each access.
+is the same as ``gcd(denominator, *weights) == 1``.  Three operations,
+with the engine's extension step, build every derived law:
+``window_marginal``, ``pointwise_minimum`` and ``weighted_sum``.
+Marginals, infima, conditionals and weighted sums are integer sums over
+one common denominator, and comparisons between laws are
+cross-multiplications, so every identity downstream (deficit
+certificates, envelopes below their floors, mixture reconstructions) is
+an exact equality or inequality that pays no gcd per operation and
+never a floating-point approximation.  ``MassFunction.mass`` and
+``law[z]`` give the masses as ``fractions.Fraction`` values, built on
+each access.
 
 A point of a product space is one ``int``, the mixed-radix code of its
 tuple of per-coordinate symbol indices (``ProductSpace``); a time
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 # a point of a product space: its code, see ``ProductSpace``
 Point = int
@@ -352,17 +355,6 @@ class MassFunction:
         key = point if type(point) is int else self.space.encode(point)
         return Fraction(self.weights.get(key, 0), self.denominator)
 
-    def support(self) -> list[Point]:
-        return sorted(self.weights)
-
-    def scaled(self, factor: Fraction) -> "MassFunction":
-        f = Fraction(factor)
-        return MassFunction._derived(
-            self.space,
-            self.denominator * f.denominator,
-            {z: w * f.numerator for z, w in self.weights.items()},
-        )
-
     @classmethod
     def point_mass(cls, space: ProductSpace, point: object) -> "MassFunction":
         return cls(space, 1, {point if type(point) is int else space.encode(point): 1})
@@ -470,6 +462,32 @@ def pointwise_minimum(first: MassFunction, second: MassFunction) -> MassFunction
         if mine:
             out[point] = mine
     return MassFunction._derived(first.space, common, out) if lowered else first
+
+
+def weighted_sum(
+    space: ProductSpace, terms: Iterable[tuple[int | Fraction, MassFunction]]
+) -> MassFunction:
+    """Sum of c * law over the ``(c, law)`` terms, as one law on ``space``.
+
+    Each coefficient is an ``int`` or a ``Fraction``, possibly zero or
+    negative.  Term c * law has the denominator c.denominator *
+    law.denominator; every term is scaled to the lcm of these, the
+    weights are summed as integers and the result is reduced by
+    ``_derived``.  A sum that is negative at some point is no law: the
+    checking constructor raises ``ValueError`` naming the mass and the
+    first such point, points being ordered by the first term that charges
+    them.  A law on another space raises ``SpaceMismatchError``.
+    """
+    terms = tuple(terms)
+    common = math.lcm(*(c.denominator * law.denominator for c, law in terms))
+    out: dict[Point, int] = {}
+    for c, law in terms:
+        if law.space != space:
+            raise SpaceMismatchError("weighted sum of laws on different spaces")
+        factor = c.numerator * (common // (c.denominator * law.denominator))
+        for point, weight in law.weights.items():
+            out[point] = out.get(point, 0) + factor * weight
+    return MassFunction._derived(space, common, out)
 
 
 def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction:

@@ -15,6 +15,7 @@ Criteria (all exact unless stated):
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; expected runtime is a few minutes.
 """
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ import pytest
 
 from windowcoupling import (
     CouplingSampler,
+    MassFunction,
     build_skorohod_coupling,
     distance_violations,
     exact_joint_law,
@@ -117,8 +119,8 @@ def test_ladder_properties(generated_plans):
     """Criterion 4: ladder monotone, below floors, dominated, mass gap bounded."""
     for i, (seq, plan) in enumerate(generated_plans):
         ladder = plan.ladder
-        for n in range(1, plan.count + 1):
-            env, prev = ladder.envelope(n), ladder.envelope(n - 1)
+        zero = MassFunction(seq.space, 1, {})
+        for n, (prev, env) in enumerate(itertools.pairwise((zero, *ladder.envelopes)), start=1):
             assert all(prev[z] <= env[z] for z in prev.mass), f"sequence {i}, n={n}"
             floor = ladder.floors[n - 1]
             assert all(v <= floor[z] for z, v in env.mass.items()), f"sequence {i}, n={n}"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -27,7 +28,7 @@ from windowcoupling import (
 )
 from windowcoupling.engine import CouplingPlan, KernelTable, extended_floors
 from windowcoupling import measures
-from windowcoupling.measures import ZERO, pointwise_minimum, prefix_conditionals
+from windowcoupling.measures import ZERO, pointwise_minimum, prefix_conditionals, weighted_sum
 
 from conftest import tuple_mass
 
@@ -508,6 +509,45 @@ class TestPointwiseMinimum:
     def test_first_itself_where_second_is_nowhere_below_it(self, binary_space):
         first = MassFunction.from_masses(binary_space, {0: F(1, 2), 1: F(1, 4)})
         assert pointwise_minimum(first, MassFunction.uniform(binary_space)) is first
+
+
+class TestWeightedSum:
+    """``weighted_sum`` against the sum of c * law.mass, one ``Fraction`` at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        space = data.draw(spaces())
+        coefficients = st.one_of(
+            st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+        )
+        terms = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            masses = data.draw(mixed_masses(space, data.draw(st.booleans())))
+            terms.append((data.draw(coefficients), MassFunction.from_masses(space, masses)))
+        # points in the order the terms first charge them
+        expected: dict = {}
+        for c, law in terms:
+            for z, v in law.mass.items():
+                expected[z] = expected.get(z, ZERO) + c * v
+        negative = [(z, v) for z, v in expected.items() if v < 0]
+        total = sum(expected.values(), ZERO)
+        if negative:
+            z, v = negative[0]
+            message = f"negative mass {v} at {space.decode(z)}"
+        elif total > 1:
+            message = f"total mass {total} exceeds 1"
+        else:
+            law = weighted_sum(space, iter(terms))
+            assert law.mass == {z: v for z, v in expected.items() if v}
+            assert law.space is space
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            weighted_sum(space, terms)
+
+    def test_laws_on_another_space_are_refused(self, binary_space, pair_space):
+        with pytest.raises(SpaceMismatchError):
+            weighted_sum(binary_space, ((1, MassFunction.uniform(pair_space)),))
 
 
 class TestWindowInfimum:

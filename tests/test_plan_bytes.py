@@ -265,10 +265,11 @@ def test_sampler_tables_only_drawable_laws(seed):
     for n, (law, table) in enumerate(zip(plan.increment_laws, sampler._increment_tables), 1):
         never = plan.index_probability(n) == 0
         assert (table is None) == never == (not law.weights)
-    for n, (law, table) in enumerate(zip(plan.residual_laws, sampler._residual_tables), 1):
+    residual_tables = [residual for _, residual, *_ in sampler._components]
+    for n, (law, table) in enumerate(zip(plan.residual_laws, residual_tables), 1):
         never = plan.index_tail_probability(n) == 0
         assert (table is None) == never == (not law.weights)
-    assert sampler._residual_tables[-1] is None
+    assert residual_tables[-1] is None
 
 
 def test_enumerable_sample_bytes():

@@ -16,7 +16,8 @@ from windowcoupling import (
     mc_agreement,
     window_marginal,
 )
-from windowcoupling import engine, jsonio
+from windowcoupling import engine, jsonio, verify
+from windowcoupling.measures import weighted_sum
 from windowcoupling.verify import (
     certify,
     joint_law_marginals,
@@ -43,7 +44,10 @@ class TestAuditPlan:
         names = {c.name for c in report.exact_checks}
         assert "ladder-mass-bound" in names
         assert report.all_exact_passed
-        for n, (k, mixture) in enumerate(zip(plan.schedule.windows, plan.window_mixtures), start=1):
+        laws = zip(plan.schedule.windows, plan.envelope_windows, plan.residual_laws)
+        for n, (k, envelope, residual) in enumerate(laws, start=1):
+            tail = plan.index_tail_probability(n)
+            mixture = weighted_sum(envelope.space, ((1, envelope), (tail, residual)))
             assert mixture == window_marginal(skewed_sequence.member(n), k)
 
     def test_corrupted_plan_fails_with_witness(self, two_member_sequence):
@@ -116,7 +120,7 @@ class TestMcAgreement:
         # built for it
         halved = replace(plan)
         vars(halved)["increment_laws"] = (
-            plan.increment_laws[0].scaled(F(1, 2)),
+            weighted_sum(plan.sequence.space, ((F(1, 2), plan.increment_laws[0]),)),
             *plan.increment_laws[1:],
         )
         broken = replace(coupling, plan=halved)
@@ -224,13 +228,13 @@ class TestOncePerPlan:
     def test_certify_builds_the_window_mixtures_once(self, monkeypatch, two_member_sequence):
         plan = reloaded(build_plan(two_member_sequence))
         calls = []
-        original = engine._window_mixtures
+        original = verify.coupling_marginals
 
         def counting(target):
             calls.append(target)
             return original(target)
 
-        monkeypatch.setattr(engine, "_window_mixtures", counting)
+        monkeypatch.setattr(verify, "coupling_marginals", counting)
         assert certify(plan, 50, seed=1).all_passed
         assert calls == [plan]
 
