@@ -14,7 +14,6 @@ from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
     audit_plan,
     build_plan,
     exact_joint_law,
@@ -35,7 +34,7 @@ def main() -> None:
     space = ProductSpace((Alphabet(("a", "b")),))
     member = MassFunction.from_masses(space, {(0,): F(1, 4), (1,): F(3, 4)})
     limit = MassFunction.from_masses(space, {(0,): F(1, 2), (1,): F(1, 2)})
-    seq = ProcessSequenceSpec(space, (member,), limit, TailRule(1))
+    seq = ProcessSequenceSpec((member,), limit)
 
     plan = build_plan(seq)
     print("member law :", show(member))

@@ -14,7 +14,6 @@ from windowcoupling import (
     MassFunction,
     MetricSpaceModel,
     ProcessSequenceSpec,
-    TailRule,
     audit_skorohod,
     build_skorohod_coupling,
     distance_violations,
@@ -36,7 +35,7 @@ def main() -> None:
     space = model.space
     start = MassFunction.point_mass(space, (0,))
     uniform = MassFunction.uniform(space)
-    laws = LawSequence(model, ProcessSequenceSpec(space, (start,), uniform, TailRule(1)))
+    laws = LawSequence(model, ProcessSequenceSpec((start,), uniform))
 
     coupling = build_skorohod_coupling(model, laws, args.depth)
     print("partition tree:")

@@ -68,8 +68,9 @@ a marginal or an infimum only when it is read, and the schedule scan
 reads index n only at windows between k_n and k_{n+1}, so no infimum
 wider than the schedule can use is computed; the envelopes and the
 checks read each index at its scheduled window.
-The tail rule makes density convergence automatic (from index M + 1 on
-only the limit law remains), so no convergence scan runs.
+Every member after the M-th is the limit law, which makes density
+convergence automatic (from index M + 1 on only the limit law remains),
+so no convergence scan runs.
 
 ``window_infimum``, ``window_deficit``, ``extend_window_law`` and
 ``extended_floor`` compute the same quantities one ``Fraction`` at a
@@ -468,12 +469,12 @@ def _extended(law: MassFunction, marginal: MassFunction, window_law: MassFunctio
 
     This is the window law, of width k, extended along law's conditionals
     given the k-prefix; it is 0 above a prefix the window law does not
-    charge, and law itself where the window law is the marginal.  A
+    charge, and law itself where the window law equals the marginal.  A
     prefix that the window law charges and the marginal does not raises
     ``KeyError`` naming the prefix as a tuple.
     """
     stride = law.space.stride(window_law.space.width)
-    if window_law is marginal:
+    if window_law == marginal:
         return law
     below = marginal.weights
     try:
@@ -742,9 +743,9 @@ def coupling_marginals(
     """The exact law of every component and of the limit point, unenumerated.
 
     Component n's k_n-prefix has the window mixture E_n|k_n +
-    P(N > n) * residual n (``weighted_sum``), which is E_n|k_n itself
-    where P(N > n) = 0: the last component's is then the limit law, which
-    ``_extended`` returns as it is.  Component n extends its prefix along
+    P(N > n) * residual n (``weighted_sum``).  The last component's has
+    P(N > M) = 0 and equals member M's k_M-marginal, so ``_extended``
+    returns member M itself.  Component n extends its prefix along
     member n's conditional, so its law is the window mixture extended
     along member n.  The limit point's law is the sum of P(N = n) times
     increment n.  These are the marginals of ``exact_joint_law``.  The
@@ -756,9 +757,8 @@ def coupling_marginals(
     for n, (k, envelope, residual) in enumerate(
         zip(plan.schedule.windows, plan.envelope_windows, plan.residual_laws), start=1
     ):
-        tail = plan.index_tail_probability(n)
-        terms = ((1, envelope), (tail, residual))
-        mixture = weighted_sum(envelope.space, terms) if tail else envelope
+        terms = ((1, envelope), (plan.index_tail_probability(n), residual))
+        mixture = weighted_sum(envelope.space, terms)
         members.append(_extended(plan.sequence.member(n), table.marginal(n, k), mixture))
     limit = weighted_sum(
         plan.sequence.space,

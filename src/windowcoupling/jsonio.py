@@ -35,7 +35,6 @@ from .measures import (
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
 )
 from .skorohod import (
     LawSequence,
@@ -223,7 +222,7 @@ def _laws_to_doc(seq: ProcessSequenceSpec) -> dict:
     return {
         "members": [law_to_doc(m) for m in seq.members],
         "limit": law_to_doc(seq.limit),
-        "tail": {"eventually_equal": seq.tail.eventually_equal},
+        "tail": {"eventually_equal": seq.horizon},
     }
 
 
@@ -248,14 +247,21 @@ def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
 
 
 def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
-    """The members, limit and tail of a spec document, on ``space``."""
+    """The members and limit of a spec document, on ``space``.
+
+    The document's tail index must be the number of members.
+    """
     with _doc_field("spec", "members"):
         members = tuple(law_from_doc(space, m) for m in doc["members"])
     with _doc_field("spec", "limit"):
         limit = law_from_doc(space, doc["limit"])
     with _doc_field("spec", "tail"):
-        tail = TailRule(_integer(doc["tail"]["eventually_equal"], "tail index"))
-    return ProcessSequenceSpec(space=space, members=members, limit=limit, tail=tail)
+        tail = _integer(doc["tail"]["eventually_equal"], "tail index")
+    if tail < 1:
+        raise ValueError("tail index must be at least 1")
+    if len(members) != tail:
+        raise ValueError(f"{len(members)} members but tail index {tail}")
+    return ProcessSequenceSpec(members, limit)
 
 
 # -- coupling plans -----------------------------------------------------------
@@ -263,7 +269,7 @@ def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
 # Format 6 stores the sequence and the schedule's window list, and
 # nothing else: the envelope densities that format 5 stored, and the
 # mixture laws that format 4 stored, are derived from them (see
-# ``CouplingPlan``), and the horizon is the sequence's tail index.
+# ``CouplingPlan``), and the horizon is the sequence's member count.
 PLAN_FORMAT = 6
 
 

@@ -370,46 +370,38 @@ def _shown(space: ProductSpace, point: object) -> tuple:
 
 
 @dataclass(frozen=True)
-class TailRule:
-    """Declares that members with index above ``eventually_equal`` are the limit law.
+class ProcessSequenceSpec:
+    """A sequence of process laws P_1..P_M, every later member being its limit P.
 
-    This makes infima over infinite index tails finitely computable:
-    the tail contributes exactly the limit law to every infimum.
+    The members after P_M all equal the limit, so infima over infinite
+    index tails are finitely computable: the tail contributes exactly
+    the limit law to every infimum.  The horizon M is the number of
+    members and the space is the limit's; every member must live on it.
     """
 
-    eventually_equal: int
-
-    def __post_init__(self) -> None:
-        if self.eventually_equal < 1:
-            raise ValueError("tail index must be at least 1")
-
-
-@dataclass(frozen=True)
-class ProcessSequenceSpec:
-    """A sequence of process laws P_1..P_M with limit P and a tail rule."""
-
-    space: ProductSpace
     members: tuple[MassFunction, ...]
     limit: MassFunction
-    tail: TailRule
 
     def __post_init__(self) -> None:
-        if len(self.members) != self.tail.eventually_equal:
-            raise ValueError(
-                f"{len(self.members)} members but tail index {self.tail.eventually_equal}"
-            )
+        if not self.members:
+            raise ValueError("a sequence needs at least one member")
+        space = self.space
         for i, law in enumerate((*self.members, self.limit)):
-            if law.space != self.space:
+            if law.space != space:
                 raise SpaceMismatchError(f"law {i} lives on a different space")
             if not law.is_probability:
                 raise ValueError(f"law {i} has total mass {law.total_mass}, not 1")
 
     @property
+    def space(self) -> ProductSpace:
+        return self.limit.space
+
+    @property
     def horizon(self) -> int:
-        return self.tail.eventually_equal
+        return len(self.members)
 
     def member(self, n: int) -> MassFunction:
-        """The n-th law of the sequence; indices past the tail give the limit."""
+        """The n-th law of the sequence; indices past the horizon give the limit."""
         if n < 1:
             raise ValueError(f"member index {n} must be at least 1")
         return self.members[n - 1] if n <= self.horizon else self.limit
@@ -494,11 +486,11 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
     """Pointwise infimum of the k-window marginals over indices >= start.
 
     The infimum runs over the members with index in start..horizon plus
-    the limit law, which by the tail rule equals the infimum over the
-    whole infinite tail.  The result is a sub-probability mass function,
-    pointwise non-decreasing in ``start``.  It compares the masses one
-    ``Fraction`` at a time and is the reference ``WindowTable`` is tested
-    against.
+    the limit law, which equals the infimum over the whole infinite
+    tail, every member past the horizon being the limit.  The result is
+    a sub-probability mass function, pointwise non-decreasing in
+    ``start``.  It compares the masses one ``Fraction`` at a time and is
+    the reference ``WindowTable`` is tested against.
     """
     if start < 1:
         raise ValueError(f"start index {start} must be at least 1")
@@ -522,9 +514,9 @@ def window_infimum(seq: ProcessSequenceSpec, start: int, k: int) -> MassFunction
 class WindowTable:
     """The window marginals and window infima of one sequence that are read.
 
-    Index n = 1..M names the members and n = M + 1 the limit law; by the
-    tail rule every later index is the limit too.  Each sequence has one
-    table, ``ProcessSequenceSpec.window_table``, which the schedule, the
+    Index n = 1..M names the members and n = M + 1 the limit law; every
+    later index is the limit too.  Each sequence has one table,
+    ``ProcessSequenceSpec.window_table``, which the schedule, the
     envelopes, the floors, the exact marginals and the audit all read.
     Nothing is computed at construction.  A law's k-window marginal is
     computed on its first read, from the narrowest of its wider marginals
@@ -545,12 +537,11 @@ class WindowTable:
 
     def __init__(self, seq: ProcessSequenceSpec) -> None:
         # the space and the horizon, not the sequence, which keeps the table
-        self._space = seq.space
+        space = self._space = seq.space
         self._horizon = seq.horizon
-        width = seq.space.width
-        unit = MassFunction(seq.space.window(0), 1, {0: 1})
+        unit = MassFunction(space.window(0), 1, {0: 1})
         # per law, its window marginals computed so far, keyed by window
-        self._marginals = [{0: unit, width: law} for law in (*seq.members, seq.limit)]
+        self._marginals = [{0: unit, space.width: law} for law in (*seq.members, seq.limit)]
         # per window k read, the infima from M + 1, M, ... down to the lowest index read
         self._sweeps: dict[int, list[MassFunction]] = {}
 
@@ -590,10 +581,11 @@ class WindowTable:
 def density_convergence(seq: ProcessSequenceSpec, k: int) -> DensityConvergence:
     """Decide whether the k-window infima reach the limit marginal exactly.
 
-    Under an eventually-equal tail the infimum is monotone in the start
-    index and equals the limit marginal from the tail index on, so this
-    scan always succeeds; the witness is the first index where equality
-    holds.  Plan construction relies on this and runs no such scan.
+    Every member past the horizon M is the limit, so the infimum is
+    monotone in the start index and equals the limit marginal from
+    index M + 1 on: this scan always succeeds, and the witness is the
+    first index where equality holds.  Plan construction relies on this
+    and runs no such scan.
     """
     target = window_marginal(seq.limit, k)
     for n in range(1, seq.horizon + 2):

@@ -561,12 +561,7 @@ def digitize(seq: LawSequence, tree: PartitionTree) -> ProcessSequenceSpec:
         return MassFunction(space, law.denominator, weights)
 
     laws = seq.sequence
-    return ProcessSequenceSpec(
-        space=space,
-        members=tuple(push(m) for m in laws.members),
-        limit=push(laws.limit),
-        tail=laws.tail,
-    )
+    return ProcessSequenceSpec(tuple(push(m) for m in laws.members), push(laws.limit))
 
 
 @dataclass(frozen=True)
@@ -604,12 +599,11 @@ class SkorohodCoupling:
 
 @dataclass(frozen=True)
 class SkorohodSample:
-    """Decoded coupled points plus the underlying digit-space sample."""
+    """The coupled points of one digit-space sample, decoded to model points."""
 
     index: int
     point: int
     member_points: tuple[int, ...]
-    base: CouplingSample
 
 
 def build_skorohod_coupling(
@@ -627,7 +621,6 @@ def decode_sample(coupling: SkorohodCoupling, base: CouplingSample) -> SkorohodS
         index=base.index,
         point=coupling.decode(base.limit_point),
         member_points=tuple(coupling.decode(z) for z in base.member_points),
-        base=base,
     )
 
 

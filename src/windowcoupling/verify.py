@@ -40,7 +40,6 @@ from .measures import (
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
     total_variation,
 )
 from .skorohod import (
@@ -328,12 +327,7 @@ def random_process_spec(
         return MassFunction.from_masses(space, dict(zip(points, values)))
 
     count = rng.randint(1, max_members)
-    return ProcessSequenceSpec(
-        space=space,
-        members=tuple(pmf() for _ in range(count)),
-        limit=pmf(),
-        tail=TailRule(count),
-    )
+    return ProcessSequenceSpec(tuple(pmf() for _ in range(count)), pmf())
 
 
 def random_enumerable_plan(
@@ -392,4 +386,4 @@ def random_law_sequence(
 
     everything = list(range(model.size))
     members = tuple(pmf(everything) for _ in range(count))
-    return LawSequence(model, ProcessSequenceSpec(space, members, pmf(support), TailRule(count)))
+    return LawSequence(model, ProcessSequenceSpec(members, pmf(support)))

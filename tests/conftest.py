@@ -11,7 +11,6 @@ from windowcoupling import (
     MetricSpaceModel,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
 )
 
 
@@ -24,7 +23,7 @@ def binary_space():
 def constant_sequence(binary_space):
     """All members equal the limit; every construction step is trivial."""
     q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
-    return ProcessSequenceSpec(binary_space, (q,), q, TailRule(1))
+    return ProcessSequenceSpec((q,), q)
 
 
 @pytest.fixture
@@ -32,7 +31,7 @@ def skewed_sequence(binary_space):
     """One member (1/4, 3/4) against the uniform limit; the worked example."""
     p1 = MassFunction.from_masses(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
     q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
-    return ProcessSequenceSpec(binary_space, (p1,), q, TailRule(1))
+    return ProcessSequenceSpec((p1,), q)
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ def two_member_sequence(binary_space):
     p1 = MassFunction.from_masses(binary_space, {(0,): F(1, 4), (1,): F(3, 4)})
     p2 = MassFunction.from_masses(binary_space, {(0,): F(1, 3), (1,): F(2, 3)})
     q = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
-    return ProcessSequenceSpec(binary_space, (p1, p2), q, TailRule(2))
+    return ProcessSequenceSpec((p1, p2), q)
 
 
 @pytest.fixture
@@ -62,7 +61,7 @@ def line_laws(line_model):
     space = line_model.space
     uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
     start = MassFunction.from_masses(space, {(0,): F(1)})
-    return LawSequence(line_model, ProcessSequenceSpec(space, (start,), uniform, TailRule(1)))
+    return LawSequence(line_model, ProcessSequenceSpec((start,), uniform))
 
 
 def tuple_mass(law):
@@ -118,6 +117,4 @@ def widening_sequence(rng, width, letters=3, members=8, max_weight=20):
                 space, {z: kept[z[:k]] * F(suffix[z], suffix_total[z[:k]]) for z in points}
             )
         )
-    return ProcessSequenceSpec(
-        space, tuple(laws), MassFunction.from_masses(space, limit), TailRule(members)
-    )
+    return ProcessSequenceSpec(tuple(laws), MassFunction.from_masses(space, limit))

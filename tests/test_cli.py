@@ -278,6 +278,21 @@ def spec_coords_not_a_list(doc):
     doc["model"]["coords"] = 7
 
 
+def tail_zero(doc):
+    doc["tail"]["eventually_equal"] = 0
+
+
+def tail_count(doc):
+    doc["tail"]["eventually_equal"] += 1
+
+
+# the tail index of a one-member spec, edited -> the spec's one error line
+TAIL_EDITS = {
+    tail_zero: "tail index must be at least 1",
+    tail_count: "1 members but tail index 2",
+}
+
+
 class TestMalformedSpec:
     @pytest.mark.parametrize(
         "command, edit, field",
@@ -312,6 +327,21 @@ class TestMalformedSpec:
         out = tmp_path / "out"
         assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {spec}: missing field 'tail'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", list(TAIL_EDITS), ids=lambda edit: edit.__name__)
+    @pytest.mark.parametrize("command", ["build", "skorohod"])
+    def test_bad_tail_index_exits_2(
+        self, tmp_path, skewed_file, skorohod_file, capsys, command, edit
+    ):
+        spec = skewed_file if command == "build" else skorohod_file
+        doc = json.loads(spec.read_text())
+        assert doc["tail"] == {"eventually_equal": 1}
+        edit(doc)
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {TAIL_EDITS[edit]}\n"
         assert not out.exists()
 
 

@@ -19,7 +19,6 @@ from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
-    TailRule,
     WindowTable,
     audit_plan,
     build_ladder,
@@ -57,16 +56,14 @@ from windowcoupling.verify import (
 from conftest import tuple_mass, widening_sequence, with_envelopes
 
 
-def binary_sequence(member_masses, limit_masses, count=None):
+def binary_sequence(member_masses, limit_masses):
     space = ProductSpace((Alphabet(("a", "b")),))
 
     def law(masses):
         return MassFunction.from_masses(space, {(i,): F(m) for i, m in enumerate(masses) if m})
 
     members = tuple(law(m) for m in member_masses)
-    return ProcessSequenceSpec(
-        space, members, law(limit_masses), TailRule(count or len(members))
-    )
+    return ProcessSequenceSpec(members, law(limit_masses))
 
 
 class TestSchedule:
@@ -245,6 +242,16 @@ class TestIntegerExtension:
         with pytest.raises(KeyError) as info:
             engine._extended(law, window_marginal(law, 1), window)
         assert info.value.args == ((1,),)  # the prefix's code 1, named as its tuple
+
+    def test_a_window_law_equal_to_the_marginal_gives_the_law_itself(self, pair_space):
+        law = MassFunction.from_masses(
+            pair_space, {(0, 0): F(1, 8), (0, 1): F(3, 8), (1, 1): F(1, 2)}
+        )
+        for k in (1, 2):
+            marginal = window_marginal(law, k)
+            rebuilt = MassFunction(marginal.space, marginal.denominator, dict(marginal.weights))
+            assert rebuilt is not marginal
+            assert engine._extended(law, marginal, rebuilt) is law
 
 
 def floors_of(seq, schedule):
@@ -461,7 +468,7 @@ class TestPlan:
             pair_space, {(0, 0): F(1, 8), (0, 1): F(1, 4), (1, 0): F(3, 8), (1, 1): F(1, 4)}
         )
         limit = MassFunction.uniform(pair_space)
-        plan = build_plan(ProcessSequenceSpec(pair_space, (member,), limit, TailRule(1)))
+        plan = build_plan(ProcessSequenceSpec((member,), limit))
         assert plan.schedule.windows == (2, 2)
         assert plan.index_probability(1) == F(7, 8)
         # increment 1 moved onto (1, 0) and (1, 1), with P(N = 1) kept

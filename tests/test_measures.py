@@ -14,7 +14,6 @@ from windowcoupling import (
     ProcessSequenceSpec,
     ProductSpace,
     SpaceMismatchError,
-    TailRule,
     WindowRangeError,
     WindowTable,
     build_schedule,
@@ -62,7 +61,7 @@ def sequences(draw):
     count = draw(st.integers(1, 3))
     members = tuple(draw(probability_laws(space)) for _ in range(count))
     limit = draw(probability_laws(space))
-    return ProcessSequenceSpec(space, members, limit, TailRule(count))
+    return ProcessSequenceSpec(members, limit)
 
 
 class TestAlphabet:
@@ -420,7 +419,7 @@ def mixed_sequences(draw):
     laws = [
         MassFunction.from_masses(space, draw(mixed_masses(space))) for _ in range(count + 1)
     ]
-    return ProcessSequenceSpec(space, tuple(laws[:-1]), laws[-1], TailRule(count))
+    return ProcessSequenceSpec(tuple(laws[:-1]), laws[-1])
 
 
 def fraction_marginal(space, mass, k):
@@ -600,7 +599,7 @@ class TestWindowTable:
     def test_marginals_are_computed_when_read_from_the_narrowest_wider_one(self, monkeypatch):
         space = ProductSpace((Alphabet(("a", "b")),) * 3)
         member = MassFunction.from_masses(space, {z: F(z + 1, 36) for z in space.points()})
-        seq = ProcessSequenceSpec(space, (member,), MassFunction.uniform(space), TailRule(1))
+        seq = ProcessSequenceSpec((member,), MassFunction.uniform(space))
         truncations = []  # (width of the law truncated, window)
         marginal = measures.window_marginal
 
@@ -640,7 +639,7 @@ class TestDensityConvergence:
     def test_tail_rule_dominates_point_mass_members(self, binary_space):
         point = MassFunction.from_masses(binary_space, {(0,): F(1)})
         uniform = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
-        seq = ProcessSequenceSpec(binary_space, (point, point), uniform, TailRule(2))
+        seq = ProcessSequenceSpec((point, point), uniform)
         assert density_convergence(seq, 1) == (True, 3)
 
     @settings(max_examples=50)
@@ -714,22 +713,27 @@ class TestConditioning:
 
 
 class TestProcessSequenceSpec:
-    def test_member_count_must_match_tail(self, binary_space):
+    def test_needs_a_member(self, binary_space):
         q = MassFunction.uniform(binary_space)
-        with pytest.raises(ValueError, match="tail index"):
-            ProcessSequenceSpec(binary_space, (q,), q, TailRule(2))
+        with pytest.raises(ValueError, match="^a sequence needs at least one member$"):
+            ProcessSequenceSpec((), q)
+
+    def test_members_must_share_the_limit_space(self, binary_space, pair_space):
+        q = MassFunction.uniform(binary_space)
+        other = MassFunction.uniform(pair_space)
+        with pytest.raises(SpaceMismatchError, match="^law 0 lives on a different space$"):
+            ProcessSequenceSpec((other, q), q)
+        seq = ProcessSequenceSpec((q, q), q)
+        assert seq.space is binary_space
+        assert seq.horizon == 2
 
     def test_members_must_be_probability(self, binary_space):
         q = MassFunction.uniform(binary_space)
         sub = MassFunction.from_masses(binary_space, {(0,): F(1, 3)})
         with pytest.raises(ValueError, match="total mass"):
-            ProcessSequenceSpec(binary_space, (sub,), q, TailRule(1))
+            ProcessSequenceSpec((sub,), q)
 
     def test_member_lookup_past_tail(self, two_member_sequence):
         assert two_member_sequence.member(7) == two_member_sequence.limit
         with pytest.raises(ValueError):
             two_member_sequence.member(0)
-
-    def test_tail_rule_requires_positive_index(self):
-        with pytest.raises(ValueError):
-            TailRule(0)

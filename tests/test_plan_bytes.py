@@ -30,7 +30,6 @@ from windowcoupling import (
     MassFunction,
     MetricSpaceModel,
     ProcessSequenceSpec,
-    TailRule,
     audit_plan,
     audit_skorohod,
     build_skorohod_coupling,
@@ -297,13 +296,11 @@ def skorohod_instance():
     laws = LawSequence(
         model,
         ProcessSequenceSpec(
-            space,
             (
                 MassFunction.from_masses(space, {(0,): F(1)}),
                 MassFunction.from_masses(space, {(0,): F(1, 2), (2,): F(1, 2)}),
             ),
             MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)}),
-            TailRule(2),
         ),
     )
     return build_skorohod_coupling(model, laws, 2)

@@ -14,7 +14,6 @@ from windowcoupling import (
     MetricSpaceModel,
     ProcessSequenceSpec,
     SeparabilityError,
-    TailRule,
     audit_skorohod,
     build_partition_tree,
     build_skorohod_coupling,
@@ -604,7 +603,7 @@ class TestSkorohodCoupling:
     def test_constant_laws_couple_exactly(self, line_model):
         space = line_model.space
         uniform = MassFunction.from_masses(space, {(0,): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
-        seq = LawSequence(line_model, ProcessSequenceSpec(space, (uniform,), uniform, TailRule(1)))
+        seq = LawSequence(line_model, ProcessSequenceSpec((uniform,), uniform))
         coupling = build_skorohod_coupling(line_model, seq, 2)
         rng = random.Random(0)
         for _ in range(200):
@@ -646,7 +645,7 @@ class TestSkorohodCoupling:
         space = model.space
         member = MassFunction.from_masses(space, {(2,): F(1, 2), (0,): F(1, 2)})
         limit = MassFunction.from_masses(space, {(0,): F(1, 2), (1,): F(1, 2)})
-        seq = LawSequence(model, ProcessSequenceSpec(space, (member,), limit, TailRule(1)))
+        seq = LawSequence(model, ProcessSequenceSpec((member,), limit))
         coupling = build_skorohod_coupling(model, seq, 2)
         joint = exact_joint_law(coupling.plan)
         assert joint.marginal_member(1) == coupling.digit_sequence.member(1)

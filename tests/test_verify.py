@@ -7,7 +7,6 @@ import pytest
 from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
-    TailRule,
     WindowSchedule,
     audit_plan,
     audit_skorohod,
@@ -152,7 +151,7 @@ class TestJointLawMarginals:
         # envelope 1 on b makes residual 1, the member minus it, negative there
         member = MassFunction.from_masses(binary_space, {(0,): F(1)})
         limit = MassFunction.from_masses(binary_space, {(0,): F(1, 2), (1,): F(1, 2)})
-        plan = build_plan(ProcessSequenceSpec(binary_space, (member,), limit, TailRule(1)))
+        plan = build_plan(ProcessSequenceSpec((member,), limit))
         on_b = MassFunction.point_mass(binary_space, (1,))
         bad = with_envelopes(plan, {1: F(1, 2)})
         assert bad.increment_laws[0] == on_b
