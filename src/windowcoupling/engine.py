@@ -91,11 +91,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .measures import (
     ONE,
@@ -230,10 +230,19 @@ class CouplingPlan:
     k_n-prefix of positive mass under member n to its extension row as
     a law and is read only by ``exact_joint_law``; ``spec_sha256`` is the
     hash of the sequence's document that reports record.
+
+    ``sequence_doc`` is not part of the plan.  ``jsonio.plan_from_doc``
+    sets it to the sequence's document, its laws copied as read, where
+    every mass was in lowest terms as ``jsonio.law_to_doc`` writes it,
+    so that ``spec_sha256`` hashes it instead of writing the document
+    again.  The copy is taken at load, so changing the document
+    afterwards does not change the hash; a plan made any other way,
+    ``dataclasses.replace`` included, has None.
     """
 
     sequence: ProcessSequenceSpec
     schedule: WindowSchedule
+    sequence_doc: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def envelopes(self) -> tuple[MassFunction, ...]:
@@ -348,10 +357,17 @@ class CouplingPlan:
 
     @cached_property
     def spec_sha256(self) -> str:
-        """SHA-256 of the sequence's canonical document, computed once per plan."""
+        """SHA-256 of the sequence's canonical document, computed once per plan, on first read.
+
+        The document is ``sequence_doc`` where the plan was loaded from
+        one, and is written from the sequence otherwise.
+        """
         from . import jsonio  # jsonio imports this module
 
-        return jsonio.document_sha256(jsonio.sequence_to_doc(self.sequence))
+        doc = self.sequence_doc
+        if doc is None:
+            doc = jsonio.sequence_to_doc(self.sequence)
+        return jsonio.document_sha256(doc)
 
 
 @dataclass(frozen=True)
@@ -364,11 +380,24 @@ class CouplingSample:
 
     def agreement_holds(self, schedule: WindowSchedule, space: ProductSpace) -> bool:
         """Window prefixes of components with n >= N match the limit point's in ``space``."""
+        return self.agrees_at(window_strides(schedule, space))
+
+    def agrees_at(self, strides: Sequence[int]) -> bool:
+        """``agreement_holds`` given the stride of each component's window (``window_strides``)."""
+        limit_point = self.limit_point
         for n in range(self.index, len(self.member_points) + 1):
-            stride = space.stride(schedule.window(n))
-            if self.member_points[n - 1] // stride != self.limit_point // stride:
+            stride = strides[n - 1]
+            if self.member_points[n - 1] // stride != limit_point // stride:
                 return False
         return True
+
+
+def window_strides(schedule: WindowSchedule, space: ProductSpace) -> tuple[int, ...]:
+    """The stride of each scheduled window in ``space``.
+
+    A window out of range raises WindowRangeError.
+    """
+    return tuple(map(space.stride, schedule.windows))
 
 
 def window_deficit(seq: ProcessSequenceSpec, n: int, k: int) -> Fraction:
@@ -628,8 +657,8 @@ class KernelTable:
     ``points[lo:hi]``.  The row's law, the conditional given the prefix,
     is in canonical form its weights divided by their gcd over the sum
     ``total`` of those quotients; ``cumulative[lo:hi]`` holds their
-    running sums, so one ``randrange(total)`` draw is distributed
-    exactly.  Window 0 (the default) gives the law itself: a canonical
+    running sums, so one uniform draw from ``range(total)`` (``draw_below``)
+    is distributed exactly.  Window 0 (the default) gives the law itself: a canonical
     probability law's weights have gcd 1, so its one slice ``()`` spans
     the whole table with the law's denominator as its total, at the
     unit space's one point, code 0.  Every
@@ -658,7 +687,23 @@ class KernelTable:
     def draw(self, rng: Random, prefix: Point = 0) -> Point:
         """One point of the conditional law given ``prefix``."""
         lo, hi, total = self.slices[prefix]
-        return self.points[bisect_right(self.cumulative, rng.randrange(total), lo, hi)]
+        return self.points[bisect_right(self.cumulative, draw_below(rng, total), lo, hi)]
+
+
+def draw_below(rng: Random, total: int) -> int:
+    """A uniform draw from ``range(total)``: ``total.bit_length()`` bits, redrawn while too large.
+
+    These are the calls to ``getrandbits`` that ``rng.randrange(total)``
+    makes on Python 3.10 to 3.13, so the draw and the generator's state
+    after it are the same, without the standard library's argument
+    handling around them and without depending on how a later version
+    implements ``randrange``.
+    """
+    bits = total.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= total:
+        value = rng.getrandbits(bits)
+    return value
 
 
 class DrawTables(NamedTuple):
@@ -685,8 +730,9 @@ class CouplingSampler:
     every sampler of it: the window-0 tables of the index law, of
     increment n where P(N = n) > 0 and of residual n where P(N > n) > 0
     (the other slots hold None), and member n's table at window k_n,
-    whose rows are slices.  The kernel-row draw is inlined, since it
-    runs once per component.
+    whose rows are slices.  Every row is drawn by ``draw_below``, the
+    bits ``randrange`` would consume; the kernel-row draw is inlined,
+    since it runs once per component.
     """
 
     def __init__(self, plan: CouplingPlan) -> None:
@@ -705,6 +751,7 @@ class CouplingSampler:
     def sample(self, rng: Random) -> CouplingSample:
         index = self._index_table.draw(rng) + 1
         limit_point = self._increment_tables[index - 1].draw(rng)
+        getrandbits = rng.getrandbits
         members: list[Point] = []
         for n, (stride, residual, slices, points, cumulative) in enumerate(
             self._components, start=1
@@ -717,7 +764,11 @@ class CouplingSampler:
                     f"no kernel row for prefix {window.decode(prefix)!r} at index {n}"
                 )
             lo, hi, total = row
-            members.append(points[bisect_right(cumulative, rng.randrange(total), lo, hi)])
+            bits = total.bit_length()
+            value = getrandbits(bits)
+            while value >= total:
+                value = getrandbits(bits)
+            members.append(points[bisect_right(cumulative, value, lo, hi)])
         return CouplingSample(index, limit_point, tuple(members))
 
 
@@ -779,7 +830,7 @@ def joint_support_size(plan: CouplingPlan) -> int:
         {prefix: hi - lo for prefix, (lo, hi, _) in table.slices.items()}
         for table in plan.draw_tables.kernels
     ]
-    strides = [plan.sequence.space.stride(k) for k in plan.schedule.windows]
+    strides = window_strides(plan.schedule, plan.sequence.space)
     tails = {
         n: sum(sizes[n - 1][prefix] for prefix in plan.residual_laws[n - 1].weights)
         for n in range(1, plan.count + 1)
@@ -857,7 +908,7 @@ def exact_joint_law(plan: CouplingPlan, cap: int = 1_000_000) -> JointLaw:
             f"joint support size {size} exceeds cap {cap}"
         )
     mixes = _tail_mixture_laws(plan)
-    strides = [plan.sequence.space.stride(k) for k in plan.schedule.windows]
+    strides = window_strides(plan.schedule, plan.sequence.space)
     entries: dict[tuple[int, Point, tuple[Point, ...]], Fraction] = {}
     for m in range(1, plan.count + 1):
         prob = plan.index_probability(m)

@@ -11,12 +11,22 @@ A plan document holds its format, its sequence and its window list,
 and nothing that can be derived from them: the envelopes and the
 mixture laws are derived when the loaded plan is first read, on the
 path a built plan takes (see ``CouplingPlan``).
+
+Reading keeps every byte the writer would write.  A law whose masses
+all have the form ``law_to_doc`` writes, ``num/den`` in positive ASCII
+digits, is parsed in one batch; any other law goes through
+``parse_ratio`` one value at a time, with the same result or the same
+error.  A loaded plan whose masses are all in lowest terms keeps its
+laws as read, and the hash that reports record is taken from them on
+first read, instead of writing the sequence document again.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 from contextlib import contextmanager
@@ -170,10 +180,57 @@ def law_to_doc(law: MassFunction) -> dict:
 
 def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:
     """Parse each mass into two ints and scale them to the lcm of the denominators."""
-    parse = space.parse_point
-    entries = [(parse(key), *parse_ratio(value)) for key, value in doc.items()]
-    common = math.lcm(*(den for _, _, den in entries))
-    return MassFunction(space, common, {z: num * (common // den) for z, num, den in entries})
+    return _law_from_doc(space, doc)[0]
+
+
+# the masses of a law as ``law_to_doc`` writes them, joined by newlines:
+# a positive ASCII numerator and denominator without leading zeros each
+_WRITTEN_MASSES = re.compile(r"[1-9][0-9]*/[1-9][0-9]*(?:\n[1-9][0-9]*/[1-9][0-9]*)*")
+
+
+def _law_from_doc(space: ProductSpace, doc: dict) -> tuple[MassFunction, bool]:
+    """``law_from_doc``, and whether every mass is in lowest terms as ``law_to_doc`` writes it.
+
+    A law whose masses all have the written form, reduced or not, is
+    parsed in one batch: one ``fullmatch`` of the values joined by
+    newlines, one ``split`` and ``map(int, ...)``.  A value that holds a
+    newline splits into more than two parts, so the part count sends it
+    back, with every law that is not in the written form, to
+    ``parse_ratio``, one value at a time, which gives the same law or
+    the same error.
+    """
+    items = doc.items()  # first, so that a document that is not an object fails as before
+    ratios = _written_ratios(list(doc.values()))
+    if ratios is None:
+        parse = space.parse_point
+        entries = [(parse(key), *parse_ratio(value)) for key, value in items]
+        common = math.lcm(*(den for _, _, den in entries))
+        weights = {z: num * (common // den) for z, num, den in entries}
+        return MassFunction(space, common, weights), False
+    nums, dens = ratios
+    common = math.lcm(*dens)
+    scaled = map(operator.mul, nums, map(operator.floordiv, itertools.repeat(common), dens))
+    # every key is a code that parse_point gave and every weight is positive
+    law = MassFunction._derived(space, common, dict(zip(space.parse_points(list(doc)), scaled)))
+    return law, set(map(math.gcd, nums, dens)) == {1}
+
+
+def _written_ratios(values: list) -> tuple[list[int], list[int]] | None:
+    """The numerators and denominators of masses in the written form, else None."""
+    try:
+        joined = "\n".join(values)
+    except TypeError:  # a value that is not a string
+        return None
+    if not _WRITTEN_MASSES.fullmatch(joined):
+        return None
+    parts = joined.replace("\n", "/").split("/")
+    if len(parts) != 2 * len(values):  # a value that holds a newline
+        return None
+    try:
+        ints = list(map(int, parts))
+    except ValueError:  # a part past the interpreter's digit limit
+        return None
+    return ints[0::2], ints[1::2]
 
 
 def space_to_doc(space: ProductSpace) -> list[list[str]]:
@@ -241,27 +298,33 @@ def _doc_field(kind: str, name: str) -> Iterator[None]:
 
 def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
     """Parse a sequence document; a field of the wrong shape raises ValueError."""
+    return _sequence_from_doc(doc)[0]
+
+
+def _sequence_from_doc(doc: dict) -> tuple[ProcessSequenceSpec, bool]:
+    """``sequence_from_doc``, and whether every mass is in lowest terms as written."""
     with _doc_field("spec", "space"):
         space = space_from_doc(doc["space"])
     return _laws_from_doc(space, doc)
 
 
-def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
-    """The members and limit of a spec document, on ``space``.
+def _laws_from_doc(space: ProductSpace, doc: dict) -> tuple[ProcessSequenceSpec, bool]:
+    """The members and limit of a spec document, on ``space``, and whether all are as written.
 
     The document's tail index must be the number of members.
     """
     with _doc_field("spec", "members"):
-        members = tuple(law_from_doc(space, m) for m in doc["members"])
+        members = [_law_from_doc(space, m) for m in doc["members"]]
     with _doc_field("spec", "limit"):
-        limit = law_from_doc(space, doc["limit"])
+        limit, written = _law_from_doc(space, doc["limit"])
     with _doc_field("spec", "tail"):
         tail = _integer(doc["tail"]["eventually_equal"], "tail index")
     if tail < 1:
         raise ValueError("tail index must be at least 1")
     if len(members) != tail:
         raise ValueError(f"{len(members)} members but tail index {tail}")
-    return ProcessSequenceSpec(members, limit)
+    seq = ProcessSequenceSpec(tuple(law for law, _ in members), limit)
+    return seq, written and all(member_written for _, member_written in members)
 
 
 # -- coupling plans -----------------------------------------------------------
@@ -289,7 +352,10 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     derived laws are built only when read.  Only plan format 6 is read;
     any other document, a field of the wrong shape, a window outside the
     space's width and a window list that does not hold one window per
-    index 1..M + 1 raise ValueError.
+    index 1..M + 1 raise ValueError.  Where every mass is in lowest
+    terms, as ``law_to_doc`` writes it, the plan keeps a copy of the
+    sequence document (``_sequence_doc_as_read``) for ``spec_sha256`` to
+    hash.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -298,7 +364,7 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
             f" {PLAN_FORMAT}; rebuild the plan from its spec"
         )
     with _doc_field("plan", "sequence"):
-        seq = sequence_from_doc(doc["sequence"])
+        seq, written = _sequence_from_doc(doc["sequence"])
     with _doc_field("plan", "schedule"):
         windows = tuple(_integer(k, "window") for k in _array(doc["schedule"], "windows"))
     if len(windows) != seq.horizon + 1:
@@ -308,7 +374,31 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         )
     for k in windows:
         seq.space.check_window(k)
-    return CouplingPlan(sequence=seq, schedule=WindowSchedule(windows))
+    plan = CouplingPlan(seq, WindowSchedule(windows))
+    if written:
+        # the plan is frozen, and only its loader knows the document it was read from
+        object.__setattr__(plan, "sequence_doc", _sequence_doc_as_read(doc["sequence"], seq))
+    return plan
+
+
+def _sequence_doc_as_read(doc: dict, seq: ProcessSequenceSpec) -> dict:
+    """``sequence_to_doc(seq)``, its laws copied from ``doc``, the document ``seq`` was read from.
+
+    For a document whose every mass is in lowest terms, as
+    ``law_to_doc`` writes it: each law's keys are labels that parsed,
+    which are their points' labels symbol for symbol, and each mass is
+    the one ``law_to_doc`` writes, so each law's object as read is the
+    one written.  The space and the tail are written from ``seq``, so
+    other fields of the document, or of its tail, change nothing.  The
+    laws are copied so that the plan does not share them with the
+    caller.
+    """
+    return {
+        "space": space_to_doc(seq.space),
+        "members": [dict(law) for law in doc["members"]],
+        "limit": dict(doc["limit"]),
+        "tail": {"eventually_equal": seq.horizon},
+    }
 
 
 def sample_record(plan: CouplingPlan, draw: CouplingSample, seed: int) -> dict:
@@ -386,7 +476,7 @@ def law_sequence_from_doc(doc: dict) -> LawSequence:
     """Parse a metric law sequence; a field of the wrong shape raises ValueError."""
     with _doc_field("spec", "model"):
         model = model_from_doc(doc["model"])
-    return LawSequence(model, _laws_from_doc(model.space, doc))
+    return LawSequence(model, _laws_from_doc(model.space, doc)[0])
 
 
 def tree_to_doc(tree: PartitionTree) -> dict:

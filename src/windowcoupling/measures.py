@@ -106,6 +106,9 @@ class ProductSpace:
     ``format_point`` keeps the label of each code it has formatted and
     ``parse_point`` the code of each label it has parsed (and the label of
     that code), so a label is joined or split and checked once per space.
+    ``parse_points`` keeps the last list of labels it has parsed, so the
+    laws of one document, which list the same labels in the same order,
+    parse their labels once.
     """
 
     coordinates: tuple[Alphabet, ...]
@@ -121,6 +124,7 @@ class ProductSpace:
         object.__setattr__(self, "_windows", {})
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_last_parsed", [None, None])
 
     @property
     def width(self) -> int:
@@ -207,6 +211,13 @@ class ProductSpace:
             self._labels[point] = text  # type: ignore[attr-defined]
         return point
 
+    def parse_points(self, labels: list[str]) -> list[Point]:
+        """``parse_point`` of each label, in order; the result is shared, not to be changed."""
+        last = self._last_parsed  # type: ignore[attr-defined]
+        if last[0] != labels:
+            last[:] = list(labels), list(map(self.parse_point, labels))
+        return last[1]
+
     def _split(self, text: str) -> Point:
         if text == "":
             labels: list[str] = []
@@ -240,7 +251,9 @@ class MassFunction:
     functions are equal exactly when they have the same space and the
     same support with the same masses.  ``_derived`` builds the same
     canonical form for a law whose points come from a law on the space,
-    or are k-prefixes of such points, without the per-point checks.
+    or are k-prefixes of such points, without the per-point checks; so
+    does ``jsonio`` for a document law whose keys parsed to codes and
+    whose masses are all positive, where only the total is left to check.
     ``from_masses`` builds a law from rational masses.  ``mass`` and
     ``law[z]`` are read-only ``Fraction`` views, built on each access;
     ``law[z]`` takes a code or a tuple.  Error messages name points as
@@ -299,7 +312,8 @@ class MassFunction:
 
         For laws derived from laws already on ``space``: each key is a
         point of such a law, or a k-prefix of one on the k-window space,
-        and each weight an ``int``.  Zero weights are dropped and the
+        or a code that ``parse_point`` returned, and each weight an
+        ``int``.  Zero weights are dropped and the
         form is reduced as by the constructor; a non-positive
         denominator, a negative weight or a total above one is handed
         to the checking constructor, which raises its own error.

@@ -670,6 +670,24 @@ class TestKernelTable:
         for k in (0, 2):
             self.assert_slices_draw_rows(member, k, KernelTable(member, k))
 
+    @pytest.mark.parametrize(
+        "total",
+        [1, 2, 3, 4, 5, 7, 8, 9, 2**16 - 1, 2**16, 2**16 + 1, 2**140 - 1, 2**140, 2**140 + 1,
+         3**90],
+    )
+    def test_rows_draw_as_randrange_at_every_total(self, total):
+        # a total of 2**j needs j + 1 bits and is redrawn about half the time,
+        # 2**j - 1 fits in j bits, 2**j + 1 is the first total past them, and
+        # the largest rows take more than one 32-bit word of the generator
+        space = ProductSpace((Alphabet(("a", "b")), Alphabet(("x", "y"))))
+        member = MassFunction(space, 2 * total, {(0, 0): 1, (0, 1): total - 1, (1, 1): total})
+        tables = [KernelTable(member, k) for k in range(3)]
+        # the law's own total, then the totals of the rows at a and at b
+        assert tables[0].slices[0][2] == 2 * total
+        assert [row[2] for row in tables[1].slices.values()] == [total, 1]
+        for k, table in enumerate(tables):
+            self.assert_slices_draw_rows(member, k, table, seeds=range(40))
+
     @settings(max_examples=100)
     @given(st.data())
     def test_window_0_table_is_the_law(self, data):

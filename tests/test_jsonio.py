@@ -1,9 +1,11 @@
 import json
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from windowcoupling import (
@@ -20,7 +22,7 @@ from windowcoupling import (
 )
 from windowcoupling import jsonio, streams
 from windowcoupling.engine import plan_exact_checks
-from windowcoupling.verify import random_law_sequence, random_metric_model
+from windowcoupling.verify import random_law_sequence, random_metric_model, random_process_spec
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -165,6 +167,152 @@ class TestPlanDocs:
         a = [sample(plan, streams.stream(0, "sample", i)) for i in range(20)]
         b = [sample(loaded, streams.stream(0, "sample", i)) for i in range(20)]
         assert a == b
+
+
+def reference_law(space, doc):
+    """The law of a document read one value at a time by ``parse_ratio``."""
+    parse = space.parse_point
+    entries = [(parse(key), *jsonio.parse_ratio(value)) for key, value in doc.items()]
+    common = math.lcm(*(den for _, _, den in entries))
+    return MassFunction(space, common, {z: num * (common // den) for z, num, den in entries})
+
+
+def outcome(parse, *args):
+    """What a parser returns, or the type and message of what it raises."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# values that law_to_doc never writes: the batch parse must hand each of
+# them to parse_ratio, with the law it sits in
+UNWRITTEN_MASSES = [
+    0, 1, 2, -1, True, None, 0.5, "2/4", "01/2", "+1/2", " 1/2", "0/3", "1/0", "1e3",
+    "\u00b2/4", "1/2\n1/3", "1/2/3", "1/2\n", "", "-1/2", "1", "1/" + "1" * 5000,
+]
+
+
+def law_docs(seq):
+    doc = jsonio.sequence_to_doc(seq)
+    return doc, [*doc["members"], doc["limit"]]
+
+
+class TestBatchParse:
+    @pytest.mark.parametrize("value", UNWRITTEN_MASSES, ids=repr)
+    def test_each_unwritten_mass_reads_as_parse_ratio_reads_it(self, two_member_sequence, value):
+        space = two_member_sequence.space
+        for label in ("a", "b"):
+            law = {"a": "1/4", "b": "3/4", label: value}
+            assert outcome(jsonio.law_from_doc, space, law) == outcome(reference_law, space, law)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), data=st.data())
+    def test_agrees_with_parse_ratio_on_written_and_perturbed_laws(self, seed, data):
+        seq = random_process_spec(random.Random(seed))
+        space = seq.space
+        _, laws = law_docs(seq)
+        labels = [space.format_point(z) for z in space.points()]
+        edits = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(laws) - 1),
+                    st.sampled_from(labels),
+                    st.one_of(st.sampled_from(UNWRITTEN_MASSES), st.integers(-2, 2)),
+                ),
+                max_size=3,
+            )
+        )
+        for i, label, value in edits:
+            laws[i][label] = value
+        for law in laws:
+            assert outcome(jsonio.law_from_doc, space, law) == outcome(reference_law, space, law)
+        if not edits:
+            assert [jsonio.law_from_doc(space, law) for law in laws] == [*seq.members, seq.limit]
+
+
+# edits of a written sequence document that keep its sequence; the first
+# three keep its laws as written, so the loaded plan hashes them as read
+KEEPING_EDITS = [
+    "none", "sequence field", "tail field",
+    "unreduced", "plus sign", "space", "leading zero", "zero mass", "integer zero",
+]
+
+
+class TestHashAsRead:
+    @staticmethod
+    def edited(doc, edit, draw):
+        """Apply ``edit`` to a plan document's sequence; None when it does not apply."""
+        seq_doc = doc["sequence"]
+        laws = [*seq_doc["members"], seq_doc["limit"]]
+        law = laws[draw(st.integers(0, len(laws) - 1))]
+        label = draw(st.sampled_from(sorted(law)))
+        num, den = map(int, law[label].split("/"))
+        if edit == "sequence field":
+            seq_doc["note"] = "kept out of the hash"
+        elif edit == "tail field":
+            seq_doc["tail"]["note"] = 1
+        elif edit == "unreduced":
+            factor = draw(st.integers(2, 5))
+            law[label] = f"{factor * num}/{factor * den}"
+        elif edit == "plus sign":
+            law[label] = f"+{num}/{den}"
+        elif edit == "space":
+            law[label] = f" {num}/{den}"
+        elif edit == "leading zero":
+            law[label] = f"0{num}/{den}"
+        elif edit in ("zero mass", "integer zero"):
+            space = jsonio.space_from_doc(seq_doc["space"])
+            missing = [z for z in space.points() if space.format_point(z) not in law]
+            if not missing:
+                return None
+            law[space.format_point(draw(st.sampled_from(missing)))] = (
+                "0/3" if edit == "zero mass" else 0
+            )
+        return doc
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), edit=st.sampled_from(KEEPING_EDITS), data=st.data())
+    def test_loaded_hash_is_the_hash_of_the_written_sequence(self, seed, edit, data):
+        seq = random_process_spec(random.Random(seed))
+        plan = build_plan(seq)
+        doc = json.loads(json.dumps(jsonio.plan_to_doc(plan)))
+        assume(self.edited(doc, edit, data.draw) is not None)
+        loaded = jsonio.plan_from_doc(doc)
+        assert loaded.sequence == seq
+        expected = jsonio.document_sha256(jsonio.sequence_to_doc(loaded.sequence))
+        assert loaded.spec_sha256 == expected == plan.spec_sha256
+        assert (loaded.sequence_doc is not None) == (edit in KEEPING_EDITS[:3])
+
+    def test_the_hash_is_taken_on_first_read(self, monkeypatch, two_member_sequence):
+        doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
+        hashed = []
+        original = jsonio.document_sha256
+        monkeypatch.setattr(jsonio, "document_sha256", lambda d: hashed.append(d) or original(d))
+        loaded = jsonio.plan_from_doc(doc)
+        assert not hashed
+        assert loaded.spec_sha256 == original(doc["sequence"])
+        assert hashed == [doc["sequence"]]
+
+    def test_changing_the_document_after_loading_keeps_the_hash(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        doc = json.loads(json.dumps(jsonio.plan_to_doc(plan)))
+        loaded = jsonio.plan_from_doc(doc)
+        seq_doc = doc["sequence"]
+        seq_doc["limit"]["a"] = "1/3"
+        seq_doc["members"][0]["b"] = "1/5"
+        seq_doc["members"].append({"a": "1/1"})
+        seq_doc["space"][0].append("c")
+        seq_doc["tail"]["eventually_equal"] = 3
+        assert loaded.spec_sha256 == plan.spec_sha256
+        assert loaded.sequence == two_member_sequence
+
+    def test_a_replaced_plan_hashes_its_own_sequence(self, two_member_sequence, skewed_sequence):
+        loaded = jsonio.plan_from_doc(jsonio.plan_to_doc(build_plan(two_member_sequence)))
+        assert loaded.sequence_doc is not None
+        other = replace(loaded, sequence=skewed_sequence)
+        assert other.sequence_doc is None
+        assert other.spec_sha256 == build_plan(skewed_sequence).spec_sha256 != loaded.spec_sha256
 
 
 class TestSampleRecords:

@@ -7,6 +7,7 @@ import pytest
 from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
+    WindowRangeError,
     WindowSchedule,
     audit_plan,
     audit_skorohod,
@@ -240,7 +241,10 @@ class TestOncePerPlan:
     def test_reports_of_one_plan_serialize_the_sequence_once(
         self, monkeypatch, two_member_sequence
     ):
-        plan = reloaded(build_plan(two_member_sequence))
+        # a built plan writes its sequence document once to hash it; a plan
+        # reloaded from a canonical document hashes the document as read
+        built = build_plan(two_member_sequence)
+        plan = reloaded(built)
         expected = jsonio.document_sha256(jsonio.sequence_to_doc(two_member_sequence))
         calls = []
         original = jsonio.sequence_to_doc
@@ -250,9 +254,41 @@ class TestOncePerPlan:
             return original(seq)
 
         monkeypatch.setattr(jsonio, "sequence_to_doc", counting)
-        reports = [audit_plan(plan), mc_agreement(plan, 20, seed=1), certify(plan, 20, seed=1)]
-        assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 3
-        assert len(calls) == 1
+        for target, serialized in ((built, 1), (plan, 0)):
+            calls.clear()
+            reports = [
+                audit_plan(target), mc_agreement(target, 20, seed=1), certify(target, 20, seed=1)
+            ]
+            assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 3
+            assert len(calls) == serialized
+
+    def test_mc_guard_takes_the_window_strides_once(self, monkeypatch, skewed_sequence):
+        plan = reloaded(build_plan(skewed_sequence))
+        plan.sampler  # its tables read the strides of their own windows
+        calls = []
+        original = type(plan.sequence.space).stride
+
+        def counting(space, k):
+            calls.append(k)
+            return original(space, k)
+
+        monkeypatch.setattr(type(plan.sequence.space), "stride", counting)
+        report = mc_agreement(plan, 200, seed=1)
+        assert report.all_passed
+        assert calls == list(plan.schedule.windows)
+
+    def test_a_window_out_of_range_still_raises(self, two_member_sequence):
+        plan = build_plan(two_member_sequence)
+        wide = WindowSchedule((1, 2, 1))  # the space has width 1
+        draw = plan.sampler.sample(random.Random(0))
+        with pytest.raises(WindowRangeError, match="^window length 2 out of range 0..1$"):
+            draw.agreement_holds(wide, plan.sequence.space)
+        with pytest.raises(WindowRangeError, match="^window length 2 out of range 0..1$"):
+            engine.window_strides(wide, plan.sequence.space)
+        # in the MC guard the error is the witness of its one failing check
+        report = mc_agreement(replace(plan, schedule=wide), 20, seed=1)
+        assert [c.name for c in report.mc_checks] == ["sampler-runs"]
+        assert "WindowRangeError: window length 2 out of range 0..1" in report.mc_checks[0].note
 
     def test_reports_of_one_coupling_serialize_the_laws_once(
         self, monkeypatch, line_model, line_laws
