@@ -211,7 +211,7 @@ def _law_from_doc(space: ProductSpace, doc: dict) -> tuple[MassFunction, bool]:
     common = math.lcm(*dens)
     scaled = map(operator.mul, nums, map(operator.floordiv, itertools.repeat(common), dens))
     # every key is a code that parse_point gave and every weight is positive
-    law = MassFunction._derived(space, common, dict(zip(space.parse_points(list(doc)), scaled)))
+    law = MassFunction._derived(space, common, dict(zip(map(space.parse_point, doc), scaled)))
     return law, set(map(math.gcd, nums, dens)) == {1}
 
 

@@ -106,9 +106,6 @@ class ProductSpace:
     ``format_point`` keeps the label of each code it has formatted and
     ``parse_point`` the code of each label it has parsed (and the label of
     that code), so a label is joined or split and checked once per space.
-    ``parse_points`` keeps the last list of labels it has parsed, so the
-    laws of one document, which list the same labels in the same order,
-    parse their labels once.
     """
 
     coordinates: tuple[Alphabet, ...]
@@ -124,7 +121,6 @@ class ProductSpace:
         object.__setattr__(self, "_windows", {})
         object.__setattr__(self, "_labels", {})
         object.__setattr__(self, "_points", {})
-        object.__setattr__(self, "_last_parsed", [None, None])
 
     @property
     def width(self) -> int:
@@ -210,13 +206,6 @@ class ProductSpace:
             # a label that parses is its point's label, symbol for symbol
             self._labels[point] = text  # type: ignore[attr-defined]
         return point
-
-    def parse_points(self, labels: list[str]) -> list[Point]:
-        """``parse_point`` of each label, in order; the result is shared, not to be changed."""
-        last = self._last_parsed  # type: ignore[attr-defined]
-        if last[0] != labels:
-            last[:] = list(labels), list(map(self.parse_point, labels))
-        return last[1]
 
     def _split(self, text: str) -> Point:
         if text == "":

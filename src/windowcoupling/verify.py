@@ -34,7 +34,6 @@ from .engine import (
     joint_support_size,
     plan_exact_checks,
     run_checks,
-    window_strides,
 )
 from .measures import (
     Alphabet,
@@ -193,11 +192,11 @@ def mc_agreement(
     i = 0
     try:
         sampler = plan.sampler
-        strides = window_strides(plan.schedule, plan.sequence.space)
+        strides = plan.window_strides
         for i in range(samples):
             rng = streams.stream(seed, "sample", i)
             draw = sampler.sample(rng)
-            if not draw.agrees_at(strides):
+            if not draw.agreement_holds(strides):
                 agreement_failures += 1
             index_counts[draw.index - 1] = index_counts.get(draw.index - 1, 0) + 1
             point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1

@@ -19,6 +19,7 @@ from windowcoupling import (
     MassFunction,
     ProcessSequenceSpec,
     ProductSpace,
+    WindowSchedule,
     WindowTable,
     audit_plan,
     build_ladder,
@@ -39,6 +40,7 @@ from windowcoupling.measures import weighted_sum
 from windowcoupling import build_skorohod_coupling
 from windowcoupling.engine import (
     CouplingPlan,
+    CouplingSample,
     InternalInvariantError,
     KernelTable,
     coupling_marginals,
@@ -569,7 +571,7 @@ class TestSampling:
         plan = build_plan(two_member_sequence)
         rng = random.Random(123)
         for _ in range(2000):
-            assert sample(plan, rng).agreement_holds(plan.schedule, plan.sequence.space)
+            assert sample(plan, rng).agreement_holds(plan.window_strides)
 
     def test_empirical_member_marginal_within_3_sigma(self, skewed_sequence):
         plan = build_plan(skewed_sequence)
@@ -612,10 +614,31 @@ class TestSampling:
         assert copy.sampler is not plan.sampler and copy.sampler.plan is copy
 
 
-def slice_draw(table, prefix, rng):
-    """Draw component n's kernel row at ``prefix`` as the sampler does."""
+def randrange_draw(table, prefix, rng):
+    """Draw a table's row at ``prefix`` with ``rng.randrange``, the reference for every row draw."""
     lo, hi, total = table.slices[prefix]
     return table.points[bisect_right(table.cumulative, rng.randrange(total), lo, hi)]
+
+
+def randrange_sample(plan, rng):
+    """One draw of the coupling in the sampler's order, every row drawn by ``randrange_draw``."""
+    tables = plan.draw_tables
+    index = randrange_draw(tables.index, 0, rng) + 1
+    limit_point = randrange_draw(tables.increments[index - 1], 0, rng)
+    members = []
+    for n, (stride, residual, kernel) in enumerate(
+        zip(plan.window_strides, tables.residuals, tables.kernels), start=1
+    ):
+        prefix = randrange_draw(residual, 0, rng) if n < index else limit_point // stride
+        members.append(randrange_draw(kernel, prefix, rng))
+    return CouplingSample(index, limit_point, tuple(members))
+
+
+def assert_sampler_draws_as_randrange(plan, seeds):
+    for seed in seeds:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert plan.sampler.sample(ours) == randrange_sample(plan, theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestKernelTable:
@@ -634,7 +657,7 @@ class TestKernelTable:
             for seed in seeds:
                 ours, method, theirs = (random.Random(seed) for _ in range(3))
                 expected = points[bisect_right(cumulative, theirs.randrange(row.denominator))]
-                assert slice_draw(table, prefix, ours) == expected
+                assert randrange_draw(table, prefix, ours) == expected
                 assert table.draw(method, prefix) == expected
                 assert ours.getstate() == method.getstate() == theirs.getstate()
 
@@ -645,6 +668,7 @@ class TestKernelTable:
         plan = build_plan(seq)
         for n, (k, table) in enumerate(zip(plan.schedule.windows, plan.draw_tables.kernels), 1):
             self.assert_slices_draw_rows(seq.member(n), k, table, seeds=range(5))
+        assert_sampler_draws_as_randrange(plan, seeds=range(20))
 
     def test_rows_with_a_common_factor_are_reduced(self):
         # the row at a has weights 2 and 4 (gcd 2), the row at b 1 and 3
@@ -656,7 +680,7 @@ class TestKernelTable:
         assert table.slices == {0: (0, 2, 3), 1: (2, 4, 4)}
         self.assert_slices_draw_rows(member, 1, table, seeds=range(200))
         rng = random.Random(0)
-        draws = Counter(slice_draw(table, 0, rng) for _ in range(3000))
+        draws = Counter(table.draw(rng, 0) for _ in range(3000))
         assert set(draws) == {0, 1}
         assert 800 < draws[0] < 1200  # mass 1/3
 
@@ -687,6 +711,11 @@ class TestKernelTable:
         assert [row[2] for row in tables[1].slices.values()] == [total, 1]
         for k, table in enumerate(tables):
             self.assert_slices_draw_rows(member, k, table, seeds=range(40))
+            # the sampler's own row draws: index total 1, limit total 2 * total,
+            # and component rows at window k
+            plan = CouplingPlan(ProcessSequenceSpec((member,), member), WindowSchedule((k, k)))
+            assert plan.draw_tables.kernels[0].slices == table.slices
+            assert_sampler_draws_as_randrange(plan, seeds=range(40))
 
     @settings(max_examples=100)
     @given(st.data())

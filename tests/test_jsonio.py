@@ -280,9 +280,9 @@ class TestHashAsRead:
         assume(self.edited(doc, edit, data.draw) is not None)
         loaded = jsonio.plan_from_doc(doc)
         assert loaded.sequence == seq
+        assert (loaded.sequence_doc is not None) == (edit in KEEPING_EDITS[:3])
         expected = jsonio.document_sha256(jsonio.sequence_to_doc(loaded.sequence))
         assert loaded.spec_sha256 == expected == plan.spec_sha256
-        assert (loaded.sequence_doc is not None) == (edit in KEEPING_EDITS[:3])
 
     def test_the_hash_is_taken_on_first_read(self, monkeypatch, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
@@ -293,6 +293,9 @@ class TestHashAsRead:
         assert not hashed
         assert loaded.spec_sha256 == original(doc["sequence"])
         assert hashed == [doc["sequence"]]
+        # the copy is kept only to be hashed, and the hash is kept
+        assert loaded.sequence_doc is None
+        assert loaded.spec_sha256 == original(doc["sequence"]) and len(hashed) == 1
 
     def test_changing_the_document_after_loading_keeps_the_hash(self, two_member_sequence):
         plan = build_plan(two_member_sequence)

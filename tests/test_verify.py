@@ -264,7 +264,7 @@ class TestOncePerPlan:
 
     def test_mc_guard_takes_the_window_strides_once(self, monkeypatch, skewed_sequence):
         plan = reloaded(build_plan(skewed_sequence))
-        plan.sampler  # its tables read the strides of their own windows
+        plan.draw_tables  # the tables read the strides of their own windows
         calls = []
         original = type(plan.sequence.space).stride
 
@@ -273,20 +273,17 @@ class TestOncePerPlan:
             return original(space, k)
 
         monkeypatch.setattr(type(plan.sequence.space), "stride", counting)
-        report = mc_agreement(plan, 200, seed=1)
-        assert report.all_passed
+        # once per plan: the sampler and every guard run share the strides
+        for _ in range(2):
+            assert mc_agreement(plan, 200, seed=1).all_passed
         assert calls == list(plan.schedule.windows)
 
     def test_a_window_out_of_range_still_raises(self, two_member_sequence):
-        plan = build_plan(two_member_sequence)
-        wide = WindowSchedule((1, 2, 1))  # the space has width 1
-        draw = plan.sampler.sample(random.Random(0))
+        plan = replace(build_plan(two_member_sequence), schedule=WindowSchedule((1, 2, 1)))
         with pytest.raises(WindowRangeError, match="^window length 2 out of range 0..1$"):
-            draw.agreement_holds(wide, plan.sequence.space)
-        with pytest.raises(WindowRangeError, match="^window length 2 out of range 0..1$"):
-            engine.window_strides(wide, plan.sequence.space)
+            plan.window_strides  # the space has width 1
         # in the MC guard the error is the witness of its one failing check
-        report = mc_agreement(replace(plan, schedule=wide), 20, seed=1)
+        report = mc_agreement(plan, 20, seed=1)
         assert [c.name for c in report.mc_checks] == ["sampler-runs"]
         assert "WindowRangeError: window length 2 out of range 0..1" in report.mc_checks[0].note
 
