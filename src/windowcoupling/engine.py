@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from random import Random
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .measures import (
     ONE,
@@ -831,6 +831,11 @@ def joint_support_size(plan: CouplingPlan) -> int:
     support, whose rows sit on disjoint cylinders, so its size is the
     sum of the row sizes over the residual law's prefixes.
     """
+    return sum(_joint_support_terms(plan))
+
+
+def _joint_support_terms(plan: CouplingPlan) -> Iterator[int]:
+    """The joint support's size for each (N, limit point) in turn; their sum is the whole."""
     sizes = [
         {prefix: hi - lo for prefix, (lo, hi, _) in table.slices.items()}
         for table in plan.draw_tables.kernels
@@ -841,7 +846,6 @@ def joint_support_size(plan: CouplingPlan) -> int:
         for n in range(1, plan.count + 1)
         if plan.index_tail_probability(n)
     }
-    total = 0
     for m in range(1, plan.count + 1):
         if plan.index_probability(m) == 0:
             continue
@@ -849,8 +853,7 @@ def joint_support_size(plan: CouplingPlan) -> int:
             combos = 1
             for n in range(1, plan.count + 1):
                 combos *= sizes[n - 1][z // strides[n - 1]] if n >= m else tails[n]
-            total += combos
-    return total
+            yield combos
 
 
 @dataclass(frozen=True)
@@ -905,13 +908,11 @@ def exact_joint_law(plan: CouplingPlan, cap: int = 1_000_000) -> JointLaw:
     Components are conditionally independent given N and the limit
     point, each with the kernel-row law of its prefix (the residual
     window law mixed over prefixes when n < N).  Raises
-    EnumerationCapError when the joint support would exceed ``cap``.
+    EnumerationCapError when the joint support would exceed ``cap``:
+    the count stops at the first term that takes it past the cap.
     """
-    size = joint_support_size(plan)
-    if size > cap:
-        raise EnumerationCapError(
-            f"joint support size {size} exceeds cap {cap}"
-        )
+    if any(size > cap for size in itertools.accumulate(_joint_support_terms(plan))):
+        raise EnumerationCapError(f"joint support size exceeds cap {cap}")
     mixes = _tail_mixture_laws(plan)
     strides = plan.window_strides
     entries: dict[tuple[int, Point, tuple[Point, ...]], Fraction] = {}

@@ -421,9 +421,13 @@ def model_to_doc(model: MetricSpaceModel) -> dict:
         doc["metric"] = "linf"
         doc["coords"] = [[fraction_to_str(c) for c in row] for row in model.coords]
     else:
-        doc["dist"] = [
-            [fraction_to_str(d) for d in row] for row in model.dist
-        ]
+        scale = model.scale
+
+        def written(d: int) -> str:  # d / scale in lowest terms, one gcd, as in law_to_doc
+            common = math.gcd(d, scale)
+            return f"{d // common}/{scale // common}"
+
+        doc["dist"] = [list(map(written, row)) for row in model.rows]
     if not all(model.separable_support):
         doc["separable_support"] = list(model.separable_support)
     return doc
@@ -434,7 +438,8 @@ def model_from_doc(doc: dict) -> MetricSpaceModel:
 
     A field of the wrong shape raises TypeError.  Only a missing
     ``points`` field of a ``coords`` document falls back to the labels
-    ``p0``, ``p1``, ...
+    ``p0``, ``p1``, ..., and only a missing ``separable_support`` flags
+    every point.
     """
     has_coords = "coords" in doc
     if "metric" in doc and doc["metric"] != "linf":
@@ -444,6 +449,8 @@ def model_from_doc(doc: dict) -> MetricSpaceModel:
     if "metric" in doc and not has_coords:
         raise ValueError("the linf metric requires a coords field")
     support = doc.get("separable_support")
+    if "separable_support" in doc:  # given, even as null: an array of flags
+        support = _array(support, "separable_support")
     if has_coords:
         coords = _rational_rows(doc["coords"], "coords")
         if "points" not in doc:

@@ -15,7 +15,10 @@ small-diameter cell, which yields the distance guarantee
 ``d(X_n, X) < 1/k_n`` from the agreement index on.
 
 One metric model, given either by an explicit rational distance table
-or by rational coordinates under the max-metric.  Either way the
+(``from_table``) or by rational coordinates under the max-metric
+(``from_coords``), holds its distances once, as integer rows over one
+scale; radii, diameters, ball membership and the distance guard all
+compare those integers.  Either way the
 partition is built from the distances alone: ball radii dodge the
 finitely many realized distances, so every sphere has limit mass zero
 and the certificates hold in any ambient topology.  The tree's
@@ -58,7 +61,7 @@ class SeparabilityError(ValueError):
     """The limit law puts mass outside the designated separable support."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MetricSpaceModel:
     """Finite labeled metric space with exact rational distances.
 
@@ -67,18 +70,17 @@ class MetricSpaceModel:
     forms: a distance table, or rational ``coords`` under the
     max-metric, which keeps every realized distance rational; ``coords``
     is None exactly for a table.  Distances are held once, as integers:
-    ``rows`` is the distance table scaled by ``scale``, the lcm of its
-    denominators, so d(i, j) = rows[i][j] / scale.  ``space`` is the
-    point space, built once: one coordinate whose alphabet is the
-    labels, which validates them, so point i is the point with code
-    ``i`` of every law on the model.
+    ``rows`` is the distance table scaled by ``scale``, the least common
+    denominator of the distances, so d(i, j) = rows[i][j] / scale.
+    ``from_table`` and ``from_coords`` compute the rows and are the ways
+    to build a model.
 
     A distance table is outside input: every metric check
     (self-distance, symmetry, positivity, the triangle inequality) runs
-    on its integer rows, and ``dist`` is that table.  Coordinates are
-    trusted: the max-metric of rational points is zero on the diagonal,
-    symmetric and satisfies the triangle inequality by construction, so
-    only distinctness of the points is checked, and ``dist`` is built
+    on its integer rows.  Coordinates are trusted: the max-metric of
+    rational points is zero on the diagonal, symmetric and satisfies
+    the triangle inequality by construction, so only distinctness of the
+    points is checked.  Either way the fraction table ``dist`` is built
     from the rows on first read.
     """
 
@@ -87,38 +89,13 @@ class MetricSpaceModel:
     coords: tuple[tuple[Fraction, ...], ...] | None
     rows: tuple[tuple[int, ...], ...] = field(repr=False)
     scale: int
-    space: ProductSpace = field(repr=False, compare=False)
-
-    def __init__(
-        self,
-        labels: tuple[str, ...],
-        dist: tuple[tuple[Fraction, ...], ...] | None,
-        separable_support: tuple[bool, ...],
-        coords: tuple[tuple[Fraction, ...], ...] | None = None,
-    ) -> None:
-        """A model of the table ``dist``, or, when ``coords`` is given, of their max-metric."""
-        if dist is not None and coords is not None:
-            raise MetricModelError("a model gives coords or dist, not both")
-        # the fields go straight into the instance dict, as the frozen
-        # dataclass's own __init__ would; a table fills the cached ``dist``
-        vars(self).update(labels=labels, separable_support=separable_support, coords=coords)
-        if coords is None:
-            vars(self)["dist"] = dist
-        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.coords is None:
-            table = self.dist
-        else:
-            table, scale = _max_metric_rows(self.labels, self.coords)
         n = len(self.labels)
         if n == 0:
             raise MetricModelError("model must have at least one point")
-        try:
-            space = ProductSpace((Alphabet(tuple(self.labels)),))
-        except ValueError as exc:
-            raise MetricModelError(f"bad point label: {exc}") from None
-        if len(table) != n or any(len(row) != n for row in table):
+        self.space  # builds the point space, which validates the labels
+        if len(self.rows) != n or any(len(row) != n for row in self.rows):
             raise MetricModelError("distance table shape mismatch")
         if len(self.separable_support) != n:
             raise MetricModelError("support flags shape mismatch")
@@ -126,14 +103,13 @@ class MetricSpaceModel:
             if type(flag) is not bool:
                 raise MetricModelError(f"support flag {flag!r} of {label} is not a boolean")
         if self.coords is None:
-            table, scale = self._check_metric()
+            self._check_metric()
         else:
-            self._check_distinct(table)
-        vars(self).update(rows=table, scale=scale, space=space)
+            self._check_distinct()
 
-    def _check_metric(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Every metric check on the given table, in the order of a full scan; its integer rows."""
-        rows, scale = _integer_rows(self.dist)
+    def _check_metric(self) -> None:
+        """Every metric check on the rows of a table, in the order of a full scan."""
+        rows = self.rows
         n = len(rows)
         for i in range(n):
             if rows[i][i] != 0:
@@ -157,20 +133,30 @@ class MetricSpaceModel:
                         "triangle inequality fails at "
                         f"({self.labels[i]},{self.labels[j]},{self.labels[k]})"
                     )
-        return rows, scale
 
-    def _check_distinct(self, rows: tuple[tuple[int, ...], ...]) -> None:
+    def _check_distinct(self) -> None:
         """The only check a max-metric needs: no two points coincide.
 
         A zero off the diagonal is a coincident pair; the first row that
         has one names the pair the full scan would meet first.
         """
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self.rows):
             if row.count(0) > 1:
                 j = next(j for j, d in enumerate(row) if d == 0 and j != i)
                 raise MetricModelError(
                     f"non-positive distance {self.labels[i]}..{self.labels[j]}"
                 )
+
+    @cached_property
+    def space(self) -> ProductSpace:
+        """The point space: one coordinate whose alphabet is the labels.
+
+        Point i is the point with code ``i`` of every law on the model.
+        """
+        try:
+            return ProductSpace((Alphabet(tuple(self.labels)),))
+        except ValueError as exc:
+            raise MetricModelError(f"bad point label: {exc}") from None
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -195,10 +181,11 @@ class MetricSpaceModel:
         dist: Iterable[Iterable[Fraction | int]],
         support: Iterable[bool] | None = None,
     ) -> "MetricSpaceModel":
+        """The model of a distance table, scaled by the lcm of its denominators."""
         labels = tuple(labels)
-        table = tuple(tuple(Fraction(d) for d in row) for row in dist)
+        rows, scale = _integer_rows(dist)
         flags = tuple(support) if support is not None else (True,) * len(labels)
-        return cls(labels, table, flags)
+        return cls(labels, flags, None, rows, scale)
 
     @classmethod
     def from_coords(
@@ -214,8 +201,9 @@ class MetricSpaceModel:
         """
         labels = tuple(labels)
         pts = tuple(tuple(Fraction(c) for c in row) for row in coords)
+        rows, scale = _max_metric_rows(labels, pts)
         flags = tuple(support) if support is not None else (True,) * len(labels)
-        return cls(labels, None, flags, pts)
+        return cls(labels, flags, pts, rows, scale)
 
 
 def _max_metric_rows(
@@ -631,16 +619,18 @@ def sample_coupled_points(coupling: SkorohodCoupling, rng: Random) -> SkorohodSa
 def distance_violations(
     coupling: SkorohodCoupling, realization: SkorohodSample
 ) -> list[int]:
-    """Component indices n >= N whose decoded point breaks the 1/k_n bound."""
+    """Component indices n >= N whose decoded point breaks the 1/k_n bound.
+
+    The test d(X_n, X) >= 1/k_n runs on integers: with d = rows / scale
+    it reads rows * k_n >= scale.  Window 0 bounds nothing, and there
+    the product is 0, below every scale.
+    """
     scale = coupling.model.scale
     row = coupling.model.rows[realization.point]
-    bad: list[int] = []
-    for n in range(realization.index, coupling.plan.count + 1):
-        bound = coupling.distance_bound(n)
-        if bound is None:
-            continue
-        # d / scale >= p / q iff d * q >= p * scale
-        d = row[realization.member_points[n - 1]]
-        if d * bound.denominator >= bound.numerator * scale:
-            bad.append(n)
-    return bad
+    windows = coupling.plan.schedule.windows
+    members = realization.member_points
+    return [
+        n
+        for n in range(realization.index, coupling.plan.count + 1)
+        if row[members[n - 1]] * windows[n - 1] >= scale
+    ]

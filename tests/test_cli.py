@@ -711,6 +711,26 @@ class TestMalformedMetricSpec:
         )
         assert not (out / "tree.json").exists()
 
+    # a string would read as its characters and null as "every point"
+    @pytest.mark.parametrize(
+        "support, shown", [("ab", "'ab'"), (None, "None")], ids=["string", "null"]
+    )
+    def test_support_that_is_not_an_array_names_the_field(
+        self, tmp_path, skorohod_file, capsys, support, shown
+    ):
+        doc = json.loads(skorohod_file.read_text())
+        doc["model"]["separable_support"] = support
+        skorohod_file.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["skorohod", "--spec", str(skorohod_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == (
+            f"error: {skorohod_file}: malformed spec field 'model':"
+            f" separable_support {shown} is not an array\n"
+        )
+        assert not (out / "tree.json").exists()
+
 
 class TestMalformedReport:
     @pytest.mark.parametrize(

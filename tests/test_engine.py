@@ -801,6 +801,27 @@ class TestJointLaw:
             exact_joint_law(plan, cap=size - 1)
         assert len(exact_joint_law(plan, cap=size).mass) == size
 
+    def test_cap_stops_the_count_at_the_first_term_past_it(self, monkeypatch):
+        rng = random.Random(3)
+        plan = build_plan(random_process_spec(rng, max_coordinates=2, max_members=3))
+        terms = list(engine._joint_support_terms(plan))
+        assert len(terms) > 2 and sum(terms) == joint_support_size(plan)
+        drawn = []
+
+        def counted(plan):
+            for term in terms:
+                drawn.append(term)
+                yield term
+
+        monkeypatch.setattr(engine, "_joint_support_terms", counted)
+        with pytest.raises(EnumerationCapError, match="^joint support size exceeds cap 0$"):
+            exact_joint_law(plan, cap=0)
+        assert drawn == terms[:1]
+        drawn.clear()
+        with pytest.raises(EnumerationCapError):
+            exact_joint_law(plan, cap=terms[0] + terms[1] - 1)
+        assert drawn == terms[:2]
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**9))
     def test_random_plans_have_exact_marginals(self, seed):

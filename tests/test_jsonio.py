@@ -379,6 +379,17 @@ class TestModelDocs:
         )
         assert model.separable_support == (True, True, False, True)
 
+    def test_table_doc_writes_each_distance_in_lowest_terms(self):
+        rng = random.Random(23)
+        for trial in range(30):
+            points = random_metric_model(rng, max_points=8).coords
+            table = [[max(abs(a - b) for a, b in zip(p, q)) for q in points] for p in points]
+            model = MetricSpaceModel.from_table([f"p{i}" for i in range(len(points))], table)
+            # most rows hold entries that share a factor with the scale
+            doc = jsonio.model_to_doc(model)
+            assert doc["dist"] == [[jsonio.fraction_to_str(d) for d in row] for row in table], trial
+            assert jsonio.model_from_doc(doc) == model
+
     def test_table_doc_cannot_load_as_linf(self):
         doc = {"points": ["a"], "dist": [["0/1"]], "metric": "linf"}
         with pytest.raises(ValueError, match="^the linf metric requires a coords field$"):

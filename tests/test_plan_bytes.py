@@ -388,3 +388,29 @@ def test_jittered_lattice_tree_and_report_bytes():
     assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
         "852a7622519403d54b5b55f51722d8d99f769408f0785160e79d6946fc3e1c33"
     )
+
+
+def distance_table_twin(doc: dict) -> dict:
+    """The spec with its coordinate model written as its max-metric distance table."""
+    model = doc["model"]
+    points = [[F(c) for c in row] for row in model["coords"]]
+    dist = [
+        [jsonio.fraction_to_str(max(abs(a - b) for a, b in zip(p, q))) for q in points]
+        for p in points
+    ]
+    return {**doc, "model": {"points": model["points"], "dist": dist}}
+
+
+def test_jittered_lattice_table_twin_bytes():
+    laws = jsonio.law_sequence_from_doc(distance_table_twin(jittered_lattice(1)))
+    assert laws.model.coords is None
+    coupling = build_skorohod_coupling(laws.model, laws, 3)
+    assert sha256(jsonio.tree_to_doc(coupling.tree)) == (
+        "40079af6fae2cffc5a860aa829a4b17334b4f797c9421059c1ed89ba3728d196"
+    )
+    assert sha256(jsonio.plan_to_doc(coupling.plan)) == (
+        "5d18d76a0eb058cfd9d4490cf414d4de84ab29c286a801d51fb600ae4d89b4d3"
+    )
+    assert sha256(jsonio.report_to_doc(audit_skorohod(coupling))) == (
+        "915e6dfdd46f5893e474cca345173e0d4d0c85248cb6535afcebcee66cf14a86"
+    )

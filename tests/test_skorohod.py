@@ -14,6 +14,8 @@ from windowcoupling import (
     MetricSpaceModel,
     ProcessSequenceSpec,
     SeparabilityError,
+    SkorohodSample,
+    WindowSchedule,
     audit_skorohod,
     build_partition_tree,
     build_skorohod_coupling,
@@ -68,14 +70,6 @@ class TestMetricSpaceModel:
     def test_rejects_comma_label(self):
         with pytest.raises(MetricModelError, match="label"):
             MetricSpaceModel.from_table(("a,b",), ((F(0),),))
-
-    def test_rejects_a_table_and_coordinates_together(self):
-        # the table's distances 0..5 are not the coordinates' 0..1
-        table = tuple(tuple(F(abs(i - j)) for j in range(6)) for i in range(6))
-        coords = tuple((F(i, 5),) for i in range(6))
-        labels = tuple(f"p{i}" for i in range(6))
-        with pytest.raises(MetricModelError, match="^a model gives coords or dist, not both$"):
-            MetricSpaceModel(labels, table, (True,) * 6, coords)
 
 
 def reference_metric_error(labels, dist):
@@ -144,12 +138,12 @@ class TestMetricValidation:
         labels = tuple(f"p{i}" for i in range(len(dist)))
         expected = reference_metric_error(labels, dist)
         try:
-            model = MetricSpaceModel(labels, dist, (True,) * len(labels))
+            model = MetricSpaceModel.from_table(labels, dist)
         except MetricModelError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
-            assert model.dist is dist
+            assert model.dist == dist
 
     def test_first_triangle_failure_is_reported(self):
         dist = (
@@ -160,7 +154,7 @@ class TestMetricValidation:
         )
         labels = ("a", "b", "c", "d")
         with pytest.raises(MetricModelError) as info:
-            MetricSpaceModel(labels, dist, (True,) * 4)
+            MetricSpaceModel.from_table(labels, dist)
         assert str(info.value) == "triangle inequality fails at (a,b,c)"
         assert str(info.value) == reference_metric_error(labels, dist)
 
@@ -329,19 +323,72 @@ class TestTrustedCoordinateModel:
         assert all(c.passed for c in tree_exact_checks(tree))
 
 
+def max_metric_table(points):
+    """The max-metric distance table of rational points, as Fractions."""
+    return tuple(tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points) for p in points)
+
+
 class TestNoFractionTableOnTheSkorohodPath:
-    def test_coupling_audit_and_mc_never_build_the_table(self):
+    @staticmethod
+    def assert_never_built(as_table: bool):
         rng = random.Random(5)
         for _ in range(5):
             model = random_metric_model(rng, max_points=8)
             laws = random_law_sequence(rng, model)
+            if as_table:
+                model = MetricSpaceModel.from_table(
+                    model.labels, max_metric_table(model.coords), model.separable_support
+                )
+                laws = LawSequence(model, laws.sequence)
             coupling = build_skorohod_coupling(model, laws, 3)
             audit = audit_skorohod(coupling)
             guard = mc_agreement(coupling, 50, 1)
             assert audit.all_passed and guard.all_passed
+            assert len(coupling.spec_sha256) == 64
             assert "dist" not in vars(model)
             # the table is built on first read, where the check would see it
             assert model.dist[0][0] == 0 and "dist" in vars(model)
+
+    def test_coupling_audit_and_mc_never_build_the_table(self):
+        self.assert_never_built(as_table=False)
+
+    def test_a_table_model_never_builds_its_fraction_table_either(self):
+        self.assert_never_built(as_table=True)
+
+
+class TestDistanceGuard:
+    def test_crafted_samples_at_and_around_each_bound(self):
+        # point q0 at 0 and, for each k, points at 1/k - 1/60, 1/k and 1/k + 1/60
+        offsets = (F(-1, 60), F(0), F(1, 60))
+        coords = [(F(0),)] + [(F(1, k) + e,) for k in (1, 2, 3, 4) for e in offsets]
+        model = MetricSpaceModel.from_coords([f"q{i}" for i in range(len(coords))], coords)
+        uniform = MassFunction.from_masses(
+            model.space, {(i,): F(1, model.size) for i in range(model.size)}
+        )
+        coupling = build_skorohod_coupling(
+            model, LawSequence(model, ProcessSequenceSpec((uniform,) * 4, uniform)), 3
+        )
+        # the guard reads only the windows: give the five components the
+        # bounds none, 1, 1/2, 1/3 and 1/4
+        plan = dataclasses.replace(coupling.plan, schedule=WindowSchedule((0, 1, 2, 3, 4)))
+        coupling = dataclasses.replace(coupling, plan=plan)
+        count = plan.count
+        for k in (1, 2, 3, 4):
+            assert {F(1, k) + e for e in offsets} <= {model.distance(0, q) for q in range(model.size)}
+        flagged = 0
+        for n in range(1, count + 1):
+            bound = coupling.distance_bound(n)
+            for q in range(model.size):
+                d = model.distance(0, q)
+                for index in range(1, count + 1):
+                    expected = [n] if index <= n and bound is not None and d >= bound else []
+                    flagged += len(expected)
+                    # only component n is away from the limit point, in either direction
+                    for point, other in ((0, q), (q, 0)):
+                        members = tuple(other if m == n else point for m in range(1, count + 1))
+                        got = distance_violations(coupling, SkorohodSample(index, point, members))
+                        assert got == expected, (n, q, index, point)
+        assert flagged > 0
 
 
 class TestContinuityRadius:
