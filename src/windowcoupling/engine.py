@@ -91,7 +91,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from random import Random
@@ -231,21 +231,13 @@ class CouplingPlan:
     a law and is read only by ``exact_joint_law``; ``window_strides``
     holds the stride of each scheduled window (a window out of range
     raises WindowRangeError); ``spec_sha256`` is the hash of the
-    sequence's document that reports record.
-
-    ``sequence_doc`` is not part of the plan.  ``jsonio.plan_from_doc``
-    sets it to the sequence's document, its laws copied as read, where
-    every mass was in lowest terms as ``jsonio.law_to_doc`` writes it,
-    so that ``spec_sha256`` hashes it instead of writing the document
-    again.  The copy is taken at load, so changing the document
-    afterwards does not change the hash, and is dropped once hashed;
-    a plan made any other way, ``dataclasses.replace`` included, has
-    None.
+    sequence's document that reports record, written by
+    ``jsonio.sequence_to_doc``, which copies each law that was read in
+    the written form as read (``MassFunction.as_read``).
     """
 
     sequence: ProcessSequenceSpec
     schedule: WindowSchedule
-    sequence_doc: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def envelopes(self) -> tuple[MassFunction, ...]:
@@ -365,19 +357,10 @@ class CouplingPlan:
 
     @cached_property
     def spec_sha256(self) -> str:
-        """SHA-256 of the sequence's canonical document, computed once per plan, on first read.
-
-        The document is ``sequence_doc`` where the plan was loaded from
-        one, and is written from the sequence otherwise.
-        """
+        """SHA-256 of the sequence's canonical document, computed once per plan, on first read."""
         from . import jsonio  # jsonio imports this module
 
-        doc = self.sequence_doc
-        if doc is None:
-            return jsonio.document_sha256(jsonio.sequence_to_doc(self.sequence))
-        # the copy is kept only to be hashed, and the hash is cached
-        object.__setattr__(self, "sequence_doc", None)
-        return jsonio.document_sha256(doc)
+        return jsonio.document_sha256(jsonio.sequence_to_doc(self.sequence))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ Reading keeps every byte the writer would write.  A law whose masses
 all have the form ``law_to_doc`` writes, ``num/den`` in positive ASCII
 digits, is parsed in one batch; any other law goes through
 ``parse_ratio`` one value at a time, with the same result or the same
-error.  A loaded plan whose masses are all in lowest terms keeps its
-laws as read, and the hash that reports record is taken from them on
-first read, instead of writing the sequence document again.
+error.  A law whose masses are also all in lowest terms is exactly what
+``law_to_doc`` writes; it keeps a copy of its document object as read
+(``MassFunction.as_read``), and every writer, the hash of the sequence
+that reports record included, copies that instead of formatting the
+masses again.
 """
 from __future__ import annotations
 
@@ -168,6 +170,17 @@ def document_sha256(doc: Any) -> str:
 
 
 def law_to_doc(law: MassFunction) -> dict:
+    """Each mass as ``"num/den"``, in lowest terms.
+
+    A law read in that form returns a copy of its document object as
+    read; any other is formatted by ``_masses_to_doc``.
+    """
+    if law.as_read is not None:
+        return dict(law.as_read)
+    return _masses_to_doc(law)
+
+
+def _masses_to_doc(law: MassFunction) -> dict:
     """Each mass as ``"num/den"``, in lowest terms: one gcd per mass."""
     label = law.space.format_point
     denominator = law.denominator
@@ -178,18 +191,13 @@ def law_to_doc(law: MassFunction) -> dict:
     return doc
 
 
-def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:
-    """Parse each mass into two ints and scale them to the lcm of the denominators."""
-    return _law_from_doc(space, doc)[0]
-
-
 # the masses of a law as ``law_to_doc`` writes them, joined by newlines:
 # a positive ASCII numerator and denominator without leading zeros each
 _WRITTEN_MASSES = re.compile(r"[1-9][0-9]*/[1-9][0-9]*(?:\n[1-9][0-9]*/[1-9][0-9]*)*")
 
 
-def _law_from_doc(space: ProductSpace, doc: dict) -> tuple[MassFunction, bool]:
-    """``law_from_doc``, and whether every mass is in lowest terms as ``law_to_doc`` writes it.
+def law_from_doc(space: ProductSpace, doc: dict) -> MassFunction:
+    """Parse each mass into two ints and scale them to the lcm of the denominators.
 
     A law whose masses all have the written form, reduced or not, is
     parsed in one batch: one ``fullmatch`` of the values joined by
@@ -197,7 +205,10 @@ def _law_from_doc(space: ProductSpace, doc: dict) -> tuple[MassFunction, bool]:
     newline splits into more than two parts, so the part count sends it
     back, with every law that is not in the written form, to
     ``parse_ratio``, one value at a time, which gives the same law or
-    the same error.
+    the same error.  Where every mass is also in lowest terms, the law
+    keeps a copy of ``doc`` as ``as_read``: each key is a label that
+    parsed, which is its point's label symbol for symbol, and each mass
+    is the one ``law_to_doc`` formats, so ``doc`` is the law's document.
     """
     items = doc.items()  # first, so that a document that is not an object fails as before
     ratios = _written_ratios(list(doc.values()))
@@ -206,13 +217,16 @@ def _law_from_doc(space: ProductSpace, doc: dict) -> tuple[MassFunction, bool]:
         entries = [(parse(key), *parse_ratio(value)) for key, value in items]
         common = math.lcm(*(den for _, _, den in entries))
         weights = {z: num * (common // den) for z, num, den in entries}
-        return MassFunction(space, common, weights), False
+        return MassFunction(space, common, weights)
     nums, dens = ratios
     common = math.lcm(*dens)
     scaled = map(operator.mul, nums, map(operator.floordiv, itertools.repeat(common), dens))
     # every key is a code that parse_point gave and every weight is positive
     law = MassFunction._derived(space, common, dict(zip(map(space.parse_point, doc), scaled)))
-    return law, set(map(math.gcd, nums, dens)) == {1}
+    if set(map(math.gcd, nums, dens)) == {1}:
+        # copied so that the law shares nothing with the caller's document
+        object.__setattr__(law, "as_read", dict(doc))
+    return law
 
 
 def _written_ratios(values: list) -> tuple[list[int], list[int]] | None:
@@ -298,33 +312,27 @@ def _doc_field(kind: str, name: str) -> Iterator[None]:
 
 def sequence_from_doc(doc: dict) -> ProcessSequenceSpec:
     """Parse a sequence document; a field of the wrong shape raises ValueError."""
-    return _sequence_from_doc(doc)[0]
-
-
-def _sequence_from_doc(doc: dict) -> tuple[ProcessSequenceSpec, bool]:
-    """``sequence_from_doc``, and whether every mass is in lowest terms as written."""
     with _doc_field("spec", "space"):
         space = space_from_doc(doc["space"])
     return _laws_from_doc(space, doc)
 
 
-def _laws_from_doc(space: ProductSpace, doc: dict) -> tuple[ProcessSequenceSpec, bool]:
-    """The members and limit of a spec document, on ``space``, and whether all are as written.
+def _laws_from_doc(space: ProductSpace, doc: dict) -> ProcessSequenceSpec:
+    """The members and limit of a spec document, on ``space``.
 
     The document's tail index must be the number of members.
     """
     with _doc_field("spec", "members"):
-        members = [_law_from_doc(space, m) for m in doc["members"]]
+        members = [law_from_doc(space, m) for m in doc["members"]]
     with _doc_field("spec", "limit"):
-        limit, written = _law_from_doc(space, doc["limit"])
+        limit = law_from_doc(space, doc["limit"])
     with _doc_field("spec", "tail"):
         tail = _integer(doc["tail"]["eventually_equal"], "tail index")
     if tail < 1:
         raise ValueError("tail index must be at least 1")
     if len(members) != tail:
         raise ValueError(f"{len(members)} members but tail index {tail}")
-    seq = ProcessSequenceSpec(tuple(law for law, _ in members), limit)
-    return seq, written and all(member_written for _, member_written in members)
+    return ProcessSequenceSpec(tuple(members), limit)
 
 
 # -- coupling plans -----------------------------------------------------------
@@ -352,10 +360,9 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
     derived laws are built only when read.  Only plan format 6 is read;
     any other document, a field of the wrong shape, a window outside the
     space's width and a window list that does not hold one window per
-    index 1..M + 1 raise ValueError.  Where every mass is in lowest
-    terms, as ``law_to_doc`` writes it, the plan keeps a copy of the
-    sequence document (``_sequence_doc_as_read``) for ``spec_sha256`` to
-    hash.
+    index 1..M + 1 raise ValueError.  Each law read in the written
+    form keeps a copy of its object as read (see ``law_from_doc``), so
+    re-saving the plan and hashing its sequence copy those objects.
     """
     found = doc.get("format", "(missing)") if isinstance(doc, dict) else "(not an object)"
     if found != PLAN_FORMAT:
@@ -364,7 +371,7 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
             f" {PLAN_FORMAT}; rebuild the plan from its spec"
         )
     with _doc_field("plan", "sequence"):
-        seq, written = _sequence_from_doc(doc["sequence"])
+        seq = sequence_from_doc(doc["sequence"])
     with _doc_field("plan", "schedule"):
         windows = tuple(_integer(k, "window") for k in _array(doc["schedule"], "windows"))
     if len(windows) != seq.horizon + 1:
@@ -374,31 +381,7 @@ def plan_from_doc(doc: dict) -> CouplingPlan:
         )
     for k in windows:
         seq.space.check_window(k)
-    plan = CouplingPlan(seq, WindowSchedule(windows))
-    if written:
-        # the plan is frozen, and only its loader knows the document it was read from
-        object.__setattr__(plan, "sequence_doc", _sequence_doc_as_read(doc["sequence"], seq))
-    return plan
-
-
-def _sequence_doc_as_read(doc: dict, seq: ProcessSequenceSpec) -> dict:
-    """``sequence_to_doc(seq)``, its laws copied from ``doc``, the document ``seq`` was read from.
-
-    For a document whose every mass is in lowest terms, as
-    ``law_to_doc`` writes it: each law's keys are labels that parsed,
-    which are their points' labels symbol for symbol, and each mass is
-    the one ``law_to_doc`` writes, so each law's object as read is the
-    one written.  The space and the tail are written from ``seq``, so
-    other fields of the document, or of its tail, change nothing.  The
-    laws are copied so that the plan does not share them with the
-    caller.
-    """
-    return {
-        "space": space_to_doc(seq.space),
-        "members": [dict(law) for law in doc["members"]],
-        "limit": dict(doc["limit"]),
-        "tail": {"eventually_equal": seq.horizon},
-    }
+    return CouplingPlan(seq, WindowSchedule(windows))
 
 
 def sample_record(plan: CouplingPlan, draw: CouplingSample, seed: int) -> dict:
@@ -423,7 +406,7 @@ def model_to_doc(model: MetricSpaceModel) -> dict:
     else:
         scale = model.scale
 
-        def written(d: int) -> str:  # d / scale in lowest terms, one gcd, as in law_to_doc
+        def written(d: int) -> str:  # d / scale in lowest terms, one gcd, as in _masses_to_doc
             common = math.gcd(d, scale)
             return f"{d // common}/{scale // common}"
 
@@ -483,7 +466,7 @@ def law_sequence_from_doc(doc: dict) -> LawSequence:
     """Parse a metric law sequence; a field of the wrong shape raises ValueError."""
     with _doc_field("spec", "model"):
         model = model_from_doc(doc["model"])
-    return LawSequence(model, _laws_from_doc(model.space, doc)[0])
+    return LawSequence(model, _laws_from_doc(model.space, doc))
 
 
 def tree_to_doc(tree: PartitionTree) -> dict:

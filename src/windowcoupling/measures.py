@@ -33,7 +33,7 @@ over the whole space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -243,6 +243,12 @@ class MassFunction:
     or are k-prefixes of such points, without the per-point checks; so
     does ``jsonio`` for a document law whose keys parsed to codes and
     whose masses are all positive, where only the total is left to check.
+    ``as_read`` is not part of the law: where ``jsonio`` read every mass
+    in lowest terms as ``num/den``, in the form ``jsonio.law_to_doc``
+    writes, it holds a copy of the law's document object as read, which
+    is then the document written, and ``law_to_doc`` copies it instead
+    of formatting the masses again.  Every other law, derived, made by
+    the constructor or by ``dataclasses.replace``, has None.
     ``from_masses`` builds a law from rational masses.  ``mass`` and
     ``law[z]`` are read-only ``Fraction`` views, built on each access;
     ``law[z]`` takes a code or a tuple.  Error messages name points as
@@ -252,6 +258,7 @@ class MassFunction:
     space: ProductSpace
     denominator: int
     weights: Mapping[Point, int]
+    as_read: dict[str, str] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         space = self.space

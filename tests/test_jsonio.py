@@ -20,9 +20,11 @@ from windowcoupling import (
     mc_agreement,
     sample,
 )
-from windowcoupling import jsonio, streams
+from windowcoupling import jsonio, streams, window_marginal
 from windowcoupling.engine import plan_exact_checks
+from windowcoupling.measures import weighted_sum
 from windowcoupling.verify import random_law_sequence, random_metric_model, random_process_spec
+from conftest import widening_sequence
 
 
 # rational-looking strings that are not in the canonical "[-]digits/digits"
@@ -232,27 +234,46 @@ class TestBatchParse:
 
 
 # edits of a written sequence document that keep its sequence; the first
-# three keep its laws as written, so the loaded plan hashes them as read
+# three keep its laws as written, so each law keeps its object as read,
+# and each later one leaves the law it edits without that record
 KEEPING_EDITS = [
     "none", "sequence field", "tail field",
     "unreduced", "plus sign", "space", "leading zero", "zero mass", "integer zero",
 ]
 
 
+def unrecorded(law):
+    """``law`` rebuilt by the checking constructor, which keeps no document as read."""
+    return MassFunction(law.space, law.denominator, dict(law.weights))
+
+
+def written_bytes(seq):
+    """The plan bytes of ``seq`` and the hash of its sequence document."""
+    plan = build_plan(seq)
+    return jsonio.canonical_dumps(jsonio.plan_to_doc(plan)), plan.spec_sha256
+
+
 class TestHashAsRead:
     @staticmethod
-    def edited(doc, edit, draw):
-        """Apply ``edit`` to a plan document's sequence; None when it does not apply."""
-        seq_doc = doc["sequence"]
+    def edited(seq_doc, edit, draw):
+        """Apply ``edit`` to a sequence document: the index of the law it leaves unwritten.
+
+        None when the edit leaves every law as written.
+        """
         laws = [*seq_doc["members"], seq_doc["limit"]]
-        law = laws[draw(st.integers(0, len(laws) - 1))]
+        index = draw(st.integers(0, len(laws) - 1))
+        law = laws[index]
         label = draw(st.sampled_from(sorted(law)))
         num, den = map(int, law[label].split("/"))
+        if edit == "none":
+            return None
         if edit == "sequence field":
             seq_doc["note"] = "kept out of the hash"
-        elif edit == "tail field":
+            return None
+        if edit == "tail field":
             seq_doc["tail"]["note"] = 1
-        elif edit == "unreduced":
+            return None
+        if edit == "unreduced":
             factor = draw(st.integers(2, 5))
             law[label] = f"{factor * num}/{factor * den}"
         elif edit == "plus sign":
@@ -264,25 +285,41 @@ class TestHashAsRead:
         elif edit in ("zero mass", "integer zero"):
             space = jsonio.space_from_doc(seq_doc["space"])
             missing = [z for z in space.points() if space.format_point(z) not in law]
-            if not missing:
-                return None
+            assume(missing)
             law[space.format_point(draw(st.sampled_from(missing)))] = (
                 "0/3" if edit == "zero mass" else 0
             )
-        return doc
+        return index
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**9), edit=st.sampled_from(KEEPING_EDITS), data=st.data())
-    def test_loaded_hash_is_the_hash_of_the_written_sequence(self, seed, edit, data):
+    @given(
+        seed=st.integers(0, 10**9),
+        edit=st.sampled_from(KEEPING_EDITS),
+        loader=st.sampled_from(["spec", "plan"]),
+        data=st.data(),
+    )
+    def test_loaded_hash_is_the_hash_of_the_written_sequence(self, seed, edit, loader, data):
         seq = random_process_spec(random.Random(seed))
-        plan = build_plan(seq)
-        doc = json.loads(json.dumps(jsonio.plan_to_doc(plan)))
-        assume(self.edited(doc, edit, data.draw) is not None)
-        loaded = jsonio.plan_from_doc(doc)
-        assert loaded.sequence == seq
-        assert (loaded.sequence_doc is not None) == (edit in KEEPING_EDITS[:3])
-        expected = jsonio.document_sha256(jsonio.sequence_to_doc(loaded.sequence))
-        assert loaded.spec_sha256 == expected == plan.spec_sha256
+        text, digest = written_bytes(seq)
+        if loader == "spec":
+            doc = json.loads(json.dumps(jsonio.sequence_to_doc(seq)))
+            unwritten = self.edited(doc, edit, data.draw)
+            loaded = jsonio.sequence_from_doc(doc)
+        else:
+            doc = json.loads(text)
+            unwritten = self.edited(doc["sequence"], edit, data.draw)
+            loaded_plan = jsonio.plan_from_doc(doc)
+            loaded = loaded_plan.sequence
+            assert jsonio.canonical_dumps(jsonio.plan_to_doc(loaded_plan)) == text
+            assert loaded_plan.spec_sha256 == digest
+        assert loaded == seq
+        laws = [*loaded.members, loaded.limit]
+        assert [law.as_read is None for law in laws] == [i == unwritten for i in range(len(laws))]
+        bare = replace(
+            loaded, members=tuple(map(unrecorded, loaded.members)), limit=unrecorded(loaded.limit)
+        )
+        assert not [law for law in (*bare.members, bare.limit) if law.as_read is not None]
+        assert written_bytes(loaded) == written_bytes(bare) == (text, digest)
 
     def test_the_hash_is_taken_on_first_read(self, monkeypatch, two_member_sequence):
         doc = jsonio.plan_to_doc(build_plan(two_member_sequence))
@@ -293,29 +330,75 @@ class TestHashAsRead:
         assert not hashed
         assert loaded.spec_sha256 == original(doc["sequence"])
         assert hashed == [doc["sequence"]]
-        # the copy is kept only to be hashed, and the hash is kept
-        assert loaded.sequence_doc is None
+        # the hash is kept
         assert loaded.spec_sha256 == original(doc["sequence"]) and len(hashed) == 1
 
     def test_changing_the_document_after_loading_keeps_the_hash(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         doc = json.loads(json.dumps(jsonio.plan_to_doc(plan)))
         loaded = jsonio.plan_from_doc(doc)
-        seq_doc = doc["sequence"]
+        self.change(doc["sequence"])
+        assert loaded.spec_sha256 == plan.spec_sha256
+        assert loaded.sequence == two_member_sequence
+        assert jsonio.plan_to_doc(loaded) == jsonio.plan_to_doc(plan)
+
+    @staticmethod
+    def change(seq_doc):
+        """Change every law and field of the two-member sequence document ``seq_doc``."""
         seq_doc["limit"]["a"] = "1/3"
         seq_doc["members"][0]["b"] = "1/5"
+        seq_doc["members"][1].clear()
         seq_doc["members"].append({"a": "1/1"})
         seq_doc["space"][0].append("c")
         seq_doc["tail"]["eventually_equal"] = 3
-        assert loaded.spec_sha256 == plan.spec_sha256
-        assert loaded.sequence == two_member_sequence
+
+    def test_changing_the_spec_after_reading_keeps_the_bytes(self, two_member_sequence):
+        text, digest = written_bytes(two_member_sequence)
+        doc = json.loads(json.dumps(jsonio.sequence_to_doc(two_member_sequence)))
+        seq = jsonio.sequence_from_doc(doc)
+        self.change(doc)
+        assert written_bytes(seq) == (text, digest)
+
+    def test_changing_a_written_document_keeps_the_bytes(self, two_member_sequence):
+        text, digest = written_bytes(two_member_sequence)
+        doc = json.loads(json.dumps(jsonio.sequence_to_doc(two_member_sequence)))
+        plan = build_plan(jsonio.sequence_from_doc(doc))
+        for law in (*plan.sequence.members, plan.sequence.limit):
+            jsonio.law_to_doc(law)["a"] = "1/7"
+        self.change(jsonio.plan_to_doc(plan)["sequence"])
+        assert jsonio.canonical_dumps(jsonio.plan_to_doc(plan)) == text
+        assert plan.spec_sha256 == digest
+
+    def test_derived_laws_keep_no_document(self):
+        doc = jsonio.sequence_to_doc(widening_sequence(random.Random(3), 3))
+        seq = jsonio.sequence_from_doc(doc)
+        law = seq.limit
+        assert law.as_read == doc["limit"] and law.as_read is not doc["limit"]
+        derived = [
+            window_marginal(law, law.space.width - 1),
+            weighted_sum(law.space, [(1, law)]),
+            weighted_sum(law.space, [(F(1, 2), law), (F(1, 2), seq.members[0])]),
+            MassFunction._derived(law.space, law.denominator, law.weights),
+            replace(law),
+            unrecorded(law),
+        ]
+        assert [d.as_read for d in derived] == [None] * len(derived)
+        assert [derived[1], *derived[3:]] == [law] * 4
 
     def test_a_replaced_plan_hashes_its_own_sequence(self, two_member_sequence, skewed_sequence):
         loaded = jsonio.plan_from_doc(jsonio.plan_to_doc(build_plan(two_member_sequence)))
-        assert loaded.sequence_doc is not None
+        assert loaded.sequence.limit.as_read is not None
         other = replace(loaded, sequence=skewed_sequence)
-        assert other.sequence_doc is None
         assert other.spec_sha256 == build_plan(skewed_sequence).spec_sha256 != loaded.spec_sha256
+        # a replaced law keeps no record of the document its original was read from
+        limit = loaded.sequence.limit
+        skewed = replace(limit, weights={0: 1, 1: 3}, denominator=4)
+        assert skewed.as_read is None
+        member = replace(loaded, sequence=replace(loaded.sequence, limit=skewed))
+        expected = jsonio.document_sha256(
+            {**jsonio.sequence_to_doc(loaded.sequence), "limit": {"a": "1/4", "b": "3/4"}}
+        )
+        assert member.spec_sha256 == expected != loaded.spec_sha256
 
 
 class TestSampleRecords:

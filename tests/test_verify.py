@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -241,26 +242,37 @@ class TestOncePerPlan:
     def test_reports_of_one_plan_serialize_the_sequence_once(
         self, monkeypatch, two_member_sequence
     ):
-        # a built plan writes its sequence document once to hash it; a plan
-        # reloaded from a canonical document hashes the document as read
-        built = build_plan(two_member_sequence)
-        plan = reloaded(built)
-        expected = jsonio.document_sha256(jsonio.sequence_to_doc(two_member_sequence))
-        calls = []
-        original = jsonio.sequence_to_doc
+        # each plan writes its sequence document once, to hash it; a law
+        # read in the written form is copied as read, so only a law read
+        # in another form has its masses formatted, on every write
+        spec = jsonio.sequence_to_doc(two_member_sequence)
+        unreduced = {**spec, "members": [{"a": "2/8", "b": "6/8"}, spec["members"][1]]}
+        expected = jsonio.document_sha256(spec)
 
-        def counting(seq):
-            calls.append(seq)
-            return original(seq)
+        def counting(name):
+            calls = []
+            original = getattr(jsonio, name)
+            monkeypatch.setattr(jsonio, name, lambda arg: calls.append(arg) or original(arg))
+            return calls
 
-        monkeypatch.setattr(jsonio, "sequence_to_doc", counting)
-        for target, serialized in ((built, 1), (plan, 0)):
-            calls.clear()
-            reports = [
-                audit_plan(target), mc_agreement(target, 20, seed=1), certify(target, 20, seed=1)
-            ]
-            assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 3
-            assert len(calls) == serialized
+        serialized, formatted = counting("sequence_to_doc"), counting("_masses_to_doc")
+        for doc in (spec, unreduced):
+            formatted.clear()
+            built = build_plan(jsonio.sequence_from_doc(doc))
+            text = jsonio.canonical_dumps(jsonio.plan_to_doc(built))
+            plan = jsonio.plan_from_doc(json.loads(text))
+            for target in (built, plan):
+                serialized.clear()
+                reports = [
+                    audit_plan(target),
+                    mc_agreement(target, 20, seed=1),
+                    certify(target, 20, seed=1),
+                ]
+                assert [r.provenance["spec_sha256"] for r in reports] == [expected] * 3
+                assert serialized == [target.sequence]
+            # the write and the hash of the built plan format its one unreduced law
+            first = built.sequence.members[0]
+            assert formatted == ([first, first] if doc is unreduced else [])
 
     def test_mc_guard_takes_the_window_strides_once(self, monkeypatch, skewed_sequence):
         plan = reloaded(build_plan(skewed_sequence))
