@@ -6,8 +6,10 @@ partition, couples the digit processes, and tabulates the realized
 distances d(X_n, X) against the 1/k_n guarantees.
 """
 import argparse
+import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 from windowcoupling import (
     LawSequence,
@@ -50,8 +52,11 @@ def main() -> None:
     violations = 0
     realized = Counter()
     index_counts = Counter()
-    for i in range(args.samples):
-        draw = sample_coupled_points(coupling, streams.stream(args.seed, "sample", i))
+    # one generator, reseeded per sample to the state of streams.stream(seed, "sample", i)
+    rng = random.Random()
+    for derived in islice(streams.seeds(args.seed, "sample"), args.samples):
+        rng.seed(derived)
+        draw = sample_coupled_points(coupling, rng)
         violations += bool(distance_violations(coupling, draw))
         index_counts[draw.index] += 1
         for n in range(draw.index, coupling.plan.count + 1):

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import jsonio, streams, verify
@@ -104,9 +105,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     lines = []
     try:
         sampler = plan.sampler
-        for i in range(args.samples):
-            derived = streams.derive_seed(args.seed, "sample", i)
-            draw = sampler.sample(random.Random(derived))
+        # one generator, reseeded per record to the state of random.Random(derived)
+        rng = random.Random()
+        for derived in islice(streams.seeds(args.seed, "sample"), args.samples):
+            rng.seed(derived)
+            draw = sampler.sample(rng)
             lines.append(jsonio.compact_dumps(jsonio.sample_record(plan, draw, derived)))
     except Exception as exc:  # a corrupted plan can break sampling anywhere
         print(

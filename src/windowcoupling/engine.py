@@ -363,8 +363,7 @@ class CouplingPlan:
         return jsonio.document_sha256(jsonio.sequence_to_doc(self.sequence))
 
 
-@dataclass(frozen=True)
-class CouplingSample:
+class CouplingSample(NamedTuple):
     """One realization (N, limit point, per-index member points)."""
 
     index: int
@@ -377,10 +376,10 @@ class CouplingSample:
         ``strides[n-1]`` is the stride of component n's window, as in
         ``CouplingPlan.window_strides``.
         """
-        limit_point = self.limit_point
-        for n in range(self.index, len(self.member_points) + 1):
+        index, limit_point, member_points = self
+        for n in range(index, len(member_points) + 1):
             stride = strides[n - 1]
-            if self.member_points[n - 1] // stride != limit_point // stride:
+            if member_points[n - 1] // stride != limit_point // stride:
                 return False
         return True
 

@@ -34,7 +34,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import sub
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import (
     CouplingPlan,
@@ -500,7 +500,7 @@ def tree_exact_checks(tree: PartitionTree) -> list[ExactCheck]:
                     # every support point has positive weight
                     scaled, rest = divmod(radius.numerator * scale, radius.denominator)
                     row = model.rows[center]
-                    if not rest and any(row[j] == scaled for j in law.weights):
+                    if not rest and scaled in map(row.__getitem__, law.weights):
                         return (
                             f"cell {cell.path}: sphere around {model.labels[center]}"
                             f" radius {radius} has positive mass"
@@ -585,8 +585,7 @@ class SkorohodCoupling:
         return None if k == 0 else Fraction(1, k)
 
 
-@dataclass(frozen=True)
-class SkorohodSample:
+class SkorohodSample(NamedTuple):
     """The coupled points of one digit-space sample, decoded to model points."""
 
     index: int
@@ -604,12 +603,10 @@ def build_skorohod_coupling(
 
 
 def decode_sample(coupling: SkorohodCoupling, base: CouplingSample) -> SkorohodSample:
-    """Project a digit-space sample to its metric points."""
-    return SkorohodSample(
-        index=base.index,
-        point=coupling.decode(base.limit_point),
-        member_points=tuple(coupling.decode(z) for z in base.member_points),
-    )
+    """Project a digit-space sample to its metric points, as ``decode`` does."""
+    size = len(coupling.laws.model.labels)
+    index, limit_point, member_points = base
+    return SkorohodSample(index, limit_point % size, tuple([z % size for z in member_points]))
 
 
 def sample_coupled_points(coupling: SkorohodCoupling, rng: Random) -> SkorohodSample:
@@ -625,12 +622,12 @@ def distance_violations(
     it reads rows * k_n >= scale.  Window 0 bounds nothing, and there
     the product is 0, below every scale.
     """
-    scale = coupling.model.scale
-    row = coupling.model.rows[realization.point]
-    windows = coupling.plan.schedule.windows
-    members = realization.member_points
+    model = coupling.laws.model
+    scale, windows = model.scale, coupling.plan.schedule.windows
+    index, point, members = realization
+    row = model.rows[point]
     return [
         n
-        for n in range(realization.index, coupling.plan.count + 1)
+        for n in range(index, len(members) + 1)
         if row[members[n - 1]] * windows[n - 1] >= scale
     ]

@@ -193,16 +193,18 @@ def mc_agreement(
     try:
         sampler = plan.sampler
         strides = plan.window_strides
-        for i in range(samples):
-            rng = streams.stream(seed, "sample", i)
+        # one generator, reseeded per sample to the state of random.Random(derived)
+        rng = random.Random()
+        for i, derived in zip(range(samples), streams.seeds(seed, "sample")):
+            rng.seed(derived)
             draw = sampler.sample(rng)
             if not draw.agreement_holds(strides):
                 agreement_failures += 1
-            index_counts[draw.index - 1] = index_counts.get(draw.index - 1, 0) + 1
-            point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1
+            index, limit_point, _ = draw
+            index_counts[index - 1] = index_counts.get(index - 1, 0) + 1
+            point_counts[limit_point] = point_counts.get(limit_point, 0) + 1
             if coupling is not None:
-                decoded = decode_sample(coupling, draw)
-                if distance_violations(coupling, decoded):
+                if distance_violations(coupling, decode_sample(coupling, draw)):
                     distance_failures += 1
     except Exception as exc:  # a corrupted plan can break sampling anywhere
         return VerificationReport(

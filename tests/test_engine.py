@@ -583,6 +583,11 @@ class TestSampling:
             dev = abs(counts[z] - draws * float(p))
             assert dev <= 3 * sqrt(draws * float(p) * (1 - float(p))) + 1
 
+    def test_sample_record_fields_and_repr(self):
+        draw = CouplingSample(2, 1, (0, 1, 1))
+        assert CouplingSample._fields == ("index", "limit_point", "member_points")
+        assert repr(draw) == "CouplingSample(index=2, limit_point=1, member_points=(0, 1, 1))"
+
     def test_same_seed_reproduces_draws(self, two_member_sequence):
         plan = build_plan(two_member_sequence)
         first = [sample(plan, random.Random(9)) for _ in range(50)]

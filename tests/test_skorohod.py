@@ -28,7 +28,7 @@ from windowcoupling import (
     tree_exact_checks,
     window_marginal,
 )
-from windowcoupling.skorohod import _max_metric_rows
+from windowcoupling.skorohod import _max_metric_rows, decode_sample
 from windowcoupling.verify import random_law_sequence, random_metric_model
 from conftest import tuple_mass
 
@@ -354,6 +354,24 @@ class TestNoFractionTableOnTheSkorohodPath:
 
     def test_a_table_model_never_builds_its_fraction_table_either(self):
         self.assert_never_built(as_table=True)
+
+
+class TestDecodeSample:
+    def test_projects_each_point_as_decode_does(self, line_model, line_laws):
+        coupling = build_skorohod_coupling(line_model, line_laws, 3)
+        rng = random.Random(5)
+        for _ in range(200):
+            base = coupling.plan.sampler.sample(rng)
+            assert decode_sample(coupling, base) == SkorohodSample(
+                base.index,
+                coupling.decode(base.limit_point),
+                tuple(map(coupling.decode, base.member_points)),
+            )
+
+    def test_sample_record_fields_and_repr(self):
+        decoded = SkorohodSample(2, 1, (0, 1))
+        assert SkorohodSample._fields == ("index", "point", "member_points")
+        assert repr(decoded) == "SkorohodSample(index=2, point=1, member_points=(0, 1))"
 
 
 class TestDistanceGuard:

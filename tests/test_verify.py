@@ -14,11 +14,13 @@ from windowcoupling import (
     audit_skorohod,
     build_plan,
     build_skorohod_coupling,
+    distance_violations,
     mc_agreement,
     window_marginal,
 )
-from windowcoupling import engine, jsonio, verify
+from windowcoupling import engine, jsonio, streams, verify
 from windowcoupling.measures import weighted_sum
+from windowcoupling.skorohod import decode_sample
 from windowcoupling.verify import (
     certify,
     joint_law_marginals,
@@ -131,6 +133,118 @@ class TestMcAgreement:
         ):
             assert [(c.name, c.passed) for c in checks] == [("sampler-runs", False)]
             assert "ValueError: can only sample probability laws" in checks[0].note
+
+
+def reference_mc_agreement(target, samples, seed):
+    """``mc_agreement`` as one loop with a fresh ``streams.stream`` per draw.
+
+    The guard reseeds one generator from ``streams.seeds`` instead; its
+    reports must have these bytes.
+    """
+    plan, coupling = verify._split(target)
+    provenance = verify._provenance(target, seed)
+    agreement_failures = distance_failures = 0
+    index_counts, point_counts = {}, {}
+    i = 0
+    try:
+        sampler = plan.sampler
+        strides = plan.window_strides
+        for i in range(samples):
+            draw = sampler.sample(streams.stream(seed, "sample", i))
+            if not draw.agreement_holds(strides):
+                agreement_failures += 1
+            index_counts[draw.index - 1] = index_counts.get(draw.index - 1, 0) + 1
+            point_counts[draw.limit_point] = point_counts.get(draw.limit_point, 0) + 1
+            if coupling is not None:
+                if distance_violations(coupling, decode_sample(coupling, draw)):
+                    distance_failures += 1
+    except Exception as exc:
+        mc = (verify._sampler_failure(samples, i, exc),)
+        return verify.VerificationReport((), mc, (), provenance)
+    checks = [
+        verify.McCheck(
+            "window-agreement-violations",
+            samples,
+            agreement_failures,
+            "must be zero: agreement holds surely by construction",
+        )
+    ]
+    if coupling is not None:
+        checks.append(
+            verify.McCheck(
+                "distance-guarantee-violations",
+                samples,
+                distance_failures,
+                "must be zero: the shared cell has diameter below the bound",
+            )
+        )
+    checks.append(
+        verify._tv_check("index-law-total-variation", index_counts, plan.index_law, samples)
+    )
+    checks.append(
+        verify._tv_check(
+            "limit-marginal-total-variation", point_counts, plan.sequence.limit, samples
+        )
+    )
+    return verify.VerificationReport((), tuple(checks), (), provenance)
+
+
+def report_bytes(report):
+    return jsonio.canonical_dumps(jsonio.report_to_doc(report))
+
+
+class TestMcAgreementReference:
+    """The guard against one fresh ``streams.stream`` per draw."""
+
+    SEEDS = (0, 1, 7, -3, 2**64 + 5)
+    COUNTS = (1, 2, 37, 300)
+
+    def assert_same_reports(self, target):
+        for seed in self.SEEDS:
+            for samples in self.COUNTS:
+                expected = report_bytes(reference_mc_agreement(target, samples, seed))
+                assert report_bytes(mc_agreement(target, samples, seed)) == expected, (
+                    seed,
+                    samples,
+                )
+
+    def test_process_plan(self):
+        plan = build_plan(widening_sequence(random.Random(4), 2, members=3))
+        assert 0 < plan.schedule.windows[0] < plan.sequence.space.width
+        self.assert_same_reports(plan)
+
+    def test_reloaded_process_plan(self, two_member_sequence):
+        self.assert_same_reports(reloaded(build_plan(two_member_sequence)))
+
+    def test_metric_coupling(self, line_model, line_laws):
+        self.assert_same_reports(build_skorohod_coupling(line_model, line_laws, 3))
+
+    def test_random_metric_couplings(self):
+        rng = random.Random(29)
+        for _ in range(4):
+            model = random_metric_model(rng, partial_support=True)
+            laws = random_law_sequence(rng, model)
+            self.assert_same_reports(build_skorohod_coupling(model, laws, 2))
+
+    def test_failure_after_some_draws(self):
+        # the last component's window is the full width and every draw
+        # reaches it at the limit point, so with the row of point (0, 2)
+        # dropped exactly the draws whose limit point it is fail
+        plan = build_plan(widening_sequence(random.Random(4), 2, members=3))
+        assert plan.schedule.windows[-1] == 2
+        del plan.draw_tables.kernels[-1].slices[2]
+        for seed in (0, 1, 2):
+            assert report_bytes(mc_agreement(plan, 200, seed)) == (
+                report_bytes(reference_mc_agreement(plan, 200, seed))
+            )
+        [check] = mc_agreement(plan, 200, seed=1).mc_checks
+        assert check == (
+            "sampler-runs",
+            200,
+            1,
+            "sampling failed after 16 draws: InternalInvariantError:"
+            " no kernel row for prefix (0, 2) at index 4",
+        )
 
 
 class TestJointLawMarginals:
